@@ -4,23 +4,19 @@ The tracking formulation augments the usual horizon QP with an artificial
 steady-state pair, which destroys the banded sparsity standard MPC solvers
 exploit. This package recovers it: the equality-constrained QP solved at
 every iteration splits into banded/block-diagonal cores plus low-rank
-corrections, so each iteration costs a handful of structured solves plus a
-small dense one. A dense oracle and a closed-loop benchmark harness are
+corrections, so each iteration costs a handful of structured solves plus
+thin dense products. A dense oracle and a closed-loop benchmark harness are
 included for verification and experiments.
 """
 
-from .admm_solver import AdmmState, SolveReport, SolveStatus, admm_solve, cold_start, residuals, v_update
+from .admm_solver import AdmmState, SolveReport, SolveStatus, admm_solve, cold_start, v_update
 from .banded_linalg import (
     BandedCholeskyFactor,
     BlockDiagFactor,
     BlockDiagMatrix,
     PredictionSparseMatrix,
-    SmallDense,
     SymBandedMatrix,
     banded_cholesky_factor,
-    banded_solve,
-    block_diag_factor,
-    block_diag_solve,
     g_matvec,
     gt_matvec,
 )

@@ -24,7 +24,6 @@ __all__ = [
     "SolveReport",
     "admm_solve",
     "v_update",
-    "residuals",
     "cold_start",
 ]
 
@@ -84,16 +83,6 @@ def v_update(
     return np.clip(z_next + lam / rho, v_lo, v_hi)
 
 
-def residuals(state: AdmmState, prev_v: np.ndarray) -> tuple[float, float]:
-    """Infinity-norm consensus gap and projected-iterate change."""
-    prev_v = np.asarray(prev_v, dtype=float)
-    if prev_v.shape != state.v.shape:
-        raise DimensionMismatch("prev_v has the wrong shape")
-    primal = float(np.linalg.norm(state.z - state.v, np.inf))
-    dual = float(np.linalg.norm(state.v - prev_v, np.inf))
-    return primal, dual
-
-
 def cold_start(data: PrecomputedData) -> AdmmState:
     """Zero iterates, with the projected copy clipped into the box."""
     v = np.clip(np.zeros(data.n_z), data.v_lo, data.v_hi)
@@ -110,16 +99,13 @@ def admm_solve(
     eps_primal: float | None = None,
     eps_dual: float | None = None,
     max_iter: int | None = None,
-    relative_tolerances: bool = False,
 ) -> tuple[SolveReport, AdmmState]:
     """Run the ADMM iteration for the current state and reference.
 
     Returns the report and the final iterates; feeding those iterates back as
     ``warm`` at the next sample time shortens the solve without changing the
     limit point. Tolerance/iteration arguments override the precomputed
-    parameter values for this call only. ``relative_tolerances`` scales the
-    exit thresholds by ``1 + max(|z|, |v|)``; it is off by default so the exit
-    rule is the absolute one.
+    parameter values for this call only.
     """
     qp = assemble_online(data, x_t, x_r, u_r)
     params = data.params
@@ -160,12 +146,7 @@ def admm_solve(
             if not (np.isfinite(primal) and np.isfinite(dual)):
                 status = SolveStatus.NUMERICAL_ERROR
                 break
-            if relative_tolerances:
-                scale = 1.0 + max(float(np.abs(z).max()), float(np.abs(v).max()))
-                eps_p_k, eps_d_k = eps_p * scale, eps_d * scale
-            else:
-                eps_p_k, eps_d_k = eps_p, eps_d
-            if primal <= eps_p_k and dual <= eps_d_k:
+            if primal <= eps_p and dual <= eps_d:
                 status = SolveStatus.CONVERGED
                 break
     elapsed = time.perf_counter() - start

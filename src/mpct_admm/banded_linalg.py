@@ -1,12 +1,11 @@
 """Structure-exploiting matrix storage and factorization/solve kernels.
 
-Four matrix families cover everything the solver touches:
+Three matrix families cover everything the solver touches:
 
-* symmetric banded matrices in packed lower-band storage, with a banded
-  Cholesky factorization and LAPACK-backed triangular solves,
+* symmetric banded matrices in packed lower-band storage, with a LAPACK
+  banded Cholesky factorization and triangular solves,
 * block-diagonal matrices made of small SPD blocks, factored per block and
   solved with identical blocks batched into one call,
-* small dense square matrices with a cached LU (the m-by-m Woodbury cores),
 * the sparse prediction-dynamics matrix, stored only by its pattern
   (A, B, horizon) and applied through dedicated matvec kernels.
 
@@ -16,28 +15,22 @@ exist for tests and small-scale verification only.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
 from scipy.linalg import block_diag as _dense_block_diag
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, lu_factor, lu_solve
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded
+from scipy.linalg.lapack import dpbtrf
 
-from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
+from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
     "SymBandedMatrix",
     "BandedCholeskyFactor",
     "BlockDiagMatrix",
     "BlockDiagFactor",
-    "SmallDense",
     "PredictionSparseMatrix",
     "banded_cholesky_factor",
-    "banded_solve",
-    "block_diag_factor",
-    "block_diag_solve",
     "g_matvec",
     "gt_matvec",
 ]
@@ -122,8 +115,12 @@ class BandedCholeskyFactor:
             raise ValueError("factor diagonal must be strictly positive")
         object.__setattr__(self, "bands", bands)
 
-    def solve(self, d: np.ndarray, overwrite_d: bool = False) -> np.ndarray:
-        return banded_solve(self, d, overwrite_d=overwrite_d)
+    def solve(self, d: np.ndarray) -> np.ndarray:
+        """Solve ``M x = d`` (forward + backward pass); ``d`` is ``(n,)`` or ``(n, k)``."""
+        d = np.asarray(d, dtype=float)
+        if d.ndim not in (1, 2) or d.shape[0] != self.n:
+            raise DimensionMismatch(f"right-hand side must have leading dimension {self.n}")
+        return cho_solve_banded((self.bands, True), d, check_finite=False)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -133,47 +130,25 @@ class BandedCholeskyFactor:
         return out
 
 
-def banded_cholesky_factor(
-    m: SymBandedMatrix, pivot_floor_scale: float = 1e-13
-) -> BandedCholeskyFactor:
-    """Banded Cholesky ``L L^T = M`` computed in packed storage.
+# Pivots below this fraction of the largest diagonal entry count as failures:
+# the floor separates "semidefinite within rounding" from positive definite.
+_PIVOT_FLOOR = 1e-13
 
-    A pivot that is non-positive or below ``pivot_floor_scale * max(diag(M))``
-    raises :class:`NotPositiveDefinite` with the failing row; the floor
-    separates "semidefinite within rounding" from genuinely indefinite.
-    The factor bandwidth equals the input bandwidth.
+
+def banded_cholesky_factor(m: SymBandedMatrix) -> BandedCholeskyFactor:
+    """Banded Cholesky ``L L^T = M`` in packed storage (LAPACK ``dpbtrf``).
+
+    A pivot ``L_jj^2`` that is non-positive or below ``_PIVOT_FLOOR *
+    max(diag(M))`` raises :class:`NotPositiveDefinite` with the first such
+    row. The factor bandwidth equals the input bandwidth.
     """
-    bw = m.half_bandwidth
-    n = m.n
-    a = m.bands.copy()
-    floor = pivot_floor_scale * float(np.max(a[0]))
-    for j in range(n):
-        pivot = a[0, j]
-        if pivot <= 0.0 or pivot < floor:
-            raise NotPositiveDefinite("banded matrix", index=j)
-        ljj = math.sqrt(pivot)
-        a[0, j] = ljj
-        w = min(bw, n - 1 - j)
-        if w == 0:
-            continue
-        col = a[1 : w + 1, j]
-        col /= ljj
-        for i in range(1, w + 1):
-            a[: w - i + 1, j + i] -= col[i - 1] * col[i - 1 : w]
-    return BandedCholeskyFactor(n=n, half_bandwidth=bw, bands=a)
-
-
-def banded_solve(
-    l: BandedCholeskyFactor, d: np.ndarray, overwrite_d: bool = False
-) -> np.ndarray:
-    """Solve ``M x = d`` given the banded factor of M (forward + backward pass).
-
-    ``d`` may be a vector or an ``(n, k)`` matrix of right-hand sides.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim not in (1, 2) or d.shape[0] != l.n:
-        raise DimensionMismatch(f"right-hand side must have leading dimension {l.n}")
-    return cho_solve_banded((l.bands, True), d, overwrite_b=overwrite_d, check_finite=False)
+    bands, info = dpbtrf(m.bands, lower=1)
+    # rows before LAPACK's failure row (all rows when it succeeded) are final
+    done = info - 1 if info > 0 else m.n
+    low = np.flatnonzero(bands[0, :done] ** 2 < _PIVOT_FLOOR * m.bands[0].max())
+    if low.size or info > 0:
+        raise NotPositiveDefinite("banded matrix", index=int(low[0]) if low.size else done)
+    return BandedCholeskyFactor(n=m.n, half_bandwidth=m.half_bandwidth, bands=bands)
 
 
 def _spd_failure_row(block: np.ndarray) -> int:
@@ -283,54 +258,6 @@ class BlockDiagFactor:
                 sol = cho_solve(fac, seg, check_finite=False)
                 out[idx] = sol.reshape(k, count, r).transpose(1, 0, 2)
         return out
-
-
-def block_diag_factor(matrix: BlockDiagMatrix) -> BlockDiagFactor:
-    """Factor every block; raises :class:`NotPositiveDefinite` with block and row."""
-    return BlockDiagFactor(matrix)
-
-
-def block_diag_solve(factored: BlockDiagFactor, d: np.ndarray) -> np.ndarray:
-    return factored.solve(d)
-
-
-class SmallDense:
-    """Small dense square matrix with a cached LU factorization.
-
-    Holds the m-by-m Woodbury core ``I + V @ solve(Gamma, U)``; m is assumed
-    to be much smaller than the banded dimension (documented, not asserted).
-    """
-
-    def __init__(self, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch("SmallDense requires a square matrix")
-        self.mat = mat
-        self._lu = None
-
-    @property
-    def m(self) -> int:
-        return self.mat.shape[0]
-
-    def factorize(self) -> "SmallDense":
-        with warnings.catch_warnings():
-            # singularity is detected from the factor below, not from the warning
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(self.mat, check_finite=False)
-        u_diag = np.abs(np.diag(lu))
-        tol = self.m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))
-        if np.any(u_diag <= tol):
-            raise SingularSmallSystem(f"{self.m}x{self.m} core matrix is singular")
-        self._lu = (lu, piv)
-        return self
-
-    def solve(self, b: np.ndarray, trans: int = 0) -> np.ndarray:
-        if self._lu is None:
-            self.factorize()
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.m:
-            raise DimensionMismatch(f"right-hand side must have leading dimension {self.m}")
-        return lu_solve(self._lu, b, trans=trans, check_finite=False)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: ``precompute``, ``solve``, ``simulate``, ``bench`` and ``check``.
+Subcommands: ``solve``, ``simulate``, ``bench`` and ``check``.
 Exit codes: 0 on success, 2 when a solve did not converge, 3 on invalid
 input (bad files, schema violations, dimension errors).
 """
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -60,28 +59,9 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=None, help="override iteration cap")
 
 
-def _load_built(args):
-    model, params, scaling = load_problem(args.problem)
-    params = _apply_overrides(params, args)
-    return build_problem(model, params, scaling), model, params
-
-
-def cmd_precompute(args) -> int:
-    data, _, _ = _load_built(args)
-    with open(args.output, "wb") as fh:
-        pickle.dump(data, fh)
-    print(f"precomputed data written to {args.output}")
-    return EXIT_OK
-
-
 def cmd_solve(args) -> int:
-    if args.cache and args.rho is None:
-        with open(args.cache, "rb") as fh:
-            data = pickle.load(fh)
-    else:
-        if args.cache:
-            print("note: --rho requires refactorization, cache not used", file=sys.stderr)
-        data, _, _ = _load_built(args)
+    model, params, scaling = load_problem(args.problem)
+    data = build_problem(model, _apply_overrides(params, args), scaling)
     x0 = _float_list(args.x0)
     xr = _float_list(args.xr)
     ur = _float_list(args.ur) if args.ur else np.zeros(data.n_u)
@@ -228,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("precompute", help="factor a problem file into a cache")
-    p.add_argument("problem", help="problem definition JSON (mpct-v1)")
-    p.add_argument("-o", "--output", required=True, help="cache file to write (pickle)")
-    _add_override_flags(p)
-    p.set_defaults(func=cmd_precompute)
-
     p = sub.add_parser("solve", help="solve one tracking QP")
     p.add_argument("problem", help="problem definition JSON (mpct-v1)")
     p.add_argument("--x0", required=True, help="current state, comma/space separated")
@@ -241,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ur", default=None, help="input reference (default zeros)")
     p.add_argument("--warm", default=None, help="warm-start state JSON from --save-state")
     p.add_argument("--save-state", default=None, help="write the final iterates as JSON")
-    p.add_argument("--cache", default=None, help="use a precomputed cache instead of building")
     _add_override_flags(p)
     p.set_defaults(func=cmd_solve)
 

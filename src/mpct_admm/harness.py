@@ -29,6 +29,9 @@ from .mpct_problem import (
     LtiModel,
     MpctParams,
     PrecomputedData,
+    _matrix,
+    _parse,
+    _section,
     build_problem,
     problem_from_dict,
 )
@@ -97,8 +100,13 @@ class Scenario:
         object.__setattr__(self, "references", tuple(self.references))
 
 
+def _references(entries) -> tuple[Reference, ...]:
+    return tuple(Reference(label=r["label"], x_r=r["x_r"], u_r=r["u_r"]) for r in entries)
+
+
 def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
-    if obj.get("format") != SCENARIO_FORMAT:
+    """Parse a scenario mapping; a field of the wrong type raises a ValueError naming it."""
+    if not isinstance(obj, dict) or obj.get("format") != SCENARIO_FORMAT:
         raise ValueError(f'scenario file must declare "format": "{SCENARIO_FORMAT}"')
     problem = obj["problem"]
     if isinstance(problem, str):
@@ -108,21 +116,20 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             problem = json.load(fh)
     model, params, scaling = problem_from_dict(problem)
-    references = tuple(
-        Reference(label=r["label"], x_r=r["x_r"], u_r=r["u_r"]) for r in obj["references"]
-    )
+    references = _parse("references", _references, obj["references"])
     if not references:
         raise ValueError("scenario needs at least one reference")
+    intervals = _section(obj, "initial_state")["intervals"]
     return Scenario(
         model=model,
         params=params,
         scaling=scaling,
         references=references,
-        x0_intervals=np.asarray(obj["initial_state"]["intervals"], dtype=float),
-        trials=int(obj.get("trials", 1)),
-        steps=int(obj.get("steps", 0)),
-        seed=int(obj.get("seed", 0)),
-        sample_time=float(obj.get("sample_time", 1.0)),
+        x0_intervals=_parse("initial_state.intervals", _matrix, intervals),
+        trials=_parse("trials", int, obj.get("trials", 1)),
+        steps=_parse("steps", int, obj.get("steps", 0)),
+        seed=_parse("seed", int, obj.get("seed", 0)),
+        sample_time=_parse("sample_time", float, obj.get("sample_time", 1.0)),
     )
 
 

@@ -4,9 +4,8 @@ Turns a discrete-time model plus cost/horizon parameters into the data the
 per-sample solver consumes. The Hessian-plus-penalty matrix splits into a
 block-diagonal core plus a rank-``2(n_x+n_u)`` completion; the dual-space
 matrix splits into a banded core plus a completion of the same rank. Both
-cores are factored here, together with their small Woodbury core matrices
-and the sparse dynamics pattern, so that the online phase is vector
-assembly only.
+cores are factored here and their small Woodbury cores folded into one
+precomputed matrix each, so that the online phase is vector assembly only.
 """
 
 from __future__ import annotations
@@ -20,11 +19,9 @@ from scipy.linalg import block_diag as _dense_block_diag
 from scipy.linalg import cho_factor, cho_solve
 
 from .banded_linalg import (
-    BandedCholeskyFactor,
     BlockDiagFactor,
     BlockDiagMatrix,
     PredictionSparseMatrix,
-    SmallDense,
     SymBandedMatrix,
     _spd_failure_row,
     banded_cholesky_factor,
@@ -87,6 +84,13 @@ def _cost_matrix(m, n: int, name: str) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise NotPositiveDefinite(name, index=_spd_failure_row(m)) from None
     return m
+
+
+def _whole_number(value, name: str, least: int) -> int:
+    x = float(value)
+    if not (x.is_integer() and x >= least):
+        raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
+    return int(x)
 
 
 @dataclass(frozen=True)
@@ -164,17 +168,13 @@ class MpctParams:
         object.__setattr__(self, "R", _cost_matrix(self.R, nu, "R"))
         object.__setattr__(self, "T", _cost_matrix(self.T, nx, "T"))
         object.__setattr__(self, "S", _cost_matrix(self.S, nu, "S"))
-        if int(self.N) < 2:
-            raise ValueError("horizon N must be at least 2")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _whole_number(self.N, "horizon N", 2))
         for name in ("epsilon", "rho", "eps_primal", "eps_dual"):
             val = float(getattr(self, name))
             if not val > 0.0:
                 raise ValueError(f"{name} must be positive")
             object.__setattr__(self, name, val)
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be at least 1")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "max_iter", _whole_number(self.max_iter, "max_iter", 1))
 
     @property
     def n_x(self) -> int:
@@ -278,23 +278,14 @@ def tightened_bounds(model: LtiModel, params: MpctParams) -> tuple[np.ndarray, n
 class PrecomputedData:
     """Everything the per-iteration solver needs, factored once offline.
 
-    ``p_system`` wraps the block-diagonal core, its low-rank factors and the
-    factored small core for the primal-space matrix; ``w_system`` does the
-    same for the dual-space matrix around the banded core. The raw pieces
-    are also kept for inspection and dense test reconstructions.
+    ``p_system`` holds the factored block-diagonal core and the low-rank
+    factors of the primal-space matrix; ``w_system`` does the same for the
+    dual-space matrix around the banded core.
     """
 
     model: LtiModel
     params: MpctParams
     scaling: DiagonalScaling | None
-    gamma_hat: BlockDiagFactor
-    u_hat: np.ndarray
-    v_hat: np.ndarray
-    small_hat: SmallDense
-    gamma_tilde_factor: BandedCholeskyFactor
-    u_tilde: np.ndarray
-    v_tilde: np.ndarray
-    small_tilde: SmallDense
     g: PredictionSparseMatrix
     v_lo: np.ndarray
     v_hi: np.ndarray
@@ -439,9 +430,8 @@ def build_problem(
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
         ) from None
 
-    # u_tilde = -G (gamma_hat^-1 u_hat) small_hat^-1, v_tilde = (G (gamma_hat^-1 v_hat^T))^T
-    giu_small = p_system.small.solve(p_system.gamma_inv_u.T, trans=1).T
-    u_tilde = np.column_stack([-g_matvec(g, giu_small[:, j]) for j in range(m)])
+    # u_tilde = -G p_system.w, v_tilde = (G (gamma_hat^-1 v_hat^T))^T
+    u_tilde = np.column_stack([-g_matvec(g, p_system.w[:, j]) for j in range(m)])
     giv = gamma_hat.solve(np.ascontiguousarray(v_hat.T))
     v_tilde = np.column_stack([g_matvec(g, giv[:, j]) for j in range(m)]).T
 
@@ -451,14 +441,6 @@ def build_problem(
         model=model,
         params=params,
         scaling=scaling,
-        gamma_hat=gamma_hat,
-        u_hat=u_hat,
-        v_hat=v_hat,
-        small_hat=p_system.small,
-        gamma_tilde_factor=gamma_tilde_factor,
-        u_tilde=u_tilde,
-        v_tilde=v_tilde,
-        small_tilde=w_system.small,
         g=g,
         v_lo=v_lo,
         v_hi=v_hi,
@@ -516,39 +498,70 @@ def _encode_bound(value: float):
     return float(value)
 
 
+def _parse(where: str, convert, value):
+    """``convert(value)``, turning a wrongly-typed value into a named ValueError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _section(obj, key: str) -> dict:
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key!r} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _matrix(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _bounds(values) -> list[float]:
+    return [_bound_entry(v) for v in values]
+
+
 def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams, DiagonalScaling | None]:
-    """Parse the versioned problem-definition mapping."""
-    if obj.get("format") != PROBLEM_FORMAT:
+    """Parse the versioned problem-definition mapping.
+
+    A missing field raises KeyError; a field of the wrong type raises a
+    ValueError that names it.
+    """
+    if not isinstance(obj, dict) or obj.get("format") != PROBLEM_FORMAT:
         raise ValueError(f'problem file must declare "format": "{PROBLEM_FORMAT}"')
     try:
-        mdl = obj["model"]
-        prm = obj["params"]
+        mdl = _section(obj, "model")
+        prm = _section(obj, "params")
     except KeyError as exc:
         raise ValueError(f"problem file is missing the {exc.args[0]!r} object") from None
     model = LtiModel(
-        A=np.asarray(mdl["A"], dtype=float),
-        B=np.asarray(mdl["B"], dtype=float),
-        x_lo=[_bound_entry(v) for v in mdl["x_lo"]],
-        x_hi=[_bound_entry(v) for v in mdl["x_hi"]],
-        u_lo=[_bound_entry(v) for v in mdl["u_lo"]],
-        u_hi=[_bound_entry(v) for v in mdl["u_hi"]],
+        A=_parse("model.A", _matrix, mdl["A"]),
+        B=_parse("model.B", _matrix, mdl["B"]),
+        x_lo=_parse("model.x_lo", _bounds, mdl["x_lo"]),
+        x_hi=_parse("model.x_hi", _bounds, mdl["x_hi"]),
+        u_lo=_parse("model.u_lo", _bounds, mdl["u_lo"]),
+        u_hi=_parse("model.u_hi", _bounds, mdl["u_hi"]),
     )
+    scalars = {
+        key: _parse(f"params.{key}", float, prm[key])
+        for key in ("epsilon", "rho", "eps_primal", "eps_dual", "max_iter")
+        if key in prm
+    }
     params = MpctParams(
-        Q=np.asarray(prm["Q"], dtype=float),
-        R=np.asarray(prm["R"], dtype=float),
-        T=np.asarray(prm["T"], dtype=float),
-        S=np.asarray(prm["S"], dtype=float),
-        N=prm["N"],
-        epsilon=prm.get("epsilon", 1e-6),
-        rho=prm.get("rho", 1.0),
-        eps_primal=prm.get("eps_primal", 1e-4),
-        eps_dual=prm.get("eps_dual", 1e-4),
-        max_iter=prm.get("max_iter", 4000),
+        Q=_parse("params.Q", _matrix, prm["Q"]),
+        R=_parse("params.R", _matrix, prm["R"]),
+        T=_parse("params.T", _matrix, prm["T"]),
+        S=_parse("params.S", _matrix, prm["S"]),
+        N=_parse("params.N", float, prm["N"]),
+        **scalars,
     )
     scaling = None
-    if "scaling" in obj and obj["scaling"] is not None:
-        scl = obj["scaling"]
-        scaling = DiagonalScaling(state=scl["state"], input=scl["input"])
+    if obj.get("scaling") is not None:
+        scl = _section(obj, "scaling")
+        scaling = DiagonalScaling(
+            state=_parse("scaling.state", _matrix, scl["state"]),
+            input=_parse("scaling.input", _matrix, scl["input"]),
+        )
     return model, params, scaling
 
 

@@ -1,28 +1,31 @@
 """Woodbury-split solves for banded-plus-low-rank systems, and the KKT chain.
 
 A system ``(Gamma + U V) z = d`` with ``Gamma`` cheap to solve and ``U V`` of
-small rank m is solved with two structured solves and one m-by-m solve:
+small rank m is solved through the Woodbury identity
+
+    (Gamma + U V)^-1 = Gamma^-1 - W V Gamma^-1,   W = Gamma^-1 U (I + V Gamma^-1 U)^-1
+
+``W`` is an n-by-m matrix computed once at build time, so each call costs
+one structured solve and two thin products:
 
     z1 = solve(Gamma, d)
-    z2 = solve(I + V solve(Gamma, U), V z1)
-    z3 = solve(Gamma, U z2)
-    z  = z1 - z3
+    z  = z1 - W (V z1)
 
-``solve(Gamma, U)`` is cached at build time, so step 3 collapses to an
-(n x m) product and each call costs exactly one structured solve plus the
-small correction. The equality-constrained QP update chains three such
-solves through the primal-space and dual-space systems.
+The equality-constrained QP update chains three such solves through the
+primal-space and dual-space systems.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .banded_linalg import SmallDense, g_matvec, gt_matvec
-from .errors import DimensionMismatch
+from .banded_linalg import g_matvec, gt_matvec
+from .errors import DimensionMismatch, SingularSmallSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mpct_problem import PrecomputedData
@@ -41,16 +44,15 @@ class SemiBandedSystem:
     """A factored ``Gamma + U V`` system ready for repeated solves.
 
     ``gamma`` is any factored core exposing ``solve`` (block-diagonal or
-    banded Cholesky), ``small`` the factored m-by-m core
-    ``I + V solve(Gamma, U)``, and ``gamma_inv_u`` the cached ``solve(Gamma, U)``.
-    Immutable and safe to share across threads.
+    banded Cholesky) and ``w`` the precomputed Woodbury factor
+    ``solve(Gamma, U) (I + V solve(Gamma, U))^-1``. Immutable and safe to
+    share across threads.
     """
 
     gamma: _StructuredFactor
     u: np.ndarray
     v: np.ndarray
-    gamma_inv_u: np.ndarray
-    small: SmallDense
+    w: np.ndarray
 
     @property
     def n(self) -> int:
@@ -62,7 +64,7 @@ class SemiBandedSystem:
 
     @classmethod
     def build(cls, gamma: _StructuredFactor, u: np.ndarray, v: np.ndarray) -> "SemiBandedSystem":
-        """Cache ``solve(Gamma, U)`` and factor the small core.
+        """Factor the m-by-m core ``I + V solve(Gamma, U)`` and fold it into ``w``.
 
         Raises :class:`SingularSmallSystem` when the core is singular, which
         by the determinant identity means the full system matrix is singular.
@@ -73,15 +75,24 @@ class SemiBandedSystem:
             raise DimensionMismatch("U and V must be (n, m) and (m, n)")
         if u.shape[0] != gamma.n:
             raise DimensionMismatch("low-rank factors do not match the core dimension")
+        m = u.shape[1]
         gamma_inv_u = gamma.solve(u)
-        small = SmallDense(np.eye(u.shape[1]) + v @ gamma_inv_u).factorize()
-        return cls(gamma=gamma, u=u, v=v, gamma_inv_u=gamma_inv_u, small=small)
+        with warnings.catch_warnings():
+            # singularity is detected from the factor below, not from the warning
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(np.eye(m) + v @ gamma_inv_u, check_finite=False)
+        u_diag = np.abs(np.diag(lu))
+        if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
+            raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
+        # w^T = (I + V Gamma^-1 U)^-T (Gamma^-1 U)^T
+        w = lu_solve((lu, piv), gamma_inv_u.T, trans=1, check_finite=False).T
+        return cls(gamma=gamma, u=u, v=v, w=w)
 
 
 def solve_semibanded(
     sys: SemiBandedSystem, d: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Solve ``(Gamma + U V) z = d`` through the cached split.
+    """Solve ``(Gamma + U V) z = d`` through the precomputed split.
 
     ``out``, when given, receives the result so steady-state callers can keep
     the large per-iteration buffers preallocated.
@@ -90,12 +101,11 @@ def solve_semibanded(
     if d.shape != (sys.n,):
         raise DimensionMismatch(f"expected right-hand side of length {sys.n}")
     z1 = sys.gamma.solve(d)
-    z2 = sys.small.solve(sys.v @ z1)
     if out is None:
-        return z1 - sys.gamma_inv_u @ z2
+        return z1 - sys.w @ (sys.v @ z1)
     if out.shape != (sys.n,):
         raise DimensionMismatch("out has the wrong shape")
-    np.matmul(sys.gamma_inv_u, z2, out=out)
+    np.matmul(sys.w, sys.v @ z1, out=out)
     np.subtract(z1, out, out=out)
     return out
 

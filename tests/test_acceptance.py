@@ -15,7 +15,6 @@ from mpct_admm import (
     admm_solve,
     assemble_online,
     banded_cholesky_factor,
-    block_diag_factor,
     build_problem,
     certify_kkt,
     dense_instance,
@@ -29,7 +28,7 @@ from mpct_admm import (
     solve_kkt_system,
     solve_semibanded,
 )
-from mpct_admm.banded_linalg import BlockDiagMatrix
+from mpct_admm.banded_linalg import BlockDiagFactor, BlockDiagMatrix
 from mpct_admm.oracle import NotConverged, dense_bounds, dense_dynamics, dense_hessian
 from mpct_admm.semiband_solver import SemiBandedSystem
 
@@ -95,7 +94,7 @@ def test_acceptance_2_semibanded_solver():
                 left -= k
             mat = BlockDiagMatrix(tuple(random_spd(rng, k, 1.0, 4.0) for k in sizes))
             gamma_dense = mat.to_dense()
-            gamma = block_diag_factor(mat)
+            gamma = BlockDiagFactor(mat)
         u = 0.4 * rng.standard_normal((n, m))
         v = 0.4 * rng.standard_normal((m, n))
         sys = SemiBandedSystem.build(gamma, u, v)
@@ -263,7 +262,8 @@ def test_acceptance_7_transcription_fidelity():
         params = random_params(rng, n_x, n_u, horizon)
         data = build_problem(model, params)
 
-        h_struct = data.gamma_hat.to_dense() + data.u_hat @ data.v_hat - params.rho * np.eye(data.n_z)
+        p_sys = data.p_system
+        h_struct = p_sys.gamma.to_dense() + p_sys.u @ p_sys.v - params.rho * np.eye(data.n_z)
         h_oracle = dense_hessian(params)
         scale_h = 1.0 + np.abs(h_oracle).max()
         worst = max(worst, float(np.abs(h_struct - h_oracle).max() / scale_h))

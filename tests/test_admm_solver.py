@@ -11,7 +11,6 @@ from mpct_admm import (
     SolveStatus,
     admm_solve,
     build_problem,
-    residuals,
     v_update,
 )
 from mpct_admm.oracle import dense_instance, dense_qp_solve
@@ -57,29 +56,6 @@ class TestVUpdate:
         hi = rng.uniform(0.1, 3, n)
         out = v_update(rng.standard_normal(n) * 5, rng.standard_normal(n) * 5, rng.uniform(0.1, 10), lo, hi)
         assert np.all(out >= lo) and np.all(out <= hi)
-
-
-class TestResiduals:
-    def test_zero_at_consensus(self):
-        v = np.ones(3)
-        state = AdmmState(z=v.copy(), v=v.copy(), lam=np.zeros(3))
-        assert residuals(state, v.copy()) == (0.0, 0.0)
-
-    def test_infinity_norm(self):
-        state = AdmmState(z=np.array([0.1, -0.3]) + np.ones(2), v=np.ones(2), lam=np.zeros(2))
-        primal, _ = residuals(state, np.ones(2))
-        assert primal == pytest.approx(0.3)
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_matches_elementwise_max(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 30))
-        z, v, pv = rng.standard_normal((3, n))
-        state = AdmmState(z=z, v=v, lam=np.zeros(n))
-        primal, dual = residuals(state, pv)
-        assert primal == pytest.approx(max(abs(a - b) for a, b in zip(z, v)))
-        assert dual == pytest.approx(max(abs(a - b) for a, b in zip(v, pv)))
 
 
 class TestAdmmSolve:
@@ -169,12 +145,6 @@ class TestAdmmSolve:
         data = build_problem(model, params)
         with pytest.raises(DimensionMismatch):
             admm_solve(data, [0.5], [0.8], [0.0], warm=AdmmState(z=np.zeros(3), v=np.zeros(3), lam=np.zeros(3)))
-
-    def test_relative_tolerance_mode(self):
-        model, params = small_tracking_instance()
-        data = build_problem(model, params)
-        report, _ = admm_solve(data, [0.5], [0.8], [0.0], relative_tolerances=True)
-        assert report.status is SolveStatus.CONVERGED
 
     def test_limits_match_oracle_on_random_instances(self):
         rng = np.random.default_rng(11)

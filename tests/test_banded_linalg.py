@@ -4,17 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpct_admm import (
+    BlockDiagFactor,
     BlockDiagMatrix,
     DimensionMismatch,
     NotPositiveDefinite,
     PredictionSparseMatrix,
-    SingularSmallSystem,
-    SmallDense,
     SymBandedMatrix,
     banded_cholesky_factor,
-    banded_solve,
-    block_diag_factor,
-    block_diag_solve,
     g_matvec,
     gt_matvec,
 )
@@ -46,17 +42,33 @@ class TestBandedCholesky:
         np.testing.assert_allclose(factor.to_dense(), np.linalg.cholesky(dense), atol=1e-14)
 
     def test_negative_pivot_reports_row(self):
-        m = SymBandedMatrix(n=3, half_bandwidth=0, bands=np.array([[1.0, -1.0, 1.0]]))
-        with pytest.raises(NotPositiveDefinite) as exc:
-            banded_cholesky_factor(m)
-        assert exc.value.index == 1
+        cases = [
+            (np.array([[1.0, -1.0, 1.0]]), 1),
+            # tridiagonal: pivot 1 - 2^2 = -3 at row 1
+            (np.array([[1.0, 1.0, 1.0], [2.0, 0.5, 0.0]]), 1),
+            # tridiagonal: rows 0-1 fine, pivot 1 - 2^2 = -3 at row 2
+            (np.array([[4.0, 2.0, 1.0, 1.0], [2.0, 2.0, 0.0, 0.0]]), 2),
+        ]
+        for bands, row in cases:
+            m = SymBandedMatrix(n=bands.shape[1], half_bandwidth=bands.shape[0] - 1, bands=bands)
+            with pytest.raises(NotPositiveDefinite) as exc:
+                banded_cholesky_factor(m)
+            assert exc.value.index == row
 
     def test_pivot_floor(self):
-        # second pivot far below 1e-13 * max diagonal trips the floor
-        m = SymBandedMatrix(n=2, half_bandwidth=0, bands=np.array([[1.0, 1e-16]]))
-        with pytest.raises(NotPositiveDefinite) as exc:
-            banded_cholesky_factor(m)
-        assert exc.value.index == 1
+        # a pivot far below 1e-13 * max diagonal trips the floor, also when the
+        # factorization could go on past it or fails only at a later row
+        cases = [
+            np.array([[1.0, 1e-16]]),
+            np.array([[1.0, 1e-16, 1.0], [0.0, 0.0, 0.0]]),
+            # the tiny pivot at row 1 makes row 2's pivot 1 - 1e16 < 0
+            np.array([[1.0, 1e-16, 1.0], [0.0, 1.0, 0.0]]),
+        ]
+        for bands in cases:
+            m = SymBandedMatrix(n=bands.shape[1], half_bandwidth=bands.shape[0] - 1, bands=bands)
+            with pytest.raises(NotPositiveDefinite) as exc:
+                banded_cholesky_factor(m)
+            assert exc.value.index == 1
 
     def test_reconstruction_tolerance(self):
         rng = np.random.default_rng(3)
@@ -76,30 +88,30 @@ class TestBandedCholesky:
 class TestBandedSolve:
     def test_identity(self):
         factor = banded_cholesky_factor(SymBandedMatrix(n=2, half_bandwidth=0, bands=np.ones((1, 2))))
-        np.testing.assert_allclose(banded_solve(factor, np.array([3.0, 4.0])), [3.0, 4.0])
+        np.testing.assert_allclose(factor.solve(np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_diagonal(self):
         m = SymBandedMatrix(n=2, half_bandwidth=0, bands=np.array([[4.0, 9.0]]))
         factor = banded_cholesky_factor(m)
-        np.testing.assert_allclose(banded_solve(factor, np.array([8.0, 18.0])), [2.0, 2.0])
+        np.testing.assert_allclose(factor.solve(np.array([8.0, 18.0])), [2.0, 2.0])
 
     def test_random_matches_dense_lu(self):
         rng = np.random.default_rng(12)
         m = random_spd_banded(rng, 12, 3)
         d = rng.standard_normal(12)
-        x = banded_solve(banded_cholesky_factor(m), d)
+        x = banded_cholesky_factor(m).solve(d)
         np.testing.assert_allclose(x, np.linalg.solve(m.to_dense(), d), atol=1e-10)
 
     def test_dimension_mismatch(self):
         factor = banded_cholesky_factor(SymBandedMatrix(n=2, half_bandwidth=0, bands=np.ones((1, 2))))
         with pytest.raises(DimensionMismatch):
-            banded_solve(factor, np.ones(3))
+            factor.solve(np.ones(3))
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(5)
         m = random_spd_banded(rng, 9, 2)
         d = rng.standard_normal((9, 4))
-        x = banded_solve(banded_cholesky_factor(m), d)
+        x = banded_cholesky_factor(m).solve(d)
         np.testing.assert_allclose(m.to_dense() @ x, d, atol=1e-10)
 
     @settings(max_examples=40, deadline=None)
@@ -113,7 +125,7 @@ class TestBandedSolve:
         rng = np.random.default_rng(seed)
         m = random_spd_banded(rng, n, bw)
         d = rng.standard_normal(n)
-        x = banded_solve(banded_cholesky_factor(m), d)
+        x = banded_cholesky_factor(m).solve(d)
         expected = np.linalg.solve(m.to_dense(), d)
         assert np.abs(x - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
 
@@ -121,21 +133,21 @@ class TestBandedSolve:
         rng = np.random.default_rng(77)
         m = random_spd_banded(rng, 60, 6)
         d = rng.standard_normal(60)
-        x = banded_solve(banded_cholesky_factor(m), d)
+        x = banded_cholesky_factor(m).solve(d)
         assert np.abs(m.to_dense() @ x - d).max() <= 1e-9 * (1.0 + np.abs(d).max())
 
 
 class TestBlockDiag:
     def test_scalar_blocks(self):
-        factored = block_diag_factor(BlockDiagMatrix((np.array([[2.0]]), np.array([[3.0]]))))
-        np.testing.assert_allclose(block_diag_solve(factored, np.array([4.0, 9.0])), [2.0, 3.0])
+        factored = BlockDiagFactor(BlockDiagMatrix((np.array([[2.0]]), np.array([[3.0]]))))
+        np.testing.assert_allclose(factored.solve(np.array([4.0, 9.0])), [2.0, 3.0])
 
     def test_scaled_identity_blocks(self):
         rho = 0.5
         blocks = tuple(rho * np.eye(k) for k in (2, 3, 1))
-        factored = block_diag_factor(BlockDiagMatrix(blocks))
+        factored = BlockDiagFactor(BlockDiagMatrix(blocks))
         d = np.arange(6.0)
-        np.testing.assert_allclose(block_diag_solve(factored, d), 2.0 * d)
+        np.testing.assert_allclose(factored.solve(d), 2.0 * d)
 
     def test_mixed_blocks_match_dense(self):
         rng = np.random.default_rng(8)
@@ -144,7 +156,7 @@ class TestBlockDiag:
         mat = BlockDiagMatrix((q, r))
         d = rng.standard_normal(3)
         np.testing.assert_allclose(
-            block_diag_solve(block_diag_factor(mat), d),
+            BlockDiagFactor(mat).solve(d),
             np.linalg.solve(mat.to_dense(), d),
             atol=1e-12,
         )
@@ -152,13 +164,13 @@ class TestBlockDiag:
     def test_not_positive_definite_block_and_row(self):
         bad = np.array([[1.0, 0.0], [0.0, -2.0]])
         with pytest.raises(NotPositiveDefinite) as exc:
-            block_diag_factor(BlockDiagMatrix((np.eye(2), bad)))
+            BlockDiagFactor(BlockDiagMatrix((np.eye(2), bad)))
         assert exc.value.block == 1
         assert exc.value.index == 1
 
     def test_repeated_blocks_are_grouped(self):
         blk = np.array([[4.0, 1.0], [1.0, 3.0]])
-        factored = block_diag_factor(BlockDiagMatrix((blk, blk, blk)))
+        factored = BlockDiagFactor(BlockDiagMatrix((blk, blk, blk)))
         assert len(factored._groups) == 1
         rng = np.random.default_rng(0)
         d = rng.standard_normal(6)
@@ -171,11 +183,9 @@ class TestBlockDiag:
         rng = np.random.default_rng(seed)
         diag = rng.uniform(0.5, 4.0, n)
         d = rng.standard_normal(n)
-        banded = banded_solve(
-            banded_cholesky_factor(SymBandedMatrix(n=n, half_bandwidth=0, bands=diag[None, :])), d
-        )
+        banded = banded_cholesky_factor(SymBandedMatrix(n=n, half_bandwidth=0, bands=diag[None, :])).solve(d)
         blocks = tuple(np.array([[v]]) for v in diag)
-        np.testing.assert_allclose(block_diag_solve(block_diag_factor(BlockDiagMatrix(blocks)), d), banded, atol=1e-13)
+        np.testing.assert_allclose(BlockDiagFactor(BlockDiagMatrix(blocks)).solve(d), banded, atol=1e-13)
 
     def test_matrix_rhs(self):
         rng = np.random.default_rng(21)
@@ -183,30 +193,8 @@ class TestBlockDiag:
         mat = BlockDiagMatrix(blocks)
         d = rng.standard_normal((5, 3))
         np.testing.assert_allclose(
-            block_diag_factor(mat).solve(d), np.linalg.solve(mat.to_dense(), d), atol=1e-12
+            BlockDiagFactor(mat).solve(d), np.linalg.solve(mat.to_dense(), d), atol=1e-12
         )
-
-
-class TestSmallDense:
-    def test_factorization_reproduces_matrix(self):
-        rng = np.random.default_rng(2)
-        mat = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
-        small = SmallDense(mat).factorize()
-        x = small.solve(rng.standard_normal(6))
-        assert x.shape == (6,)
-        rhs = mat @ x
-        np.testing.assert_allclose(small.solve(rhs), x, atol=1e-10)
-
-    def test_singular_raises(self):
-        with pytest.raises(SingularSmallSystem):
-            SmallDense(np.zeros((2, 2))).factorize()
-
-    def test_transposed_solve(self):
-        rng = np.random.default_rng(9)
-        mat = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-        small = SmallDense(mat).factorize()
-        b = rng.standard_normal(4)
-        np.testing.assert_allclose(mat.T @ small.solve(b, trans=1), b, atol=1e-10)
 
 
 class TestPredictionMatrix:

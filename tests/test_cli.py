@@ -1,6 +1,7 @@
 import csv
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -81,18 +82,17 @@ class TestSolve:
         path.write_text(json.dumps({"model": {}, "params": {}}))
         assert main(["solve", str(path), "--x0", "0", "--xr", "0"]) == EXIT_INVALID_INPUT
 
-
-class TestPrecompute:
-    def test_cache_roundtrip(self, integrator_problem, tmp_path, capsys):
-        cache = tmp_path / "cache.pkl"
-        assert main(["precompute", integrator_problem, "-o", str(cache)]) == EXIT_OK
-        assert cache.exists()
-        capsys.readouterr()
-        code = main(
-            ["solve", integrator_problem, "--cache", str(cache), "--x0", "0.5,0", "--xr", "2,0"]
-        )
-        assert code == EXIT_OK
-        assert json.loads(capsys.readouterr().out)["status"] == "converged"
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("model", "x_lo", 5), ("params", "N", [30]), ("params", "rho", None), (None, "model", [])],
+    )
+    def test_wrongly_typed_field_exits_three(self, integrator_problem, tmp_path, capsys, section, key, value):
+        obj = json.loads(Path(integrator_problem).read_text(encoding="utf-8"))
+        (obj if section is None else obj[section])[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(obj))
+        assert main(["solve", str(path), "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
+        assert key in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -103,6 +103,17 @@ class TestSimulate:
         rows = list(csv.DictReader(open(out)))
         assert len(rows) == 12
         assert "x0" in rows[0] and "u0" in rows[0] and "iterations" in rows[0]
+
+    @pytest.mark.parametrize(
+        "key, value", [("references", 5), ("initial_state", []), ("trials", [5])]
+    )
+    def test_wrongly_typed_field_exits_three(self, small_scenario, tmp_path, capsys, key, value):
+        obj = json.loads(Path(small_scenario).read_text(encoding="utf-8"))
+        obj[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(obj))
+        assert main(["simulate", str(path), "-o", str(tmp_path / "t.csv")]) == EXIT_INVALID_INPUT
+        assert key in capsys.readouterr().err
 
     def test_unknown_reference_label(self, small_scenario, tmp_path):
         out = tmp_path / "traj.csv"

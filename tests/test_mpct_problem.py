@@ -26,19 +26,19 @@ from conftest import random_instance
 def struct_p_dense(data):
     """Dense reconstruction of the block-diagonal core plus low-rank term."""
     eye = np.eye(data.n_z)
-    gamma_inv = data.gamma_hat.solve(eye)
-    return np.linalg.inv(gamma_inv) + data.u_hat @ data.v_hat
+    gamma_inv = data.p_system.gamma.solve(eye)
+    return np.linalg.inv(gamma_inv) + data.p_system.u @ data.p_system.v
 
 
 class TestBuildProblem:
     def test_integrator_gamma_hat_diagonal(self, integrator_model, integrator_params):
         data = build_problem(integrator_model, integrator_params)
-        gamma = np.linalg.inv(data.gamma_hat.solve(np.eye(6)))
+        gamma = np.linalg.inv(data.p_system.gamma.solve(np.eye(6)))
         np.testing.assert_allclose(gamma, np.diag([2.0, 2.0, 2.0, 2.0, 4.0, 4.0]), atol=1e-12)
 
     def test_integrator_low_rank_pattern(self, integrator_model, integrator_params):
         data = build_problem(integrator_model, integrator_params)
-        uv = data.u_hat @ data.v_hat
+        uv = data.p_system.u @ data.p_system.v
         expected = np.zeros((6, 6))
         # stage blocks couple to (x_s, u_s) through -Q and -R
         for i in range(2):
@@ -70,10 +70,8 @@ class TestBuildProblem:
             g = dense_dynamics(model, params.N)
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
-            w_struct = (
-                data.gamma_tilde_factor.to_dense() @ data.gamma_tilde_factor.to_dense().T
-                + data.u_tilde @ data.v_tilde
-            )
+            w_sys = data.w_system
+            w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + w_sys.u @ w_sys.v
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())
 
     def test_rank_deficient_dynamics(self):
@@ -194,6 +192,16 @@ class TestValidation:
     def test_horizon_minimum(self):
         with pytest.raises(ValueError):
             MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=1)
+
+    def test_fractional_horizon_and_cap_rejected(self):
+        costs = dict(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]])
+        with pytest.raises(ValueError, match="horizon N"):
+            MpctParams(**costs, N=2.9)
+        with pytest.raises(ValueError, match="max_iter"):
+            MpctParams(**costs, N=2, max_iter=10.7)
+        params = MpctParams(**costs, N=3.0, max_iter=10.0)
+        assert (params.N, params.max_iter) == (3, 10)
+        assert isinstance(params.N, int) and isinstance(params.max_iter, int)
 
     def test_default_solver_parameters(self):
         params = MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=2)

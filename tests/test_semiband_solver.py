@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpct_admm import (
+    BlockDiagFactor,
     BlockDiagMatrix,
     DimensionMismatch,
     SemiBandedSystem,
@@ -11,7 +12,6 @@ from mpct_admm import (
     SymBandedMatrix,
     assemble_online,
     banded_cholesky_factor,
-    block_diag_factor,
     build_problem,
     solve_kkt_system,
     solve_semibanded,
@@ -40,7 +40,7 @@ def random_semibanded(rng, n, m, kind="banded", scale=0.4):
         blocks = tuple(random_spd(rng, k, 1.0, 4.0) for k in sizes)
         mat = BlockDiagMatrix(blocks)
         gamma_dense = mat.to_dense()
-        gamma = block_diag_factor(mat)
+        gamma = BlockDiagFactor(mat)
     u = scale * rng.standard_normal((n, m))
     v = scale * rng.standard_normal((m, n))
     return gamma, gamma_dense, u, v
