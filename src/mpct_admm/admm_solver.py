@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch
-from .mpct_problem import PrecomputedData, assemble_online
+from .mpct_problem import PrecomputedData, _whole_number, assemble_online
 from .semiband_solver import KktWorkspace, solve_kkt_system
 
 __all__ = [
@@ -112,9 +112,9 @@ def admm_solve(
     rho = params.rho
     eps_p = params.eps_primal if eps_primal is None else float(eps_primal)
     eps_d = params.eps_dual if eps_dual is None else float(eps_dual)
-    cap = params.max_iter if max_iter is None else int(max_iter)
-    if eps_p <= 0.0 or eps_d <= 0.0 or cap < 1:
-        raise ValueError("tolerances must be positive and max_iter at least 1")
+    cap = params.max_iter if max_iter is None else _whole_number(max_iter, "max_iter", 1)
+    if eps_p <= 0.0 or eps_d <= 0.0:
+        raise ValueError("tolerances must be positive")
 
     if warm is None:
         state = cold_start(data)
@@ -127,6 +127,10 @@ def admm_solve(
     lam = state.lam
     z = state.z
     work = KktWorkspace.for_problem(data)
+    # per-solve buffers; v and v_next swap roles every iteration
+    p = np.empty(data.n_z)
+    v_next = np.empty(data.n_z)
+    diff = np.empty(data.n_z)
     status = SolveStatus.MAX_ITERATIONS
     primal = np.inf
     dual = np.inf
@@ -136,13 +140,22 @@ def admm_solve(
     # non-finite iterates are detected explicitly below; keep numpy quiet
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(1, cap + 1):
-            p = qp.q + lam - rho * v
+            # the operation order of q + lam - rho * v, v_update and
+            # lam += rho * (z - v_next), so iterates match them bit for bit
+            np.add(qp.q, lam, out=p)
+            np.multiply(rho, v, out=diff)
+            p -= diff
             z, _ = solve_kkt_system(data, p, qp.b, work=work)
-            v_next = v_update(z, lam, rho, qp.v_lo, qp.v_hi)
-            lam += rho * (z - v_next)
-            primal = float(np.linalg.norm(z - v_next, np.inf))
-            dual = float(np.linalg.norm(v_next - v, np.inf))
-            v = v_next
+            np.divide(lam, rho, out=v_next)
+            np.add(z, v_next, out=v_next)
+            np.clip(v_next, qp.v_lo, qp.v_hi, out=v_next)
+            np.subtract(z, v_next, out=diff)
+            primal = float(np.abs(diff).max())
+            diff *= rho
+            lam += diff
+            np.subtract(v_next, v, out=diff)
+            dual = float(np.abs(diff).max())
+            v, v_next = v_next, v
             if not (np.isfinite(primal) and np.isfinite(dual)):
                 status = SolveStatus.NUMERICAL_ERROR
                 break

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag as _dense_block_diag
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded
-from scipy.linalg.lapack import dpbtrf
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -120,7 +120,10 @@ class BandedCholeskyFactor:
         d = np.asarray(d, dtype=float)
         if d.ndim not in (1, 2) or d.shape[0] != self.n:
             raise DimensionMismatch(f"right-hand side must have leading dimension {self.n}")
-        return cho_solve_banded((self.bands, True), d, check_finite=False)
+        x, info = dpbtrs(self.bands, d, lower=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+        return x
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.n, self.n))
@@ -205,58 +208,67 @@ class BlockDiagFactor:
 
     def __init__(self, matrix: BlockDiagMatrix):
         self.n = matrix.n
-        self._groups: list[tuple[tuple[np.ndarray, bool], np.ndarray]] = []
+        # (lower Cholesky factor, (count, k) row indices of its blocks)
+        self._groups: list[tuple[np.ndarray, np.ndarray]] = []
         factors: dict[bytes, int] = {}
         members: list[list[int]] = []
-        facs: list[tuple[np.ndarray, bool]] = []
+        facs: list[np.ndarray] = []
         offsets = matrix.offsets()
         for bi, blk in enumerate(matrix.blocks):
             key = blk.tobytes()
             slot = factors.get(key)
             if slot is None:
                 try:
-                    fac = cho_factor(blk, lower=True, check_finite=False)
+                    c, _ = cho_factor(blk, lower=True, check_finite=False)
                 except np.linalg.LinAlgError:
                     raise NotPositiveDefinite(
                         "block-diagonal matrix", index=_spd_failure_row(blk), block=bi
                     ) from None
                 factors[key] = len(facs)
-                facs.append(fac)
+                facs.append(c)
                 members.append([offsets[bi]])
             else:
                 members[slot].append(offsets[bi])
-        for fac, offs in zip(facs, members):
-            k = fac[0].shape[0]
-            idx = np.asarray(offs)[:, None] + np.arange(k)[None, :]
-            self._groups.append((fac, idx))
+        for c, offs in zip(facs, members):
+            idx = np.asarray(offs)[:, None] + np.arange(c.shape[0])[None, :]
+            self._groups.append((c, idx))
 
     def to_dense(self) -> np.ndarray:
         """Rebuild the factored matrix from its per-block factors (test helper)."""
         out = np.zeros((self.n, self.n))
-        for (c, lower), idx in self._groups:
-            l = np.tril(c) if lower else np.triu(c).T
+        for c, idx in self._groups:
+            l = np.tril(c)
             block = l @ l.T
+            k = c.shape[0]
             for offs in idx[:, 0]:
-                k = c.shape[0]
                 out[offs : offs + k, offs : offs + k] = block
         return out
 
     def solve(self, d: np.ndarray) -> np.ndarray:
-        """Solve against the factored matrix; ``d`` is ``(n,)`` or ``(n, k)``."""
+        """Solve against the factored matrix; ``d`` is ``(n,)`` or ``(n, k)``.
+
+        Each group of identical blocks is one LAPACK ``dpotrs`` call with one
+        right-hand-side column per block and column of ``d``.
+        """
         d = np.asarray(d, dtype=float)
         if d.ndim not in (1, 2) or d.shape[0] != self.n:
             raise DimensionMismatch(f"right-hand side must have leading dimension {self.n}")
         out = np.empty_like(d)
-        if d.ndim == 1:
-            for fac, idx in self._groups:
-                out[idx] = cho_solve(fac, d[idx].T, check_finite=False).T
-        else:
-            r = d.shape[1]
-            for fac, idx in self._groups:
+        for c, idx in self._groups:
+            if d.ndim == 1:
+                # d[idx] is a fresh (count, k) array, so its transpose is
+                # Fortran-ordered and LAPACK may solve in it
+                x, info = dpotrs(c, d[idx].T, lower=1, overwrite_b=1)
+                x = x.T
+            else:
                 count, k = idx.shape
+                r = d.shape[1]
                 seg = d[idx].transpose(1, 0, 2).reshape(k, count * r)
-                sol = cho_solve(fac, seg, check_finite=False)
-                out[idx] = sol.reshape(k, count, r).transpose(1, 0, 2)
+                x, info = dpotrs(c, seg, lower=1, overwrite_b=1)
+                x = x.reshape(k, count, r).transpose(1, 0, 2)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
+            out[idx] = x
         return out
 
 
@@ -325,11 +337,17 @@ def g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray | None = 
     inputs = stages[:, nx:]
     if out is None:
         out = np.empty(g.n_rows)
-    elif out.shape != (g.n_rows,):
-        raise DimensionMismatch("out has the wrong shape")
+    elif out.shape != (g.n_rows,) or not out.flags["C_CONTIGUOUS"]:
+        # a reshaped slice of a strided buffer would detach from it silently
+        raise DimensionMismatch("out must be a contiguous vector of the right length")
     out[:nx] = states[0]
-    nxt = np.vstack([states[1:], xs[None, :]])
-    out[nx : (n + 1) * nx] = (states @ g.a.T + inputs @ g.b.T - nxt).ravel()
+    # the A and B products stay separate: one [A B] product would re-associate
+    # each row's sum and change the last bits
+    couplings = out[nx : (n + 1) * nx].reshape(n, nx)
+    np.matmul(states, g.a.T, out=couplings)
+    couplings += inputs @ g.b.T
+    couplings[:-1] -= states[1:]
+    couplings[-1] -= xs
     out[(n + 1) * nx :] = g._a_minus_eye @ xs + g.b @ us
     return out
 
@@ -351,10 +369,13 @@ def gt_matvec(g: PredictionSparseMatrix, y: np.ndarray, out: np.ndarray | None =
         # a reshaped slice of a strided buffer would detach from it silently
         raise DimensionMismatch("out must be a contiguous vector of the right length")
     stages = out[: n * w].reshape(n, w)
-    stages[:, :nx] = mid @ g.a
+    # two products into the stage views: one product with a stored [A B]
+    # changes the last bits of the B columns for some shapes (n_u = 1, a
+    # one-stage horizon), where BLAS picks another kernel
+    np.matmul(mid, g.a, out=stages[:, :nx])
     stages[0, :nx] += y0
     stages[1:, :nx] -= mid[:-1]
-    stages[:, nx:] = mid @ g.b
+    np.matmul(mid, g.b, out=stages[:, nx:])
     out[n * w : n * w + nx] = g._a_minus_eye.T @ last - mid[-1]
     out[n * w + nx :] = g.b.T @ last
     return out

@@ -32,6 +32,7 @@ from .mpct_problem import (
     _matrix,
     _parse,
     _section,
+    _whole_number,
     build_problem,
     problem_from_dict,
 )
@@ -126,9 +127,9 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
         scaling=scaling,
         references=references,
         x0_intervals=_parse("initial_state.intervals", _matrix, intervals),
-        trials=_parse("trials", int, obj.get("trials", 1)),
-        steps=_parse("steps", int, obj.get("steps", 0)),
-        seed=_parse("seed", int, obj.get("seed", 0)),
+        trials=_whole_number(obj.get("trials", 1), "trials", 1),
+        steps=_whole_number(obj.get("steps", 0), "steps", 0),
+        seed=_whole_number(obj.get("seed", 0), "seed", 0),
         sample_time=_parse("sample_time", float, obj.get("sample_time", 1.0)),
     )
 

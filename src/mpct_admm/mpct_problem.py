@@ -87,7 +87,11 @@ def _cost_matrix(m, n: int, name: str) -> np.ndarray:
 
 
 def _whole_number(value, name: str, least: int) -> int:
-    x = float(value)
+    """``value`` as an int, or a ValueError unless it is a whole number >= ``least``."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = float("nan")
     if not (x.is_integer() and x >= least):
         raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
     return int(x)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,12 @@ from mpct_admm import (
     MpctParams,
     SolveStatus,
     admm_solve,
+    assemble_online,
     build_problem,
+    cold_start,
+    load_scenario,
+    sample_initial_states,
+    solve_kkt_system,
     v_update,
 )
 from mpct_admm.oracle import dense_instance, dense_qp_solve
@@ -101,6 +108,45 @@ class TestAdmmSolve:
         assert np.all(state.v >= data.v_lo - 1e-15)
         assert np.all(state.v <= data.v_hi + 1e-15)
         assert np.all(np.abs(report.control_action) <= 1.0 + 1e-15)
+
+    def test_max_iter_override_must_be_whole(self):
+        model, params = small_tracking_instance()
+        data = build_problem(model, params)
+        with pytest.raises(ValueError, match="max_iter"):
+            admm_solve(data, [0.5], [5.0], [0.0], max_iter=2.9)
+        report, _ = admm_solve(data, [0.5], [5.0], [0.0], max_iter=3.0)
+        assert report.iterations == 3
+
+    @pytest.mark.parametrize("reference", [0, 1])
+    def test_loop_matches_public_pieces_bitwise(self, reference):
+        # the loop runs the update in its own buffers; it must reproduce, bit
+        # for bit, k steps of solve_kkt_system and v_update from a cold start
+        # and then from the warm state it returned. The bundled scenario is
+        # scaled, and its box constraints are active within these steps.
+        scenario = load_scenario(str(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json"))
+        data = build_problem(scenario.model, scenario.params, scenario.scaling)
+        ref = scenario.references[reference]
+        x_t = sample_initial_states(scenario, reference)[0]
+        rho = scenario.params.rho
+        qp = assemble_online(data, x_t, ref.x_r, ref.u_r)
+        cold = cold_start(data)
+        z, v, lam = cold.z, cold.v, cold.lam
+        warm = None
+        for k in (120, 80):
+            for _ in range(k):
+                p = qp.q + lam - rho * v
+                z, _ = solve_kkt_system(data, p, qp.b)
+                v_next = v_update(z, lam, rho, qp.v_lo, qp.v_hi)
+                lam = lam + rho * (z - v_next)
+                v = v_next
+            report, warm = admm_solve(
+                data, x_t, ref.x_r, ref.u_r, warm, eps_primal=1e-300, eps_dual=1e-300, max_iter=k
+            )
+            assert report.iterations == k
+            np.testing.assert_array_equal(warm.z, z)
+            np.testing.assert_array_equal(warm.v, v)
+            np.testing.assert_array_equal(warm.lam, lam)
+        assert np.count_nonzero(lam) > 0
 
     def test_warm_start_preserves_limit(self):
         model, params = small_tracking_instance(eps=1e-8)

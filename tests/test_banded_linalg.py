@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded
 
 from mpct_admm import (
     BlockDiagFactor,
@@ -16,7 +17,7 @@ from mpct_admm import (
 )
 from mpct_admm.oracle import dense_dynamics
 
-from conftest import random_controllable_model
+from conftest import random_controllable_model, random_spd
 
 
 def random_spd_banded(rng, n, bw, diag_boost=None):
@@ -245,3 +246,74 @@ class TestPredictionMatrix:
             g_matvec(g, np.zeros(g.n_cols + 1))
         with pytest.raises(DimensionMismatch):
             gt_matvec(g, np.zeros(g.n_rows - 1))
+
+
+class TestLapackCallsMatchScipy:
+    """The kernels call LAPACK directly; they must equal, bit for bit, the
+    scipy helpers and numpy formulas they replaced."""
+
+    @pytest.mark.parametrize("n, bw", [(1, 0), (7, 0), (12, 3), (60, 6), (250, 17)])
+    def test_banded_solve_equals_cho_solve_banded(self, n, bw):
+        rng = np.random.default_rng(n + bw)
+        factor = banded_cholesky_factor(random_spd_banded(rng, n, bw))
+        for d in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            expected = cho_solve_banded((factor.bands, True), d, check_finite=False)
+            np.testing.assert_array_equal(factor.solve(d), expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_diag_solve_equals_cho_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        distinct = [random_spd(rng, int(k)) for k in rng.integers(1, 9, size=4)]
+        distinct = [0.5 * (m + m.T) for m in distinct]  # BlockDiagMatrix keeps these as they are
+        order = rng.integers(0, len(distinct), size=40)
+        mat = BlockDiagMatrix(tuple(distinct[i] for i in order))
+        factor = BlockDiagFactor(mat)
+        offsets = np.asarray(mat.offsets())
+        for d in (rng.standard_normal(mat.n), rng.standard_normal((mat.n, 3))):
+            # reference: one cho_solve per group of identical blocks, one
+            # right-hand-side column per block and column of d
+            expected = np.empty_like(d)
+            for i, blk in enumerate(distinct):
+                k = blk.shape[0]
+                idx = offsets[order == i][:, None] + np.arange(k)[None, :]
+                if idx.size == 0:
+                    continue
+                c = cho_factor(blk, lower=True, check_finite=False)
+                if d.ndim == 1:
+                    expected[idx] = cho_solve(c, d[idx].T, check_finite=False).T
+                else:
+                    count, r = idx.shape[0], d.shape[1]
+                    seg = d[idx].transpose(1, 0, 2).reshape(k, count * r)
+                    sol = cho_solve(c, seg, check_finite=False)
+                    expected[idx] = sol.reshape(k, count, r).transpose(1, 0, 2)
+            np.testing.assert_array_equal(factor.solve(d), expected)
+
+    @pytest.mark.parametrize(
+        "nx, nu, n", [(8, 2, 1), (8, 2, 30), (8, 2, 240), (2, 1, 5), (4, 1, 3), (5, 3, 2), (17, 8, 7)]
+    )
+    def test_matvecs_equal_previous_formulas(self, nx, nu, n):
+        rng = np.random.default_rng(nx * 100 + nu * 10 + n)
+        g = PredictionSparseMatrix(a=rng.standard_normal((nx, nx)), b=rng.standard_normal((nx, nu)), horizon=n)
+        a_minus_eye = g.a - np.eye(nx)
+        w = nx + nu
+
+        x = rng.standard_normal(g.n_cols)
+        stages = x[: n * w].reshape(n, w)
+        states, inputs = stages[:, :nx], stages[:, nx:]
+        xs, us = x[n * w : n * w + nx], x[n * w + nx :]
+        nxt = np.vstack([states[1:], xs[None, :]])
+        expected = np.concatenate(
+            [states[0], (states @ g.a.T + inputs @ g.b.T - nxt).ravel(), a_minus_eye @ xs + g.b @ us]
+        )
+        np.testing.assert_array_equal(g_matvec(g, x), expected)
+
+        y = rng.standard_normal(g.n_rows)
+        blocks = y.reshape(n + 2, nx)
+        mid, last = blocks[1 : n + 1], blocks[n + 1]
+        top = mid @ g.a
+        top[0] += blocks[0]
+        top[1:] -= mid[:-1]
+        expected = np.concatenate(
+            [np.hstack([top, mid @ g.b]).ravel(), a_minus_eye.T @ last - mid[-1], g.b.T @ last]
+        )
+        np.testing.assert_array_equal(gt_matvec(g, y), expected)

@@ -105,7 +105,17 @@ class TestSimulate:
         assert "x0" in rows[0] and "u0" in rows[0] and "iterations" in rows[0]
 
     @pytest.mark.parametrize(
-        "key, value", [("references", 5), ("initial_state", []), ("trials", [5])]
+        "key, value",
+        [
+            ("references", 5),
+            ("initial_state", []),
+            ("trials", [5]),
+            ("trials", 2.5),
+            ("trials", 0),
+            ("steps", 2.5),
+            ("seed", 2.5),
+            ("seed", -1),
+        ],
     )
     def test_wrongly_typed_field_exits_three(self, small_scenario, tmp_path, capsys, key, value):
         obj = json.loads(Path(small_scenario).read_text(encoding="utf-8"))
