@@ -67,6 +67,12 @@ from .oracle import (
     dense_qp_solve,
     optimal_steady_state,
 )
-from .semiband_solver import KktWorkspace, SemiBandedSystem, solve_kkt_system, solve_semibanded
+from .semiband_solver import (
+    KktWorkspace,
+    SemiBandedSystem,
+    StageCoupledSystem,
+    solve_kkt_system,
+    solve_semibanded,
+)
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, NonFiniteInput
 from .mpct_problem import PrecomputedData, _whole_number, assemble_online
 from .semiband_solver import KktWorkspace, solve_kkt_system
 
@@ -113,7 +113,8 @@ def admm_solve(
     eps_p = params.eps_primal if eps_primal is None else float(eps_primal)
     eps_d = params.eps_dual if eps_dual is None else float(eps_dual)
     cap = params.max_iter if max_iter is None else _whole_number(max_iter, "max_iter", 1)
-    if eps_p <= 0.0 or eps_d <= 0.0:
+    # written so that NaN fails too
+    if not (eps_p > 0.0 and eps_d > 0.0):
         raise ValueError("tolerances must be positive")
 
     if warm is None:
@@ -121,6 +122,8 @@ def admm_solve(
     else:
         if warm.v.shape != (data.n_z,) or warm.lam.shape != (data.n_z,):
             raise DimensionMismatch("warm state does not match the problem size")
+        if not (np.isfinite(warm.v).all() and np.isfinite(warm.lam).all()):
+            raise NonFiniteInput("warm state contains NaN or infinity")
         state = AdmmState(z=warm.z.copy(), v=warm.v.copy(), lam=warm.lam.copy())
 
     v = state.v

@@ -2,10 +2,12 @@
 
 Turns a discrete-time model plus cost/horizon parameters into the data the
 per-sample solver consumes. The Hessian-plus-penalty matrix splits into a
-block-diagonal core plus a rank-``2(n_x+n_u)`` completion; the dual-space
-matrix splits into a banded core plus a completion of the same rank. Both
-cores are factored here and their small Woodbury cores folded into one
-precomputed matrix each, so that the online phase is vector assembly only.
+block-diagonal core plus a rank-``2(n_x+n_u)`` completion that couples every
+stage to the artificial reference through the same block ``-diag(Q, R)``;
+it is kept as its distinct stage and reference blocks only. The dual-space
+matrix splits into a banded core plus a dense completion of the same rank.
+Both are factored here, with their small Woodbury cores folded in, so that
+the online phase is vector assembly only.
 """
 
 from __future__ import annotations
@@ -16,11 +18,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import block_diag as _dense_block_diag
-from scipy.linalg import cho_factor, cho_solve
 
 from .banded_linalg import (
-    BlockDiagFactor,
-    BlockDiagMatrix,
     PredictionSparseMatrix,
     SymBandedMatrix,
     _spd_failure_row,
@@ -34,7 +33,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientG,
 )
-from .semiband_solver import SemiBandedSystem
+from .semiband_solver import SemiBandedSystem, StageCoupledSystem
 
 __all__ = [
     "LtiModel",
@@ -282,9 +281,10 @@ def tightened_bounds(model: LtiModel, params: MpctParams) -> tuple[np.ndarray, n
 class PrecomputedData:
     """Everything the per-iteration solver needs, factored once offline.
 
-    ``p_system`` holds the factored block-diagonal core and the low-rank
-    factors of the primal-space matrix; ``w_system`` does the same for the
-    dual-space matrix around the banded core.
+    ``p_system`` is the primal-space matrix by its ``(n_x+n_u)``-wide stage
+    and reference blocks, whatever the horizon; ``w_system`` is the
+    dual-space matrix as its banded Cholesky factor plus dense low-rank
+    factors of ``(N+2) n_x`` rows.
     """
 
     model: LtiModel
@@ -293,7 +293,7 @@ class PrecomputedData:
     g: PredictionSparseMatrix
     v_lo: np.ndarray
     v_hi: np.ndarray
-    p_system: SemiBandedSystem
+    p_system: StageCoupledSystem
     w_system: SemiBandedSystem
 
     @property
@@ -317,10 +317,9 @@ class PrecomputedData:
         return 2 * (self.n_x + self.n_u)
 
 
-def _spd_inverse(m: np.ndarray) -> np.ndarray:
-    fac = cho_factor(m, lower=True, check_finite=False)
-    inv = cho_solve(fac, np.eye(m.shape[0]), check_finite=False)
-    return 0.5 * (inv + inv.T)
+def _stack_stages(stage: np.ndarray, ref: np.ndarray, n: int) -> np.ndarray:
+    """Dense matrix of ``n`` copies of the row block ``stage`` above ``ref``."""
+    return np.vstack([np.tile(stage, (n, 1)), ref])
 
 
 def _scatter_diag_block(bands: np.ndarray, offset: int, block: np.ndarray) -> None:
@@ -396,37 +395,26 @@ def build_problem(
 
     nx, nu, n = model.n_x, model.n_u, params.N
     w = nx + nu
-    n_z = (n + 1) * w
-    m = 2 * w
     rho = params.rho
 
     v_lo, v_hi = tightened_bounds(model, params)
 
-    q_rho = params.Q + rho * np.eye(nx)
-    r_rho = params.R + rho * np.eye(nu)
-    qs_rho = n * params.Q + params.T + rho * np.eye(nx)
-    rs_rho = n * params.R + params.S + rho * np.eye(nu)
-    blocks = [q_rho, r_rho] * n + [qs_rho, rs_rho]
-    gamma_hat = BlockDiagFactor(BlockDiagMatrix(tuple(blocks)))
-
-    # low-rank completion: stacked -diag(Q, R) couples every stage to (x_s, u_s)
-    y = -np.tile(_dense_block_diag(params.Q, params.R), (1, n))
-    u_hat = np.zeros((n_z, m))
-    u_hat[: n * w, :w] = y.T
-    u_hat[n * w :, w:] = np.eye(w)
-    v_hat = np.zeros((m, n_z))
-    v_hat[:w, n * w :] = np.eye(w)
-    v_hat[w:, : n * w] = y
-
-    p_system = SemiBandedSystem.build(gamma_hat, u_hat, v_hat)
+    # every stage couples to (x_s, u_s) through -diag(Q, R)
+    coupling = _dense_block_diag(params.Q, params.R)
+    p_system = StageCoupledSystem.build(
+        gamma_stage=coupling + rho * np.eye(w),
+        gamma_ref=_dense_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho * np.eye(w),
+        coupling=coupling,
+        horizon=n,
+    )
+    # both core blocks are block diagonal in (x, u), and so are their inverses
+    g_st, g_s = p_system.gamma_stage_inv, p_system.gamma_ref_inv
 
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
 
-    d_x = _spd_inverse(q_rho)
-    d_u = _spd_inverse(r_rho)
-    d_xs = _spd_inverse(qs_rho)
-    d_us = _spd_inverse(rs_rho)
-    gamma_tilde = _gamma_tilde_banded(model, params, d_x, d_u, d_xs, d_us)
+    gamma_tilde = _gamma_tilde_banded(
+        model, params, g_st[:nx, :nx], g_st[nx:, nx:], g_s[:nx, :nx], g_s[nx:, nx:]
+    )
     try:
         gamma_tilde_factor = banded_cholesky_factor(gamma_tilde)
     except NotPositiveDefinite as exc:
@@ -434,10 +422,13 @@ def build_problem(
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
         ) from None
 
-    # u_tilde = -G p_system.w, v_tilde = (G (gamma_hat^-1 v_hat^T))^T
-    u_tilde = np.column_stack([-g_matvec(g, p_system.w[:, j]) for j in range(m)])
-    giv = gamma_hat.solve(np.ascontiguousarray(v_hat.T))
-    v_tilde = np.column_stack([g_matvec(g, giv[:, j]) for j in range(m)]).T
+    # u_tilde = -G W and v_tilde = (G Gamma^-1 V^T)^T, through dense (n_z, 2w)
+    # temporaries whose stage row blocks all repeat one block
+    zero = np.zeros((w, w))
+    w_dense = _stack_stages(p_system.w_rows[:w], p_system.w_rows[w:], n)
+    u_tilde = np.column_stack([-g_matvec(g, col) for col in w_dense.T])
+    giv = _stack_stages(np.hstack([zero, -g_st @ coupling]), np.hstack([g_s, zero]), n)
+    v_tilde = np.column_stack([g_matvec(g, col) for col in giv.T]).T
 
     w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, v_tilde)
 

@@ -11,8 +11,11 @@ one structured solve and two thin products:
     z1 = solve(Gamma, d)
     z  = z1 - W (V z1)
 
-The equality-constrained QP update chains three such solves through the
-primal-space and dual-space systems.
+The equality-constrained QP update chains three solves: two with the
+primal-space matrix, whose low-rank term couples every stage to the
+artificial reference through one repeated block and is solved stage by stage
+(:class:`StageCoupledSystem`), and one with the dual-space matrix around its
+banded core (:class:`SemiBandedSystem`).
 """
 
 from __future__ import annotations
@@ -22,21 +25,55 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 
-from .banded_linalg import g_matvec, gt_matvec
-from .errors import DimensionMismatch, SingularSmallSystem
+from .banded_linalg import _spd_failure_row, g_matvec, gt_matvec
+from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mpct_problem import PrecomputedData
 
-__all__ = ["SemiBandedSystem", "KktWorkspace", "solve_semibanded", "solve_kkt_system"]
+__all__ = [
+    "SemiBandedSystem",
+    "StageCoupledSystem",
+    "KktWorkspace",
+    "solve_semibanded",
+    "solve_kkt_system",
+]
 
 
 class _StructuredFactor(Protocol):
     n: int
 
     def solve(self, d: np.ndarray) -> np.ndarray: ...
+
+
+def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """``gamma_inv_u core^-1`` for the m-by-m Woodbury core ``I + V Gamma^-1 U``.
+
+    Raises :class:`SingularSmallSystem` when the core is singular, which by
+    the determinant identity means the full system matrix is singular.
+    """
+    m = core.shape[0]
+    with warnings.catch_warnings():
+        # singularity is detected from the factor below, not from the warning
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(core, check_finite=False)
+    u_diag = np.abs(np.diag(lu))
+    if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
+        raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
+    # (gamma_inv_u core^-1)^T = core^-T gamma_inv_u^T
+    return lu_solve((lu, piv), gamma_inv_u.T, trans=1, check_finite=False).T
+
+
+def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
+    """Symmetric inverse of an SPD block, or :class:`NotPositiveDefinite`."""
+    try:
+        fac = cho_factor(m, lower=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefinite(what, index=_spd_failure_row(m)) from None
+    inv = cho_solve(fac, np.eye(m.shape[0]), check_finite=False)
+    return 0.5 * (inv + inv.T)
 
 
 @dataclass(frozen=True)
@@ -66,8 +103,7 @@ class SemiBandedSystem:
     def build(cls, gamma: _StructuredFactor, u: np.ndarray, v: np.ndarray) -> "SemiBandedSystem":
         """Factor the m-by-m core ``I + V solve(Gamma, U)`` and fold it into ``w``.
 
-        Raises :class:`SingularSmallSystem` when the core is singular, which
-        by the determinant identity means the full system matrix is singular.
+        Raises :class:`SingularSmallSystem` when the core is singular.
         """
         u = np.ascontiguousarray(u, dtype=float)
         v = np.ascontiguousarray(v, dtype=float)
@@ -75,18 +111,120 @@ class SemiBandedSystem:
             raise DimensionMismatch("U and V must be (n, m) and (m, n)")
         if u.shape[0] != gamma.n:
             raise DimensionMismatch("low-rank factors do not match the core dimension")
-        m = u.shape[1]
         gamma_inv_u = gamma.solve(u)
-        with warnings.catch_warnings():
-            # singularity is detected from the factor below, not from the warning
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(np.eye(m) + v @ gamma_inv_u, check_finite=False)
-        u_diag = np.abs(np.diag(lu))
-        if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
-            raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
-        # w^T = (I + V Gamma^-1 U)^-T (Gamma^-1 U)^T
-        w = lu_solve((lu, piv), gamma_inv_u.T, trans=1, check_finite=False).T
+        w = _fold_core(gamma_inv_u, np.eye(u.shape[1]) + v @ gamma_inv_u)
         return cls(gamma=gamma, u=u, v=v, w=w)
+
+
+@dataclass(frozen=True)
+class StageCoupledSystem:
+    """The primal-space matrix, stored by its distinct blocks.
+
+    With the decision stack ``(z_0, ..., z_{N-1}, z_s)`` in blocks of width
+    ``w = n_x + n_u``, the matrix is ``blkdiag(I_N (x) Gamma_st, Gamma_s) +
+    U V``, where the rank-2w term couples every stage to the reference block
+    ``z_s`` through the same ``-D``:
+
+        P[i, i] = Gamma_st,   P[i, s] = P[s, i] = -D,   P[s, s] = Gamma_s
+
+    The Woodbury factor ``W = Gamma^-1 U (I + V Gamma^-1 U)^-1`` has only two
+    distinct row blocks, one shared by all stages (``w_rows[:w]``) and one
+    for the reference (``w_rows[w:]``). A solve needs ``Gamma_st^-1`` per
+    stage plus one 2w-by-2w matrix ``f`` applied to ``(d_s, sum_i d_i)``,
+    which gives the stage correction ``y[:w]`` and ``z_s = y[w:]``:
+
+        z_i = Gamma_st^-1 d_i - y[:w]
+
+    Every stored array is w-by-w or 2w-by-2w, whatever the horizon.
+    Immutable and safe to share across threads.
+    """
+
+    horizon: int
+    coupling: np.ndarray
+    gamma_stage: np.ndarray
+    gamma_ref: np.ndarray
+    gamma_stage_inv: np.ndarray
+    gamma_ref_inv: np.ndarray
+    w_rows: np.ndarray
+    f: np.ndarray
+
+    @property
+    def width(self) -> int:
+        return self.coupling.shape[0]
+
+    @property
+    def n(self) -> int:
+        return (self.horizon + 1) * self.width
+
+    @classmethod
+    def build(
+        cls,
+        gamma_stage: np.ndarray,
+        gamma_ref: np.ndarray,
+        coupling: np.ndarray,
+        horizon: int,
+    ) -> "StageCoupledSystem":
+        """Invert the two SPD core blocks and fold the 2w-by-2w Woodbury core.
+
+        ``coupling`` is ``D``, the block each stage shares with the reference
+        (with a minus sign). Raises :class:`NotPositiveDefinite` when a core
+        block is not SPD and :class:`SingularSmallSystem` when the core
+        ``I + V Gamma^-1 U = I + [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]``
+        is singular.
+        """
+        gamma_stage, gamma_ref, coupling = (
+            np.asarray(b, dtype=float) for b in (gamma_stage, gamma_ref, coupling)
+        )
+        w = coupling.shape[0]
+        g_st = _spd_inverse(gamma_stage, "stage core block")
+        g_s = _spd_inverse(gamma_ref, "reference core block")
+        zero = np.zeros((w, w))
+        # distinct row blocks of Gamma^-1 U: stages (-Gamma_st^-1 D, 0), reference (0, Gamma_s^-1)
+        gamma_inv_u = np.block([[-g_st @ coupling, zero], [zero, g_s]])
+        core = np.eye(2 * w) + np.block([[zero, g_s], [horizon * coupling @ g_st @ coupling, zero]])
+        w_rows = _fold_core(gamma_inv_u, core)
+        # V Gamma^-1 d = blkdiag(Gamma_s^-1, -D Gamma_st^-1) (d_s, sum_i d_i)
+        v_gamma_inv = np.block([[g_s, zero], [zero, -coupling @ g_st]])
+        correction = w_rows @ v_gamma_inv
+        f = np.vstack([correction[:w], np.hstack([g_s, zero]) - correction[w:]])
+        return cls(
+            horizon=horizon,
+            coupling=coupling,
+            gamma_stage=gamma_stage,
+            gamma_ref=gamma_ref,
+            gamma_stage_inv=g_st,
+            gamma_ref_inv=g_s,
+            w_rows=w_rows,
+            f=f,
+        )
+
+    def solve(self, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Solve ``P z = d`` in O(N w^2); ``out``, when given, receives ``z``."""
+        n, w = self.horizon, self.width
+        d = np.asarray(d, dtype=float)
+        if d.shape != (self.n,):
+            raise DimensionMismatch(f"expected right-hand side of length {self.n}")
+        if out is None:
+            out = np.empty(self.n)
+        elif out.shape != (self.n,) or not out.flags["C_CONTIGUOUS"]:
+            # a reshaped slice of a strided buffer would detach from it silently
+            raise DimensionMismatch("out must be a contiguous vector of the right length")
+        stages = d[: n * w].reshape(n, w)
+        y = self.f @ np.concatenate((d[n * w :], stages.sum(axis=0)))
+        # row i of stages @ Gamma_st^-1 is Gamma_st^-1 d_i, the inverse being symmetric
+        out_stages = out[: n * w].reshape(n, w)
+        np.matmul(stages, self.gamma_stage_inv, out=out_stages)
+        out_stages -= y[:w]
+        out[n * w :] = y[w:]
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        """The full n-by-n matrix (test helper)."""
+        n = self.horizon
+        return np.block([
+            [np.kron(np.eye(n), self.gamma_stage), np.tile(-self.coupling, (n, 1))],
+            [np.tile(-self.coupling, (1, n)), self.gamma_ref],
+        ])
 
 
 def solve_semibanded(
@@ -114,12 +252,13 @@ def solve_semibanded(
 class KktWorkspace:
     """Reusable buffers for the three-solve KKT chain."""
 
+    xi: np.ndarray
     p_rhs: np.ndarray
     w_rhs: np.ndarray
 
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
-        return cls(p_rhs=np.empty(data.n_z), w_rhs=np.empty(data.m_z))
+        return cls(xi=np.empty(data.n_z), p_rhs=np.empty(data.n_z), w_rhs=np.empty(data.m_z))
 
 
 def solve_kkt_system(
@@ -145,7 +284,7 @@ def solve_kkt_system(
     if work is None:
         work = KktWorkspace.for_problem(data)
 
-    xi = solve_semibanded(data.p_system, p)
+    xi = data.p_system.solve(p, out=work.xi)
 
     g_matvec(data.g, xi, out=work.w_rhs)
     work.w_rhs += b
@@ -155,5 +294,5 @@ def solve_kkt_system(
     gt_matvec(data.g, mu, out=work.p_rhs)
     work.p_rhs += p
     np.negative(work.p_rhs, out=work.p_rhs)
-    z = solve_semibanded(data.p_system, work.p_rhs)
+    z = data.p_system.solve(work.p_rhs)
     return z, mu

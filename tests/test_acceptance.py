@@ -262,8 +262,7 @@ def test_acceptance_7_transcription_fidelity():
         params = random_params(rng, n_x, n_u, horizon)
         data = build_problem(model, params)
 
-        p_sys = data.p_system
-        h_struct = p_sys.gamma.to_dense() + p_sys.u @ p_sys.v - params.rho * np.eye(data.n_z)
+        h_struct = data.p_system.to_dense() - params.rho * np.eye(data.n_z)
         h_oracle = dense_hessian(params)
         scale_h = 1.0 + np.abs(h_oracle).max()
         worst = max(worst, float(np.abs(h_struct - h_oracle).max() / scale_h))

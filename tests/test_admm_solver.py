@@ -10,6 +10,7 @@ from mpct_admm import (
     DimensionMismatch,
     LtiModel,
     MpctParams,
+    NonFiniteInput,
     SolveStatus,
     admm_solve,
     assemble_online,
@@ -180,11 +181,31 @@ class TestAdmmSolve:
         assert report.primal_residual <= report_earlier.primal_residual + 1e-15
 
     def test_numerical_error_detection(self):
+        # a finite warm multiplier at the float limit overflows in the first iteration
         model, params = small_tracking_instance()
         data = build_problem(model, params)
-        bad = AdmmState(z=np.zeros(data.n_z), v=np.zeros(data.n_z), lam=np.full(data.n_z, np.inf))
+        huge = np.finfo(float).max
+        bad = AdmmState(z=np.zeros(data.n_z), v=np.zeros(data.n_z), lam=np.full(data.n_z, huge))
         report, _ = admm_solve(data, [0.5], [0.8], [0.0], warm=bad)
         assert report.status is SolveStatus.NUMERICAL_ERROR
+
+    @pytest.mark.parametrize("field", ["v", "lam"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_warm_state_rejected(self, field, value):
+        model, params = small_tracking_instance()
+        data = build_problem(model, params)
+        warm = cold_start(data)
+        getattr(warm, field)[1] = value
+        with pytest.raises(NonFiniteInput, match="warm state"):
+            admm_solve(data, [0.5], [0.8], [0.0], warm=warm)
+
+    @pytest.mark.parametrize("override", ["eps_primal", "eps_dual"])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-4])
+    def test_tolerance_override_must_be_positive(self, override, value):
+        model, params = small_tracking_instance()
+        data = build_problem(model, params)
+        with pytest.raises(ValueError, match="tolerances"):
+            admm_solve(data, [0.5], [0.8], [0.0], **{override: value})
 
     def test_warm_dimension_check(self):
         model, params = small_tracking_instance()

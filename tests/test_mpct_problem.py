@@ -23,22 +23,27 @@ from mpct_admm.oracle import dense_bounds, dense_dynamics, dense_hessian
 from conftest import random_instance
 
 
-def struct_p_dense(data):
-    """Dense reconstruction of the block-diagonal core plus low-rank term."""
-    eye = np.eye(data.n_z)
-    gamma_inv = data.p_system.gamma.solve(eye)
-    return np.linalg.inv(gamma_inv) + data.p_system.u @ data.p_system.v
+def split_primal_dense(data):
+    """Dense primal matrix split into its block-diagonal core and the low-rank term.
+
+    The low-rank term only couples stages to the reference block, so it is
+    the part outside the diagonal blocks of width ``n_x + n_u``.
+    """
+    p = data.p_system.to_dense()
+    block = np.arange(data.n_z) // (data.n_x + data.n_u)
+    core = np.where(block[:, None] == block[None, :], p, 0.0)
+    return core, p - core
 
 
 class TestBuildProblem:
     def test_integrator_gamma_hat_diagonal(self, integrator_model, integrator_params):
         data = build_problem(integrator_model, integrator_params)
-        gamma = np.linalg.inv(data.p_system.gamma.solve(np.eye(6)))
+        gamma, _ = split_primal_dense(data)
         np.testing.assert_allclose(gamma, np.diag([2.0, 2.0, 2.0, 2.0, 4.0, 4.0]), atol=1e-12)
 
     def test_integrator_low_rank_pattern(self, integrator_model, integrator_params):
         data = build_problem(integrator_model, integrator_params)
-        uv = data.p_system.u @ data.p_system.v
+        _, uv = split_primal_dense(data)
         expected = np.zeros((6, 6))
         # stage blocks couple to (x_s, u_s) through -Q and -R
         for i in range(2):
@@ -60,7 +65,7 @@ class TestBuildProblem:
             data = build_problem(model, params)
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             scale = np.abs(p_dense).max()
-            assert np.abs(struct_p_dense(data) - p_dense).max() <= 1e-12 * scale
+            assert np.abs(data.p_system.to_dense() - p_dense).max() <= 1e-12 * scale
 
     def test_dual_core_reconstruction(self):
         rng = np.random.default_rng(43)

@@ -7,8 +7,10 @@ from mpct_admm import (
     BlockDiagFactor,
     BlockDiagMatrix,
     DimensionMismatch,
+    NotPositiveDefinite,
     SemiBandedSystem,
     SingularSmallSystem,
+    StageCoupledSystem,
     SymBandedMatrix,
     assemble_online,
     banded_cholesky_factor,
@@ -18,7 +20,7 @@ from mpct_admm import (
 )
 from mpct_admm.oracle import dense_dynamics, dense_hessian, dense_instance, dense_kkt_solve
 
-from conftest import random_instance, random_spd
+from conftest import random_controllable_model, random_instance, random_params, random_spd
 
 from test_banded_linalg import random_spd_banded
 
@@ -120,6 +122,101 @@ class TestSolveSemibanded:
         ginv = np.linalg.inv(gamma_dense)
         rhs = ginv - ginv @ u @ np.linalg.solve(core, v @ ginv)
         assert np.abs(lhs - rhs).max() <= 1e-9 * (1.0 + np.abs(lhs).max())
+
+
+def reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through attributes and containers."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or obj is None or isinstance(obj, (str, int, float, bool)):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        # a view counts as the buffer it keeps alive
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        children = obj
+    elif isinstance(obj, dict):
+        children = obj.values()
+    else:
+        children = vars(obj).values() if hasattr(obj, "__dict__") else ()
+    return [a for child in children for a in reachable_arrays(child, seen)]
+
+
+class TestStageCoupledSystem:
+    @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (3, 1, 2), (2, 1, 5), (3, 2, 4), (4, 2, 9)])
+    def test_solve_matches_dense_on_random_models(self, n_x, n_u, horizon):
+        rng = np.random.default_rng(100 * n_x + 10 * n_u + horizon)
+        model = random_controllable_model(rng, n_x, n_u)
+        params = random_params(rng, n_x, n_u, horizon)  # Q and R are not diagonal
+        data = build_problem(model, params)
+        p_dense = data.p_system.to_dense()
+        for _ in range(3):
+            d = rng.standard_normal(data.n_z)
+            expected = np.linalg.solve(p_dense, d)
+            np.testing.assert_allclose(data.p_system.solve(d), expected, atol=1e-12 * (1.0 + np.abs(expected).max()))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+    def test_random_blocks_match_dense(self, seed):
+        rng = np.random.default_rng(seed)
+        w = int(rng.integers(1, 7))
+        horizon = int(rng.integers(1, 12))
+        coupling = rng.standard_normal((w, w))
+        coupling = coupling + coupling.T
+        # Gamma_st >= I keeps the Schur complement Gamma_s - N D Gamma_st^-1 D >= I
+        sys = StageCoupledSystem.build(
+            random_spd(rng, w, 1.0, 4.0),
+            random_spd(rng, w, 1.0, 4.0) + horizon * coupling @ coupling,
+            coupling,
+            horizon,
+        )
+        p_dense = sys.to_dense()
+        d = rng.standard_normal(sys.n)
+        expected = np.linalg.solve(p_dense, d)
+        out = np.empty(sys.n)
+        assert sys.solve(d, out=out) is out
+        assert np.abs(out - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
+
+    def test_to_dense_is_core_plus_coupling(self):
+        # two stages of width 1: core blocks 2, 2, 5 and coupling -3
+        sys = StageCoupledSystem.build([[2.0]], [[5.0]], [[3.0]], 2)
+        expected = np.array([[2.0, 0.0, -3.0], [0.0, 2.0, -3.0], [-3.0, -3.0, 5.0]])
+        np.testing.assert_array_equal(sys.to_dense(), expected)
+
+    def test_singular_core(self):
+        # Gamma_s = N D Gamma_st^-1 D makes I + V Gamma^-1 U singular
+        with pytest.raises(SingularSmallSystem):
+            StageCoupledSystem.build([[1.0]], [[2.0]], [[1.0]], 2)
+        d = np.array([[1.0, 0.5], [0.5, 2.0]])
+        g_st = np.array([[3.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(SingularSmallSystem):
+            StageCoupledSystem.build(g_st, 4 * d @ np.linalg.solve(g_st, d), d, 4)
+
+    def test_non_spd_block(self):
+        with pytest.raises(NotPositiveDefinite) as exc:
+            StageCoupledSystem.build(np.eye(2), np.diag([1.0, -1.0]), np.eye(2), 3)
+        assert exc.value.index == 1
+
+    def test_dimension_mismatch(self):
+        sys = StageCoupledSystem.build(np.eye(2), 4.0 * np.eye(2), np.eye(2), 3)
+        with pytest.raises(DimensionMismatch):
+            sys.solve(np.zeros(sys.n + 1))
+        with pytest.raises(DimensionMismatch):
+            sys.solve(np.zeros(sys.n), out=np.zeros(2 * sys.n)[::2])
+
+    def test_footprint_independent_of_horizon(self):
+        rng = np.random.default_rng(12)
+        model = random_controllable_model(rng, 4, 2)
+        sizes = []
+        for horizon in (6, 24, 96):
+            data = build_problem(model, random_params(rng, 4, 2, horizon))
+            arrays = reachable_arrays(data.p_system)
+            assert arrays
+            assert all(data.n_z not in a.shape and a.size <= (2 * 6) ** 2 for a in arrays)
+            sizes.append(sum(a.nbytes for a in arrays))
+        assert sizes[0] == sizes[1] == sizes[2]
 
 
 class TestSolveKkt:
