@@ -12,8 +12,6 @@ included for verification and experiments.
 from .admm_solver import AdmmState, SolveReport, SolveStatus, admm_solve, cold_start, v_update
 from .banded_linalg import (
     BandedCholeskyFactor,
-    BlockDiagFactor,
-    BlockDiagMatrix,
     PredictionSparseMatrix,
     SymBandedMatrix,
     banded_cholesky_factor,

@@ -1,11 +1,9 @@
 """Structure-exploiting matrix storage and factorization/solve kernels.
 
-Three matrix families cover everything the solver touches:
+Two matrix families cover the structured solves and products:
 
 * symmetric banded matrices in packed lower-band storage, with a LAPACK
   banded Cholesky factorization and triangular solves,
-* block-diagonal matrices made of small SPD blocks, factored per block and
-  solved with identical blocks batched into one call,
 * the sparse prediction-dynamics matrix, stored only by its pattern
   (A, B, horizon) and applied through dedicated matvec kernels.
 
@@ -18,17 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag as _dense_block_diag
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
 __all__ = [
     "SymBandedMatrix",
     "BandedCholeskyFactor",
-    "BlockDiagMatrix",
-    "BlockDiagFactor",
     "PredictionSparseMatrix",
     "banded_cholesky_factor",
     "g_matvec",
@@ -162,114 +156,6 @@ def _spd_failure_row(block: np.ndarray) -> int:
         except np.linalg.LinAlgError:
             return k - 1
     return block.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class BlockDiagMatrix:
-    """Block-diagonal matrix built from small symmetric blocks."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = []
-        for i, blk in enumerate(self.blocks):
-            blk = np.asarray(blk, dtype=float)
-            if blk.ndim != 2 or blk.shape[0] != blk.shape[1]:
-                raise ValueError(f"block {i} is not square")
-            if not np.all(np.isfinite(blk)):
-                raise ValueError(f"block {i} has non-finite entries")
-            if not np.allclose(blk, blk.T, rtol=0.0, atol=1e-12 * (1.0 + np.abs(blk).max())):
-                raise ValueError(f"block {i} is not symmetric")
-            blocks.append(0.5 * (blk + blk.T))
-        object.__setattr__(self, "blocks", tuple(blocks))
-
-    @property
-    def n(self) -> int:
-        return sum(b.shape[0] for b in self.blocks)
-
-    def offsets(self) -> list[int]:
-        out, acc = [], 0
-        for b in self.blocks:
-            out.append(acc)
-            acc += b.shape[0]
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        return _dense_block_diag(*self.blocks)
-
-
-class BlockDiagFactor:
-    """Per-block Cholesky factors of a :class:`BlockDiagMatrix`.
-
-    Blocks with identical contents share one factor and are solved as a
-    single batched triangular solve, so the repeated stage blocks of an MPC
-    horizon cost a handful of LAPACK calls regardless of the horizon length.
-    """
-
-    def __init__(self, matrix: BlockDiagMatrix):
-        self.n = matrix.n
-        # (lower Cholesky factor, (count, k) row indices of its blocks)
-        self._groups: list[tuple[np.ndarray, np.ndarray]] = []
-        factors: dict[bytes, int] = {}
-        members: list[list[int]] = []
-        facs: list[np.ndarray] = []
-        offsets = matrix.offsets()
-        for bi, blk in enumerate(matrix.blocks):
-            key = blk.tobytes()
-            slot = factors.get(key)
-            if slot is None:
-                try:
-                    c, _ = cho_factor(blk, lower=True, check_finite=False)
-                except np.linalg.LinAlgError:
-                    raise NotPositiveDefinite(
-                        "block-diagonal matrix", index=_spd_failure_row(blk), block=bi
-                    ) from None
-                factors[key] = len(facs)
-                facs.append(c)
-                members.append([offsets[bi]])
-            else:
-                members[slot].append(offsets[bi])
-        for c, offs in zip(facs, members):
-            idx = np.asarray(offs)[:, None] + np.arange(c.shape[0])[None, :]
-            self._groups.append((c, idx))
-
-    def to_dense(self) -> np.ndarray:
-        """Rebuild the factored matrix from its per-block factors (test helper)."""
-        out = np.zeros((self.n, self.n))
-        for c, idx in self._groups:
-            l = np.tril(c)
-            block = l @ l.T
-            k = c.shape[0]
-            for offs in idx[:, 0]:
-                out[offs : offs + k, offs : offs + k] = block
-        return out
-
-    def solve(self, d: np.ndarray) -> np.ndarray:
-        """Solve against the factored matrix; ``d`` is ``(n,)`` or ``(n, k)``.
-
-        Each group of identical blocks is one LAPACK ``dpotrs`` call with one
-        right-hand-side column per block and column of ``d``.
-        """
-        d = np.asarray(d, dtype=float)
-        if d.ndim not in (1, 2) or d.shape[0] != self.n:
-            raise DimensionMismatch(f"right-hand side must have leading dimension {self.n}")
-        out = np.empty_like(d)
-        for c, idx in self._groups:
-            if d.ndim == 1:
-                # d[idx] is a fresh (count, k) array, so its transpose is
-                # Fortran-ordered and LAPACK may solve in it
-                x, info = dpotrs(c, d[idx].T, lower=1, overwrite_b=1)
-                x = x.T
-            else:
-                count, k = idx.shape
-                r = d.shape[1]
-                seg = d[idx].transpose(1, 0, 2).reshape(k, count * r)
-                x, info = dpotrs(c, seg, lower=1, overwrite_b=1)
-                x = x.reshape(k, count, r).transpose(1, 0, 2)
-            if info != 0:
-                raise ValueError(f"illegal value in argument {-info} of LAPACK dpotrs")
-            out[idx] = x
-        return out
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,8 @@ def cmd_solve(args) -> int:
     if args.warm:
         with open(args.warm, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
+        if not isinstance(obj, dict):
+            raise ValueError(f"{args.warm}: warm-start state must be a JSON object with z, v and lam")
         warm = AdmmState(
             z=np.asarray(obj["z"], dtype=float),
             v=np.asarray(obj["v"], dtype=float),
@@ -157,6 +159,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     # the oracle knows nothing about the scaling wrapper, so cross-validate in
     # the effective (post-scaling) problem space on both sides
     model, params, scaling = load_problem(args.problem)
@@ -240,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("problem", help="problem definition JSON (mpct-v1)")
     p.add_argument("--samples", type=int, default=25, help="random KKT right-hand sides")
     p.add_argument("--seed", type=int, default=None)
-    _add_override_flags(p)
+    # the ADMM check runs at fixed tolerances and cap, so only rho applies
+    p.add_argument("--rho", type=float, default=None, help="override penalty parameter")
     p.set_defaults(func=cmd_check)
 
     return parser

@@ -12,19 +12,13 @@ class DimensionMismatch(MpctError):
 class NotPositiveDefinite(MpctError):
     """A Cholesky pivot failed (non-positive or below the pivot floor).
 
-    ``what`` names the offending matrix, ``index`` the failing row within it
-    and, for block-diagonal matrices, ``block`` the failing block.
+    ``what`` names the offending matrix and ``index`` the failing row within it.
     """
 
-    def __init__(self, what: str, index: int | None = None, block: int | None = None):
+    def __init__(self, what: str, index: int | None = None):
         self.what = what
         self.index = index
-        self.block = block
-        where = ""
-        if block is not None:
-            where = f" (block {block}, row {index})"
-        elif index is not None:
-            where = f" (row {index})"
+        where = "" if index is None else f" (row {index})"
         super().__init__(f"{what} is not positive definite{where}")
 
 

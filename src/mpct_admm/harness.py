@@ -97,6 +97,10 @@ class Scenario:
             raise ValueError("steps must be non-negative")
         if not self.references:
             raise ValueError("scenario needs at least one reference")
+        sample_time = float(self.sample_time)
+        if not (np.isfinite(sample_time) and sample_time > 0.0):
+            raise ValueError(f"sample_time must be positive and finite, got {self.sample_time!r}")
+        object.__setattr__(self, "sample_time", sample_time)
         object.__setattr__(self, "x0_intervals", iv)
         object.__setattr__(self, "references", tuple(self.references))
 

@@ -283,8 +283,9 @@ class PrecomputedData:
 
     ``p_system`` is the primal-space matrix by its ``(n_x+n_u)``-wide stage
     and reference blocks, whatever the horizon; ``w_system`` is the
-    dual-space matrix as its banded Cholesky factor plus dense low-rank
-    factors of ``(N+2) n_x`` rows.
+    dual-space matrix as its banded Cholesky factor plus the dense Woodbury
+    factors ``v`` (``2(n_x+n_u)`` by ``(N+2) n_x``) and ``w`` (the transpose
+    shape).
     """
 
     model: LtiModel

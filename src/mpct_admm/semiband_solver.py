@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 
-from .banded_linalg import _spd_failure_row, g_matvec, gt_matvec
+from .banded_linalg import BandedCholeskyFactor, _spd_failure_row, g_matvec, gt_matvec
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,12 +40,6 @@ __all__ = [
     "solve_semibanded",
     "solve_kkt_system",
 ]
-
-
-class _StructuredFactor(Protocol):
-    n: int
-
-    def solve(self, d: np.ndarray) -> np.ndarray: ...
 
 
 def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -80,27 +74,22 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
 class SemiBandedSystem:
     """A factored ``Gamma + U V`` system ready for repeated solves.
 
-    ``gamma`` is any factored core exposing ``solve`` (block-diagonal or
-    banded Cholesky) and ``w`` the precomputed Woodbury factor
-    ``solve(Gamma, U) (I + V solve(Gamma, U))^-1``. Immutable and safe to
-    share across threads.
+    ``gamma`` is the banded Cholesky factor of the core and ``w`` the
+    precomputed Woodbury factor ``solve(Gamma, U) (I + V solve(Gamma, U))^-1``.
+    ``U`` itself is not kept: a solve reads only ``gamma``, ``v`` and ``w``.
+    Immutable and safe to share across threads.
     """
 
-    gamma: _StructuredFactor
-    u: np.ndarray
+    gamma: BandedCholeskyFactor
     v: np.ndarray
     w: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.u.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.u.shape[1]
+        return self.w.shape[0]
 
     @classmethod
-    def build(cls, gamma: _StructuredFactor, u: np.ndarray, v: np.ndarray) -> "SemiBandedSystem":
+    def build(cls, gamma: BandedCholeskyFactor, u: np.ndarray, v: np.ndarray) -> "SemiBandedSystem":
         """Factor the m-by-m core ``I + V solve(Gamma, U)`` and fold it into ``w``.
 
         Raises :class:`SingularSmallSystem` when the core is singular.
@@ -113,7 +102,7 @@ class SemiBandedSystem:
             raise DimensionMismatch("low-rank factors do not match the core dimension")
         gamma_inv_u = gamma.solve(u)
         w = _fold_core(gamma_inv_u, np.eye(u.shape[1]) + v @ gamma_inv_u)
-        return cls(gamma=gamma, u=u, v=v, w=w)
+        return cls(gamma=gamma, v=v, w=w)
 
 
 @dataclass(frozen=True)

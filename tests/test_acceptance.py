@@ -9,9 +9,11 @@ from dataclasses import replace
 from importlib import resources
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from mpct_admm import (
     SolveStatus,
+    SymBandedMatrix,
     admm_solve,
     assemble_online,
     banded_cholesky_factor,
@@ -28,7 +30,6 @@ from mpct_admm import (
     solve_kkt_system,
     solve_semibanded,
 )
-from mpct_admm.banded_linalg import BlockDiagFactor, BlockDiagMatrix
 from mpct_admm.oracle import NotConverged, dense_bounds, dense_dynamics, dense_hessian
 from mpct_admm.semiband_solver import SemiBandedSystem
 
@@ -92,9 +93,9 @@ def test_acceptance_2_semibanded_solver():
                 k = int(rng.integers(1, min(5, left) + 1))
                 sizes.append(k)
                 left -= k
-            mat = BlockDiagMatrix(tuple(random_spd(rng, k, 1.0, 4.0) for k in sizes))
-            gamma_dense = mat.to_dense()
-            gamma = BlockDiagFactor(mat)
+            blocks = (random_spd(rng, k, 1.0, 4.0) for k in sizes)
+            gamma_dense = block_diag(*(0.5 * (b + b.T) for b in blocks))
+            gamma = banded_cholesky_factor(SymBandedMatrix.from_dense(gamma_dense, max(sizes) - 1))
         u = 0.4 * rng.standard_normal((n, m))
         v = 0.4 * rng.standard_normal((m, n))
         sys = SemiBandedSystem.build(gamma, u, v)

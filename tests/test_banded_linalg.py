@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded
+from scipy.linalg import cho_solve_banded
 
 from mpct_admm import (
-    BlockDiagFactor,
-    BlockDiagMatrix,
     DimensionMismatch,
     NotPositiveDefinite,
     PredictionSparseMatrix,
@@ -17,7 +15,7 @@ from mpct_admm import (
 )
 from mpct_admm.oracle import dense_dynamics
 
-from conftest import random_controllable_model, random_spd
+from conftest import random_controllable_model
 
 
 def random_spd_banded(rng, n, bw, diag_boost=None):
@@ -138,66 +136,6 @@ class TestBandedSolve:
         assert np.abs(m.to_dense() @ x - d).max() <= 1e-9 * (1.0 + np.abs(d).max())
 
 
-class TestBlockDiag:
-    def test_scalar_blocks(self):
-        factored = BlockDiagFactor(BlockDiagMatrix((np.array([[2.0]]), np.array([[3.0]]))))
-        np.testing.assert_allclose(factored.solve(np.array([4.0, 9.0])), [2.0, 3.0])
-
-    def test_scaled_identity_blocks(self):
-        rho = 0.5
-        blocks = tuple(rho * np.eye(k) for k in (2, 3, 1))
-        factored = BlockDiagFactor(BlockDiagMatrix(blocks))
-        d = np.arange(6.0)
-        np.testing.assert_allclose(factored.solve(d), 2.0 * d)
-
-    def test_mixed_blocks_match_dense(self):
-        rng = np.random.default_rng(8)
-        q = np.array([[2.0, 1.0], [1.0, 2.0]]) + np.eye(2)
-        r = np.array([[1.0]]) + 1.0
-        mat = BlockDiagMatrix((q, r))
-        d = rng.standard_normal(3)
-        np.testing.assert_allclose(
-            BlockDiagFactor(mat).solve(d),
-            np.linalg.solve(mat.to_dense(), d),
-            atol=1e-12,
-        )
-
-    def test_not_positive_definite_block_and_row(self):
-        bad = np.array([[1.0, 0.0], [0.0, -2.0]])
-        with pytest.raises(NotPositiveDefinite) as exc:
-            BlockDiagFactor(BlockDiagMatrix((np.eye(2), bad)))
-        assert exc.value.block == 1
-        assert exc.value.index == 1
-
-    def test_repeated_blocks_are_grouped(self):
-        blk = np.array([[4.0, 1.0], [1.0, 3.0]])
-        factored = BlockDiagFactor(BlockDiagMatrix((blk, blk, blk)))
-        assert len(factored._groups) == 1
-        rng = np.random.default_rng(0)
-        d = rng.standard_normal(6)
-        expected = np.concatenate([np.linalg.solve(blk, d[i : i + 2]) for i in range(0, 6, 2)])
-        np.testing.assert_allclose(factored.solve(d), expected, atol=1e-12)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1), n=st.integers(min_value=1, max_value=25))
-    def test_size_one_blocks_equal_banded_solve(self, seed, n):
-        rng = np.random.default_rng(seed)
-        diag = rng.uniform(0.5, 4.0, n)
-        d = rng.standard_normal(n)
-        banded = banded_cholesky_factor(SymBandedMatrix(n=n, half_bandwidth=0, bands=diag[None, :])).solve(d)
-        blocks = tuple(np.array([[v]]) for v in diag)
-        np.testing.assert_allclose(BlockDiagFactor(BlockDiagMatrix(blocks)).solve(d), banded, atol=1e-13)
-
-    def test_matrix_rhs(self):
-        rng = np.random.default_rng(21)
-        blocks = (np.eye(2) * 3.0, np.array([[5.0]]), np.eye(2) * 3.0)
-        mat = BlockDiagMatrix(blocks)
-        d = rng.standard_normal((5, 3))
-        np.testing.assert_allclose(
-            BlockDiagFactor(mat).solve(d), np.linalg.solve(mat.to_dense(), d), atol=1e-12
-        )
-
-
 class TestPredictionMatrix:
     def test_zero_maps_to_zero(self):
         g = PredictionSparseMatrix(a=np.eye(2), b=np.ones((2, 1)), horizon=3)
@@ -260,33 +198,6 @@ class TestLapackCallsMatchScipy:
             expected = cho_solve_banded((factor.bands, True), d, check_finite=False)
             np.testing.assert_array_equal(factor.solve(d), expected)
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_block_diag_solve_equals_cho_solve(self, seed):
-        rng = np.random.default_rng(seed)
-        distinct = [random_spd(rng, int(k)) for k in rng.integers(1, 9, size=4)]
-        distinct = [0.5 * (m + m.T) for m in distinct]  # BlockDiagMatrix keeps these as they are
-        order = rng.integers(0, len(distinct), size=40)
-        mat = BlockDiagMatrix(tuple(distinct[i] for i in order))
-        factor = BlockDiagFactor(mat)
-        offsets = np.asarray(mat.offsets())
-        for d in (rng.standard_normal(mat.n), rng.standard_normal((mat.n, 3))):
-            # reference: one cho_solve per group of identical blocks, one
-            # right-hand-side column per block and column of d
-            expected = np.empty_like(d)
-            for i, blk in enumerate(distinct):
-                k = blk.shape[0]
-                idx = offsets[order == i][:, None] + np.arange(k)[None, :]
-                if idx.size == 0:
-                    continue
-                c = cho_factor(blk, lower=True, check_finite=False)
-                if d.ndim == 1:
-                    expected[idx] = cho_solve(c, d[idx].T, check_finite=False).T
-                else:
-                    count, r = idx.shape[0], d.shape[1]
-                    seg = d[idx].transpose(1, 0, 2).reshape(k, count * r)
-                    sol = cho_solve(c, seg, check_finite=False)
-                    expected[idx] = sol.reshape(k, count, r).transpose(1, 0, 2)
-            np.testing.assert_array_equal(factor.solve(d), expected)
 
     @pytest.mark.parametrize(
         "nx, nu, n", [(8, 2, 1), (8, 2, 30), (8, 2, 240), (2, 1, 5), (4, 1, 3), (5, 3, 2), (17, 8, 7)]

@@ -66,6 +66,13 @@ class TestSolve:
         second = json.loads(capsys.readouterr().out)["iterations"]
         assert second <= first
 
+    def test_warm_state_not_an_object_exits_three(self, integrator_problem, tmp_path, capsys):
+        warm = tmp_path / "warm.json"
+        warm.write_text("[1, 2]")
+        code = main(["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0", "--warm", str(warm)])
+        assert code == EXIT_INVALID_INPUT
+        assert str(warm) in capsys.readouterr().err
+
     def test_invalid_json_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -115,6 +122,9 @@ class TestSimulate:
             ("steps", 2.5),
             ("seed", 2.5),
             ("seed", -1),
+            ("sample_time", -1),
+            ("sample_time", 0),
+            ("sample_time", float("nan")),
         ],
     )
     def test_wrongly_typed_field_exits_three(self, small_scenario, tmp_path, capsys, key, value):
@@ -168,3 +178,17 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_samples_below_one_exit_three(self, integrator_problem, samples, capsys):
+        assert main(["check", integrator_problem, "--samples", samples]) == EXIT_INVALID_INPUT
+        assert "--samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--eps-primal", "1e-1"), ("--eps-dual", "1e-1"), ("--max-iter", "1")]
+    )
+    def test_solver_overrides_are_not_options(self, integrator_problem, flag, value, capsys):
+        # the ADMM check runs at fixed tolerances and cap, so argparse rejects these
+        with pytest.raises(SystemExit) as exc:
+            main(["check", integrator_problem, "--samples", "1", flag, value])
+        assert exc.value.code != EXIT_OK

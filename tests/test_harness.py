@@ -67,6 +67,11 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             replace(integrator_scenario, references=())
 
+    @pytest.mark.parametrize("sample_time", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_sample_time_must_be_positive_and_finite(self, integrator_scenario, sample_time):
+        with pytest.raises(ValueError, match="sample_time"):
+            replace(integrator_scenario, sample_time=sample_time)
+
     def test_inline_problem(self):
         obj = {
             "format": "mpct-scenario-v1",

@@ -75,8 +75,11 @@ class TestBuildProblem:
             g = dense_dynamics(model, params.N)
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
+            w = data.n_x + data.n_u
+            w_rows = data.p_system.w_rows
+            u_dense = -g @ np.vstack([np.tile(w_rows[:w], (params.N, 1)), w_rows[w:]])
             w_sys = data.w_system
-            w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + w_sys.u @ w_sys.v
+            w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + u_dense @ w_sys.v
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())
 
     def test_rank_deficient_dynamics(self):

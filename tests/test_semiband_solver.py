@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from mpct_admm import (
-    BlockDiagFactor,
-    BlockDiagMatrix,
     DimensionMismatch,
     NotPositiveDefinite,
     SemiBandedSystem,
@@ -40,9 +39,8 @@ def random_semibanded(rng, n, m, kind="banded", scale=0.4):
             sizes.append(k)
             left -= k
         blocks = tuple(random_spd(rng, k, 1.0, 4.0) for k in sizes)
-        mat = BlockDiagMatrix(blocks)
-        gamma_dense = mat.to_dense()
-        gamma = BlockDiagFactor(mat)
+        gamma_dense = block_diag(*(0.5 * (b + b.T) for b in blocks))
+        gamma = banded_cholesky_factor(SymBandedMatrix.from_dense(gamma_dense, max(sizes) - 1))
     u = scale * rng.standard_normal((n, m))
     v = scale * rng.standard_normal((m, n))
     return gamma, gamma_dense, u, v
@@ -107,6 +105,13 @@ class TestSolveSemibanded:
         sys = SemiBandedSystem.build(gamma, u, v)
         with pytest.raises(DimensionMismatch):
             solve_semibanded(sys, np.zeros(7))
+
+    def test_dual_system_stores_only_what_a_solve_reads(self):
+        rng = np.random.default_rng(13)
+        model = random_controllable_model(rng, 4, 2)
+        w_sys = build_problem(model, random_params(rng, 4, 2, 12)).w_system
+        stored = sum(a.nbytes for a in reachable_arrays(w_sys))
+        assert stored == w_sys.gamma.bands.nbytes + w_sys.v.nbytes + w_sys.w.nbytes
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
