@@ -69,6 +69,7 @@ from .semiband_solver import (
     KktWorkspace,
     SemiBandedSystem,
     StageCoupledSystem,
+    StageSumMatrix,
     solve_kkt_system,
     solve_semibanded,
 )

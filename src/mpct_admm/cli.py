@@ -2,7 +2,8 @@
 
 Subcommands: ``solve``, ``simulate``, ``bench`` and ``check``.
 Exit codes: 0 on success, 2 when a solve did not converge, 3 on invalid
-input (bad files, schema violations, dimension errors).
+input (bad files, schema violations, dimension errors, and usage errors
+such as an unknown flag or a malformed option value).
 """
 
 from __future__ import annotations
@@ -205,8 +206,20 @@ def cmd_check(args) -> int:
     return EXIT_OK if (kkt_ok and admm_ok and sol_ok) else EXIT_NOT_CONVERGED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit with the invalid-input code.
+
+    argparse exits 2 on a usage error, the code reserved here for a solve
+    that did not converge. Subcommand parsers inherit the class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INVALID_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpct",
         description="Tracking-MPC ADMM solver, simulator and benchmark harness",
     )

@@ -56,6 +56,17 @@ __all__ = [
 SCENARIO_FORMAT = "mpct-scenario-v1"
 
 
+def _sample_time(value) -> float:
+    """``value`` as a float, or a ValueError unless it is positive and finite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = float("nan")
+    if not (np.isfinite(x) and x > 0.0):
+        raise ValueError(f"sample_time must be positive and finite, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class Reference:
     """A labeled steady-state target pair."""
@@ -97,10 +108,7 @@ class Scenario:
             raise ValueError("steps must be non-negative")
         if not self.references:
             raise ValueError("scenario needs at least one reference")
-        sample_time = float(self.sample_time)
-        if not (np.isfinite(sample_time) and sample_time > 0.0):
-            raise ValueError(f"sample_time must be positive and finite, got {self.sample_time!r}")
-        object.__setattr__(self, "sample_time", sample_time)
+        object.__setattr__(self, "sample_time", _sample_time(self.sample_time))
         object.__setattr__(self, "x0_intervals", iv)
         object.__setattr__(self, "references", tuple(self.references))
 
@@ -188,8 +196,12 @@ def simulate_closed_loop(
 
     The applied input is always the projected iterate's first block, so it is
     box-feasible even when a step exits on the iteration cap. A numerical
-    failure aborts the trial with :class:`SolverFailed`.
+    failure aborts the trial with :class:`SolverFailed`. ``steps`` must be a
+    whole number of at least 0 and ``sample_time`` positive and finite;
+    otherwise a ValueError naming the argument is raised before any solve.
     """
+    steps = _whole_number(steps, "steps", 0)
+    sample_time = _sample_time(sample_time)
     nx, nu = plant.n_x, plant.n_u
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((steps + 1, nx))

@@ -5,7 +5,8 @@ per-sample solver consumes. The Hessian-plus-penalty matrix splits into a
 block-diagonal core plus a rank-``2(n_x+n_u)`` completion that couples every
 stage to the artificial reference through the same block ``-diag(Q, R)``;
 it is kept as its distinct stage and reference blocks only. The dual-space
-matrix splits into a banded core plus a dense completion of the same rank.
+matrix splits into a banded core plus a completion of the same rank whose
+right factor repeats one column block across the stage couplings.
 Both are factored here, with their small Woodbury cores folded in, so that
 the online phase is vector assembly only.
 """
@@ -33,7 +34,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientG,
 )
-from .semiband_solver import SemiBandedSystem, StageCoupledSystem
+from .semiband_solver import SemiBandedSystem, StageCoupledSystem, StageSumMatrix
 
 __all__ = [
     "LtiModel",
@@ -282,10 +283,12 @@ class PrecomputedData:
     """Everything the per-iteration solver needs, factored once offline.
 
     ``p_system`` is the primal-space matrix by its ``(n_x+n_u)``-wide stage
-    and reference blocks, whatever the horizon; ``w_system`` is the
-    dual-space matrix as its banded Cholesky factor plus the dense Woodbury
-    factors ``v`` (``2(n_x+n_u)`` by ``(N+2) n_x``) and ``w`` (the transpose
-    shape).
+    and reference blocks, whatever the horizon. ``w_system`` is the
+    dual-space matrix as the banded Cholesky factor of its core, trimmed to
+    the core's nonzero bands, plus the Woodbury factors: ``v`` as its four
+    distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
+    :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
+    ``2(n_x+n_u)``.
     """
 
     model: LtiModel
@@ -347,14 +350,16 @@ def _gamma_tilde_banded(
 
     The product of the dynamics pattern with the inverted block-diagonal core
     is block tridiagonal; the blocks follow directly from which decision
-    blocks each pair of constraint rows shares.
+    blocks each pair of constraint rows shares. With ``n_x``-wide blocks the
+    half-bandwidth is at most ``2 n_x - 1``; the bands past the last one that
+    is not all zero are dropped. A banded Cholesky factor has no fill outside
+    its input band, so the trim is exact.
     """
     nx = model.n_x
     n = params.N
     m_z = (n + 2) * nx
     a, b = model.A, model.B
-    bw = min(2 * nx + model.n_u - 1, m_z - 1)
-    bands = np.zeros((bw + 1, m_z))
+    bands = np.zeros((2 * nx, m_z))
 
     ada = a @ d_x @ a.T
     bdb = b @ d_u @ b.T
@@ -375,7 +380,8 @@ def _gamma_tilde_banded(
         _scatter_sub_block(bands, i * nx, nx, neg_adx)
     _scatter_sub_block(bands, n * nx, nx, -(a_eye @ d_xs))
 
-    return SymBandedMatrix(n=m_z, half_bandwidth=bw, bands=bands)
+    bw = int(np.flatnonzero(bands.any(axis=1))[-1])
+    return SymBandedMatrix(n=m_z, half_bandwidth=bw, bands=bands[: bw + 1])
 
 
 def build_problem(
@@ -423,13 +429,22 @@ def build_problem(
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
         ) from None
 
-    # u_tilde = -G W and v_tilde = (G Gamma^-1 V^T)^T, through dense (n_z, 2w)
-    # temporaries whose stage row blocks all repeat one block
+    # u_tilde = -G W through a dense (n_z, 2w) temporary whose stage row
+    # blocks all repeat one block
     zero = np.zeros((w, w))
     w_dense = _stack_stages(p_system.w_rows[:w], p_system.w_rows[w:], n)
     u_tilde = np.column_stack([-g_matvec(g, col) for col in w_dense.T])
-    giv = _stack_stages(np.hstack([zero, -g_st @ coupling]), np.hstack([g_s, zero]), n)
-    v_tilde = np.column_stack([g_matvec(g, col) for col in giv.T]).T
+    # v_tilde = (G Gamma^-1 V^T)^T. Gamma^-1 V^T repeats one row block over
+    # the stages, so the row blocks of G times it take four distinct values:
+    # the pin, the stage couplings 1..N-1, the handoff and the equilibrium row
+    stage = np.hstack([zero, -g_st @ coupling])
+    ref = np.hstack([g_s, zero])
+    coupled = model.A @ stage[:nx] + model.B @ stage[nx:]
+    equilibrium = (model.A - np.eye(nx)) @ ref[:nx] + model.B @ ref[nx:]
+    v_tilde = StageSumMatrix(
+        horizon=n,
+        blocks=np.vstack([stage[:nx], coupled - stage[:nx], coupled - ref[:nx], equilibrium]).T,
+    )
 
     w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, v_tilde)
 

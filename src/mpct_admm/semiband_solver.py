@@ -15,13 +15,15 @@ The equality-constrained QP update chains three solves: two with the
 primal-space matrix, whose low-rank term couples every stage to the
 artificial reference through one repeated block and is solved stage by stage
 (:class:`StageCoupledSystem`), and one with the dual-space matrix around its
-banded core (:class:`SemiBandedSystem`).
+banded core (:class:`SemiBandedSystem`), whose ``V`` repeats one column
+block across the stage couplings and is applied as a stage sum
+(:class:`StageSumMatrix`).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,6 +38,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SemiBandedSystem",
     "StageCoupledSystem",
+    "StageSumMatrix",
     "KktWorkspace",
     "solve_semibanded",
     "solve_kkt_system",
@@ -71,17 +74,61 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class StageSumMatrix:
+    """An m-by-(N+2)n_x matrix whose column blocks repeat across the stages.
+
+    Its ``n_x``-wide column blocks are, in order, the initial-state pin, one
+    block shared by the stage couplings ``1 .. N-1``, the handoff into the
+    artificial reference and the equilibrium row; ``blocks`` holds these
+    four side by side. A product sums the operand's row blocks over the
+    stages that share a column block and applies one m-by-4n_x product:
+
+        V z = V_0 z_0 + V_mid (z_1 + ... + z_{N-1}) + V_N z_N + V_eq z_{N+1}
+
+    The stored arrays are the m-by-4n_x blocks and the four stage offsets at
+    which the sums start, whatever the horizon. Immutable and safe to share
+    across threads.
+    """
+
+    horizon: int
+    blocks: np.ndarray
+    offsets: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        blocks = np.ascontiguousarray(self.blocks, dtype=float)
+        if blocks.ndim != 2 or blocks.shape[1] % 4 or self.horizon < 2:
+            raise DimensionMismatch("blocks must be m-by-4n_x and the horizon at least 2")
+        object.__setattr__(self, "blocks", blocks)
+        # kept as an index array: reduceat converts a tuple on every call
+        n = self.horizon
+        object.__setattr__(self, "offsets", np.array([0, 1, n, n + 1], dtype=np.intp))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        m, four_nx = self.blocks.shape
+        return m, (self.horizon + 2) * (four_nx // 4)
+
+    def __matmul__(self, z: np.ndarray) -> np.ndarray:
+        """``V z`` for ``z`` of shape ``(n,)`` or ``(n, k)``."""
+        tail = z.shape[1:]
+        sums = np.add.reduceat(z.reshape(self.horizon + 2, -1, *tail), self.offsets, axis=0)
+        return self.blocks @ sums.reshape(-1, *tail)
+
+
+@dataclass(frozen=True)
 class SemiBandedSystem:
     """A factored ``Gamma + U V`` system ready for repeated solves.
 
     ``gamma`` is the banded Cholesky factor of the core and ``w`` the
     precomputed Woodbury factor ``solve(Gamma, U) (I + V solve(Gamma, U))^-1``.
-    ``U`` itself is not kept: a solve reads only ``gamma``, ``v`` and ``w``.
+    ``v`` is a dense m-by-n array or, for the dual-space matrix, a
+    :class:`StageSumMatrix`; a solve only applies it with ``@``. ``U`` itself
+    is not kept: a solve reads only ``gamma``, ``v`` and ``w``.
     Immutable and safe to share across threads.
     """
 
     gamma: BandedCholeskyFactor
-    v: np.ndarray
+    v: np.ndarray | StageSumMatrix
     w: np.ndarray
 
     @property
@@ -89,14 +136,17 @@ class SemiBandedSystem:
         return self.w.shape[0]
 
     @classmethod
-    def build(cls, gamma: BandedCholeskyFactor, u: np.ndarray, v: np.ndarray) -> "SemiBandedSystem":
+    def build(
+        cls, gamma: BandedCholeskyFactor, u: np.ndarray, v: np.ndarray | StageSumMatrix
+    ) -> "SemiBandedSystem":
         """Factor the m-by-m core ``I + V solve(Gamma, U)`` and fold it into ``w``.
 
         Raises :class:`SingularSmallSystem` when the core is singular.
         """
         u = np.ascontiguousarray(u, dtype=float)
-        v = np.ascontiguousarray(v, dtype=float)
-        if u.ndim != 2 or v.ndim != 2 or u.shape != v.T.shape:
+        if not isinstance(v, StageSumMatrix):
+            v = np.ascontiguousarray(v, dtype=float)
+        if u.ndim != 2 or v.shape != u.shape[::-1]:
             raise DimensionMismatch("U and V must be (n, m) and (m, n)")
         if u.shape[0] != gamma.n:
             raise DimensionMismatch("low-rank factors do not match the core dimension")

@@ -164,9 +164,35 @@ class TestBench:
         assert all(r["trials"] == 2 for r in stats["results"])
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "problem.json", "--bogus"],
+            ["check", "problem.json", "--samples", "x"],
+            [],
+        ],
+        ids=["unknown-flag", "malformed-value", "missing-subcommand"],
+    )
+    def test_usage_error_exits_three(self, argv, capsys):
+        # argparse's own code 2 would read as "did not converge"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestCheck:
-    def test_check_passes_on_bundled_model(self, integrator_problem, capsys):
-        code = main(["check", integrator_problem, "--samples", "5"])
+    @pytest.mark.parametrize("name", ["ball_plate_like.json", "double_integrator.json", "mass_spring.json"])
+    def test_check_passes_on_bundled_model(self, name, capsys):
+        code = main(["check", model_path(name), "--samples", "5"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out

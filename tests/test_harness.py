@@ -17,6 +17,7 @@ from mpct_admm import (
     sample_initial_states,
     simulate_closed_loop,
 )
+from mpct_admm import harness
 from mpct_admm.harness import Trajectory, bench_stats_dict, scenario_from_dict, write_trials_csv
 
 
@@ -147,6 +148,29 @@ class TestSimulation:
         assert all(s is SolveStatus.MAX_ITERATIONS for s in traj.statuses)
         assert np.all(traj.inputs >= sc.model.u_lo - 1e-12)
         assert np.all(traj.inputs <= sc.model.u_hi + 1e-12)
+
+
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("sample_time", -1.0),
+            ("sample_time", 0.0),
+            ("sample_time", float("nan")),
+            ("sample_time", float("inf")),
+            ("steps", -1),
+            ("steps", 2.5),
+        ],
+    )
+    def test_invalid_arguments_rejected_before_solving(
+        self, integrator_scenario, integrator_data, monkeypatch, argument, value
+    ):
+        sc = integrator_scenario
+        calls = []
+        monkeypatch.setattr(harness, "admm_solve", lambda *a, **k: calls.append(a))
+        kwargs = {"steps": 3, "sample_time": 0.1, argument: value}
+        with pytest.raises(ValueError, match=argument):
+            simulate_closed_loop(integrator_data, sc.model, np.zeros(2), sc.references[0], **kwargs)
+        assert calls == []
 
 
 class TestBenchmark:

@@ -79,7 +79,7 @@ class TestBuildProblem:
             w_rows = data.p_system.w_rows
             u_dense = -g @ np.vstack([np.tile(w_rows[:w], (params.N, 1)), w_rows[w:]])
             w_sys = data.w_system
-            w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + u_dense @ w_sys.v
+            w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + u_dense @ (w_sys.v @ np.eye(data.m_z))
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())
 
     def test_rank_deficient_dynamics(self):

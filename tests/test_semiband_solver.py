@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +12,12 @@ from mpct_admm import (
     SemiBandedSystem,
     SingularSmallSystem,
     StageCoupledSystem,
+    StageSumMatrix,
     SymBandedMatrix,
     assemble_online,
     banded_cholesky_factor,
     build_problem,
+    load_problem,
     solve_kkt_system,
     solve_semibanded,
 )
@@ -111,7 +115,8 @@ class TestSolveSemibanded:
         model = random_controllable_model(rng, 4, 2)
         w_sys = build_problem(model, random_params(rng, 4, 2, 12)).w_system
         stored = sum(a.nbytes for a in reachable_arrays(w_sys))
-        assert stored == w_sys.gamma.bands.nbytes + w_sys.v.nbytes + w_sys.w.nbytes
+        v_bytes = w_sys.v.blocks.nbytes + w_sys.v.offsets.nbytes
+        assert stored == w_sys.gamma.bands.nbytes + v_bytes + w_sys.w.nbytes
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -147,6 +152,84 @@ def reachable_arrays(obj, seen=None):
     else:
         children = vars(obj).values() if hasattr(obj, "__dict__") else ()
     return [a for child in children for a in reachable_arrays(child, seen)]
+
+
+BUNDLED_MODELS = ["ball_plate_like.json", "double_integrator.json", "mass_spring.json"]
+
+
+def bundled_data(name):
+    model, params, scaling = load_problem(resources.files("mpct_admm") / "models" / name)
+    return build_problem(model, params, scaling)
+
+
+def random_data(n_x, n_u, horizon):
+    rng = np.random.default_rng(100 * n_x + 10 * n_u + horizon)
+    return build_problem(random_controllable_model(rng, n_x, n_u), random_params(rng, n_x, n_u, horizon))
+
+
+def dense_dual_v(data):
+    """The dual ``V`` rebuilt densely: ``(G Gamma^-1 V_p^T)^T`` for the primal split ``Gamma + U_p V_p``."""
+    n, w = data.params.N, data.n_x + data.n_u
+    ps = data.p_system
+    d = ps.coupling
+    gamma = block_diag(*([ps.gamma_stage] * n), ps.gamma_ref)
+    gamma_inv = block_diag(*([ps.gamma_stage_inv] * n), ps.gamma_ref_inv)
+    u_p = np.block([[np.tile(-d, (n, 1)), np.zeros((n * w, w))], [np.zeros((w, w)), np.eye(w)]])
+    v_p = np.block([[np.zeros((w, n * w)), np.eye(w)], [np.tile(-d, (1, n)), np.zeros((w, w))]])
+    # the rebuilt split is the primal matrix the solver factors
+    np.testing.assert_allclose(gamma + u_p @ v_p, ps.to_dense(), rtol=0.0, atol=1e-14)
+    g = dense_dynamics(data.model, n)
+    return (g @ gamma_inv @ v_p.T).T
+
+
+class TestDualSystemStructure:
+    @pytest.mark.parametrize(
+        "source", [(3, 2, 2), (4, 1, 6), *BUNDLED_MODELS], ids=["horizon-2", "one-input", *BUNDLED_MODELS]
+    )
+    def test_v_products_match_dense(self, source):
+        data = bundled_data(source) if isinstance(source, str) else random_data(*source)
+        v = data.w_system.v
+        v_dense = dense_dual_v(data)
+        assert v.shape == v_dense.shape == (2 * (data.n_x + data.n_u), data.m_z)
+        rng = np.random.default_rng(data.m_z)
+        for operand in (rng.standard_normal(data.m_z), rng.standard_normal((data.m_z, 3))):
+            expected = v_dense @ operand
+            got = v @ operand
+            assert got.shape == expected.shape
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
+
+    @pytest.mark.parametrize(
+        "horizon, blocks_shape", [(1, (3, 8)), (2, (3, 6)), (2, (8,))], ids=["horizon-1", "width-6", "1-d"]
+    )
+    def test_stage_sum_matrix_rejects_bad_shapes(self, horizon, blocks_shape):
+        with pytest.raises(DimensionMismatch):
+            StageSumMatrix(horizon=horizon, blocks=np.ones(blocks_shape))
+
+    def test_v_footprint_independent_of_horizon(self):
+        rng = np.random.default_rng(14)
+        model = random_controllable_model(rng, 4, 2)
+        sizes = []
+        for horizon in (6, 24, 96):
+            data = build_problem(model, random_params(rng, 4, 2, horizon))
+            arrays = reachable_arrays(data.w_system.v)
+            assert sorted(a.shape for a in arrays) == [(4,), (2 * 6, 4 * 4)]
+            sizes.append(sum(a.nbytes for a in arrays))
+        assert sizes[0] == sizes[1] == sizes[2]
+
+    @pytest.mark.parametrize("name, expected", zip(BUNDLED_MODELS, [8, 2, 3]))
+    def test_gamma_keeps_only_its_nonzero_bands(self, name, expected):
+        data = bundled_data(name)
+        gamma = data.w_system.gamma
+        core = gamma.to_dense() @ gamma.to_dense().T
+        last = max(k for k in range(data.m_z) if np.any(np.diag(core, -k) != 0.0))
+        assert gamma.half_bandwidth == last == expected
+        assert gamma.half_bandwidth <= 2 * data.n_x - 1
+
+    @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (3, 1, 4), (4, 2, 9)])
+    def test_gamma_band_within_block_tridiagonal_bound(self, n_x, n_u, horizon):
+        gamma = random_data(n_x, n_u, horizon).w_system.gamma
+        assert np.any(gamma.bands[-1] != 0.0)
+        assert gamma.half_bandwidth <= 2 * n_x - 1
 
 
 class TestStageCoupledSystem:
