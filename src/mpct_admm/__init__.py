@@ -16,7 +16,6 @@ from .banded_linalg import (
     SymBandedMatrix,
     banded_cholesky_factor,
     g_matvec,
-    gt_matvec,
 )
 from .errors import (
     DimensionMismatch,

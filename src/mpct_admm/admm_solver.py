@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
 from .mpct_problem import PrecomputedData, _whole_number, assemble_online
-from .semiband_solver import KktWorkspace, solve_kkt_system
+from .semiband_solver import KktWorkspace, _solve_kkt
 
 __all__ = [
     "SolveStatus",
@@ -143,12 +143,13 @@ def admm_solve(
     # non-finite iterates are detected explicitly below; keep numpy quiet
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(1, cap + 1):
-            # the operation order of q + lam - rho * v, v_update and
-            # lam += rho * (z - v_next), so iterates match them bit for bit
+            # the operation order of q + lam - rho * v, solve_kkt_system,
+            # v_update and lam += rho * (z - v_next), so iterates match them
+            # bit for bit; the operands were checked above
             np.add(qp.q, lam, out=p)
             np.multiply(rho, v, out=diff)
             p -= diff
-            z, _ = solve_kkt_system(data, p, qp.b, work=work)
+            z, _ = _solve_kkt(data, p, qp.b, work)
             np.divide(lam, rho, out=v_next)
             np.add(z, v_next, out=v_next)
             np.clip(v_next, qp.v_lo, qp.v_hi, out=v_next)

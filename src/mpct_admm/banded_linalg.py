@@ -5,7 +5,8 @@ Two matrix families cover the structured solves and products:
 * symmetric banded matrices in packed lower-band storage, with a LAPACK
   banded Cholesky factorization and triangular solves,
 * the sparse prediction-dynamics matrix, stored only by its pattern
-  (A, B, horizon) and applied through dedicated matvec kernels.
+  (A, B, horizon) and applied through a dedicated matvec kernel; the KKT
+  chain applies its transpose stage by stage (see ``semiband_solver``).
 
 No full dense matrix is ever materialized here; the ``to_dense`` helpers
 exist for tests and small-scale verification only.
@@ -26,7 +27,6 @@ __all__ = [
     "PredictionSparseMatrix",
     "banded_cholesky_factor",
     "g_matvec",
-    "gt_matvec",
 ]
 
 
@@ -95,14 +95,18 @@ class SymBandedMatrix:
 
 @dataclass(frozen=True)
 class BandedCholeskyFactor:
-    """Lower-triangular banded Cholesky factor, same packed layout as its source."""
+    """Lower-triangular banded Cholesky factor, same packed layout as its source.
+
+    The bands are stored column-major, the order LAPACK reads them in, so a
+    solve hands them to ``dpbtrs`` without a copy.
+    """
 
     n: int
     half_bandwidth: int
     bands: np.ndarray
 
     def __post_init__(self):
-        bands = np.ascontiguousarray(self.bands, dtype=float)
+        bands = np.asfortranarray(self.bands, dtype=float)
         if bands.shape != (self.half_bandwidth + 1, self.n):
             raise ValueError("factor bands have the wrong shape")
         if not np.all(bands[0] > 0.0):
@@ -214,6 +218,16 @@ def g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray | None = 
     x = np.asarray(x, dtype=float)
     if x.shape != (g.n_cols,):
         raise DimensionMismatch(f"expected vector of length {g.n_cols}, got {x.shape}")
+    if out is None:
+        out = np.empty(g.n_rows)
+    elif out.shape != (g.n_rows,) or not out.flags["C_CONTIGUOUS"]:
+        # a reshaped slice of a strided buffer would detach from it silently
+        raise DimensionMismatch("out must be a contiguous vector of the right length")
+    return _g_matvec(g, x, out)
+
+
+def _g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`g_matvec` without its checks: ``out`` is a contiguous ``(n_rows,)`` vector."""
     nx, nu, n = g.n_x, g.n_u, g.horizon
     w = nx + nu
     stages = x[: n * w].reshape(n, w)
@@ -221,11 +235,6 @@ def g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray | None = 
     us = x[n * w + nx :]
     states = stages[:, :nx]
     inputs = stages[:, nx:]
-    if out is None:
-        out = np.empty(g.n_rows)
-    elif out.shape != (g.n_rows,) or not out.flags["C_CONTIGUOUS"]:
-        # a reshaped slice of a strided buffer would detach from it silently
-        raise DimensionMismatch("out must be a contiguous vector of the right length")
     out[:nx] = states[0]
     # the A and B products stay separate: one [A B] product would re-associate
     # each row's sum and change the last bits
@@ -235,33 +244,4 @@ def g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray | None = 
     couplings[:-1] -= states[1:]
     couplings[-1] -= xs
     out[(n + 1) * nx :] = g._a_minus_eye @ xs + g.b @ us
-    return out
-
-
-def gt_matvec(g: PredictionSparseMatrix, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Product of the transposed dynamics matrix with a multiplier vector."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (g.n_rows,):
-        raise DimensionMismatch(f"expected vector of length {g.n_rows}, got {y.shape}")
-    nx, nu, n = g.n_x, g.n_u, g.horizon
-    w = nx + nu
-    blocks = y.reshape(n + 2, nx)
-    y0 = blocks[0]
-    mid = blocks[1 : n + 1]
-    last = blocks[n + 1]
-    if out is None:
-        out = np.empty(g.n_cols)
-    elif out.shape != (g.n_cols,) or not out.flags["C_CONTIGUOUS"]:
-        # a reshaped slice of a strided buffer would detach from it silently
-        raise DimensionMismatch("out must be a contiguous vector of the right length")
-    stages = out[: n * w].reshape(n, w)
-    # two products into the stage views: one product with a stored [A B]
-    # changes the last bits of the B columns for some shapes (n_u = 1, a
-    # one-stage horizon), where BLAS picks another kernel
-    np.matmul(mid, g.a, out=stages[:, :nx])
-    stages[0, :nx] += y0
-    stages[1:, :nx] -= mid[:-1]
-    np.matmul(mid, g.b, out=stages[:, nx:])
-    out[n * w : n * w + nx] = g._a_minus_eye.T @ last - mid[-1]
-    out[n * w + nx :] = g.b.T @ last
     return out

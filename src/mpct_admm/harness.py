@@ -82,7 +82,12 @@ class Reference:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Benchmark/simulation recipe tied to one problem definition."""
+    """Benchmark/simulation recipe tied to one problem definition.
+
+    ``trials`` (at least 1), ``steps`` and ``seed`` (at least 0) must be
+    whole numbers and are stored as ints; anything else raises a ValueError
+    that names the field.
+    """
 
     model: LtiModel
     params: MpctParams
@@ -102,12 +107,11 @@ class Scenario:
             raise ValueError("x0 intervals must satisfy lo <= hi")
         if np.any(iv[:, 0] < self.model.x_lo) or np.any(iv[:, 1] > self.model.x_hi):
             raise ValueError("x0 intervals must lie within the state bounds")
-        if self.trials < 1:
-            raise ValueError("trial count must be at least 1")
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
         if not self.references:
             raise ValueError("scenario needs at least one reference")
+        object.__setattr__(self, "trials", _whole_number(self.trials, "trials", 1))
+        object.__setattr__(self, "steps", _whole_number(self.steps, "steps", 0))
+        object.__setattr__(self, "seed", _whole_number(self.seed, "seed", 0))
         object.__setattr__(self, "sample_time", _sample_time(self.sample_time))
         object.__setattr__(self, "x0_intervals", iv)
         object.__setattr__(self, "references", tuple(self.references))
@@ -139,9 +143,9 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
         scaling=scaling,
         references=references,
         x0_intervals=_parse("initial_state.intervals", _matrix, intervals),
-        trials=_whole_number(obj.get("trials", 1), "trials", 1),
-        steps=_whole_number(obj.get("steps", 0), "steps", 0),
-        seed=_whole_number(obj.get("seed", 0), "seed", 0),
+        trials=obj.get("trials", 1),
+        steps=obj.get("steps", 0),
+        seed=obj.get("seed", 0),
         sample_time=_parse("sample_time", float, obj.get("sample_time", 1.0)),
     )
 

@@ -7,8 +7,9 @@ stage to the artificial reference through the same block ``-diag(Q, R)``;
 it is kept as its distinct stage and reference blocks only. The dual-space
 matrix splits into a banded core plus a completion of the same rank whose
 right factor repeats one column block across the stage couplings.
-Both are factored here, with their small Woodbury cores folded in, so that
-the online phase is vector assembly only.
+Both are factored here, with their small Woodbury cores folded in, and the
+two small blocks that fold the ``G'`` product into the second primal solve
+are formed here too, so that the online phase is vector assembly only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,13 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientG,
 )
-from .semiband_solver import SemiBandedSystem, StageCoupledSystem, StageSumMatrix
+from .semiband_solver import (
+    SemiBandedSystem,
+    StageCoupledSystem,
+    StageSumMatrix,
+    _split_primal,
+    gt_fold_blocks,
+)
 
 __all__ = [
     "LtiModel",
@@ -288,7 +295,11 @@ class PrecomputedData:
     the core's nonzero bands, plus the Woodbury factors: ``v`` as its four
     distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
     :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
-    ``2(n_x+n_u)``.
+    ``2(n_x+n_u)``. ``gt_window`` (``2n_x`` by ``n_x+n_u``) and ``gt_sums``
+    (``2(n_x+n_u)`` by ``4n_x``) fold the ``G'`` product into the KKT
+    chain's second primal solve (see
+    :func:`~mpct_admm.semiband_solver.gt_fold_blocks`); neither grows with
+    ``N``.
     """
 
     model: LtiModel
@@ -299,6 +310,8 @@ class PrecomputedData:
     v_hi: np.ndarray
     p_system: StageCoupledSystem
     w_system: SemiBandedSystem
+    gt_window: np.ndarray
+    gt_sums: np.ndarray
 
     @property
     def n_x(self) -> int:
@@ -408,14 +421,14 @@ def build_problem(
 
     # every stage couples to (x_s, u_s) through -diag(Q, R)
     coupling = _dense_block_diag(params.Q, params.R)
-    p_system = StageCoupledSystem.build(
+    p_system, g_s, w_rows = _split_primal(
         gamma_stage=coupling + rho * np.eye(w),
         gamma_ref=_dense_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho * np.eye(w),
         coupling=coupling,
         horizon=n,
     )
     # both core blocks are block diagonal in (x, u), and so are their inverses
-    g_st, g_s = p_system.gamma_stage_inv, p_system.gamma_ref_inv
+    g_st = p_system.gamma_stage_inv
 
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
 
@@ -432,7 +445,7 @@ def build_problem(
     # u_tilde = -G W through a dense (n_z, 2w) temporary whose stage row
     # blocks all repeat one block
     zero = np.zeros((w, w))
-    w_dense = _stack_stages(p_system.w_rows[:w], p_system.w_rows[w:], n)
+    w_dense = _stack_stages(w_rows[:w], w_rows[w:], n)
     u_tilde = np.column_stack([-g_matvec(g, col) for col in w_dense.T])
     # v_tilde = (G Gamma^-1 V^T)^T. Gamma^-1 V^T repeats one row block over
     # the stages, so the row blocks of G times it take four distinct values:
@@ -447,6 +460,7 @@ def build_problem(
     )
 
     w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, v_tilde)
+    gt_window, gt_sums = gt_fold_blocks(p_system, w_system, g)
 
     return PrecomputedData(
         model=model,
@@ -457,6 +471,8 @@ def build_problem(
         v_hi=v_hi,
         p_system=p_system,
         w_system=w_system,
+        gt_window=gt_window,
+        gt_sums=gt_sums,
     )
 
 

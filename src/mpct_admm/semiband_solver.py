@@ -17,7 +17,10 @@ artificial reference through one repeated block and is solved stage by stage
 (:class:`StageCoupledSystem`), and one with the dual-space matrix around its
 banded core (:class:`SemiBandedSystem`), whose ``V`` repeats one column
 block across the stage couplings and is applied as a stage sum
-(:class:`StageSumMatrix`).
+(:class:`StageSumMatrix`). :func:`solve_kkt_system` runs the chain in one
+stage-blocked pass: the second primal solve and the ``G'`` product before it
+collapse into one product per stage window of the multipliers plus one
+small product with the four stage sums the dual solve already takes.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.lapack import dpbtrs
 
-from .banded_linalg import BandedCholeskyFactor, _spd_failure_row, g_matvec, gt_matvec
+from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, _g_matvec, _spd_failure_row
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,15 +172,17 @@ class StageCoupledSystem:
         P[i, i] = Gamma_st,   P[i, s] = P[s, i] = -D,   P[s, s] = Gamma_s
 
     The Woodbury factor ``W = Gamma^-1 U (I + V Gamma^-1 U)^-1`` has only two
-    distinct row blocks, one shared by all stages (``w_rows[:w]``) and one
-    for the reference (``w_rows[w:]``). A solve needs ``Gamma_st^-1`` per
-    stage plus one 2w-by-2w matrix ``f`` applied to ``(d_s, sum_i d_i)``,
-    which gives the stage correction ``y[:w]`` and ``z_s = y[w:]``:
+    distinct row blocks, one shared by all stages and one for the reference.
+    A solve needs ``Gamma_st^-1`` per stage plus one 2w-by-2w matrix ``f``
+    applied to ``(d_s, sum_i d_i)``, which gives the stage correction
+    ``y[:w]`` and ``z_s = y[w:]``:
 
         z_i = Gamma_st^-1 d_i - y[:w]
 
-    Every stored array is w-by-w or 2w-by-2w, whatever the horizon.
-    Immutable and safe to share across threads.
+    Only ``gamma_stage_inv`` and ``f`` are read by a solve; the three blocks
+    of the matrix itself are kept for :meth:`to_dense`. Every stored array
+    is w-by-w or 2w-by-2w, whatever the horizon. Immutable and safe to share
+    across threads.
     """
 
     horizon: int
@@ -183,8 +190,6 @@ class StageCoupledSystem:
     gamma_stage: np.ndarray
     gamma_ref: np.ndarray
     gamma_stage_inv: np.ndarray
-    gamma_ref_inv: np.ndarray
-    w_rows: np.ndarray
     f: np.ndarray
 
     @property
@@ -211,35 +216,10 @@ class StageCoupledSystem:
         ``I + V Gamma^-1 U = I + [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]``
         is singular.
         """
-        gamma_stage, gamma_ref, coupling = (
-            np.asarray(b, dtype=float) for b in (gamma_stage, gamma_ref, coupling)
-        )
-        w = coupling.shape[0]
-        g_st = _spd_inverse(gamma_stage, "stage core block")
-        g_s = _spd_inverse(gamma_ref, "reference core block")
-        zero = np.zeros((w, w))
-        # distinct row blocks of Gamma^-1 U: stages (-Gamma_st^-1 D, 0), reference (0, Gamma_s^-1)
-        gamma_inv_u = np.block([[-g_st @ coupling, zero], [zero, g_s]])
-        core = np.eye(2 * w) + np.block([[zero, g_s], [horizon * coupling @ g_st @ coupling, zero]])
-        w_rows = _fold_core(gamma_inv_u, core)
-        # V Gamma^-1 d = blkdiag(Gamma_s^-1, -D Gamma_st^-1) (d_s, sum_i d_i)
-        v_gamma_inv = np.block([[g_s, zero], [zero, -coupling @ g_st]])
-        correction = w_rows @ v_gamma_inv
-        f = np.vstack([correction[:w], np.hstack([g_s, zero]) - correction[w:]])
-        return cls(
-            horizon=horizon,
-            coupling=coupling,
-            gamma_stage=gamma_stage,
-            gamma_ref=gamma_ref,
-            gamma_stage_inv=g_st,
-            gamma_ref_inv=g_s,
-            w_rows=w_rows,
-            f=f,
-        )
+        return _split_primal(gamma_stage, gamma_ref, coupling, horizon)[0]
 
     def solve(self, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Solve ``P z = d`` in O(N w^2); ``out``, when given, receives ``z``."""
-        n, w = self.horizon, self.width
         d = np.asarray(d, dtype=float)
         if d.shape != (self.n,):
             raise DimensionMismatch(f"expected right-hand side of length {self.n}")
@@ -248,14 +228,23 @@ class StageCoupledSystem:
         elif out.shape != (self.n,) or not out.flags["C_CONTIGUOUS"]:
             # a reshaped slice of a strided buffer would detach from it silently
             raise DimensionMismatch("out must be a contiguous vector of the right length")
+        self._solve(d, out[: self.horizon * self.width].reshape(self.horizon, -1), out)
+        return out
+
+    def _solve(self, d: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`solve` without its checks; returns ``y``.
+
+        ``a``, of shape ``(N, w)``, receives the rows ``Gamma_st^-1 d_i``; it
+        may be the stage view of ``out``.
+        """
+        n, w = a.shape
         stages = d[: n * w].reshape(n, w)
         y = self.f @ np.concatenate((d[n * w :], stages.sum(axis=0)))
         # row i of stages @ Gamma_st^-1 is Gamma_st^-1 d_i, the inverse being symmetric
-        out_stages = out[: n * w].reshape(n, w)
-        np.matmul(stages, self.gamma_stage_inv, out=out_stages)
-        out_stages -= y[:w]
+        np.matmul(stages, self.gamma_stage_inv, out=a)
+        np.subtract(a, y[:w], out=out[: n * w].reshape(n, w))
         out[n * w :] = y[w:]
-        return out
+        return y
 
     def to_dense(self) -> np.ndarray:
         """The full n-by-n matrix (test helper)."""
@@ -264,6 +253,37 @@ class StageCoupledSystem:
             [np.kron(np.eye(n), self.gamma_stage), np.tile(-self.coupling, (n, 1))],
             [np.tile(-self.coupling, (1, n)), self.gamma_ref],
         ])
+
+
+def _split_primal(
+    gamma_stage: np.ndarray, gamma_ref: np.ndarray, coupling: np.ndarray, horizon: int
+) -> tuple[StageCoupledSystem, np.ndarray, np.ndarray]:
+    """:meth:`StageCoupledSystem.build`, plus ``Gamma_s^-1`` and the two row
+    blocks of ``W`` stacked, which the dual-space build reads once."""
+    gamma_stage, gamma_ref, coupling = (
+        np.asarray(b, dtype=float) for b in (gamma_stage, gamma_ref, coupling)
+    )
+    w = coupling.shape[0]
+    g_st = _spd_inverse(gamma_stage, "stage core block")
+    g_s = _spd_inverse(gamma_ref, "reference core block")
+    zero = np.zeros((w, w))
+    # distinct row blocks of Gamma^-1 U: stages (-Gamma_st^-1 D, 0), reference (0, Gamma_s^-1)
+    gamma_inv_u = np.block([[-g_st @ coupling, zero], [zero, g_s]])
+    core = np.eye(2 * w) + np.block([[zero, g_s], [horizon * coupling @ g_st @ coupling, zero]])
+    w_rows = _fold_core(gamma_inv_u, core)
+    # V Gamma^-1 d = blkdiag(Gamma_s^-1, -D Gamma_st^-1) (d_s, sum_i d_i)
+    v_gamma_inv = np.block([[g_s, zero], [zero, -coupling @ g_st]])
+    correction = w_rows @ v_gamma_inv
+    f = np.vstack([correction[:w], np.hstack([g_s, zero]) - correction[w:]])
+    system = StageCoupledSystem(
+        horizon=horizon,
+        coupling=coupling,
+        gamma_stage=gamma_stage,
+        gamma_ref=gamma_ref,
+        gamma_stage_inv=g_st,
+        f=f,
+    )
+    return system, g_s, w_rows
 
 
 def solve_semibanded(
@@ -287,17 +307,76 @@ def solve_semibanded(
     return out
 
 
+def gt_fold_blocks(
+    p_system: StageCoupledSystem, w_system: SemiBandedSystem, g: PredictionSparseMatrix
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks that fold ``G'`` into the KKT chain's second primal solve.
+
+    With ``E = [I 0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of
+    ``G' mu`` is ``-mu_i E + mu_{i+1} C``, except that ``mu_0`` enters with a
+    plus sign. The returned ``window`` (2n_x-by-w) is ``[E ; -C]
+    Gamma_st^-1``, so ``-[mu_i, mu_{i+1}] window`` is the stage block of
+    ``Gamma_st^-1 G' mu`` once ``mu_0`` is negated.
+
+    The sums the primal solve needs, ``((G' mu)_s, sum_i (G' mu)_i)``, are
+    linear in the four stage sums ``(mu_0, mu_1 + .. + mu_{N-1}, mu_N,
+    mu_{N+1})``, and these follow from the stage sums ``s`` of ``z1`` in the
+    dual solve ``mu = z1 - W (V z1)`` as ``(I - S(W) V_blocks) s``, with
+    ``S(W)`` the stage sums of ``W``'s rows. The returned ``sums``
+    (2w-by-4n_x) is ``-f`` times both maps, so that the second solve's
+    ``y`` is ``sums @ s - y1``. Neither block depends on the horizon.
+    """
+    nx, nu, n = g.n_x, g.n_u, g.horizon
+    w = nx + nu
+    e = np.eye(nx, w)
+    c = np.hstack([g.a, g.b])
+    window = np.vstack([e, -c]) @ p_system.gamma_stage_inv
+    zero = np.zeros((w, nx))
+    # (G' mu)_s = mu_{N+1} [A - I, B] - mu_N E; sum_i (G' mu)_i = s_0 E + s_1 (C - E) + s_2 C
+    gt_sums = np.block([
+        [zero, zero, -e.T, np.hstack([g._a_minus_eye, g.b]).T],
+        [e.T, (c - e).T, c.T, zero],
+    ])
+    v = w_system.v
+    w_sums = np.add.reduceat(w_system.w.reshape(n + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
+    mu_sums = np.eye(4 * nx) - w_sums @ v.blocks
+    return window, -(p_system.f @ gt_sums @ mu_sums)
+
+
 @dataclass
 class KktWorkspace:
-    """Reusable buffers for the three-solve KKT chain."""
+    """Buffers and stage views for the KKT chain of one problem size.
 
+    ``z`` and ``mu`` receive the chain's results; the next call with the
+    same workspace overwrites them.
+    """
+
+    a: np.ndarray
     xi: np.ndarray
-    p_rhs: np.ndarray
-    w_rhs: np.ndarray
+    rhs: np.ndarray
+    mu: np.ndarray
+    z: np.ndarray
+    rhs_blocks: np.ndarray
+    mu_pin: np.ndarray
+    mu_window: np.ndarray
+    z_stages: np.ndarray
 
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
-        return cls(xi=np.empty(data.n_z), p_rhs=np.empty(data.n_z), w_rhs=np.empty(data.m_z))
+        n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
+        rhs, mu, z = np.empty(data.m_z), np.empty(data.m_z), np.empty(data.n_z)
+        return cls(
+            a=np.empty((n, w)),
+            xi=np.empty(data.n_z),
+            rhs=rhs,
+            mu=mu,
+            z=z,
+            rhs_blocks=rhs.reshape(n + 2, nx),
+            mu_pin=mu[:nx],
+            # row i is (mu_i, mu_{i+1}): overlapping windows, no copy
+            mu_window=sliding_window_view(mu, 2 * nx)[::nx][:n],
+            z_stages=z[: n * w].reshape(n, w),
+        )
 
 
 def solve_kkt_system(
@@ -308,11 +387,14 @@ def solve_kkt_system(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the equality-constrained QP optimality system for given (p, b).
 
-    Returns ``(z, mu)`` with ``G z = b`` and ``P z + G^T mu + p = 0``: first the
-    primal-space solve for the unconstrained step, then the dual-space solve
-    for the multipliers, then the primal-space solve for the final iterate.
-    The multipliers are returned for residual diagnostics even though the
-    outer iteration discards them.
+    Returns ``(z, mu)`` with ``G z = b`` and ``P z + G^T mu + p = 0``: the
+    primal-space solve for the unconstrained step ``xi``, the dual-space
+    solve for the multipliers, and the second primal-space solve fused with
+    the ``G'`` product before it (see :func:`gt_fold_blocks`). The
+    multipliers are returned for residual diagnostics even though the outer
+    iteration discards them. With ``work`` given, ``z`` and ``mu`` are its
+    buffers. The arguments are checked here, once; the ADMM loop runs the
+    same chain on its own checked buffers.
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -322,16 +404,41 @@ def solve_kkt_system(
         raise DimensionMismatch(f"b must have length {data.m_z}")
     if work is None:
         work = KktWorkspace.for_problem(data)
+    elif work.a.shape != (data.params.N, data.n_x + data.n_u) or work.mu.shape != (data.m_z,):
+        raise DimensionMismatch("work was made for a problem of another size")
+    return _solve_kkt(data, p, b, work)
 
-    xi = data.p_system.solve(p, out=work.xi)
 
-    g_matvec(data.g, xi, out=work.w_rhs)
-    work.w_rhs += b
-    np.negative(work.w_rhs, out=work.w_rhs)
-    mu = solve_semibanded(data.w_system, work.w_rhs)
+def _solve_kkt(
+    data: "PrecomputedData", p: np.ndarray, b: np.ndarray, work: KktWorkspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The chain of :func:`solve_kkt_system`, without its checks."""
+    w_sys, a, z_stages = data.w_system, work.a, work.z_stages
+    w = a.shape[1]
+    # xi = P^-1 p, keeping a_i = Gamma_st^-1 p_i for the second primal solve
+    y1 = data.p_system._solve(p, a, work.xi)
 
-    gt_matvec(data.g, mu, out=work.p_rhs)
-    work.p_rhs += p
-    np.negative(work.p_rhs, out=work.p_rhs)
-    z = data.p_system.solve(work.p_rhs)
-    return z, mu
+    # mu = W~^-1 rhs with rhs = -(G xi + b): z1 overwrites rhs in the banded
+    # solve (info is nonzero only for an illegal argument, which the shapes
+    # fixed at build time rule out), and the stage sums of z1 serve both
+    # V z1 and the G' fold
+    rhs = _g_matvec(data.g, work.xi, work.rhs)
+    rhs += b
+    np.negative(rhs, out=rhs)
+    dpbtrs(w_sys.gamma.bands, rhs, lower=1, overwrite_b=1)
+    sums = np.add.reduceat(work.rhs_blocks, w_sys.v.offsets, axis=0).ravel()
+    np.matmul(w_sys.w, w_sys.v.blocks @ sums, out=work.mu)
+    np.subtract(rhs, work.mu, out=work.mu)
+
+    # z = P^-1 (-(G' mu + p)) stage by stage: z_i = [mu_i, mu_{i+1}] gt_window
+    # - a_i - y2[:w] and z_s = y2[w:], with mu_0 negated while the window
+    # product reads it
+    np.negative(work.mu_pin, out=work.mu_pin)
+    np.matmul(work.mu_window, data.gt_window, out=z_stages)
+    np.negative(work.mu_pin, out=work.mu_pin)
+    y2 = data.gt_sums @ sums
+    y2 -= y1
+    z_stages -= a
+    z_stages -= y2[:w]
+    work.z[a.size :] = y2[w:]
+    return work.z, work.mu

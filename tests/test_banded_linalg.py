@@ -11,7 +11,6 @@ from mpct_admm import (
     SymBandedMatrix,
     banded_cholesky_factor,
     g_matvec,
-    gt_matvec,
 )
 from mpct_admm.oracle import dense_dynamics
 
@@ -106,6 +105,18 @@ class TestBandedSolve:
         with pytest.raises(DimensionMismatch):
             factor.solve(np.ones(3))
 
+    def test_factor_is_column_major(self):
+        # dpbtrs reads the bands column-major; a row-major factor is copied on every solve
+        rng = np.random.default_rng(6)
+        m = random_spd_banded(rng, 40, 4)
+        factor = banded_cholesky_factor(m)
+        assert factor.bands.flags["F_CONTIGUOUS"]
+        row_major = np.ascontiguousarray(factor.bands)
+        assert row_major.flags["C_CONTIGUOUS"] and not row_major.flags["F_CONTIGUOUS"]
+        for d in (rng.standard_normal(40), rng.standard_normal((40, 3))):
+            expected = cho_solve_banded((row_major, True), d, check_finite=False)
+            np.testing.assert_array_equal(factor.solve(d), expected)
+
     def test_matrix_rhs(self):
         rng = np.random.default_rng(5)
         m = random_spd_banded(rng, 9, 2)
@@ -163,27 +174,11 @@ class TestPredictionMatrix:
             dense = dense_dynamics(model, n)
             x = rng.standard_normal(g.n_cols)
             assert np.abs(g_matvec(g, x) - dense @ x).max() <= 1e-13 * (1.0 + np.abs(dense @ x).max())
-            y = rng.standard_normal(g.n_rows)
-            assert np.abs(gt_matvec(g, y) - dense.T @ y).max() <= 1e-13 * (1.0 + np.abs(dense.T @ y).max())
-
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_adjoint_property(self, seed):
-        rng = np.random.default_rng(seed)
-        nx, nu, n = int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(1, 7))
-        g = PredictionSparseMatrix(a=rng.standard_normal((nx, nx)), b=rng.standard_normal((nx, nu)), horizon=n)
-        x = rng.standard_normal(g.n_cols)
-        y = rng.standard_normal(g.n_rows)
-        lhs = np.dot(g_matvec(g, x), y)
-        rhs = np.dot(x, gt_matvec(g, y))
-        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
 
     def test_dimension_mismatch(self):
         g = PredictionSparseMatrix(a=np.eye(2), b=np.ones((2, 1)), horizon=2)
         with pytest.raises(DimensionMismatch):
             g_matvec(g, np.zeros(g.n_cols + 1))
-        with pytest.raises(DimensionMismatch):
-            gt_matvec(g, np.zeros(g.n_rows - 1))
 
 
 class TestLapackCallsMatchScipy:
@@ -217,14 +212,3 @@ class TestLapackCallsMatchScipy:
             [states[0], (states @ g.a.T + inputs @ g.b.T - nxt).ravel(), a_minus_eye @ xs + g.b @ us]
         )
         np.testing.assert_array_equal(g_matvec(g, x), expected)
-
-        y = rng.standard_normal(g.n_rows)
-        blocks = y.reshape(n + 2, nx)
-        mid, last = blocks[1 : n + 1], blocks[n + 1]
-        top = mid @ g.a
-        top[0] += blocks[0]
-        top[1:] -= mid[:-1]
-        expected = np.concatenate(
-            [np.hstack([top, mid @ g.b]).ravel(), a_minus_eye.T @ last - mid[-1], g.b.T @ last]
-        )
-        np.testing.assert_array_equal(gt_matvec(g, y), expected)

@@ -73,6 +73,19 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match="sample_time"):
             replace(integrator_scenario, sample_time=sample_time)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("trials", 2.5), ("trials", 0), ("steps", 2.5), ("steps", -1), ("seed", -3), ("seed", 1.5)],
+    )
+    def test_whole_number_fields_validated(self, integrator_scenario, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(integrator_scenario, **{field: value})
+
+    def test_whole_number_fields_stored_as_ints(self, integrator_scenario):
+        sc = replace(integrator_scenario, trials=3.0, steps=4.0, seed=5.0)
+        assert (sc.trials, sc.steps, sc.seed) == (3, 4, 5)
+        assert all(type(x) is int for x in (sc.trials, sc.steps, sc.seed))
+
     def test_inline_problem(self):
         obj = {
             "format": "mpct-scenario-v1",

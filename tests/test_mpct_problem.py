@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from mpct_admm import (
     DiagonalScaling,
@@ -76,8 +77,11 @@ class TestBuildProblem:
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
             w = data.n_x + data.n_u
-            w_rows = data.p_system.w_rows
-            u_dense = -g @ np.vstack([np.tile(w_rows[:w], (params.N, 1)), w_rows[w:]])
+            # U of the primal split, and W = P^-1 U, rebuilt from the parameters
+            d = block_diag(params.Q, params.R)
+            zero = np.zeros((params.N * w, w))
+            u_p = np.block([[np.tile(-d, (params.N, 1)), zero], [zero[:w], np.eye(w)]])
+            u_dense = -g @ np.linalg.solve(p_dense, u_p)
             w_sys = data.w_system
             w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + u_dense @ (w_sys.v @ np.eye(data.m_z))
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.linalg import block_diag
 
 from mpct_admm import (
     DimensionMismatch,
+    KktWorkspace,
     NotPositiveDefinite,
     SemiBandedSystem,
     SingularSmallSystem,
@@ -18,10 +20,12 @@ from mpct_admm import (
     banded_cholesky_factor,
     build_problem,
     load_problem,
+    load_scenario,
     solve_kkt_system,
     solve_semibanded,
 )
 from mpct_admm.oracle import dense_dynamics, dense_hessian, dense_instance, dense_kkt_solve
+from mpct_admm.semiband_solver import _spd_inverse
 
 from conftest import random_controllable_model, random_instance, random_params, random_spd
 
@@ -155,6 +159,7 @@ def reachable_arrays(obj, seen=None):
 
 
 BUNDLED_MODELS = ["ball_plate_like.json", "double_integrator.json", "mass_spring.json"]
+SCENARIO = "scenario_ball_plate.json"
 
 
 def bundled_data(name):
@@ -173,7 +178,7 @@ def dense_dual_v(data):
     ps = data.p_system
     d = ps.coupling
     gamma = block_diag(*([ps.gamma_stage] * n), ps.gamma_ref)
-    gamma_inv = block_diag(*([ps.gamma_stage_inv] * n), ps.gamma_ref_inv)
+    gamma_inv = block_diag(*([ps.gamma_stage_inv] * n), _spd_inverse(ps.gamma_ref, "reference core block"))
     u_p = np.block([[np.tile(-d, (n, 1)), np.zeros((n * w, w))], [np.zeros((w, w)), np.eye(w)]])
     v_p = np.block([[np.zeros((w, n * w)), np.eye(w)], [np.tile(-d, (1, n)), np.zeros((w, w))]])
     # the rebuilt split is the primal matrix the solver factors
@@ -220,6 +225,7 @@ class TestDualSystemStructure:
     def test_gamma_keeps_only_its_nonzero_bands(self, name, expected):
         data = bundled_data(name)
         gamma = data.w_system.gamma
+        assert gamma.bands.flags["F_CONTIGUOUS"]
         core = gamma.to_dense() @ gamma.to_dense().T
         last = max(k for k in range(data.m_z) if np.any(np.diag(core, -k) != 0.0))
         assert gamma.half_bandwidth == last == expected
@@ -303,7 +309,10 @@ class TestStageCoupledSystem:
             arrays = reachable_arrays(data.p_system)
             assert arrays
             assert all(data.n_z not in a.shape and a.size <= (2 * 6) ** 2 for a in arrays)
-            sizes.append(sum(a.nbytes for a in arrays))
+            # the blocks that fold G' into the second primal solve
+            blocks = (data.gt_window, data.gt_sums)
+            assert [blk.shape for blk in blocks] == [(2 * 4, 6), (2 * 6, 4 * 4)]
+            sizes.append(sum(a.nbytes for a in arrays) + sum(blk.nbytes for blk in blocks))
         assert sizes[0] == sizes[1] == sizes[2]
 
 
@@ -344,6 +353,56 @@ class TestSolveKkt:
             solve_kkt_system(data, np.zeros(data.n_z + 1), np.zeros(data.m_z))
         with pytest.raises(DimensionMismatch):
             solve_kkt_system(data, np.zeros(data.n_z), np.zeros(data.m_z - 1))
+
+    def test_workspace_of_another_size_rejected(self, integrator_model, integrator_params):
+        data = build_problem(integrator_model, integrator_params)
+        other = build_problem(integrator_model, replace(integrator_params, N=3))
+        with pytest.raises(DimensionMismatch, match="work"):
+            solve_kkt_system(data, np.zeros(data.n_z), np.zeros(data.m_z), work=KktWorkspace.for_problem(other))
+
+    def test_results_land_in_the_workspace(self):
+        data = bundled_data("double_integrator.json")
+        rng = np.random.default_rng(8)
+        p, b = rng.standard_normal(data.n_z), rng.standard_normal(data.m_z)
+        z_fresh, mu_fresh = solve_kkt_system(data, p, b)
+        work = KktWorkspace.for_problem(data)
+        z, mu = solve_kkt_system(data, p, b, work=work)
+        assert z is work.z and mu is work.mu
+        np.testing.assert_array_equal(z, z_fresh)
+        np.testing.assert_array_equal(mu, mu_fresh)
+
+    @pytest.mark.parametrize(
+        "source",
+        [(1, 1, 2), (3, 1, 2), (2, 1, 5), (4, 2, 9), *BUNDLED_MODELS, SCENARIO],
+        ids=["n_x-1-horizon-2", "one-input-horizon-2", "one-input", "4x2", *BUNDLED_MODELS, "scaled-scenario"],
+    )
+    def test_fused_chain_against_dense_oracle(self, source):
+        # both outputs, z and mu, satisfy both rows of the KKT system, and
+        # match the oracle's dense saddle-point solve
+        if source == SCENARIO:
+            sc = load_scenario(str(resources.files("mpct_admm") / "models" / SCENARIO))
+            data = build_problem(sc.model, sc.params, sc.scaling)
+        elif isinstance(source, str):
+            data = bundled_data(source)
+        else:
+            data = random_data(*source)  # Q and R are not diagonal
+        model, params = data.model, data.params  # already scaled
+        rng = np.random.default_rng(data.n_z)
+        g = dense_dynamics(model, params.N)
+        p_mat = dense_hessian(params) + params.rho * np.eye(data.n_z)
+        nx, nu = model.n_x, model.n_u
+        inst = dense_instance(model, params, np.zeros(nx), np.zeros(nx), np.zeros(nu))
+        work = KktWorkspace.for_problem(data)
+        for _ in range(3):
+            p = rng.standard_normal(data.n_z)
+            b = rng.standard_normal(data.m_z)
+            z, mu = solve_kkt_system(data, p, b, work=work)
+            assert np.abs(g @ z - b).max() <= 1e-9 * (1.0 + np.abs(b).max())
+            stat = p_mat @ z + g.T @ mu + p
+            assert np.abs(stat).max() <= 1e-9 * (1.0 + np.abs(p).max())
+            z_ref, mu_ref = dense_kkt_solve(inst, p, b)
+            assert np.abs(z - z_ref).max() <= 1e-9 * (1.0 + np.abs(z_ref).max())
+            assert np.abs(mu - mu_ref).max() <= 1e-9 * (1.0 + np.abs(mu_ref).max())
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
