@@ -8,6 +8,7 @@ projected-iterate change drop below their tolerances in the infinity norm.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -74,8 +75,9 @@ def v_update(
     This is the exact minimizer of the projection subproblem, which separates
     per coordinate; infinite bounds never clip.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
+    # written so that NaN fails too
+    if not rho > 0.0:
+        raise ValueError(f"rho must be positive, got {rho!r}")
     z_next = np.asarray(z_next, dtype=float)
     lam = np.asarray(lam, dtype=float)
     if not (z_next.shape == lam.shape == np.shape(v_lo) == np.shape(v_hi)):
@@ -130,10 +132,15 @@ def admm_solve(
     lam = state.lam
     z = state.z
     work = KktWorkspace.for_problem(data)
-    # per-solve buffers; v and v_next swap roles every iteration
+    # the chain runs with the pin row of G negated, and so with b's pin block
+    b = qp.b.copy()
+    np.negative(b[: data.n_x], out=b[: data.n_x])
+    # per-solve buffers; v and v_next swap roles every iteration, and the
+    # rows of gaps receive z - v_next and v_next - v
     p = np.empty(data.n_z)
     v_next = np.empty(data.n_z)
-    diff = np.empty(data.n_z)
+    gaps = np.empty((2, data.n_z))
+    step, change = gaps
     status = SolveStatus.MAX_ITERATIONS
     primal = np.inf
     dual = np.inf
@@ -147,20 +154,19 @@ def admm_solve(
             # v_update and lam += rho * (z - v_next), so iterates match them
             # bit for bit; the operands were checked above
             np.add(qp.q, lam, out=p)
-            np.multiply(rho, v, out=diff)
-            p -= diff
-            z, _ = _solve_kkt(data, p, qp.b, work)
+            np.multiply(rho, v, out=step)
+            p -= step
+            z, _ = _solve_kkt(data, p, b, work)
             np.divide(lam, rho, out=v_next)
             np.add(z, v_next, out=v_next)
             np.clip(v_next, qp.v_lo, qp.v_hi, out=v_next)
-            np.subtract(z, v_next, out=diff)
-            primal = float(np.abs(diff).max())
-            diff *= rho
-            lam += diff
-            np.subtract(v_next, v, out=diff)
-            dual = float(np.abs(diff).max())
+            np.subtract(z, v_next, out=step)
+            np.subtract(v_next, v, out=change)
+            primal, dual = np.abs(gaps).max(axis=1).tolist()
+            step *= rho
+            lam += step
             v, v_next = v_next, v
-            if not (np.isfinite(primal) and np.isfinite(dual)):
+            if not (math.isfinite(primal) and math.isfinite(dual)):
                 status = SolveStatus.NUMERICAL_ERROR
                 break
             if primal <= eps_p and dual <= eps_d:

@@ -5,8 +5,10 @@ Two matrix families cover the structured solves and products:
 * symmetric banded matrices in packed lower-band storage, with a LAPACK
   banded Cholesky factorization and triangular solves,
 * the sparse prediction-dynamics matrix, stored only by its pattern
-  (A, B, horizon) and applied through a dedicated matvec kernel; the KKT
-  chain applies its transpose stage by stage (see ``semiband_solver``).
+  (A, B, horizon) and applied through a dedicated matvec kernel. The
+  matvec serves the offline build and the tests; the KKT chain applies the
+  matrix and its transpose as products on stage windows instead (see
+  ``semiband_solver``).
 
 No full dense matrix is ever materialized here; the ``to_dense`` helpers
 exist for tests and small-scale verification only.
@@ -223,11 +225,6 @@ def g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray | None = 
     elif out.shape != (g.n_rows,) or not out.flags["C_CONTIGUOUS"]:
         # a reshaped slice of a strided buffer would detach from it silently
         raise DimensionMismatch("out must be a contiguous vector of the right length")
-    return _g_matvec(g, x, out)
-
-
-def _g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`g_matvec` without its checks: ``out`` is a contiguous ``(n_rows,)`` vector."""
     nx, nu, n = g.n_x, g.n_u, g.horizon
     w = nx + nu
     stages = x[: n * w].reshape(n, w)

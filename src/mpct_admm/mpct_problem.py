@@ -7,14 +7,19 @@ stage to the artificial reference through the same block ``-diag(Q, R)``;
 it is kept as its distinct stage and reference blocks only. The dual-space
 matrix splits into a banded core plus a completion of the same rank whose
 right factor repeats one column block across the stage couplings.
-Both are factored here, with their small Woodbury cores folded in, and the
-two small blocks that fold the ``G'`` product into the second primal solve
+Both are factored here, with their small Woodbury cores folded in. The
+dual-space matrix is formed for the dynamics matrix with its initial-state
+pin row negated (``-x_0 = -x_t``), so that every constraint row block
+``i = 0 .. N`` reads ``C z_{i-1} - E z_i`` with ``C = [A B]``, ``E = [I 0]``,
+``z_{-1} = 0`` and ``z_N = (x_s, u_s)``. The three small blocks through
+which the KKT chain applies that matrix and its transpose on stage windows
 are formed here too, so that the online phase is vector assembly only.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,7 +31,6 @@ from .banded_linalg import (
     SymBandedMatrix,
     _spd_failure_row,
     banded_cholesky_factor,
-    g_matvec,
 )
 from .errors import (
     DimensionMismatch,
@@ -185,6 +189,9 @@ class MpctParams:
             if not val > 0.0:
                 raise ValueError(f"{name} must be positive")
             object.__setattr__(self, name, val)
+        # an infinite penalty leaves no finite core to factor
+        if not math.isfinite(self.rho):
+            raise ValueError(f"rho must be finite, got {self.rho!r}")
         object.__setattr__(self, "max_iter", _whole_number(self.max_iter, "max_iter", 1))
 
     @property
@@ -295,11 +302,14 @@ class PrecomputedData:
     the core's nonzero bands, plus the Woodbury factors: ``v`` as its four
     distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
     :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
-    ``2(n_x+n_u)``. ``gt_window`` (``2n_x`` by ``n_x+n_u``) and ``gt_sums``
-    (``2(n_x+n_u)`` by ``4n_x``) fold the ``G'`` product into the KKT
-    chain's second primal solve (see
-    :func:`~mpct_admm.semiband_solver.gt_fold_blocks`); neither grows with
-    ``N``.
+    ``2(n_x+n_u)``. ``w_system`` is formed for ``g`` with its pin row
+    negated; ``g`` itself keeps the sign of the dynamics. ``g_window``
+    (``2(n_x+n_u)`` by ``n_x``) is ``[-C' ; E']``, so that row block ``i``
+    of ``-G z`` for that negated ``G`` is ``[z_{i-1}, z_i] g_window``.
+    ``gt_window`` (``2n_x`` by ``n_x+n_u``) and ``gt_sums`` (``2(n_x+n_u)``
+    by ``4n_x``) fold the ``G'`` product into the KKT chain's second primal
+    solve (see :func:`~mpct_admm.semiband_solver.gt_fold_blocks`). None of
+    the three grows with ``N``.
     """
 
     model: LtiModel
@@ -310,6 +320,7 @@ class PrecomputedData:
     v_hi: np.ndarray
     p_system: StageCoupledSystem
     w_system: SemiBandedSystem
+    g_window: np.ndarray
     gt_window: np.ndarray
     gt_sums: np.ndarray
 
@@ -334,9 +345,17 @@ class PrecomputedData:
         return 2 * (self.n_x + self.n_u)
 
 
-def _stack_stages(stage: np.ndarray, ref: np.ndarray, n: int) -> np.ndarray:
-    """Dense matrix of ``n`` copies of the row block ``stage`` above ``ref``."""
-    return np.vstack([np.tile(stage, (n, 1)), ref])
+def _minus_g_blocks(g_window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
+    """The four distinct row blocks of ``-G X`` for the pin-negated ``G``.
+
+    ``X`` repeats the row block ``stage`` over the N stages above ``ref``, so
+    ``-G X`` takes four values, each ``[X_{i-1} ; X_i]`` read through
+    ``g_window``: the pin ``(0, stage)``, the stage couplings ``(stage,
+    stage)``, the handoff ``(stage, ref)`` and the equilibrium row ``(ref,
+    ref)``.
+    """
+    pairs = ((np.zeros_like(stage), stage), (stage, stage), (stage, ref), (ref, ref))
+    return [g_window.T @ np.vstack(pair) for pair in pairs]
 
 
 def _scatter_diag_block(bands: np.ndarray, offset: int, block: np.ndarray) -> None:
@@ -361,12 +380,14 @@ def _gamma_tilde_banded(
 ) -> SymBandedMatrix:
     """Banded core of the dual-space matrix, assembled block by block.
 
-    The product of the dynamics pattern with the inverted block-diagonal core
-    is block tridiagonal; the blocks follow directly from which decision
-    blocks each pair of constraint rows shares. With ``n_x``-wide blocks the
-    half-bandwidth is at most ``2 n_x - 1``; the bands past the last one that
-    is not all zero are dropped. A banded Cholesky factor has no fill outside
-    its input band, so the trim is exact.
+    The product of the pin-negated dynamics pattern with the inverted
+    block-diagonal core is block tridiagonal; the blocks follow directly from
+    which decision blocks each pair of constraint rows shares. Rows ``i`` and
+    ``i+1`` share ``z_i``, read as ``-E z_i`` and ``C z_i``, for every
+    ``i < N``, so all but the last sub-diagonal block are ``-A D_x``. With
+    ``n_x``-wide blocks the half-bandwidth is at most ``2 n_x - 1``; the
+    bands past the last one that is not all zero are dropped. A banded
+    Cholesky factor has no fill outside its input band, so the trim is exact.
     """
     nx = model.n_x
     n = params.N
@@ -387,9 +408,8 @@ def _gamma_tilde_banded(
     _scatter_diag_block(bands, n * nx, t_last)
     _scatter_diag_block(bands, (n + 1) * nx, t_s)
 
-    _scatter_sub_block(bands, 0, nx, a @ d_x)
     neg_adx = -(a @ d_x)
-    for i in range(1, n):
+    for i in range(n):
         _scatter_sub_block(bands, i * nx, nx, neg_adx)
     _scatter_sub_block(bands, n * nx, nx, -(a_eye @ d_xs))
 
@@ -442,21 +462,17 @@ def build_problem(
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
         ) from None
 
-    # u_tilde = -G W through a dense (n_z, 2w) temporary whose stage row
-    # blocks all repeat one block
+    # [-C' ; E'] with C = [A B] and E = [I 0]
+    g_window = np.vstack([-np.hstack([model.A, model.B]).T, np.eye(w, nx)])
+    # u_tilde = -G W. W repeats one row block over the stages, and so does
+    # Gamma^-1 V^T in v_tilde = (G Gamma^-1 V^T)^T
     zero = np.zeros((w, w))
-    w_dense = _stack_stages(w_rows[:w], w_rows[w:], n)
-    u_tilde = np.column_stack([-g_matvec(g, col) for col in w_dense.T])
-    # v_tilde = (G Gamma^-1 V^T)^T. Gamma^-1 V^T repeats one row block over
-    # the stages, so the row blocks of G times it take four distinct values:
-    # the pin, the stage couplings 1..N-1, the handoff and the equilibrium row
+    pin, coupled, handoff, equilibrium = _minus_g_blocks(g_window, w_rows[:w], w_rows[w:])
+    u_tilde = np.vstack([pin, np.tile(coupled, (n - 1, 1)), handoff, equilibrium])
     stage = np.hstack([zero, -g_st @ coupling])
     ref = np.hstack([g_s, zero])
-    coupled = model.A @ stage[:nx] + model.B @ stage[nx:]
-    equilibrium = (model.A - np.eye(nx)) @ ref[:nx] + model.B @ ref[nx:]
     v_tilde = StageSumMatrix(
-        horizon=n,
-        blocks=np.vstack([stage[:nx], coupled - stage[:nx], coupled - ref[:nx], equilibrium]).T,
+        horizon=n, blocks=-np.vstack(_minus_g_blocks(g_window, stage, ref)).T
     )
 
     w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, v_tilde)
@@ -471,6 +487,7 @@ def build_problem(
         v_hi=v_hi,
         p_system=p_system,
         w_system=w_system,
+        g_window=g_window,
         gt_window=gt_window,
         gt_sums=gt_sums,
     )

@@ -18,9 +18,14 @@ artificial reference through one repeated block and is solved stage by stage
 banded core (:class:`SemiBandedSystem`), whose ``V`` repeats one column
 block across the stage couplings and is applied as a stage sum
 (:class:`StageSumMatrix`). :func:`solve_kkt_system` runs the chain in one
-stage-blocked pass: the second primal solve and the ``G'`` product before it
-collapse into one product per stage window of the multipliers plus one
-small product with the four stage sums the dual solve already takes.
+stage-blocked pass, for ``G`` with its initial-state pin row negated so that
+every constraint row block ``i = 0 .. N`` reads ``C z_{i-1} - E z_i``. Each
+half of the chain is then one product on overlapping stage windows: the
+``G`` product after the first primal solve reads the windows
+``(xi_{i-1}, xi_i)`` of the unconstrained step, and the second primal solve,
+with the ``G'`` product before it, reads the windows ``(mu_i, mu_{i+1})`` of
+the multipliers plus one small product with the four stage sums the dual
+solve already takes.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.linalg.lapack import dpbtrs
 
-from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, _g_matvec, _spd_failure_row
+from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, _spd_failure_row
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -312,11 +317,11 @@ def gt_fold_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two blocks that fold ``G'`` into the KKT chain's second primal solve.
 
-    With ``E = [I 0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of
-    ``G' mu`` is ``-mu_i E + mu_{i+1} C``, except that ``mu_0`` enters with a
-    plus sign. The returned ``window`` (2n_x-by-w) is ``[E ; -C]
-    Gamma_st^-1``, so ``-[mu_i, mu_{i+1}] window`` is the stage block of
-    ``Gamma_st^-1 G' mu`` once ``mu_0`` is negated.
+    ``G`` here has its pin row negated, as in ``w_system``. With ``E = [I
+    0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of ``G' mu`` is
+    then ``-mu_i E + mu_{i+1} C`` for every ``i``. The returned ``window``
+    (2n_x-by-w) is ``[E ; -C] Gamma_st^-1``, so ``-[mu_i, mu_{i+1}] window``
+    is the stage block of ``Gamma_st^-1 G' mu``.
 
     The sums the primal solve needs, ``((G' mu)_s, sum_i (G' mu)_i)``, are
     linear in the four stage sums ``(mu_0, mu_1 + .. + mu_{N-1}, mu_N,
@@ -332,10 +337,10 @@ def gt_fold_blocks(
     c = np.hstack([g.a, g.b])
     window = np.vstack([e, -c]) @ p_system.gamma_stage_inv
     zero = np.zeros((w, nx))
-    # (G' mu)_s = mu_{N+1} [A - I, B] - mu_N E; sum_i (G' mu)_i = s_0 E + s_1 (C - E) + s_2 C
+    # (G' mu)_s = mu_{N+1} (C - E) - mu_N E; sum_i (G' mu)_i = -s_0 E + s_1 (C - E) + s_2 C
     gt_sums = np.block([
-        [zero, zero, -e.T, np.hstack([g._a_minus_eye, g.b]).T],
-        [e.T, (c - e).T, c.T, zero],
+        [zero, zero, -e.T, (c - e).T],
+        [-e.T, (c - e).T, c.T, zero],
     ])
     v = w_system.v
     w_sums = np.add.reduceat(w_system.w.reshape(n + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
@@ -347,33 +352,41 @@ def gt_fold_blocks(
 class KktWorkspace:
     """Buffers and stage views for the KKT chain of one problem size.
 
-    ``z`` and ``mu`` receive the chain's results; the next call with the
-    same workspace overwrites them.
+    The unconstrained step ``xi`` lives in a buffer of ``N + 3`` blocks of
+    width ``w``: a zero block, ``xi`` itself, and a second copy of its
+    reference block ``xi_s``. Row ``i`` of ``xi_window`` is then ``(xi_{i-1},
+    xi_i)`` for ``i = 0 .. N+1``, with ``xi_{-1} = 0`` and ``xi_N = xi_{N+1}
+    = xi_s``, and row ``i`` of ``mu_window`` is ``(mu_i, mu_{i+1})`` for ``i
+    = 0 .. N-1``; both are overlapping views, not copies. ``z`` and ``mu``
+    receive the chain's results, ``mu`` with the sign of the pin-negated
+    ``G``; the next call with the same workspace overwrites them.
     """
 
     a: np.ndarray
     xi: np.ndarray
+    xi_tail: np.ndarray
+    xi_window: np.ndarray
     rhs: np.ndarray
     mu: np.ndarray
     z: np.ndarray
     rhs_blocks: np.ndarray
-    mu_pin: np.ndarray
     mu_window: np.ndarray
     z_stages: np.ndarray
 
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
         n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
+        xi_padded = np.zeros((n + 3) * w)
         rhs, mu, z = np.empty(data.m_z), np.empty(data.m_z), np.empty(data.n_z)
         return cls(
             a=np.empty((n, w)),
-            xi=np.empty(data.n_z),
+            xi=xi_padded[w : (n + 2) * w],
+            xi_tail=xi_padded[(n + 2) * w :],
+            xi_window=sliding_window_view(xi_padded, 2 * w)[::w],
             rhs=rhs,
             mu=mu,
             z=z,
             rhs_blocks=rhs.reshape(n + 2, nx),
-            mu_pin=mu[:nx],
-            # row i is (mu_i, mu_{i+1}): overlapping windows, no copy
             mu_window=sliding_window_view(mu, 2 * nx)[::nx][:n],
             z_stages=z[: n * w].reshape(n, w),
         )
@@ -388,16 +401,20 @@ def solve_kkt_system(
     """Solve the equality-constrained QP optimality system for given (p, b).
 
     Returns ``(z, mu)`` with ``G z = b`` and ``P z + G^T mu + p = 0``: the
-    primal-space solve for the unconstrained step ``xi``, the dual-space
-    solve for the multipliers, and the second primal-space solve fused with
-    the ``G'`` product before it (see :func:`gt_fold_blocks`). The
-    multipliers are returned for residual diagnostics even though the outer
-    iteration discards them. With ``work`` given, ``z`` and ``mu`` are its
-    buffers. The arguments are checked here, once; the ADMM loop runs the
-    same chain on its own checked buffers.
+    primal-space solve for the unconstrained step ``xi`` and the ``G``
+    product after it, the dual-space solve for the multipliers, and the
+    second primal-space solve fused with the ``G'`` product before it (see
+    :func:`gt_fold_blocks`). The multipliers are returned for residual
+    diagnostics even though the outer iteration discards them. With ``work``
+    given, ``z`` and ``mu`` are its buffers. The arguments are checked here,
+    once; the ADMM loop runs the same chain on its own checked buffers.
+
+    The chain runs with the pin row of ``G`` negated; this boundary negates
+    the pin block of a copy of ``b`` on the way in and that of ``mu`` on the
+    way out, so ``b`` and ``(z, mu)`` keep the sign of ``data.g``.
     """
     p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
+    b = np.array(b, dtype=float)
     if p.shape != (data.n_z,):
         raise DimensionMismatch(f"p must have length {data.n_z}")
     if b.shape != (data.m_z,):
@@ -406,36 +423,40 @@ def solve_kkt_system(
         work = KktWorkspace.for_problem(data)
     elif work.a.shape != (data.params.N, data.n_x + data.n_u) or work.mu.shape != (data.m_z,):
         raise DimensionMismatch("work was made for a problem of another size")
-    return _solve_kkt(data, p, b, work)
+    nx = data.n_x
+    np.negative(b[:nx], out=b[:nx])
+    z, mu = _solve_kkt(data, p, b, work)
+    np.negative(mu[:nx], out=mu[:nx])
+    return z, mu
 
 
 def _solve_kkt(
     data: "PrecomputedData", p: np.ndarray, b: np.ndarray, work: KktWorkspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of :func:`solve_kkt_system`, without its checks."""
+    """The chain of :func:`solve_kkt_system`, without its checks, for ``G``
+    with its pin row negated: the pin blocks of ``b`` and of the returned
+    ``mu`` are those of the public convention, negated."""
     w_sys, a, z_stages = data.w_system, work.a, work.z_stages
     w = a.shape[1]
     # xi = P^-1 p, keeping a_i = Gamma_st^-1 p_i for the second primal solve
     y1 = data.p_system._solve(p, a, work.xi)
+    work.xi_tail[:] = y1[w:]
 
-    # mu = W~^-1 rhs with rhs = -(G xi + b): z1 overwrites rhs in the banded
-    # solve (info is nonzero only for an illegal argument, which the shapes
-    # fixed at build time rule out), and the stage sums of z1 serve both
-    # V z1 and the G' fold
-    rhs = _g_matvec(data.g, work.xi, work.rhs)
-    rhs += b
-    np.negative(rhs, out=rhs)
+    # mu = W~^-1 rhs with rhs = -(G xi + b): row i of -G xi is [xi_{i-1},
+    # xi_i] g_window. z1 overwrites rhs in the banded solve (info is nonzero
+    # only for an illegal argument, which the shapes fixed at build time rule
+    # out), and the stage sums of z1 serve both V z1 and the G' fold
+    rhs = work.rhs
+    np.matmul(work.xi_window, data.g_window, out=work.rhs_blocks)
+    rhs -= b
     dpbtrs(w_sys.gamma.bands, rhs, lower=1, overwrite_b=1)
     sums = np.add.reduceat(work.rhs_blocks, w_sys.v.offsets, axis=0).ravel()
     np.matmul(w_sys.w, w_sys.v.blocks @ sums, out=work.mu)
     np.subtract(rhs, work.mu, out=work.mu)
 
     # z = P^-1 (-(G' mu + p)) stage by stage: z_i = [mu_i, mu_{i+1}] gt_window
-    # - a_i - y2[:w] and z_s = y2[w:], with mu_0 negated while the window
-    # product reads it
-    np.negative(work.mu_pin, out=work.mu_pin)
+    # - a_i - y2[:w] and z_s = y2[w:]
     np.matmul(work.mu_window, data.gt_window, out=z_stages)
-    np.negative(work.mu_pin, out=work.mu_pin)
     y2 = data.gt_sums @ sums
     y2 -= y1
     z_stages -= a

@@ -55,6 +55,11 @@ class TestVUpdate:
         with pytest.raises(ValueError):
             v_update(np.zeros(1), np.zeros(1), 0.0, np.zeros(1), np.ones(1))
 
+    def test_nan_rho_rejected(self):
+        # NaN fails every comparison, so a rho <= 0 test would let it through
+        with pytest.raises(ValueError, match="rho"):
+            v_update(np.zeros(1), np.zeros(1), np.nan, np.zeros(1), np.ones(1))
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_result_lies_in_box(self, seed):

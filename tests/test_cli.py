@@ -101,13 +101,29 @@ class TestSolve:
         assert main(["solve", str(path), "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_infinite_rho_flag_exits_three(self, integrator_problem, command, capsys):
+        extra = ["--x0", "0.5,0", "--xr", "2,0"] if command == "solve" else ["--samples", "1"]
+        assert main([command, integrator_problem, *extra, "--rho", "inf"]) == EXIT_INVALID_INPUT
+        assert "rho" in capsys.readouterr().err
+
+    def test_infinite_rho_in_problem_file_exits_three(self, integrator_problem, tmp_path, capsys):
+        obj = json.loads(Path(integrator_problem).read_text(encoding="utf-8"))
+        obj["params"]["rho"] = float("inf")
+        path = tmp_path / "infinite_rho.json"
+        path.write_text(json.dumps(obj))  # written as the JSON token Infinity
+        assert "Infinity" in path.read_text(encoding="utf-8")
+        assert main(["solve", str(path), "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
+        assert "rho" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_trajectory_csv(self, small_scenario, tmp_path, capsys):
         out = tmp_path / "traj.csv"
         code = main(["simulate", small_scenario, "-o", str(out)])
         assert code == EXIT_OK
-        rows = list(csv.DictReader(open(out)))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 12
         assert "x0" in rows[0] and "u0" in rows[0] and "iterations" in rows[0]
 

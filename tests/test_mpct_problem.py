@@ -73,7 +73,9 @@ class TestBuildProblem:
         for _ in range(6):
             model, params = random_instance(rng)
             data = build_problem(model, params)
+            # the dual system is formed for G with its pin row negated
             g = dense_dynamics(model, params.N)
+            g[: model.n_x] *= -1.0
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
             w = data.n_x + data.n_u
@@ -214,6 +216,11 @@ class TestValidation:
         params = MpctParams(**costs, N=3.0, max_iter=10.0)
         assert (params.N, params.max_iter) == (3, 10)
         assert isinstance(params.N, int) and isinstance(params.max_iter, int)
+
+    @pytest.mark.parametrize("rho", [np.inf, "inf", np.nan, -np.inf])
+    def test_rho_must_be_finite_and_positive(self, rho):
+        with pytest.raises(ValueError, match="rho"):
+            MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=2, rho=rho)
 
     def test_default_solver_parameters(self):
         params = MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=2)

@@ -183,7 +183,9 @@ def dense_dual_v(data):
     v_p = np.block([[np.zeros((w, n * w)), np.eye(w)], [np.tile(-d, (1, n)), np.zeros((w, w))]])
     # the rebuilt split is the primal matrix the solver factors
     np.testing.assert_allclose(gamma + u_p @ v_p, ps.to_dense(), rtol=0.0, atol=1e-14)
+    # the dual system is formed for G with its pin row negated
     g = dense_dynamics(data.model, n)
+    g[: data.n_x] *= -1.0
     return (g @ gamma_inv @ v_p.T).T
 
 
@@ -309,9 +311,10 @@ class TestStageCoupledSystem:
             arrays = reachable_arrays(data.p_system)
             assert arrays
             assert all(data.n_z not in a.shape and a.size <= (2 * 6) ** 2 for a in arrays)
-            # the blocks that fold G' into the second primal solve
-            blocks = (data.gt_window, data.gt_sums)
-            assert [blk.shape for blk in blocks] == [(2 * 4, 6), (2 * 6, 4 * 4)]
+            # the window blocks of the G and G' products, and the stage-sum
+            # block that folds G' into the second primal solve
+            blocks = (data.g_window, data.gt_window, data.gt_sums)
+            assert [blk.shape for blk in blocks] == [(2 * 6, 4), (2 * 4, 6), (2 * 6, 4 * 4)]
             sizes.append(sum(a.nbytes for a in arrays) + sum(blk.nbytes for blk in blocks))
         assert sizes[0] == sizes[1] == sizes[2]
 
