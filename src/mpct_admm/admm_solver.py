@@ -4,6 +4,13 @@ Each pass solves the equality-constrained QP for the unprojected iterate,
 projects the relaxed point onto the (tightened) box, and takes a dual ascent
 step on the consensus constraint. Exit when both the consensus gap and the
 projected-iterate change drop below their tolerances in the infinity norm.
+
+The loop runs on the scaled dual ``u = lam / rho`` (Boyd et al., "ADMM",
+2011, section 3.1.1): the QP's linear term is ``rho (u - v) + q``, the
+relaxed point is ``z + u`` and the dual step is ``u += z - v``, so no
+iteration divides or multiplies the dual by ``rho``. Warm states and
+returned states hold the unscaled ``lam``, converted once on the way in and
+once on the way out.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
-from .mpct_problem import PrecomputedData, _whole_number, assemble_online
+from .mpct_problem import PrecomputedData, _positive_finite, _whole_number, assemble_online
 from .semiband_solver import KktWorkspace, _solve_kkt
 
 __all__ = [
@@ -112,12 +119,9 @@ def admm_solve(
     qp = assemble_online(data, x_t, x_r, u_r)
     params = data.params
     rho = params.rho
-    eps_p = params.eps_primal if eps_primal is None else float(eps_primal)
-    eps_d = params.eps_dual if eps_dual is None else float(eps_dual)
+    eps_p = params.eps_primal if eps_primal is None else _positive_finite(eps_primal, "eps_primal")
+    eps_d = params.eps_dual if eps_dual is None else _positive_finite(eps_dual, "eps_dual")
     cap = params.max_iter if max_iter is None else _whole_number(max_iter, "max_iter", 1)
-    # written so that NaN fails too
-    if not (eps_p > 0.0 and eps_d > 0.0):
-        raise ValueError("tolerances must be positive")
 
     if warm is None:
         state = cold_start(data)
@@ -126,18 +130,20 @@ def admm_solve(
             raise DimensionMismatch("warm state does not match the problem size")
         if not (np.isfinite(warm.v).all() and np.isfinite(warm.lam).all()):
             raise NonFiniteInput("warm state contains NaN or infinity")
-        state = AdmmState(z=warm.z.copy(), v=warm.v.copy(), lam=warm.lam.copy())
+        state = AdmmState(z=warm.z.copy(), v=warm.v.copy(), lam=warm.lam)
 
     v = state.v
-    lam = state.lam
     z = state.z
     work = KktWorkspace.for_problem(data)
     # the chain runs with the pin row of G negated, and so with b's pin block
     b = qp.b.copy()
     np.negative(b[: data.n_x], out=b[: data.n_x])
-    # per-solve buffers; v and v_next swap roles every iteration, and the
-    # rows of gaps receive z - v_next and v_next - v
+    q, v_lo, v_hi = qp.q, qp.v_lo, qp.v_hi
+    # per-solve buffers; the chain reads p by its stage blocks, v and v_next
+    # swap roles every iteration, and the rows of gaps receive z - v_next
+    # and v_next - v
     p = np.empty(data.n_z)
+    p_blocks = p.reshape(-1, data.n_x + data.n_u)
     v_next = np.empty(data.n_z)
     gaps = np.empty((2, data.n_z))
     step, change = gaps
@@ -146,25 +152,27 @@ def admm_solve(
     dual = np.inf
     k = 0
 
-    start = time.perf_counter()
-    # non-finite iterates are detected explicitly below; keep numpy quiet
+    # non-finite iterates are detected explicitly below; keep numpy quiet,
+    # also where a huge warm lam overflows lam / rho or rho * u
     with np.errstate(invalid="ignore", over="ignore"):
+        u = state.lam / rho
+        start = time.perf_counter()
         for k in range(1, cap + 1):
-            # the operation order of q + lam - rho * v, solve_kkt_system,
-            # v_update and lam += rho * (z - v_next), so iterates match them
-            # bit for bit; the operands were checked above
-            np.add(qp.q, lam, out=p)
-            np.multiply(rho, v, out=step)
-            p -= step
-            z, _ = _solve_kkt(data, p, b, work)
-            np.divide(lam, rho, out=v_next)
-            np.add(z, v_next, out=v_next)
-            np.clip(v_next, qp.v_lo, qp.v_hi, out=v_next)
+            # the operation order of p = rho (u - v) + q, solve_kkt_system,
+            # clip(z + u, v_lo, v_hi) and u += z - v_next, so iterates match
+            # them bit for bit; the operands were checked above
+            np.subtract(u, v, out=p)
+            p *= rho
+            p += q
+            z, _ = _solve_kkt(work, p_blocks, b)
+            np.add(z, u, out=v_next)
+            np.minimum(v_next, v_hi, out=v_next)
+            np.maximum(v_next, v_lo, out=v_next)
             np.subtract(z, v_next, out=step)
             np.subtract(v_next, v, out=change)
-            primal, dual = np.abs(gaps).max(axis=1).tolist()
-            step *= rho
-            lam += step
+            u += step
+            np.abs(gaps, out=gaps)
+            primal, dual = np.maximum.reduce(gaps, axis=1).tolist()
             v, v_next = v_next, v
             if not (math.isfinite(primal) and math.isfinite(dual)):
                 status = SolveStatus.NUMERICAL_ERROR
@@ -172,7 +180,8 @@ def admm_solve(
             if primal <= eps_p and dual <= eps_d:
                 status = SolveStatus.CONVERGED
                 break
-    elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start
+        lam = rho * u
 
     nx, nu = data.n_x, data.n_u
     u_t = v[nx : nx + nu].copy()

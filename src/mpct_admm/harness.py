@@ -31,6 +31,7 @@ from .mpct_problem import (
     PrecomputedData,
     _matrix,
     _parse,
+    _positive_finite,
     _section,
     _whole_number,
     build_problem,
@@ -54,17 +55,6 @@ __all__ = [
 ]
 
 SCENARIO_FORMAT = "mpct-scenario-v1"
-
-
-def _sample_time(value) -> float:
-    """``value`` as a float, or a ValueError unless it is positive and finite."""
-    try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
-        x = float("nan")
-    if not (np.isfinite(x) and x > 0.0):
-        raise ValueError(f"sample_time must be positive and finite, got {value!r}")
-    return x
 
 
 @dataclass(frozen=True)
@@ -112,7 +102,7 @@ class Scenario:
         object.__setattr__(self, "trials", _whole_number(self.trials, "trials", 1))
         object.__setattr__(self, "steps", _whole_number(self.steps, "steps", 0))
         object.__setattr__(self, "seed", _whole_number(self.seed, "seed", 0))
-        object.__setattr__(self, "sample_time", _sample_time(self.sample_time))
+        object.__setattr__(self, "sample_time", _positive_finite(self.sample_time, "sample_time"))
         object.__setattr__(self, "x0_intervals", iv)
         object.__setattr__(self, "references", tuple(self.references))
 
@@ -205,7 +195,7 @@ def simulate_closed_loop(
     otherwise a ValueError naming the argument is raised before any solve.
     """
     steps = _whole_number(steps, "steps", 0)
-    sample_time = _sample_time(sample_time)
+    sample_time = _positive_finite(sample_time, "sample_time")
     nx, nu = plant.n_x, plant.n_u
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((steps + 1, nx))

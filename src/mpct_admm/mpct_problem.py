@@ -108,6 +108,18 @@ def _whole_number(value, name: str, least: int) -> int:
     return int(x)
 
 
+def _positive_finite(value, name: str) -> float:
+    """``value`` as a float, or a ValueError naming ``name`` unless it is positive and finite."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    # written so that NaN fails too
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class LtiModel:
     """Discrete-time system ``x(t+1) = A x(t) + B u(t)`` with box bounds.
@@ -184,14 +196,10 @@ class MpctParams:
         object.__setattr__(self, "T", _cost_matrix(self.T, nx, "T"))
         object.__setattr__(self, "S", _cost_matrix(self.S, nu, "S"))
         object.__setattr__(self, "N", _whole_number(self.N, "horizon N", 2))
+        # an infinite penalty leaves no finite core to factor, and an
+        # infinite tolerance stops the iteration after one step
         for name in ("epsilon", "rho", "eps_primal", "eps_dual"):
-            val = float(getattr(self, name))
-            if not val > 0.0:
-                raise ValueError(f"{name} must be positive")
-            object.__setattr__(self, name, val)
-        # an infinite penalty leaves no finite core to factor
-        if not math.isfinite(self.rho):
-            raise ValueError(f"rho must be finite, got {self.rho!r}")
+            object.__setattr__(self, name, _positive_finite(getattr(self, name), name))
         object.__setattr__(self, "max_iter", _whole_number(self.max_iter, "max_iter", 1))
 
     @property
@@ -340,10 +348,6 @@ class PrecomputedData:
     def m_z(self) -> int:
         return (self.params.N + 2) * self.n_x
 
-    @property
-    def low_rank_width(self) -> int:
-        return 2 * (self.n_x + self.n_u)
-
 
 def _minus_g_blocks(g_window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
     """The four distinct row blocks of ``-G X`` for the pin-negated ``G``.
@@ -358,18 +362,6 @@ def _minus_g_blocks(g_window: np.ndarray, stage: np.ndarray, ref: np.ndarray) ->
     return [g_window.T @ np.vstack(pair) for pair in pairs]
 
 
-def _scatter_diag_block(bands: np.ndarray, offset: int, block: np.ndarray) -> None:
-    k = block.shape[0]
-    for c in range(k):
-        bands[0 : k - c, offset + c] = block[c:, c]
-
-
-def _scatter_sub_block(bands: np.ndarray, offset: int, n_x: int, block: np.ndarray) -> None:
-    # block row (i+1, i): rows offset+n_x .. offset+2*n_x-1, cols offset .. offset+n_x-1
-    for c in range(n_x):
-        bands[n_x - c : 2 * n_x - c, offset + c] = block[:, c]
-
-
 def _gamma_tilde_banded(
     model: LtiModel,
     params: MpctParams,
@@ -378,7 +370,7 @@ def _gamma_tilde_banded(
     d_xs: np.ndarray,
     d_us: np.ndarray,
 ) -> SymBandedMatrix:
-    """Banded core of the dual-space matrix, assembled block by block.
+    """Banded core of the dual-space matrix, written from its stacked blocks.
 
     The product of the pin-negated dynamics pattern with the inverted
     block-diagonal core is block tridiagonal; the blocks follow directly from
@@ -393,25 +385,25 @@ def _gamma_tilde_banded(
     n = params.N
     m_z = (n + 2) * nx
     a, b = model.A, model.B
-    bands = np.zeros((2 * nx, m_z))
 
     ada = a @ d_x @ a.T
     bdb = b @ d_u @ b.T
     a_eye = a - np.eye(nx)
-    t_mid = ada + bdb + d_x
-    t_last = ada + bdb + d_xs
-    t_s = a_eye @ d_xs @ a_eye.T + b @ d_us @ b.T
+    # block column i stacks the diagonal block i over the sub-diagonal block
+    # (i+1, i); the last has none
+    blocks = np.zeros((n + 2, 2 * nx, nx))
+    blocks[0, :nx] = d_x
+    blocks[1:n, :nx] = ada + bdb + d_x
+    blocks[n, :nx] = ada + bdb + d_xs
+    blocks[n + 1, :nx] = a_eye @ d_xs @ a_eye.T + b @ d_us @ b.T
+    blocks[:n, nx:] = -(a @ d_x)
+    blocks[n, nx:] = -(a_eye @ d_xs)
 
-    _scatter_diag_block(bands, 0, d_x)
-    for i in range(1, n):
-        _scatter_diag_block(bands, i * nx, t_mid)
-    _scatter_diag_block(bands, n * nx, t_last)
-    _scatter_diag_block(bands, (n + 1) * nx, t_s)
-
-    neg_adx = -(a @ d_x)
-    for i in range(n):
-        _scatter_sub_block(bands, i * nx, nx, neg_adx)
-    _scatter_sub_block(bands, n * nx, nx, -(a_eye @ d_xs))
+    # entry (r, c) of block column i, on or below the diagonal, is band r - c
+    # of matrix column i n_x + c
+    r, c = np.tril_indices(2 * nx, 0, nx)
+    bands = np.zeros((2 * nx, m_z))
+    bands[r - c, np.arange(0, m_z, nx)[:, None] + c] = blocks[:, r, c]
 
     bw = int(np.flatnonzero(bands.any(axis=1))[-1])
     return SymBandedMatrix(n=m_z, half_bandwidth=bw, bands=bands[: bw + 1])

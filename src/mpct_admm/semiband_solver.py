@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
+from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dpbtrs
 
 from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, _spd_failure_row
@@ -179,10 +180,13 @@ class StageCoupledSystem:
     The Woodbury factor ``W = Gamma^-1 U (I + V Gamma^-1 U)^-1`` has only two
     distinct row blocks, one shared by all stages and one for the reference.
     A solve needs ``Gamma_st^-1`` per stage plus one 2w-by-2w matrix ``f``
-    applied to ``(d_s, sum_i d_i)``, which gives the stage correction
+    applied to ``(sum_i d_i, d_s)``, which gives the stage correction
     ``y[:w]`` and ``z_s = y[w:]``:
 
         z_i = Gamma_st^-1 d_i - y[:w]
+
+    Its column blocks come in that order because one ``np.add.reduceat`` on
+    the ``(N+1, w)`` blocks of ``d`` takes both sums at once.
 
     Only ``gamma_stage_inv`` and ``f`` are read by a solve; the three blocks
     of the matrix itself are kept for :meth:`to_dense`. Every stored array
@@ -233,23 +237,31 @@ class StageCoupledSystem:
         elif out.shape != (self.n,) or not out.flags["C_CONTIGUOUS"]:
             # a reshaped slice of a strided buffer would detach from it silently
             raise DimensionMismatch("out must be a contiguous vector of the right length")
-        self._solve(d, out[: self.horizon * self.width].reshape(self.horizon, -1), out)
+        n, w = self.horizon, self.width
+        self._solve(
+            d.reshape(n + 1, w), np.array([0, n]), np.empty((2, w)), out[: n * w].reshape(n, w), out[n * w :]
+        )
         return out
 
-    def _solve(self, d: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`solve` without its checks; returns ``y``.
+    def _solve(
+        self, d_blocks: np.ndarray, offsets: np.ndarray, sums: np.ndarray, stages: np.ndarray, ref: np.ndarray
+    ) -> None:
+        """:meth:`solve` without its checks, on the ``(N+1, w)`` blocks of ``d``.
 
-        ``a``, of shape ``(N, w)``, receives the rows ``Gamma_st^-1 d_i``; it
-        may be the stage view of ``out``.
+        ``offsets`` is the index array ``[0, N]`` and ``sums``, of shape
+        ``(2, w)``, receives ``(sum_i d_i, d_s)``. The stage blocks of ``z``
+        land in ``stages``, of shape ``(N, w)``, and ``z_s`` in every row of
+        ``ref``.
         """
-        n, w = a.shape
-        stages = d[: n * w].reshape(n, w)
-        y = self.f @ np.concatenate((d[n * w :], stages.sum(axis=0)))
-        # row i of stages @ Gamma_st^-1 is Gamma_st^-1 d_i, the inverse being symmetric
-        np.matmul(stages, self.gamma_stage_inv, out=a)
-        np.subtract(a, y[:w], out=out[: n * w].reshape(n, w))
-        out[n * w :] = y[w:]
-        return y
+        w = stages.shape[1]
+        # dot rather than @ here and in the KKT chain: on operands this
+        # small the call overhead is most of the cost, and dot's is smaller
+        np.add.reduceat(d_blocks, offsets, axis=0, out=sums)
+        y = self.f.dot(sums.reshape(-1))
+        # row i of d_i @ Gamma_st^-1 is Gamma_st^-1 d_i, the inverse being symmetric
+        np.dot(d_blocks[:-1], self.gamma_stage_inv, out=stages)
+        stages -= y[:w]
+        ref[...] = y[w:]
 
     def to_dense(self) -> np.ndarray:
         """The full n-by-n matrix (test helper)."""
@@ -276,10 +288,10 @@ def _split_primal(
     gamma_inv_u = np.block([[-g_st @ coupling, zero], [zero, g_s]])
     core = np.eye(2 * w) + np.block([[zero, g_s], [horizon * coupling @ g_st @ coupling, zero]])
     w_rows = _fold_core(gamma_inv_u, core)
-    # V Gamma^-1 d = blkdiag(Gamma_s^-1, -D Gamma_st^-1) (d_s, sum_i d_i)
-    v_gamma_inv = np.block([[g_s, zero], [zero, -coupling @ g_st]])
+    # V Gamma^-1 d = (Gamma_s^-1 d_s, -D Gamma_st^-1 sum_i d_i), read off (sum_i d_i, d_s)
+    v_gamma_inv = np.block([[zero, g_s], [-coupling @ g_st, zero]])
     correction = w_rows @ v_gamma_inv
-    f = np.vstack([correction[:w], np.hstack([g_s, zero]) - correction[w:]])
+    f = np.vstack([correction[:w], np.hstack([zero, g_s]) - correction[w:]])
     system = StageCoupledSystem(
         horizon=horizon,
         coupling=coupling,
@@ -323,13 +335,14 @@ def gt_fold_blocks(
     (2n_x-by-w) is ``[E ; -C] Gamma_st^-1``, so ``-[mu_i, mu_{i+1}] window``
     is the stage block of ``Gamma_st^-1 G' mu``.
 
-    The sums the primal solve needs, ``((G' mu)_s, sum_i (G' mu)_i)``, are
+    The sums the primal solve needs, ``(sum_i (G' mu)_i, (G' mu)_s)``, are
     linear in the four stage sums ``(mu_0, mu_1 + .. + mu_{N-1}, mu_N,
     mu_{N+1})``, and these follow from the stage sums ``s`` of ``z1`` in the
     dual solve ``mu = z1 - W (V z1)`` as ``(I - S(W) V_blocks) s``, with
     ``S(W)`` the stage sums of ``W``'s rows. The returned ``sums``
     (2w-by-4n_x) is ``-f`` times both maps, so that the second solve's
-    ``y`` is ``sums @ s - y1``. Neither block depends on the horizon.
+    ``y`` is ``sums @ s - y1``, with ``y1`` the first solve's. Neither block
+    depends on the horizon.
     """
     nx, nu, n = g.n_x, g.n_u, g.horizon
     w = nx + nu
@@ -337,10 +350,10 @@ def gt_fold_blocks(
     c = np.hstack([g.a, g.b])
     window = np.vstack([e, -c]) @ p_system.gamma_stage_inv
     zero = np.zeros((w, nx))
-    # (G' mu)_s = mu_{N+1} (C - E) - mu_N E; sum_i (G' mu)_i = -s_0 E + s_1 (C - E) + s_2 C
+    # sum_i (G' mu)_i = -s_0 E + s_1 (C - E) + s_2 C; (G' mu)_s = mu_{N+1} (C - E) - mu_N E
     gt_sums = np.block([
-        [zero, zero, -e.T, (c - e).T],
         [-e.T, (c - e).T, c.T, zero],
+        [zero, zero, -e.T, (c - e).T],
     ])
     v = w_system.v
     w_sums = np.add.reduceat(w_system.w.reshape(n + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
@@ -350,45 +363,82 @@ def gt_fold_blocks(
 
 @dataclass
 class KktWorkspace:
-    """Buffers and stage views for the KKT chain of one problem size.
+    """Buffers, stage views and factors for the KKT chain of one problem.
 
     The unconstrained step ``xi`` lives in a buffer of ``N + 3`` blocks of
     width ``w``: a zero block, ``xi`` itself, and a second copy of its
-    reference block ``xi_s``. Row ``i`` of ``xi_window`` is then ``(xi_{i-1},
-    xi_i)`` for ``i = 0 .. N+1``, with ``xi_{-1} = 0`` and ``xi_N = xi_{N+1}
-    = xi_s``, and row ``i`` of ``mu_window`` is ``(mu_i, mu_{i+1})`` for ``i
-    = 0 .. N-1``; both are overlapping views, not copies. ``z`` and ``mu``
+    reference block ``xi_s``. ``xi_stages`` and ``xi_ref`` are its stage
+    blocks and its last two blocks, so one assignment to ``xi_ref`` writes
+    both copies of ``xi_s``. Row ``i`` of ``xi_window`` is then
+    ``(xi_{i-1}, xi_i)`` for ``i = 0 .. N+1``, with ``xi_{-1} = 0`` and
+    ``xi_N = xi_{N+1} = xi_s``, and row ``i`` of ``mu_window`` is ``(mu_i,
+    mu_{i+1})`` for ``i = 0 .. N-1``; all are views, not copies. ``p_sums``
+    and ``mu_sums`` receive the stage sums the chain takes, at the
+    ``p_offsets`` and ``mu_offsets`` where they start. ``z`` and ``mu``
     receive the chain's results, ``mu`` with the sign of the pin-negated
-    ``G``; the next call with the same workspace overwrites them.
+    ``G``; the dual right-hand side and the banded solve's output pass
+    through ``mu`` on the way. The next call with the same workspace
+    overwrites them.
+
+    The factors the chain reads (``p_system`` to ``gt_sums``) are
+    references into ``data``, taken once, so that an iteration follows no
+    attribute chain into it; ``w_t`` is the dual Woodbury factor's
+    transpose, a Fortran-ordered view that BLAS reads without a copy. A
+    workspace serves only the ``data`` it was made for.
     """
 
-    a: np.ndarray
-    xi: np.ndarray
-    xi_tail: np.ndarray
+    data: "PrecomputedData"
+    p_system: StageCoupledSystem
+    g_window: np.ndarray
+    bands: np.ndarray
+    w_t: np.ndarray
+    v_blocks: np.ndarray
+    mu_offsets: np.ndarray
+    gt_window: np.ndarray
+    gt_sums: np.ndarray
+    p_offsets: np.ndarray
+    p_sums: np.ndarray
+    xi_stages: np.ndarray
+    xi_ref: np.ndarray
+    xi_s: np.ndarray
     xi_window: np.ndarray
-    rhs: np.ndarray
     mu: np.ndarray
-    z: np.ndarray
-    rhs_blocks: np.ndarray
+    mu_blocks: np.ndarray
+    mu_sums: np.ndarray
     mu_window: np.ndarray
+    z: np.ndarray
     z_stages: np.ndarray
+    z_ref: np.ndarray
 
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
         n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
+        w_sys = data.w_system
         xi_padded = np.zeros((n + 3) * w)
-        rhs, mu, z = np.empty(data.m_z), np.empty(data.m_z), np.empty(data.n_z)
+        mu, z = np.empty(data.m_z), np.empty(data.n_z)
         return cls(
-            a=np.empty((n, w)),
-            xi=xi_padded[w : (n + 2) * w],
-            xi_tail=xi_padded[(n + 2) * w :],
+            data=data,
+            p_system=data.p_system,
+            g_window=data.g_window,
+            bands=w_sys.gamma.bands,
+            w_t=w_sys.w.T,
+            v_blocks=w_sys.v.blocks,
+            mu_offsets=w_sys.v.offsets,
+            gt_window=data.gt_window,
+            gt_sums=data.gt_sums,
+            p_offsets=np.array([0, n]),
+            p_sums=np.empty((2, w)),
+            xi_stages=xi_padded[w : (n + 1) * w].reshape(n, w),
+            xi_ref=xi_padded[(n + 1) * w :].reshape(2, w),
+            xi_s=xi_padded[(n + 1) * w : (n + 2) * w],
             xi_window=sliding_window_view(xi_padded, 2 * w)[::w],
-            rhs=rhs,
             mu=mu,
-            z=z,
-            rhs_blocks=rhs.reshape(n + 2, nx),
+            mu_blocks=mu.reshape(n + 2, nx),
+            mu_sums=np.empty((4, nx)),
             mu_window=sliding_window_view(mu, 2 * nx)[::nx][:n],
+            z=z,
             z_stages=z[: n * w].reshape(n, w),
+            z_ref=z[n * w :],
         )
 
 
@@ -421,45 +471,46 @@ def solve_kkt_system(
         raise DimensionMismatch(f"b must have length {data.m_z}")
     if work is None:
         work = KktWorkspace.for_problem(data)
-    elif work.a.shape != (data.params.N, data.n_x + data.n_u) or work.mu.shape != (data.m_z,):
-        raise DimensionMismatch("work was made for a problem of another size")
+    elif work.data is not data:
+        raise DimensionMismatch("work was made for another problem")
     nx = data.n_x
     np.negative(b[:nx], out=b[:nx])
-    z, mu = _solve_kkt(data, p, b, work)
+    z, mu = _solve_kkt(work, p.reshape(-1, nx + data.n_u), b)
     np.negative(mu[:nx], out=mu[:nx])
     return z, mu
 
 
-def _solve_kkt(
-    data: "PrecomputedData", p: np.ndarray, b: np.ndarray, work: KktWorkspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of :func:`solve_kkt_system`, without its checks, for ``G``
-    with its pin row negated: the pin blocks of ``b`` and of the returned
-    ``mu`` are those of the public convention, negated."""
-    w_sys, a, z_stages = data.w_system, work.a, work.z_stages
-    w = a.shape[1]
-    # xi = P^-1 p, keeping a_i = Gamma_st^-1 p_i for the second primal solve
-    y1 = data.p_system._solve(p, a, work.xi)
-    work.xi_tail[:] = y1[w:]
+def _solve_kkt(work: KktWorkspace, p_blocks: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chain of :func:`solve_kkt_system`, without its checks, on the
+    ``(N+1, w)`` blocks of ``p`` and for ``G`` with its pin row negated: the
+    pin blocks of ``b`` and of the returned ``mu`` are those of the public
+    convention, negated."""
+    xi_stages, xi_ref = work.xi_stages, work.xi_ref
+    w = xi_ref.shape[1]
+    # xi = P^-1 p, straight into the padded buffer, both copies of xi_s at once
+    work.p_system._solve(p_blocks, work.p_offsets, work.p_sums, xi_stages, xi_ref)
 
-    # mu = W~^-1 rhs with rhs = -(G xi + b): row i of -G xi is [xi_{i-1},
-    # xi_i] g_window. z1 overwrites rhs in the banded solve (info is nonzero
-    # only for an illegal argument, which the shapes fixed at build time rule
-    # out), and the stage sums of z1 serve both V z1 and the G' fold
-    rhs = work.rhs
-    np.matmul(work.xi_window, data.g_window, out=work.rhs_blocks)
-    rhs -= b
-    dpbtrs(w_sys.gamma.bands, rhs, lower=1, overwrite_b=1)
-    sums = np.add.reduceat(work.rhs_blocks, w_sys.v.offsets, axis=0).ravel()
-    np.matmul(w_sys.w, w_sys.v.blocks @ sums, out=work.mu)
-    np.subtract(rhs, work.mu, out=work.mu)
+    # mu = W~^-1 rhs with rhs = -(G xi + b), all in mu's buffer: row i of
+    # -G xi is [xi_{i-1}, xi_i] g_window. z1 overwrites rhs in the banded
+    # solve (info is nonzero only for an illegal argument, which the shapes
+    # fixed at build time rule out), the stage sums of z1 serve both V z1
+    # and the G' fold, and one dgemv takes W (V z1) off z1 in place
+    mu, sums = work.mu, work.mu_sums
+    np.matmul(work.xi_window, work.g_window, out=work.mu_blocks)
+    mu -= b
+    dpbtrs(work.bands, mu, lower=1, overwrite_b=1)
+    np.add.reduceat(work.mu_blocks, work.mu_offsets, axis=0, out=sums)
+    sums = sums.reshape(-1)
+    dgemv(-1.0, work.w_t, work.v_blocks.dot(sums), 1.0, mu, trans=1, overwrite_y=1)
 
-    # z = P^-1 (-(G' mu + p)) stage by stage: z_i = [mu_i, mu_{i+1}] gt_window
-    # - a_i - y2[:w] and z_s = y2[w:]
-    np.matmul(work.mu_window, data.gt_window, out=z_stages)
-    y2 = data.gt_sums @ sums
-    y2 -= y1
-    z_stages -= a
-    z_stages -= y2[:w]
-    work.z[a.size :] = y2[w:]
-    return work.z, work.mu
+    # z = P^-1 (-(G' mu + p)) stage by stage. The second solve's correction
+    # is gs - y1 with gs = gt_sums @ sums, and Gamma_st^-1 p_i - y1[:w] =
+    # xi_i, so z_i = [mu_i, mu_{i+1}] gt_window - xi_i - gs[:w] and z_s =
+    # gs[w:] - xi_s
+    z_stages = work.z_stages
+    np.matmul(work.mu_window, work.gt_window, out=z_stages)
+    gs = work.gt_sums.dot(sums)
+    z_stages -= xi_stages
+    z_stages -= gs[:w]
+    np.subtract(gs[w:], work.xi_s, out=work.z_ref)
+    return work.z, mu

@@ -125,10 +125,13 @@ class TestAdmmSolve:
 
     @pytest.mark.parametrize("reference", [0, 1])
     def test_loop_matches_public_pieces_bitwise(self, reference):
-        # the loop runs the update in its own buffers; it must reproduce, bit
-        # for bit, k steps of solve_kkt_system and v_update from a cold start
-        # and then from the warm state it returned. The bundled scenario is
-        # scaled, and its box constraints are active within these steps.
+        # the loop runs the update in its own buffers, on the scaled dual
+        # u = lam / rho; it must reproduce, bit for bit, k steps of
+        # solve_kkt_system, the box projection and the scaled dual step from
+        # a cold start and then from the warm state it returned, which holds
+        # lam = rho u and is re-entered through u = lam / rho. The bundled
+        # scenario is scaled, and its box constraints are active within
+        # these steps.
         scenario = load_scenario(str(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json"))
         data = build_problem(scenario.model, scenario.params, scenario.scaling)
         ref = scenario.references[reference]
@@ -136,14 +139,14 @@ class TestAdmmSolve:
         rho = scenario.params.rho
         qp = assemble_online(data, x_t, ref.x_r, ref.u_r)
         cold = cold_start(data)
-        z, v, lam = cold.z, cold.v, cold.lam
+        z, v, u = cold.z, cold.v, cold.lam / rho
         warm = None
         for k in (120, 80):
             for _ in range(k):
-                p = qp.q + lam - rho * v
+                p = rho * (u - v) + qp.q
                 z, _ = solve_kkt_system(data, p, qp.b)
-                v_next = v_update(z, lam, rho, qp.v_lo, qp.v_hi)
-                lam = lam + rho * (z - v_next)
+                v_next = np.clip(z + u, qp.v_lo, qp.v_hi)
+                u = u + (z - v_next)
                 v = v_next
             report, warm = admm_solve(
                 data, x_t, ref.x_r, ref.u_r, warm, eps_primal=1e-300, eps_dual=1e-300, max_iter=k
@@ -151,8 +154,9 @@ class TestAdmmSolve:
             assert report.iterations == k
             np.testing.assert_array_equal(warm.z, z)
             np.testing.assert_array_equal(warm.v, v)
-            np.testing.assert_array_equal(warm.lam, lam)
-        assert np.count_nonzero(lam) > 0
+            np.testing.assert_array_equal(warm.lam, rho * u)
+            u = warm.lam / rho
+        assert np.count_nonzero(u) > 0
 
     def test_warm_start_preserves_limit(self):
         model, params = small_tracking_instance(eps=1e-8)
@@ -185,9 +189,11 @@ class TestAdmmSolve:
         report_earlier, _ = admm_solve(data, [0.5], [1.2], [0.0], max_iter=earlier)
         assert report.primal_residual <= report_earlier.primal_residual + 1e-15
 
-    def test_numerical_error_detection(self):
-        # a finite warm multiplier at the float limit overflows in the first iteration
-        model, params = small_tracking_instance()
+    @pytest.mark.parametrize("rho", [1.0, 0.5])
+    def test_numerical_error_detection(self, rho):
+        # a finite warm multiplier at the float limit overflows in the first
+        # iteration; at rho < 1 it already overflows lam / rho on entry
+        model, params = small_tracking_instance(rho=rho)
         data = build_problem(model, params)
         huge = np.finfo(float).max
         bad = AdmmState(z=np.zeros(data.n_z), v=np.zeros(data.n_z), lam=np.full(data.n_z, huge))
@@ -205,11 +211,12 @@ class TestAdmmSolve:
             admm_solve(data, [0.5], [0.8], [0.0], warm=warm)
 
     @pytest.mark.parametrize("override", ["eps_primal", "eps_dual"])
-    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-4])
+    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-4, np.inf])
     def test_tolerance_override_must_be_positive(self, override, value):
+        # an infinite tolerance would report convergence after one iteration
         model, params = small_tracking_instance()
         data = build_problem(model, params)
-        with pytest.raises(ValueError, match="tolerances"):
+        with pytest.raises(ValueError, match=override):
             admm_solve(data, [0.5], [0.8], [0.0], **{override: value})
 
     def test_warm_dimension_check(self):

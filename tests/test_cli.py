@@ -107,6 +107,12 @@ class TestSolve:
         assert main([command, integrator_problem, *extra, "--rho", "inf"]) == EXIT_INVALID_INPUT
         assert "rho" in capsys.readouterr().err
 
+    def test_infinite_tolerances_exit_three(self, integrator_problem, capsys):
+        # accepted, an infinite tolerance would report "converged" after one iteration
+        flags = ["--eps-primal", "inf", "--eps-dual", "inf"]
+        assert main(["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0", *flags]) == EXIT_INVALID_INPUT
+        assert "eps_primal" in capsys.readouterr().err
+
     def test_infinite_rho_in_problem_file_exits_three(self, integrator_problem, tmp_path, capsys):
         obj = json.loads(Path(integrator_problem).read_text(encoding="utf-8"))
         obj["params"]["rho"] = float("inf")

@@ -222,6 +222,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="rho"):
             MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=2, rho=rho)
 
+    @pytest.mark.parametrize("field", ["epsilon", "eps_primal", "eps_dual"])
+    @pytest.mark.parametrize("value", [np.inf, "inf", np.nan, 0.0])
+    def test_tolerances_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=2, **{field: value})
+
     def test_default_solver_parameters(self):
         params = MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=2)
         assert params.eps_primal == 1e-4

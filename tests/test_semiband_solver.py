@@ -363,6 +363,14 @@ class TestSolveKkt:
         with pytest.raises(DimensionMismatch, match="work"):
             solve_kkt_system(data, np.zeros(data.n_z), np.zeros(data.m_z), work=KktWorkspace.for_problem(other))
 
+    def test_workspace_of_another_problem_rejected(self, integrator_model, integrator_params):
+        # a workspace holds the factors of the problem it was made for, so
+        # one of the same size but another penalty would solve the wrong system
+        data = build_problem(integrator_model, integrator_params)
+        other = build_problem(integrator_model, replace(integrator_params, rho=2.0 * integrator_params.rho))
+        with pytest.raises(DimensionMismatch, match="another problem"):
+            solve_kkt_system(data, np.zeros(data.n_z), np.zeros(data.m_z), work=KktWorkspace.for_problem(other))
+
     def test_results_land_in_the_workspace(self):
         data = bundled_data("double_integrator.json")
         rng = np.random.default_rng(8)
