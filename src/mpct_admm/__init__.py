@@ -9,13 +9,12 @@ thin dense products. A dense oracle and a closed-loop benchmark harness are
 included for verification and experiments.
 """
 
-from .admm_solver import AdmmState, SolveReport, SolveStatus, admm_solve, cold_start, v_update
+from .admm_solver import AdmmState, SolveReport, SolveStatus, admm_solve, cold_start
 from .banded_linalg import (
     BandedCholeskyFactor,
     PredictionSparseMatrix,
     SymBandedMatrix,
     banded_cholesky_factor,
-    g_matvec,
 )
 from .errors import (
     DimensionMismatch,

@@ -31,7 +31,6 @@ __all__ = [
     "AdmmState",
     "SolveReport",
     "admm_solve",
-    "v_update",
     "cold_start",
 ]
 
@@ -44,12 +43,14 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class AdmmState:
-    """Iterates carried across iterations and across sample times (warm start)."""
+    """Iterates carried across iterations and across sample times (warm start).
+
+    A warm start reads ``v`` and ``lam``; ``z`` is returned for inspection.
+    """
 
     z: np.ndarray
     v: np.ndarray
     lam: np.ndarray
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -68,28 +69,6 @@ class SolveReport:
     artificial_reference: tuple[np.ndarray, np.ndarray]
     solve_time: float
     avg_iter_time: float
-
-
-def v_update(
-    z_next: np.ndarray,
-    lam: np.ndarray,
-    rho: float,
-    v_lo: np.ndarray,
-    v_hi: np.ndarray,
-) -> np.ndarray:
-    """Componentwise box projection of the relaxed point ``z + lam / rho``.
-
-    This is the exact minimizer of the projection subproblem, which separates
-    per coordinate; infinite bounds never clip.
-    """
-    # written so that NaN fails too
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho!r}")
-    z_next = np.asarray(z_next, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    if not (z_next.shape == lam.shape == np.shape(v_lo) == np.shape(v_hi)):
-        raise DimensionMismatch("v_update operands must share one shape")
-    return np.clip(z_next + lam / rho, v_lo, v_hi)
 
 
 def cold_start(data: PrecomputedData) -> AdmmState:
@@ -124,16 +103,15 @@ def admm_solve(
     cap = params.max_iter if max_iter is None else _whole_number(max_iter, "max_iter", 1)
 
     if warm is None:
-        state = cold_start(data)
-    else:
-        if warm.v.shape != (data.n_z,) or warm.lam.shape != (data.n_z,):
-            raise DimensionMismatch("warm state does not match the problem size")
-        if not (np.isfinite(warm.v).all() and np.isfinite(warm.lam).all()):
-            raise NonFiniteInput("warm state contains NaN or infinity")
-        state = AdmmState(z=warm.z.copy(), v=warm.v.copy(), lam=warm.lam)
+        warm = cold_start(data)
+    elif warm.v.shape != (data.n_z,) or warm.lam.shape != (data.n_z,):
+        raise DimensionMismatch("warm state does not match the problem size")
+    elif not (np.isfinite(warm.v).all() and np.isfinite(warm.lam).all()):
+        raise NonFiniteInput("warm state contains NaN or infinity")
 
-    v = state.v
-    z = state.z
+    # the loop writes into v's buffer; warm.z is not read, since every
+    # iteration computes z before it uses it
+    v = warm.v.copy()
     work = KktWorkspace.for_problem(data)
     # the chain runs with the pin row of G negated, and so with b's pin block
     b = qp.b.copy()
@@ -155,7 +133,7 @@ def admm_solve(
     # non-finite iterates are detected explicitly below; keep numpy quiet,
     # also where a huge warm lam overflows lam / rho or rho * u
     with np.errstate(invalid="ignore", over="ignore"):
-        u = state.lam / rho
+        u = warm.lam / rho
         start = time.perf_counter()
         for k in range(1, cap + 1):
             # the operation order of p = rho (u - v) + q, solve_kkt_system,
@@ -202,4 +180,4 @@ def admm_solve(
         solve_time=elapsed,
         avg_iter_time=elapsed / max(k, 1),
     )
-    return report, AdmmState(z=z, v=v, lam=lam, k=k)
+    return report, AdmmState(z=z, v=v, lam=lam)

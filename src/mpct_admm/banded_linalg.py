@@ -4,11 +4,10 @@ Two matrix families cover the structured solves and products:
 
 * symmetric banded matrices in packed lower-band storage, with a LAPACK
   banded Cholesky factorization and triangular solves,
-* the sparse prediction-dynamics matrix, stored only by its pattern
-  (A, B, horizon) and applied through a dedicated matvec kernel. The
-  matvec serves the offline build and the tests; the KKT chain applies the
-  matrix and its transpose as products on stage windows instead (see
-  ``semiband_solver``).
+* the sparse prediction-dynamics matrix ``G``, stored by its stage window:
+  the one horizon-independent block through which the KKT chain applies
+  ``G`` and from which the offline build forms ``G'`` and the dual-space
+  matrix (see ``semiband_solver``).
 
 No full dense matrix is ever materialized here; the ``to_dense`` helpers
 exist for tests and small-scale verification only.
@@ -16,7 +15,7 @@ exist for tests and small-scale verification only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs
@@ -28,7 +27,6 @@ __all__ = [
     "BandedCholeskyFactor",
     "PredictionSparseMatrix",
     "banded_cholesky_factor",
-    "g_matvec",
 ]
 
 
@@ -166,79 +164,64 @@ def _spd_failure_row(block: np.ndarray) -> int:
 
 @dataclass(frozen=True)
 class PredictionSparseMatrix:
-    """Equality-constraint matrix of the horizon-stacked dynamics, by pattern.
+    """Equality-constraint matrix of the horizon-stacked dynamics, by its stage window.
 
     Row blocks of ``n_x`` rows each: the initial-state pin ``x_0``, the stage
     couplings ``A x_{i-1} + B u_{i-1} - x_i`` for ``i = 1 .. N-1``, the handoff
     into the artificial reference ``A x_{N-1} + B u_{N-1} - x_s``, and the
     equilibrium row ``(A - I) x_s + B u_s``. Columns follow the decision stack
-    ``(x_0, u_0, ..., x_{N-1}, u_{N-1}, x_s, u_s)``. The matrix itself is never
-    stored; matvecs run on the pattern.
+    ``(x_0, u_0, ..., x_{N-1}, u_{N-1}, x_s, u_s)``.
+
+    With its pin row negated, every row block ``i = 0 .. N+1`` of ``G`` reads
+    ``C z_{i-1} - E z_i`` with ``C = [A B]``, ``E = [I 0]``, ``z_{-1} = 0``
+    and ``z_N = z_{N+1} = (x_s, u_s)``. The matrix is stored only as
+    ``window = [-C' ; E']`` (``2(n_x+n_u)`` by ``n_x``), formed from ``a``
+    and ``b`` at construction, so that row block ``i`` of ``-G z`` for that
+    negated ``G`` is ``[z_{i-1}, z_i] window``: the product the KKT chain
+    takes, whatever the horizon.
     """
 
-    a: np.ndarray
-    b: np.ndarray
+    a: InitVar[np.ndarray]
+    b: InitVar[np.ndarray]
     horizon: int
+    window: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+    def __post_init__(self, a, b):
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch("A must be square")
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise DimensionMismatch("B must have as many rows as A")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_a_minus_eye", a - np.eye(a.shape[0]))
+        nx = a.shape[0]
+        window = np.vstack([-np.hstack([a, b]).T, np.eye(nx + b.shape[1], nx)])
+        object.__setattr__(self, "window", window)
 
     @property
     def n_x(self) -> int:
-        return self.a.shape[0]
+        return self.window.shape[1]
 
     @property
     def n_u(self) -> int:
-        return self.b.shape[1]
-
-    @property
-    def n_rows(self) -> int:
-        return (self.horizon + 2) * self.n_x
-
-    @property
-    def n_cols(self) -> int:
-        return (self.horizon + 1) * (self.n_x + self.n_u)
+        return self.window.shape[0] // 2 - self.n_x
 
     def to_dense(self) -> np.ndarray:
-        """Dense reconstruction derived from the matvec kernel (test helper)."""
-        eye = np.eye(self.n_cols)
-        return np.column_stack([g_matvec(self, eye[:, j]) for j in range(self.n_cols)])
+        """Dense reconstruction from ``window`` (test helper).
 
-
-def g_matvec(g: PredictionSparseMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Product of the dynamics matrix with a decision-stack vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n_cols,):
-        raise DimensionMismatch(f"expected vector of length {g.n_cols}, got {x.shape}")
-    if out is None:
-        out = np.empty(g.n_rows)
-    elif out.shape != (g.n_rows,) or not out.flags["C_CONTIGUOUS"]:
-        # a reshaped slice of a strided buffer would detach from it silently
-        raise DimensionMismatch("out must be a contiguous vector of the right length")
-    nx, nu, n = g.n_x, g.n_u, g.horizon
-    w = nx + nu
-    stages = x[: n * w].reshape(n, w)
-    xs = x[n * w : n * w + nx]
-    us = x[n * w + nx :]
-    states = stages[:, :nx]
-    inputs = stages[:, nx:]
-    out[:nx] = states[0]
-    # the A and B products stay separate: one [A B] product would re-associate
-    # each row's sum and change the last bits
-    couplings = out[nx : (n + 1) * nx].reshape(n, nx)
-    np.matmul(states, g.a.T, out=couplings)
-    couplings += inputs @ g.b.T
-    couplings[:-1] -= states[1:]
-    couplings[-1] -= xs
-    out[(n + 1) * nx :] = g._a_minus_eye @ xs + g.b @ us
-    return out
+        Row block ``i`` is ``-window'`` on the column blocks of ``(z_{i-1},
+        z_i)`` in the padded stack ``(z_{-1}, z_0, ..., z_{N-1}, z_s, z_s)``.
+        Dropping ``z_{-1}``, folding the second copy of ``z_s`` onto the first
+        and negating the pin row again gives ``G``.
+        """
+        nx, n = self.n_x, self.horizon
+        w = nx + self.n_u
+        padded = np.zeros(((n + 2) * nx, (n + 3) * w))
+        # subtractions from zero rather than negations, so no zero turns -0.0
+        for i in range(n + 2):
+            padded[i * nx : (i + 1) * nx, i * w : (i + 2) * w] -= self.window.T
+        g = padded[:, w : (n + 2) * w]
+        g[:, n * w :] += padded[:, (n + 2) * w :]
+        np.subtract(0.0, g[:nx], out=g[:nx])
+        return g

@@ -77,10 +77,7 @@ def cmd_solve(args) -> int:
             v=np.asarray(obj["v"], dtype=float),
             lam=np.asarray(obj["lam"], dtype=float),
         )
-    report, state = admm_solve(
-        data, x0, xr, ur, warm=warm,
-        eps_primal=args.eps_primal, eps_dual=args.eps_dual, max_iter=args.max_iter,
-    )
+    report, state = admm_solve(data, x0, xr, ur, warm=warm)
     out = {
         "status": report.status.value,
         "iterations": report.iterations,

@@ -311,13 +311,14 @@ class PrecomputedData:
     distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
     :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
     ``2(n_x+n_u)``. ``w_system`` is formed for ``g`` with its pin row
-    negated; ``g`` itself keeps the sign of the dynamics. ``g_window``
-    (``2(n_x+n_u)`` by ``n_x``) is ``[-C' ; E']``, so that row block ``i``
-    of ``-G z`` for that negated ``G`` is ``[z_{i-1}, z_i] g_window``.
-    ``gt_window`` (``2n_x`` by ``n_x+n_u``) and ``gt_sums`` (``2(n_x+n_u)``
-    by ``4n_x``) fold the ``G'`` product into the KKT chain's second primal
-    solve (see :func:`~mpct_admm.semiband_solver.gt_fold_blocks`). None of
-    the three grows with ``N``.
+    negated. ``g`` is stored once, by its stage window ``g.window``
+    (``2(n_x+n_u)`` by ``n_x``), the block through which the KKT chain
+    applies that negated ``G``; :meth:`PredictionSparseMatrix.to_dense`
+    restores the pin row's sign. ``gt_window`` (``2n_x`` by ``n_x+n_u``)
+    and ``gt_sums`` (``2(n_x+n_u)`` by ``4n_x``) fold the ``G'`` product
+    into the KKT chain's second primal solve (see
+    :func:`~mpct_admm.semiband_solver.gt_fold_blocks`). None of the three
+    blocks grows with ``N``.
     """
 
     model: LtiModel
@@ -328,7 +329,6 @@ class PrecomputedData:
     v_hi: np.ndarray
     p_system: StageCoupledSystem
     w_system: SemiBandedSystem
-    g_window: np.ndarray
     gt_window: np.ndarray
     gt_sums: np.ndarray
 
@@ -349,17 +349,17 @@ class PrecomputedData:
         return (self.params.N + 2) * self.n_x
 
 
-def _minus_g_blocks(g_window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
+def _minus_g_blocks(window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
     """The four distinct row blocks of ``-G X`` for the pin-negated ``G``.
 
     ``X`` repeats the row block ``stage`` over the N stages above ``ref``, so
-    ``-G X`` takes four values, each ``[X_{i-1} ; X_i]`` read through
-    ``g_window``: the pin ``(0, stage)``, the stage couplings ``(stage,
-    stage)``, the handoff ``(stage, ref)`` and the equilibrium row ``(ref,
-    ref)``.
+    ``-G X`` takes four values, each ``[X_{i-1} ; X_i]`` read through the
+    stage ``window`` of ``G``: the pin ``(0, stage)``, the stage couplings
+    ``(stage, stage)``, the handoff ``(stage, ref)`` and the equilibrium row
+    ``(ref, ref)``.
     """
     pairs = ((np.zeros_like(stage), stage), (stage, stage), (stage, ref), (ref, ref))
-    return [g_window.T @ np.vstack(pair) for pair in pairs]
+    return [window.T @ np.vstack(pair) for pair in pairs]
 
 
 def _gamma_tilde_banded(
@@ -454,17 +454,15 @@ def build_problem(
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
         ) from None
 
-    # [-C' ; E'] with C = [A B] and E = [I 0]
-    g_window = np.vstack([-np.hstack([model.A, model.B]).T, np.eye(w, nx)])
     # u_tilde = -G W. W repeats one row block over the stages, and so does
     # Gamma^-1 V^T in v_tilde = (G Gamma^-1 V^T)^T
     zero = np.zeros((w, w))
-    pin, coupled, handoff, equilibrium = _minus_g_blocks(g_window, w_rows[:w], w_rows[w:])
+    pin, coupled, handoff, equilibrium = _minus_g_blocks(g.window, w_rows[:w], w_rows[w:])
     u_tilde = np.vstack([pin, np.tile(coupled, (n - 1, 1)), handoff, equilibrium])
     stage = np.hstack([zero, -g_st @ coupling])
     ref = np.hstack([g_s, zero])
     v_tilde = StageSumMatrix(
-        horizon=n, blocks=-np.vstack(_minus_g_blocks(g_window, stage, ref)).T
+        horizon=n, blocks=-np.vstack(_minus_g_blocks(g.window, stage, ref)).T
     )
 
     w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, v_tilde)
@@ -479,7 +477,6 @@ def build_problem(
         v_hi=v_hi,
         p_system=p_system,
         w_system=w_system,
-        g_window=g_window,
         gt_window=gt_window,
         gt_sums=gt_sums,
     )

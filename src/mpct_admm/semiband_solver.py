@@ -227,16 +227,12 @@ class StageCoupledSystem:
         """
         return _split_primal(gamma_stage, gamma_ref, coupling, horizon)[0]
 
-    def solve(self, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Solve ``P z = d`` in O(N w^2); ``out``, when given, receives ``z``."""
+    def solve(self, d: np.ndarray) -> np.ndarray:
+        """Solve ``P z = d`` in O(N w^2)."""
         d = np.asarray(d, dtype=float)
         if d.shape != (self.n,):
             raise DimensionMismatch(f"expected right-hand side of length {self.n}")
-        if out is None:
-            out = np.empty(self.n)
-        elif out.shape != (self.n,) or not out.flags["C_CONTIGUOUS"]:
-            # a reshaped slice of a strided buffer would detach from it silently
-            raise DimensionMismatch("out must be a contiguous vector of the right length")
+        out = np.empty(self.n)
         n, w = self.horizon, self.width
         self._solve(
             d.reshape(n + 1, w), np.array([0, n]), np.empty((2, w)), out[: n * w].reshape(n, w), out[n * w :]
@@ -303,25 +299,13 @@ def _split_primal(
     return system, g_s, w_rows
 
 
-def solve_semibanded(
-    sys: SemiBandedSystem, d: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Solve ``(Gamma + U V) z = d`` through the precomputed split.
-
-    ``out``, when given, receives the result so steady-state callers can keep
-    the large per-iteration buffers preallocated.
-    """
+def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
+    """Solve ``(Gamma + U V) z = d`` through the precomputed split."""
     d = np.asarray(d, dtype=float)
     if d.shape != (sys.n,):
         raise DimensionMismatch(f"expected right-hand side of length {sys.n}")
     z1 = sys.gamma.solve(d)
-    if out is None:
-        return z1 - sys.w @ (sys.v @ z1)
-    if out.shape != (sys.n,):
-        raise DimensionMismatch("out has the wrong shape")
-    np.matmul(sys.w, sys.v @ z1, out=out)
-    np.subtract(z1, out, out=out)
-    return out
+    return z1 - sys.w @ (sys.v @ z1)
 
 
 def gt_fold_blocks(
@@ -346,8 +330,9 @@ def gt_fold_blocks(
     """
     nx, nu, n = g.n_x, g.n_u, g.horizon
     w = nx + nu
-    e = np.eye(nx, w)
-    c = np.hstack([g.a, g.b])
+    # g.window is [-C' ; E']
+    c = -g.window[:w].T
+    e = g.window[w:].T
     window = np.vstack([e, -c]) @ p_system.gamma_stage_inv
     zero = np.zeros((w, nx))
     # sum_i (G' mu)_i = -s_0 E + s_1 (C - E) + s_2 C; (G' mu)_s = mu_{N+1} (C - E) - mu_N E
@@ -419,7 +404,7 @@ class KktWorkspace:
         return cls(
             data=data,
             p_system=data.p_system,
-            g_window=data.g_window,
+            g_window=data.g.window,
             bands=w_sys.gamma.bands,
             w_t=w_sys.w.T,
             v_blocks=w_sys.v.blocks,
@@ -461,7 +446,8 @@ def solve_kkt_system(
 
     The chain runs with the pin row of ``G`` negated; this boundary negates
     the pin block of a copy of ``b`` on the way in and that of ``mu`` on the
-    way out, so ``b`` and ``(z, mu)`` keep the sign of ``data.g``.
+    way out, so ``b`` and ``(z, mu)`` keep the sign of the dynamics, that of
+    ``data.g.to_dense()``.
     """
     p = np.asarray(p, dtype=float)
     b = np.array(b, dtype=float)

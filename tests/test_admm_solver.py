@@ -2,8 +2,6 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mpct_admm import (
     AdmmState,
@@ -19,7 +17,6 @@ from mpct_admm import (
     load_scenario,
     sample_initial_states,
     solve_kkt_system,
-    v_update,
 )
 from mpct_admm.oracle import dense_instance, dense_qp_solve
 
@@ -33,42 +30,6 @@ def small_tracking_instance(rho=1.0, eps=1e-6):
         epsilon=1e-6, rho=rho, eps_primal=eps, eps_dual=eps, max_iter=20000,
     )
     return model, params
-
-
-class TestVUpdate:
-    def test_interior_point_unchanged(self):
-        z = np.array([0.1, -0.2])
-        lam = np.zeros(2)
-        np.testing.assert_array_equal(
-            v_update(z, lam, 1.0, np.array([-1.0, -1.0]), np.array([1.0, 1.0])), z
-        )
-
-    def test_clipping_formula(self):
-        out = v_update(np.array([0.5]), np.array([2.0]), 4.0, np.array([0.0]), np.array([1.0]))
-        np.testing.assert_allclose(out, [1.0])
-
-    def test_infinite_bound_never_clips(self):
-        out = v_update(np.array([5.0]), np.array([100.0]), 1.0, np.array([0.0]), np.array([np.inf]))
-        np.testing.assert_allclose(out, [105.0])
-
-    def test_rho_must_be_positive(self):
-        with pytest.raises(ValueError):
-            v_update(np.zeros(1), np.zeros(1), 0.0, np.zeros(1), np.ones(1))
-
-    def test_nan_rho_rejected(self):
-        # NaN fails every comparison, so a rho <= 0 test would let it through
-        with pytest.raises(ValueError, match="rho"):
-            v_update(np.zeros(1), np.zeros(1), np.nan, np.zeros(1), np.ones(1))
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    def test_result_lies_in_box(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 20))
-        lo = rng.uniform(-3, 0, n)
-        hi = rng.uniform(0.1, 3, n)
-        out = v_update(rng.standard_normal(n) * 5, rng.standard_normal(n) * 5, rng.uniform(0.1, 10), lo, hi)
-        assert np.all(out >= lo) and np.all(out <= hi)
 
 
 class TestAdmmSolve:

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from mpct_admm import (
     PredictionSparseMatrix,
     SymBandedMatrix,
     banded_cholesky_factor,
-    g_matvec,
+    build_problem,
+    load_problem,
 )
 from mpct_admm.oracle import dense_dynamics
 
@@ -150,20 +153,29 @@ class TestBandedSolve:
 class TestPredictionMatrix:
     def test_zero_maps_to_zero(self):
         g = PredictionSparseMatrix(a=np.eye(2), b=np.ones((2, 1)), horizon=3)
-        np.testing.assert_array_equal(g_matvec(g, np.zeros(g.n_cols)), np.zeros(g.n_rows))
+        dense = g.to_dense()
+        assert dense.shape == (5 * 2, 4 * 3)
+        np.testing.assert_array_equal(dense @ np.zeros(dense.shape[1]), np.zeros(dense.shape[0]))
 
     def test_integrator_hand_example(self):
-        # scalar integrator, N=2, all-ones input: rows are x0, the two stage
-        # couplings and the equilibrium row
+        # scalar integrator, N=2: rows are x0, the two stage couplings and
+        # the equilibrium row, over columns (x0, u0, x1, u1, xs, us)
         g = PredictionSparseMatrix(a=np.array([[1.0]]), b=np.array([[1.0]]), horizon=2)
-        out = g_matvec(g, np.ones(6))
-        np.testing.assert_allclose(out, [1.0, 1.0, 1.0, 1.0])
+        expected = [
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, -1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 1.0, -1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+        ]
+        np.testing.assert_array_equal(g.to_dense(), expected)
+        np.testing.assert_array_equal(g.to_dense() @ np.ones(6), [1.0, 1.0, 1.0, 1.0])
 
     def test_first_block_row_is_identity(self):
         rng = np.random.default_rng(10)
         g = PredictionSparseMatrix(a=rng.standard_normal((3, 3)), b=rng.standard_normal((3, 2)), horizon=4)
-        x = rng.standard_normal(g.n_cols)
-        np.testing.assert_array_equal(g_matvec(g, x)[:3], x[:3])
+        dense = g.to_dense()
+        np.testing.assert_array_equal(dense[:3, :3], np.eye(3))
+        np.testing.assert_array_equal(dense[:3, 3:], 0.0)
 
     def test_matches_dense_construction(self):
         rng = np.random.default_rng(11)
@@ -171,19 +183,19 @@ class TestPredictionMatrix:
             model = random_controllable_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
             n = int(rng.integers(2, 6))
             g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
-            dense = dense_dynamics(model, n)
-            x = rng.standard_normal(g.n_cols)
-            assert np.abs(g_matvec(g, x) - dense @ x).max() <= 1e-13 * (1.0 + np.abs(dense @ x).max())
+            np.testing.assert_array_equal(g.to_dense(), dense_dynamics(model, n))
 
-    def test_dimension_mismatch(self):
-        g = PredictionSparseMatrix(a=np.eye(2), b=np.ones((2, 1)), horizon=2)
-        with pytest.raises(DimensionMismatch):
-            g_matvec(g, np.zeros(g.n_cols + 1))
+    @pytest.mark.parametrize("name", ["double_integrator.json", "mass_spring.json", "ball_plate_like.json"])
+    def test_solver_window_matches_dense_on_bundled_models(self, name):
+        # data.g is the matrix the KKT chain applies; ball_plate_like is
+        # scaled, so data.model is the scaled model
+        data = build_problem(*load_problem(resources.files("mpct_admm") / "models" / name))
+        np.testing.assert_array_equal(data.g.to_dense(), dense_dynamics(data.model, data.params.N))
 
 
 class TestLapackCallsMatchScipy:
     """The kernels call LAPACK directly; they must equal, bit for bit, the
-    scipy helpers and numpy formulas they replaced."""
+    scipy helpers they replaced."""
 
     @pytest.mark.parametrize("n, bw", [(1, 0), (7, 0), (12, 3), (60, 6), (250, 17)])
     def test_banded_solve_equals_cho_solve_banded(self, n, bw):
@@ -192,23 +204,3 @@ class TestLapackCallsMatchScipy:
         for d in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             expected = cho_solve_banded((factor.bands, True), d, check_finite=False)
             np.testing.assert_array_equal(factor.solve(d), expected)
-
-
-    @pytest.mark.parametrize(
-        "nx, nu, n", [(8, 2, 1), (8, 2, 30), (8, 2, 240), (2, 1, 5), (4, 1, 3), (5, 3, 2), (17, 8, 7)]
-    )
-    def test_matvecs_equal_previous_formulas(self, nx, nu, n):
-        rng = np.random.default_rng(nx * 100 + nu * 10 + n)
-        g = PredictionSparseMatrix(a=rng.standard_normal((nx, nx)), b=rng.standard_normal((nx, nu)), horizon=n)
-        a_minus_eye = g.a - np.eye(nx)
-        w = nx + nu
-
-        x = rng.standard_normal(g.n_cols)
-        stages = x[: n * w].reshape(n, w)
-        states, inputs = stages[:, :nx], stages[:, nx:]
-        xs, us = x[n * w : n * w + nx], x[n * w + nx :]
-        nxt = np.vstack([states[1:], xs[None, :]])
-        expected = np.concatenate(
-            [states[0], (states @ g.a.T + inputs @ g.b.T - nxt).ravel(), a_minus_eye @ xs + g.b @ us]
-        )
-        np.testing.assert_array_equal(g_matvec(g, x), expected)
