@@ -104,14 +104,15 @@ def admm_solve(
 
     if warm is None:
         warm = cold_start(data)
-    elif warm.v.shape != (data.n_z,) or warm.lam.shape != (data.n_z,):
+    # float copies, whatever the warm state's dtype: the loop writes into v's
+    # buffer and swaps it with a float one. warm.z is not read, since every
+    # iteration computes z before it uses it
+    v, lam = np.array(warm.v, dtype=float), np.array(warm.lam, dtype=float)
+    if v.shape != (data.n_z,) or lam.shape != (data.n_z,):
         raise DimensionMismatch("warm state does not match the problem size")
-    elif not (np.isfinite(warm.v).all() and np.isfinite(warm.lam).all()):
+    if not (np.isfinite(v).all() and np.isfinite(lam).all()):
         raise NonFiniteInput("warm state contains NaN or infinity")
 
-    # the loop writes into v's buffer; warm.z is not read, since every
-    # iteration computes z before it uses it
-    v = warm.v.copy()
     work = KktWorkspace.for_problem(data)
     # the chain runs with the pin row of G negated, and so with b's pin block
     b = qp.b.copy()
@@ -133,7 +134,7 @@ def admm_solve(
     # non-finite iterates are detected explicitly below; keep numpy quiet,
     # also where a huge warm lam overflows lam / rho or rho * u
     with np.errstate(invalid="ignore", over="ignore"):
-        u = warm.lam / rho
+        u = lam / rho
         start = time.perf_counter()
         for k in range(1, cap + 1):
             # the operation order of p = rho (u - v) + q, solve_kkt_system,

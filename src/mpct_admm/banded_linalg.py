@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -154,12 +154,9 @@ def banded_cholesky_factor(m: SymBandedMatrix) -> BandedCholeskyFactor:
 
 def _spd_failure_row(block: np.ndarray) -> int:
     """First row at which the leading minors of ``block`` stop being SPD."""
-    for k in range(1, block.shape[0] + 1):
-        try:
-            np.linalg.cholesky(block[:k, :k])
-        except np.linalg.LinAlgError:
-            return k - 1
-    return block.shape[0] - 1
+    # info is the order of the first leading minor that is not SPD, 0 if none
+    info = dpotrf(block, lower=1)[1]
+    return info - 1 if info > 0 else block.shape[0] - 1
 
 
 @dataclass(frozen=True)

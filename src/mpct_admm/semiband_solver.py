@@ -348,7 +348,7 @@ def gt_fold_blocks(
 
 @dataclass
 class KktWorkspace:
-    """Buffers, stage views and factors for the KKT chain of one problem.
+    """Buffers and stage views for the KKT chain of one problem.
 
     The unconstrained step ``xi`` lives in a buffer of ``N + 3`` blocks of
     width ``w``: a zero block, ``xi`` itself, and a second copy of its
@@ -359,33 +359,21 @@ class KktWorkspace:
     ``xi_N = xi_{N+1} = xi_s``, and row ``i`` of ``mu_window`` is ``(mu_i,
     mu_{i+1})`` for ``i = 0 .. N-1``; all are views, not copies. ``p_sums``
     and ``mu_sums`` receive the stage sums the chain takes, at the
-    ``p_offsets`` and ``mu_offsets`` where they start. ``z`` and ``mu``
-    receive the chain's results, ``mu`` with the sign of the pin-negated
-    ``G``; the dual right-hand side and the banded solve's output pass
-    through ``mu`` on the way. The next call with the same workspace
-    overwrites them.
+    ``p_offsets`` and at the dual ``v.offsets`` where they start. ``z`` and
+    ``mu`` receive the chain's results, ``mu`` with the sign of the
+    pin-negated ``G``; the dual right-hand side and the banded solve's
+    output pass through ``mu`` on the way. The next call with the same
+    workspace overwrites them.
 
-    The factors the chain reads (``p_system`` to ``gt_sums``) are
-    references into ``data``, taken once, so that an iteration follows no
-    attribute chain into it; ``w_t`` is the dual Woodbury factor's
-    transpose, a Fortran-ordered view that BLAS reads without a copy. A
-    workspace serves only the ``data`` it was made for.
+    The chain reads its factors from ``data``, so a workspace serves only
+    the ``data`` it was made for.
     """
 
     data: "PrecomputedData"
-    p_system: StageCoupledSystem
-    g_window: np.ndarray
-    bands: np.ndarray
-    w_t: np.ndarray
-    v_blocks: np.ndarray
-    mu_offsets: np.ndarray
-    gt_window: np.ndarray
-    gt_sums: np.ndarray
     p_offsets: np.ndarray
     p_sums: np.ndarray
     xi_stages: np.ndarray
     xi_ref: np.ndarray
-    xi_s: np.ndarray
     xi_window: np.ndarray
     mu: np.ndarray
     mu_blocks: np.ndarray
@@ -398,24 +386,14 @@ class KktWorkspace:
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
         n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
-        w_sys = data.w_system
         xi_padded = np.zeros((n + 3) * w)
         mu, z = np.empty(data.m_z), np.empty(data.n_z)
         return cls(
             data=data,
-            p_system=data.p_system,
-            g_window=data.g.window,
-            bands=w_sys.gamma.bands,
-            w_t=w_sys.w.T,
-            v_blocks=w_sys.v.blocks,
-            mu_offsets=w_sys.v.offsets,
-            gt_window=data.gt_window,
-            gt_sums=data.gt_sums,
             p_offsets=np.array([0, n]),
             p_sums=np.empty((2, w)),
             xi_stages=xi_padded[w : (n + 1) * w].reshape(n, w),
             xi_ref=xi_padded[(n + 1) * w :].reshape(2, w),
-            xi_s=xi_padded[(n + 1) * w : (n + 2) * w],
             xi_window=sliding_window_view(xi_padded, 2 * w)[::w],
             mu=mu,
             mu_blocks=mu.reshape(n + 2, nx),
@@ -471,32 +449,35 @@ def _solve_kkt(work: KktWorkspace, p_blocks: np.ndarray, b: np.ndarray) -> tuple
     ``(N+1, w)`` blocks of ``p`` and for ``G`` with its pin row negated: the
     pin blocks of ``b`` and of the returned ``mu`` are those of the public
     convention, negated."""
+    data = work.data
     xi_stages, xi_ref = work.xi_stages, work.xi_ref
     w = xi_ref.shape[1]
     # xi = P^-1 p, straight into the padded buffer, both copies of xi_s at once
-    work.p_system._solve(p_blocks, work.p_offsets, work.p_sums, xi_stages, xi_ref)
+    data.p_system._solve(p_blocks, work.p_offsets, work.p_sums, xi_stages, xi_ref)
 
     # mu = W~^-1 rhs with rhs = -(G xi + b), all in mu's buffer: row i of
-    # -G xi is [xi_{i-1}, xi_i] g_window. z1 overwrites rhs in the banded
+    # -G xi is [xi_{i-1}, xi_i] g.window. z1 overwrites rhs in the banded
     # solve (info is nonzero only for an illegal argument, which the shapes
     # fixed at build time rule out), the stage sums of z1 serve both V z1
     # and the G' fold, and one dgemv takes W (V z1) off z1 in place
+    w_sys = data.w_system
     mu, sums = work.mu, work.mu_sums
-    np.matmul(work.xi_window, work.g_window, out=work.mu_blocks)
+    np.matmul(work.xi_window, data.g.window, out=work.mu_blocks)
     mu -= b
-    dpbtrs(work.bands, mu, lower=1, overwrite_b=1)
-    np.add.reduceat(work.mu_blocks, work.mu_offsets, axis=0, out=sums)
+    dpbtrs(w_sys.gamma.bands, mu, lower=1, overwrite_b=1)
+    np.add.reduceat(work.mu_blocks, w_sys.v.offsets, axis=0, out=sums)
     sums = sums.reshape(-1)
-    dgemv(-1.0, work.w_t, work.v_blocks.dot(sums), 1.0, mu, trans=1, overwrite_y=1)
+    # w.T is a Fortran-ordered view, which dgemv reads without a copy
+    dgemv(-1.0, w_sys.w.T, w_sys.v.blocks.dot(sums), 1.0, mu, trans=1, overwrite_y=1)
 
     # z = P^-1 (-(G' mu + p)) stage by stage. The second solve's correction
     # is gs - y1 with gs = gt_sums @ sums, and Gamma_st^-1 p_i - y1[:w] =
     # xi_i, so z_i = [mu_i, mu_{i+1}] gt_window - xi_i - gs[:w] and z_s =
     # gs[w:] - xi_s
     z_stages = work.z_stages
-    np.matmul(work.mu_window, work.gt_window, out=z_stages)
-    gs = work.gt_sums.dot(sums)
+    np.matmul(work.mu_window, data.gt_window, out=z_stages)
+    gs = data.gt_sums.dot(sums)
     z_stages -= xi_stages
     z_stages -= gs[:w]
-    np.subtract(gs[w:], work.xi_s, out=work.z_ref)
+    np.subtract(gs[w:], xi_ref[0], out=work.z_ref)
     return work.z, mu

@@ -14,6 +14,7 @@ from mpct_admm import (
     assemble_online,
     build_problem,
     cold_start,
+    load_problem,
     load_scenario,
     sample_initial_states,
     solve_kkt_system,
@@ -179,6 +180,26 @@ class TestAdmmSolve:
         data = build_problem(model, params)
         with pytest.raises(ValueError, match=override):
             admm_solve(data, [0.5], [0.8], [0.0], **{override: value})
+
+    @pytest.mark.parametrize("dtype", [int, bool, np.float32])
+    def test_warm_state_of_another_dtype(self, dtype):
+        # the warm state is converted to float once, on the way in, so the
+        # loop never mixes it with its float buffers
+        model, params, scaling = load_problem(resources.files("mpct_admm") / "models" / "double_integrator.json")
+        data = build_problem(model, params, scaling)
+        zeros = np.zeros(data.n_z)
+        args = (data, [0.5, 0.0], [0.2, 0.0], [0.0])
+        expected, expected_state = admm_solve(*args, warm=AdmmState(z=zeros, v=zeros, lam=zeros))
+        typed = zeros.astype(dtype)
+        report, state = admm_solve(*args, warm=AdmmState(z=typed, v=typed, lam=typed))
+        for name in ("status", "iterations", "primal_residual", "dual_residual"):
+            assert getattr(report, name) == getattr(expected, name)
+        np.testing.assert_array_equal(report.control_action, expected.control_action)
+        for got, want in zip(report.artificial_reference, expected.artificial_reference):
+            np.testing.assert_array_equal(got, want)
+        assert state.v.dtype == np.float64
+        for name in ("z", "v", "lam"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(expected_state, name))
 
     def test_warm_dimension_check(self):
         model, params = small_tracking_instance()

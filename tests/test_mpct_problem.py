@@ -59,6 +59,18 @@ class TestBuildProblem:
             MpctParams(Q=[[0.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=2)
         assert exc.value.what == "Q"
 
+    @pytest.mark.parametrize(
+        "q, row",
+        [([[1.0, 2.0], [2.0, 1.0]], 1), ([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, -1.0]], 2)],
+        ids=["second-minor", "third-minor"],
+    )
+    def test_non_spd_cost_row_is_identified(self, q, row):
+        # the index is the first row whose leading minor is not SPD
+        with pytest.raises(NotPositiveDefinite) as exc:
+            MpctParams(Q=q, R=[[1.0]], T=np.eye(len(q)), S=[[1.0]], N=2)
+        assert exc.value.what == "Q"
+        assert exc.value.index == row
+
     def test_hessian_reconstruction_matches_oracle(self):
         rng = np.random.default_rng(42)
         for _ in range(8):

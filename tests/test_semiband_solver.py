@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -155,6 +155,15 @@ SCENARIO = "scenario_ball_plate.json"
 def bundled_data(name):
     model, params, scaling = load_problem(resources.files("mpct_admm") / "models" / name)
     return build_problem(model, params, scaling)
+
+
+def arrays_in(obj):
+    """Every ndarray reachable from ``obj`` through its attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            yield from arrays_in(item)
 
 
 def random_data(n_x, n_u, horizon):
@@ -351,12 +360,28 @@ class TestSolveKkt:
             solve_kkt_system(data, np.zeros(data.n_z), np.zeros(data.m_z), work=KktWorkspace.for_problem(other))
 
     def test_workspace_of_another_problem_rejected(self, integrator_model, integrator_params):
-        # a workspace holds the factors of the problem it was made for, so
-        # one of the same size but another penalty would solve the wrong system
+        # the chain reads the factors of work.data, so a workspace of the same
+        # size but another penalty would solve the wrong system
         data = build_problem(integrator_model, integrator_params)
         other = build_problem(integrator_model, replace(integrator_params, rho=2.0 * integrator_params.rho))
         with pytest.raises(DimensionMismatch, match="another problem"):
             solve_kkt_system(data, np.zeros(data.n_z), np.zeros(data.m_z), work=KktWorkspace.for_problem(other))
+
+    def test_workspace_holds_no_factor(self):
+        # the chain reads the factors from data: apart from data itself, the
+        # workspace holds only its own buffers and views, none of which
+        # shares memory with an array of data
+        data = bundled_data("double_integrator.json")
+        work = KktWorkspace.for_problem(data)
+        arrays = list(arrays_in(data))
+        assert any(a is data.w_system.gamma.bands for a in arrays)
+        for f in fields(work):
+            value = getattr(work, f.name)
+            if f.name == "data":
+                assert value is data
+                continue
+            assert isinstance(value, np.ndarray), f.name
+            assert not any(np.shares_memory(value, a) for a in arrays), f.name
 
     def test_results_land_in_the_workspace(self):
         data = bundled_data("double_integrator.json")
