@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
-from .mpct_problem import PrecomputedData, _positive_finite, _whole_number, assemble_online
+from .mpct_problem import PrecomputedData, assemble_online
 from .semiband_solver import KktWorkspace, _solve_kkt
 
 __all__ = [
@@ -83,24 +83,18 @@ def admm_solve(
     x_r: np.ndarray,
     u_r: np.ndarray,
     warm: AdmmState | None = None,
-    *,
-    eps_primal: float | None = None,
-    eps_dual: float | None = None,
-    max_iter: int | None = None,
 ) -> tuple[SolveReport, AdmmState]:
     """Run the ADMM iteration for the current state and reference.
 
     Returns the report and the final iterates; feeding those iterates back as
     ``warm`` at the next sample time shortens the solve without changing the
-    limit point. Tolerance/iteration arguments override the precomputed
-    parameter values for this call only.
+    limit point. The penalty, the exit tolerances and the iteration cap are
+    read from ``data.params``; to solve with other tolerances or another cap,
+    pass data whose params were replaced (see :class:`PrecomputedData`).
     """
     qp = assemble_online(data, x_t, x_r, u_r)
     params = data.params
-    rho = params.rho
-    eps_p = params.eps_primal if eps_primal is None else _positive_finite(eps_primal, "eps_primal")
-    eps_d = params.eps_dual if eps_dual is None else _positive_finite(eps_dual, "eps_dual")
-    cap = params.max_iter if max_iter is None else _whole_number(max_iter, "max_iter", 1)
+    rho, eps_p, eps_d = params.rho, params.eps_primal, params.eps_dual
 
     if warm is None:
         warm = cold_start(data)
@@ -136,7 +130,7 @@ def admm_solve(
     with np.errstate(invalid="ignore", over="ignore"):
         u = lam / rho
         start = time.perf_counter()
-        for k in range(1, cap + 1):
+        for k in range(1, params.max_iter + 1):
             # the operation order of p = rho (u - v) + q, solve_kkt_system,
             # clip(z + u, v_lo, v_hi) and u += z - v_next, so iterates match
             # them bit for bit; the operands were checked above

@@ -67,17 +67,11 @@ class SymBandedMatrix:
         object.__setattr__(self, "bands", bands)
 
     @classmethod
-    def from_dense(cls, m: np.ndarray, half_bandwidth: int | None = None) -> "SymBandedMatrix":
+    def from_dense(cls, m: np.ndarray, half_bandwidth: int) -> "SymBandedMatrix":
         m = np.asarray(m, dtype=float)
         n = m.shape[0]
         if m.shape != (n, n):
             raise DimensionMismatch("matrix must be square")
-        if half_bandwidth is None:
-            half_bandwidth = 0
-            for k in range(n - 1, 0, -1):
-                if np.any(np.diag(m, -k) != 0.0):
-                    half_bandwidth = k
-                    break
         bands = np.zeros((half_bandwidth + 1, n))
         for k in range(half_bandwidth + 1):
             bands[k, : n - k] = np.diag(m, -k)

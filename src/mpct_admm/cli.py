@@ -34,6 +34,7 @@ from .semiband_solver import solve_kkt_system
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
 EXIT_INVALID_INPUT = 3
+STATE_FORMAT = "mpct-state-v1"
 
 
 def _float_list(text: str) -> np.ndarray:
@@ -70,8 +71,8 @@ def cmd_solve(args) -> int:
     if args.warm:
         with open(args.warm, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
-        if not isinstance(obj, dict):
-            raise ValueError(f"{args.warm}: warm-start state must be a JSON object with z, v and lam")
+        if not isinstance(obj, dict) or obj.get("format") != STATE_FORMAT:
+            raise ValueError(f"{args.warm}: not an {STATE_FORMAT} warm state with z, v and lam")
         warm = AdmmState(
             z=np.asarray(obj["z"], dtype=float),
             v=np.asarray(obj["v"], dtype=float),
@@ -94,7 +95,7 @@ def cmd_solve(args) -> int:
     print(json.dumps(out, indent=2))
     if args.save_state:
         with open(args.save_state, "w", encoding="utf-8") as fh:
-            json.dump({"z": state.z.tolist(), "v": state.v.tolist(), "lam": state.lam.tolist()}, fh)
+            json.dump({"format": STATE_FORMAT, **{k: a.tolist() for k, a in vars(state).items()}}, fh)
     return EXIT_OK if report.status is SolveStatus.CONVERGED else EXIT_NOT_CONVERGED
 
 
@@ -162,7 +163,8 @@ def cmd_check(args) -> int:
     # the oracle knows nothing about the scaling wrapper, so cross-validate in
     # the effective (post-scaling) problem space on both sides
     model, params, scaling = load_problem(args.problem)
-    params = _apply_overrides(params, args)
+    # the ADMM check solves to 1e-6 whatever the file's tolerances and cap
+    params = replace(_apply_overrides(params, args), eps_primal=1e-6, eps_dual=1e-6, max_iter=200000)
     if scaling is not None:
         model, params = scaling.apply(model, params)
     data = build_problem(model, params)
@@ -187,7 +189,7 @@ def cmd_check(args) -> int:
     print(f"structured vs dense KKT ({args.samples} samples): worst relative error {worst:.2e} "
           f"-> {'PASS' if kkt_ok else 'FAIL'}")
 
-    report, state = admm_solve(data, x_t, x_r, u_r, eps_primal=1e-6, eps_dual=1e-6, max_iter=200000)
+    report, state = admm_solve(data, x_t, x_r, u_r)
     admm_ok = report.status is SolveStatus.CONVERGED
     print(f"ADMM at 1e-6 tolerances: {report.status.value} in {report.iterations} iterations")
     if admm_ok:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -191,11 +191,17 @@ def simulate_closed_loop(
     The applied input is always the projected iterate's first block, so it is
     box-feasible even when a step exits on the iteration cap. A numerical
     failure aborts the trial with :class:`SolverFailed`. ``steps`` must be a
-    whole number of at least 0 and ``sample_time`` positive and finite;
-    otherwise a ValueError naming the argument is raised before any solve.
+    whole number of at least 0 and ``sample_time`` positive and finite.
+    ``eps_primal``, ``eps_dual`` and ``max_iter``, when given, replace those
+    of ``data.params`` for every step, and :class:`MpctParams` checks them.
+    A bad argument raises a ValueError naming it before any solve.
     """
     steps = _whole_number(steps, "steps", 0)
     sample_time = _positive_finite(sample_time, "sample_time")
+    overrides = {"eps_primal": eps_primal, "eps_dual": eps_dual, "max_iter": max_iter}
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    if overrides:
+        data = replace(data, params=replace(data.params, **overrides))
     nx, nu = plant.n_x, plant.n_u
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((steps + 1, nx))
@@ -208,16 +214,7 @@ def simulate_closed_loop(
     states[0] = x
     warm: AdmmState | None = None
     for t in range(steps):
-        report, warm = admm_solve(
-            data,
-            x,
-            reference.x_r,
-            reference.u_r,
-            warm=warm,
-            eps_primal=eps_primal,
-            eps_dual=eps_dual,
-            max_iter=max_iter,
-        )
+        report, warm = admm_solve(data, x, reference.x_r, reference.u_r, warm=warm)
         if report.status is SolveStatus.NUMERICAL_ERROR:
             raise SolverFailed(t, "non-finite iterates")
         u = report.control_action
@@ -275,14 +272,13 @@ class BenchStats:
         return self._aggregate(1e3 * self.solve_times)
 
 
-def run_benchmark(scenario: Scenario, data: PrecomputedData | None = None) -> list[BenchStats]:
+def run_benchmark(scenario: Scenario) -> list[BenchStats]:
     """One cold-start solve per sampled initial state, per reference.
 
     Deterministic in iteration counts for a fixed seed (timings are not).
     Timing covers the iteration loop only, never file I/O.
     """
-    if data is None:
-        data = build_problem(scenario.model, scenario.params, scenario.scaling)
+    data = build_problem(scenario.model, scenario.params, scenario.scaling)
     results = []
     for ri, ref in enumerate(scenario.references):
         x0s = sample_initial_states(scenario, ri)

@@ -319,6 +319,12 @@ class PrecomputedData:
     into the KKT chain's second primal solve (see
     :func:`~mpct_admm.semiband_solver.gt_fold_blocks`). None of the three
     blocks grows with ``N``.
+
+    No factor depends on ``params.eps_primal``, ``eps_dual`` or
+    ``max_iter``, which only steer the ADMM loop, so built data may have
+    them replaced: ``replace(data, params=replace(data.params, ...))``.
+    ``rho``, ``N``, the costs and ``epsilon`` are built into the factors and
+    bounds, and must not be replaced that way.
     """
 
     model: LtiModel

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -31,6 +32,11 @@ def small_tracking_instance(rho=1.0, eps=1e-6):
         epsilon=1e-6, rho=rho, eps_primal=eps, eps_dual=eps, max_iter=20000,
     )
     return model, params
+
+
+def with_params(data, **updates):
+    """``data`` with tolerances or cap replaced; no factor depends on them."""
+    return replace(data, params=replace(data.params, **updates))
 
 
 class TestAdmmSolve:
@@ -69,21 +75,13 @@ class TestAdmmSolve:
 
     def test_iteration_cap_keeps_iterates_feasible(self):
         model, params = small_tracking_instance()
-        data = build_problem(model, params)
-        report, state = admm_solve(data, [0.5], [5.0], [0.0], max_iter=3)
+        data = build_problem(model, replace(params, max_iter=3))
+        report, state = admm_solve(data, [0.5], [5.0], [0.0])
         assert report.status is SolveStatus.MAX_ITERATIONS
         assert report.iterations == 3
         assert np.all(state.v >= data.v_lo - 1e-15)
         assert np.all(state.v <= data.v_hi + 1e-15)
         assert np.all(np.abs(report.control_action) <= 1.0 + 1e-15)
-
-    def test_max_iter_override_must_be_whole(self):
-        model, params = small_tracking_instance()
-        data = build_problem(model, params)
-        with pytest.raises(ValueError, match="max_iter"):
-            admm_solve(data, [0.5], [5.0], [0.0], max_iter=2.9)
-        report, _ = admm_solve(data, [0.5], [5.0], [0.0], max_iter=3.0)
-        assert report.iterations == 3
 
     @pytest.mark.parametrize("reference", [0, 1])
     def test_loop_matches_public_pieces_bitwise(self, reference):
@@ -110,9 +108,8 @@ class TestAdmmSolve:
                 v_next = np.clip(z + u, qp.v_lo, qp.v_hi)
                 u = u + (z - v_next)
                 v = v_next
-            report, warm = admm_solve(
-                data, x_t, ref.x_r, ref.u_r, warm, eps_primal=1e-300, eps_dual=1e-300, max_iter=k
-            )
+            capped = with_params(data, eps_primal=1e-300, eps_dual=1e-300, max_iter=k)
+            report, warm = admm_solve(capped, x_t, ref.x_r, ref.u_r, warm)
             assert report.iterations == k
             np.testing.assert_array_equal(warm.z, z)
             np.testing.assert_array_equal(warm.v, v)
@@ -148,7 +145,7 @@ class TestAdmmSolve:
         assert report.status is SolveStatus.CONVERGED
         k = report.iterations
         earlier = max(1, int(0.9 * k))
-        report_earlier, _ = admm_solve(data, [0.5], [1.2], [0.0], max_iter=earlier)
+        report_earlier, _ = admm_solve(with_params(data, max_iter=earlier), [0.5], [1.2], [0.0])
         assert report.primal_residual <= report_earlier.primal_residual + 1e-15
 
     @pytest.mark.parametrize("rho", [1.0, 0.5])
@@ -171,15 +168,6 @@ class TestAdmmSolve:
         getattr(warm, field)[1] = value
         with pytest.raises(NonFiniteInput, match="warm state"):
             admm_solve(data, [0.5], [0.8], [0.0], warm=warm)
-
-    @pytest.mark.parametrize("override", ["eps_primal", "eps_dual"])
-    @pytest.mark.parametrize("value", [np.nan, 0.0, -1e-4, np.inf])
-    def test_tolerance_override_must_be_positive(self, override, value):
-        # an infinite tolerance would report convergence after one iteration
-        model, params = small_tracking_instance()
-        data = build_problem(model, params)
-        with pytest.raises(ValueError, match=override):
-            admm_solve(data, [0.5], [0.8], [0.0], **{override: value})
 
     @pytest.mark.parametrize("dtype", [int, bool, np.float32])
     def test_warm_state_of_another_dtype(self, dtype):
@@ -247,14 +235,14 @@ class TestAdmmSolve:
             np.testing.assert_array_equal(v_s, v_p)
 
     def test_scaling_transparent_to_caller(self):
-        model, params = small_tracking_instance()
+        model, params = small_tracking_instance(eps=1e-8)
         from mpct_admm import DiagonalScaling
 
         scaling = DiagonalScaling(state=[2.0], input=[0.5])
         plain = build_problem(model, params)
         scaled = build_problem(model, params, scaling)
-        r1, _ = admm_solve(plain, [0.5], [0.8], [0.0], eps_primal=1e-8, eps_dual=1e-8)
-        r2, _ = admm_solve(scaled, [0.5], [0.8], [0.0], eps_primal=1e-8, eps_dual=1e-8)
+        r1, _ = admm_solve(plain, [0.5], [0.8], [0.0])
+        r2, _ = admm_solve(scaled, [0.5], [0.8], [0.0])
         assert r1.status is SolveStatus.CONVERGED and r2.status is SolveStatus.CONVERGED
         np.testing.assert_allclose(r1.control_action, r2.control_action, atol=1e-6)
         np.testing.assert_allclose(r1.artificial_reference[0], r2.artificial_reference[0], atol=1e-6)

@@ -37,7 +37,7 @@ class TestBandedCholesky:
 
     def test_tridiagonal_matches_dense_cholesky(self):
         dense = np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]])
-        m = SymBandedMatrix.from_dense(dense)
+        m = SymBandedMatrix.from_dense(dense, 1)
         assert m.half_bandwidth == 1
         factor = banded_cholesky_factor(m)
         np.testing.assert_allclose(factor.to_dense(), np.linalg.cholesky(dense), atol=1e-14)

@@ -73,6 +73,19 @@ class TestSolve:
         assert code == EXIT_INVALID_INPUT
         assert str(warm) in capsys.readouterr().err
 
+    def test_unversioned_warm_state_exits_three(self, integrator_problem, tmp_path, capsys):
+        # a state file must declare its format, as problem and scenario files do
+        warm = tmp_path / "warm.json"
+        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"]
+        assert main(solve + ["--save-state", str(warm)]) == EXIT_OK
+        state = json.loads(warm.read_text())
+        state.pop("format", None)
+        warm.write_text(json.dumps(state))
+        capsys.readouterr()
+        code = main(solve + ["--warm", str(warm)])
+        assert code == EXIT_INVALID_INPUT
+        assert str(warm) in capsys.readouterr().err
+
     def test_invalid_json_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

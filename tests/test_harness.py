@@ -172,6 +172,11 @@ class TestSimulation:
             ("sample_time", float("inf")),
             ("steps", -1),
             ("steps", 2.5),
+            ("eps_primal", -1e-4),
+            ("eps_dual", float("nan")),
+            ("eps_primal", float("inf")),
+            ("max_iter", 0),
+            ("max_iter", 2.5),
         ],
     )
     def test_invalid_arguments_rejected_before_solving(
@@ -187,10 +192,10 @@ class TestSimulation:
 
 
 class TestBenchmark:
-    def test_deterministic_iterations(self, integrator_scenario, integrator_data):
+    def test_deterministic_iterations(self, integrator_scenario):
         sc = replace(integrator_scenario, trials=8)
-        r1 = run_benchmark(sc, integrator_data)
-        r2 = run_benchmark(sc, integrator_data)
+        r1 = run_benchmark(sc)
+        r2 = run_benchmark(sc)
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a.iterations, b.iterations)
 
@@ -205,9 +210,9 @@ class TestBenchmark:
         iv = sc.x0_intervals
         assert np.all(x0s >= iv[:, 0]) and np.all(x0s <= iv[:, 1])
 
-    def test_aggregates_recompute_from_records(self, integrator_scenario, integrator_data):
+    def test_aggregates_recompute_from_records(self, integrator_scenario):
         sc = replace(integrator_scenario, trials=6)
-        results = run_benchmark(sc, integrator_data)
+        results = run_benchmark(sc)
         for stats in results:
             agg = stats.iteration_stats()
             assert agg["average"] == pytest.approx(np.mean(stats.iterations))
@@ -216,9 +221,9 @@ class TestBenchmark:
             assert agg["min"] == stats.iterations.min()
             assert agg["min"] <= agg["median"] <= agg["max"]
 
-    def test_stats_dict_and_trials_csv(self, integrator_scenario, integrator_data):
+    def test_stats_dict_and_trials_csv(self, integrator_scenario):
         sc = replace(integrator_scenario, trials=3)
-        results = run_benchmark(sc, integrator_data)
+        results = run_benchmark(sc)
         obj = bench_stats_dict(results)
         assert obj["format"] == "mpct-bench-v1"
         assert len(obj["results"]) == 2
