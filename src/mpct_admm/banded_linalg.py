@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .errors import DimensionMismatch, NotPositiveDefinite
 
@@ -144,13 +144,6 @@ def banded_cholesky_factor(m: SymBandedMatrix) -> BandedCholeskyFactor:
     if low.size or info > 0:
         raise NotPositiveDefinite("banded matrix", index=int(low[0]) if low.size else done)
     return BandedCholeskyFactor(n=m.n, half_bandwidth=m.half_bandwidth, bands=bands)
-
-
-def _spd_failure_row(block: np.ndarray) -> int:
-    """First row at which the leading minors of ``block`` stop being SPD."""
-    # info is the order of the first leading minor that is not SPD, 0 if none
-    info = dpotrf(block, lower=1)[1]
-    return info - 1 if info > 0 else block.shape[0] - 1
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,13 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iter", type=int, default=None, help="override iteration cap")
 
 
+def _warm_vector(obj: dict, key: str, path: str) -> np.ndarray:
+    try:
+        return np.asarray(obj[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
+        raise ValueError(f"{path}: warm state needs a numeric {key!r} array") from None
+
+
 def cmd_solve(args) -> int:
     model, params, scaling = load_problem(args.problem)
     data = build_problem(model, _apply_overrides(params, args), scaling)
@@ -72,12 +79,10 @@ def cmd_solve(args) -> int:
         with open(args.warm, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
         if not isinstance(obj, dict) or obj.get("format") != STATE_FORMAT:
-            raise ValueError(f"{args.warm}: not an {STATE_FORMAT} warm state with z, v and lam")
-        warm = AdmmState(
-            z=np.asarray(obj["z"], dtype=float),
-            v=np.asarray(obj["v"], dtype=float),
-            lam=np.asarray(obj["lam"], dtype=float),
-        )
+            raise ValueError(f"{args.warm}: not an {STATE_FORMAT} warm state with v and lam")
+        v, lam = (_warm_vector(obj, key, args.warm) for key in ("v", "lam"))
+        # a warm start reads v and lam only, so a saved z is ignored
+        warm = AdmmState(z=v, v=v, lam=lam)
     report, state = admm_solve(data, x0, xr, ur, warm=warm)
     out = {
         "status": report.status.value,

@@ -20,18 +20,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import block_diag as _dense_block_diag
+from scipy.linalg.lapack import dpotrf
 
-from .banded_linalg import (
-    PredictionSparseMatrix,
-    SymBandedMatrix,
-    _spd_failure_row,
-    banded_cholesky_factor,
-)
+from .banded_linalg import PredictionSparseMatrix, SymBandedMatrix, banded_cholesky_factor
 from .errors import (
     DimensionMismatch,
     EmptyTightenedBox,
@@ -87,13 +83,13 @@ def _cost_matrix(m, n: int, name: str) -> np.ndarray:
         raise DimensionMismatch(f"{name} must be {n}x{n}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteInput(f"{name} contains NaN or infinity")
-    if not np.allclose(m, m.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(m).max())):
+    if np.abs(m - m.T).max() > 1e-10 * (1.0 + np.abs(m).max()):
         raise ValueError(f"{name} must be symmetric")
     m = 0.5 * (m + m.T)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(name, index=_spd_failure_row(m)) from None
+    # info is the order of the first leading minor that is not SPD, 0 if none
+    info = dpotrf(m, lower=1)[1]
+    if info:
+        raise NotPositiveDefinite(name, index=info - 1)
     return m
 
 
@@ -255,17 +251,12 @@ class DiagonalScaling:
             u_lo=model.u_lo / du,
             u_hi=model.u_hi / du,
         )
-        params_s = MpctParams(
+        params_s = replace(
+            params,
             Q=dx[:, None] * params.Q * dx[None, :],
             R=du[:, None] * params.R * du[None, :],
             T=dx[:, None] * params.T * dx[None, :],
             S=du[:, None] * params.S * du[None, :],
-            N=params.N,
-            epsilon=params.epsilon,
-            rho=params.rho,
-            eps_primal=params.eps_primal,
-            eps_dual=params.eps_dual,
-            max_iter=params.max_iter,
         )
         return model_s, params_s
 

@@ -34,6 +34,12 @@ __all__ = [
 
 DENSE_SIZE_LIMIT = 800
 
+# Fixed settings of the dense reference solves: their own penalty, the
+# residual at which both stop, and their iteration cap.
+REFERENCE_RHO = 1.0
+REFERENCE_TOL = 1e-10
+REFERENCE_MAX_ITER = 10**6
+
 
 def dense_hessian(params: MpctParams) -> np.ndarray:
     nx, nu, n = params.n_x, params.n_u, params.N
@@ -179,12 +185,13 @@ class DenseQpSolution:
     iterations: int
 
 
-def _box_qp_admm(h, q, g, b, lo, hi, rho, tol, max_iter):
+def _box_qp_admm(h, q, g, b, lo, hi):
     """Dense consensus splitting on a box-constrained equality QP.
 
     Same mathematics as the structured solver but dense linear algebra and a
     single cached factorization; used only to manufacture reference answers.
     """
+    rho, tol, max_iter = REFERENCE_RHO, REFERENCE_TOL, REFERENCE_MAX_ITER
     n = h.shape[0]
     m = g.shape[0]
     kkt = np.block([[h + rho * np.eye(n), g.T], [g, np.zeros((m, m))]])
@@ -212,13 +219,7 @@ def _box_qp_admm(h, q, g, b, lo, hi, rho, tol, max_iter):
     return v, lam, mu, k, converged
 
 
-def dense_qp_solve(
-    instance: DenseQpInstance,
-    *,
-    rho: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 10**6,
-) -> DenseQpSolution:
+def dense_qp_solve(instance: DenseQpInstance) -> DenseQpSolution:
     """High-accuracy reference solution of the full box-constrained QP.
 
     The penalty here is independent of the structured solver's (the minimizer
@@ -226,8 +227,7 @@ def dense_qp_solve(
     a doubtful answer.
     """
     v, lam, mu, k, ok = _box_qp_admm(
-        instance.h, instance.q, instance.g, instance.b,
-        instance.v_lo, instance.v_hi, rho, tol, max_iter,
+        instance.h, instance.q, instance.g, instance.b, instance.v_lo, instance.v_hi
     )
     if not ok:
         raise NotConverged(f"dense reference solve stalled after {k} iterations")
@@ -310,10 +310,6 @@ def optimal_steady_state(
     params: MpctParams,
     x_r: np.ndarray,
     u_r: np.ndarray,
-    *,
-    rho: float = 1.0,
-    tol: float = 1e-10,
-    max_iter: int = 10**6,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Admissible equilibrium closest to the reference in the terminal metric.
 
@@ -357,7 +353,7 @@ def optimal_steady_state(
 
     h = block_diag(2.0 * params.T, 2.0 * params.S)
     q = np.concatenate([-2.0 * (params.T @ x_r), -2.0 * (params.S @ u_r)])
-    v, _, _, k, ok = _box_qp_admm(h, q, g_eq, b_eq, lo, hi, rho, tol, max_iter)
+    v, _, _, k, ok = _box_qp_admm(h, q, g_eq, b_eq, lo, hi)
     if not ok:
         raise NotConverged(f"steady-state solve stalled after {k} iterations")
     return v[:nx], v[nx:]

@@ -30,17 +30,15 @@ solve already takes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import LinAlgWarning, cho_factor, cho_solve, lu_factor, lu_solve
 from scipy.linalg.blas import dgemv
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrs, dpotrf, dpotrs
 
-from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, _spd_failure_row
+from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,24 +61,22 @@ def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
     the determinant identity means the full system matrix is singular.
     """
     m = core.shape[0]
-    with warnings.catch_warnings():
-        # singularity is detected from the factor below, not from the warning
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(core, check_finite=False)
+    # an exactly zero pivot only sets info, which the pivot test below covers
+    lu, piv, _ = dgetrf(core)
     u_diag = np.abs(np.diag(lu))
     if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
         raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
     # (gamma_inv_u core^-1)^T = core^-T gamma_inv_u^T
-    return lu_solve((lu, piv), gamma_inv_u.T, trans=1, check_finite=False).T
+    return dgetrs(lu, piv, gamma_inv_u.T, trans=1)[0].T
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     """Symmetric inverse of an SPD block, or :class:`NotPositiveDefinite`."""
-    try:
-        fac = cho_factor(m, lower=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefinite(what, index=_spd_failure_row(m)) from None
-    inv = cho_solve(fac, np.eye(m.shape[0]), check_finite=False)
+    # info is the order of the first leading minor that is not SPD, 0 if none
+    c, info = dpotrf(m, lower=1)
+    if info:
+        raise NotPositiveDefinite(what, index=info - 1)
+    inv = dpotrs(c, np.eye(m.shape[0]), lower=1)[0]
     return 0.5 * (inv + inv.T)
 
 

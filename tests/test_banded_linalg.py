@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_solve_banded
+from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, lu_factor, lu_solve
 
 from mpct_admm import (
     DimensionMismatch,
@@ -16,6 +16,7 @@ from mpct_admm import (
     load_problem,
 )
 from mpct_admm.oracle import dense_dynamics
+from mpct_admm.semiband_solver import _fold_core, _spd_inverse
 
 from conftest import random_controllable_model
 
@@ -204,3 +205,24 @@ class TestLapackCallsMatchScipy:
         for d in (rng.standard_normal(n), rng.standard_normal((n, 3))):
             expected = cho_solve_banded((factor.bands, True), d, check_finite=False)
             np.testing.assert_array_equal(factor.solve(d), expected)
+
+    @pytest.mark.parametrize("block", [1, 2, 10, "stage", "reference"])
+    def test_spd_inverse_equals_cho_solve(self, block):
+        if isinstance(block, int):
+            a = np.random.default_rng(block).standard_normal((block, block))
+            m = a @ a.T + block * np.eye(block)
+        else:
+            # the two SPD core blocks the bundled 8-state model inverts
+            path = resources.files("mpct_admm") / "models" / "ball_plate_like.json"
+            p_system = build_problem(*load_problem(path)).p_system
+            m = p_system.gamma_stage if block == "stage" else p_system.gamma_ref
+        inv = cho_solve(cho_factor(m, lower=True), np.eye(m.shape[0]))
+        np.testing.assert_array_equal(_spd_inverse(m, "block"), 0.5 * (inv + inv.T))
+
+    @pytest.mark.parametrize("w, n", [(1, 4), (2, 9), (10, 33)])
+    def test_fold_core_equals_lu_solve(self, w, n):
+        rng = np.random.default_rng(w + n)
+        core = rng.standard_normal((2 * w, 2 * w)) + 2 * w * np.eye(2 * w)
+        u = rng.standard_normal((n, 2 * w))
+        expected = lu_solve(lu_factor(core), u.T, trans=1).T
+        np.testing.assert_array_equal(_fold_core(u, core), expected)

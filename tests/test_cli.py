@@ -86,6 +86,39 @@ class TestSolve:
         assert code == EXIT_INVALID_INPUT
         assert str(warm) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["v", "lam"])
+    def test_warm_state_missing_key_exits_three(self, integrator_problem, tmp_path, capsys, key):
+        warm = tmp_path / "warm.json"
+        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"]
+        assert main(solve + ["--save-state", str(warm)]) == EXIT_OK
+        state = json.loads(warm.read_text())
+        del state[key]
+        warm.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert main(solve + ["--warm", str(warm)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert str(warm) in err and repr(key) in err
+        # a present but non-numeric array is reported the same way
+        warm.write_text(json.dumps({**state, key: ["x"]}))
+        assert main(solve + ["--warm", str(warm)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert str(warm) in err and repr(key) in err
+
+    def test_warm_state_without_z(self, integrator_problem, tmp_path, capsys):
+        # a warm start reads v and lam only, so dropping z changes nothing
+        with_z, without_z = tmp_path / "with_z.json", tmp_path / "without_z.json"
+        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"]
+        assert main(solve + ["--max-iter", "5", "--save-state", str(with_z)]) == EXIT_NOT_CONVERGED
+        state = json.loads(with_z.read_text())
+        del state["z"]
+        without_z.write_text(json.dumps(state))
+        capsys.readouterr()
+        iterations = []
+        for warm in (with_z, without_z):
+            assert main(solve + ["--warm", str(warm)]) == EXIT_OK
+            iterations.append(json.loads(capsys.readouterr().out)["iterations"])
+        assert iterations[0] == iterations[1]
+
     def test_invalid_json_exits_three(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

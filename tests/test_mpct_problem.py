@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             MpctParams(Q=[[1.0, 0.5], [0.0, 1.0]], R=[[1.0]], T=np.eye(2), S=[[1.0]], N=2)
 
+    def test_symmetry_tolerance_boundary(self):
+        # the tolerance is 1e-10 (1 + max |Q|) = 3e-10 here
+        tol = 3e-10
+        q = np.array([[2.0, 0.5], [0.5, 2.0]])
+        q[0, 1] += 0.5 * tol
+        params = MpctParams(Q=q, R=[[1.0]], T=np.eye(2), S=[[1.0]], N=2)
+        np.testing.assert_array_equal(params.Q, params.Q.T)
+        q[0, 1] += 1.5 * tol
+        with pytest.raises(ValueError, match="Q"):
+            MpctParams(Q=q, R=[[1.0]], T=np.eye(2), S=[[1.0]], N=2)
+
 
 class TestScaling:
     def test_cost_energy_is_preserved(self):
@@ -279,6 +292,21 @@ class TestScaling:
     def test_positive_factors_required(self):
         with pytest.raises(ValueError):
             DiagonalScaling(state=[1.0, -1.0], input=[1.0])
+
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in dataclasses.fields(MpctParams) if f.name not in ("Q", "R", "T", "S")],
+        ids=lambda f: f.name,
+    )
+    def test_scaling_keeps_every_setting(self, field):
+        # scaling changes only the costs; half the default is a valid
+        # non-default value for every positive setting
+        value = 7 if field.default is dataclasses.MISSING else field.default / 2
+        base = {"Q": [[1.0]], "R": [[1.0]], "T": [[1.0]], "S": [[1.0]], "N": 3}
+        params = MpctParams(**{**base, field.name: value})
+        model = LtiModel(A=[[1.0]], B=[[1.0]], x_lo=[-1.0], x_hi=[1.0], u_lo=[-1.0], u_hi=[1.0])
+        _, params_s = DiagonalScaling(state=[2.0], input=[0.5]).apply(model, params)
+        assert getattr(params_s, field.name) == getattr(params, field.name) == value
 
 
 class TestJsonFormat:
