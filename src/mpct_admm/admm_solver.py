@@ -22,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput
-from .mpct_problem import PrecomputedData, assemble_online
+from .mpct_problem import PrecomputedData, _finite_vector, assemble_online
 from .semiband_solver import KktWorkspace, _solve_kkt
 
 __all__ = [
@@ -98,14 +97,11 @@ def admm_solve(
 
     if warm is None:
         warm = cold_start(data)
-    # float copies, whatever the warm state's dtype: the loop writes into v's
-    # buffer and swaps it with a float one. warm.z is not read, since every
-    # iteration computes z before it uses it
-    v, lam = np.array(warm.v, dtype=float), np.array(warm.lam, dtype=float)
-    if v.shape != (data.n_z,) or lam.shape != (data.n_z,):
-        raise DimensionMismatch("warm state does not match the problem size")
-    if not (np.isfinite(v).all() and np.isfinite(lam).all()):
-        raise NonFiniteInput("warm state contains NaN or infinity")
+    # float, whatever the warm state's dtype; v is copied because the loop
+    # writes into its buffer, lam is only read. warm.z is not read, since
+    # every iteration computes z before it uses it
+    v = np.array(_finite_vector(warm.v, data.n_z, "warm state v"))
+    lam = _finite_vector(warm.lam, data.n_z, "warm state lam")
 
     work = KktWorkspace.for_problem(data)
     # the chain runs with the pin row of G negated, and so with b's pin block

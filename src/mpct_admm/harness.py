@@ -124,8 +124,6 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
             problem = json.load(fh)
     model, params, scaling = problem_from_dict(problem)
     references = _parse("references", _references, obj["references"])
-    if not references:
-        raise ValueError("scenario needs at least one reference")
     intervals = _section(obj, "initial_state")["intervals"]
     return Scenario(
         model=model,

@@ -151,6 +151,12 @@ def _factor_square(mat: np.ndarray):
     return lu, piv
 
 
+def _factor_saddle(h: np.ndarray, g: np.ndarray, rho: float):
+    """LU factors of the saddle-point matrix ``[[h + rho I, g'], [g, 0]]``."""
+    n, m = h.shape[0], g.shape[0]
+    return _factor_square(np.block([[h + rho * np.eye(n), g.T], [g, np.zeros((m, m))]]))
+
+
 def dense_kkt_solve(
     instance: DenseQpInstance, p: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,13 +172,8 @@ def dense_kkt_solve(
         raise DimensionMismatch(f"p must have length {n}")
     if b.shape != (m,):
         raise DimensionMismatch(f"b must have length {m}")
-    kkt = np.block(
-        [
-            [instance.h + instance.rho * np.eye(n), instance.g.T],
-            [instance.g, np.zeros((m, m))],
-        ]
-    )
-    sol = lu_solve(_factor_square(kkt), np.concatenate([-p, b]), check_finite=False)
+    lu = _factor_saddle(instance.h, instance.g, instance.rho)
+    sol = lu_solve(lu, np.concatenate([-p, b]), check_finite=False)
     return sol[:n], sol[n:]
 
 
@@ -192,10 +193,8 @@ def _box_qp_admm(h, q, g, b, lo, hi):
     single cached factorization; used only to manufacture reference answers.
     """
     rho, tol, max_iter = REFERENCE_RHO, REFERENCE_TOL, REFERENCE_MAX_ITER
-    n = h.shape[0]
-    m = g.shape[0]
-    kkt = np.block([[h + rho * np.eye(n), g.T], [g, np.zeros((m, m))]])
-    lu = _factor_square(kkt)
+    n, m = h.shape[0], g.shape[0]
+    lu = _factor_saddle(h, g, rho)
     rhs = np.empty(n + m)
     rhs[n:] = b
     v = np.clip(np.zeros(n), lo, hi)
@@ -322,19 +321,8 @@ def optimal_steady_state(
     u_r = np.asarray(u_r, dtype=float)
     if x_r.shape != (nx,) or u_r.shape != (nu,):
         raise DimensionMismatch("reference dimensions do not match the model")
-    eps = params.epsilon
-    lo = np.concatenate(
-        [
-            np.where(np.isfinite(model.x_lo), model.x_lo + eps, model.x_lo),
-            np.where(np.isfinite(model.u_lo), model.u_lo + eps, model.u_lo),
-        ]
-    )
-    hi = np.concatenate(
-        [
-            np.where(np.isfinite(model.x_hi), model.x_hi - eps, model.x_hi),
-            np.where(np.isfinite(model.u_hi), model.u_hi - eps, model.u_hi),
-        ]
-    )
+    # the tightened box of the reference block, the last n_x + n_u entries
+    lo, hi = (bound[-(nx + nu) :] for bound in dense_bounds(model, params))
     g_eq = np.hstack([model.A - np.eye(nx), model.B])
     b_eq = np.zeros(nx)
 

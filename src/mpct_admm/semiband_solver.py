@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrs, dpotrf, dpotrs
 
@@ -353,13 +353,15 @@ class KktWorkspace:
     both copies of ``xi_s``. Row ``i`` of ``xi_window`` is then
     ``(xi_{i-1}, xi_i)`` for ``i = 0 .. N+1``, with ``xi_{-1} = 0`` and
     ``xi_N = xi_{N+1} = xi_s``, and row ``i`` of ``mu_window`` is ``(mu_i,
-    mu_{i+1})`` for ``i = 0 .. N-1``; all are views, not copies. ``p_sums``
-    and ``mu_sums`` receive the stage sums the chain takes, at the
-    ``p_offsets`` and at the dual ``v.offsets`` where they start. ``z`` and
-    ``mu`` receive the chain's results, ``mu`` with the sign of the
-    pin-negated ``G``; the dual right-hand side and the banded solve's
-    output pass through ``mu`` on the way. The next call with the same
-    workspace overwrites them.
+    mu_{i+1})`` for ``i = 0 .. N-1``; all are views, not copies. The two
+    windows are read-only ``as_strided`` views with strides of ``(w, 1)``
+    and ``(n_x, 1)`` items over their contiguous buffers, so consecutive
+    rows share a block. ``p_sums`` and ``mu_sums`` receive the stage sums
+    the chain takes, at the ``p_offsets`` and at the dual ``v.offsets``
+    where they start. ``z`` and ``mu`` receive the chain's results, ``mu``
+    with the sign of the pin-negated ``G``; the dual right-hand side and the
+    banded solve's output pass through ``mu`` on the way. The next call with
+    the same workspace overwrites them.
 
     The chain reads its factors from ``data``, so a workspace serves only
     the ``data`` it was made for.
@@ -384,17 +386,18 @@ class KktWorkspace:
         n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
         xi_padded = np.zeros((n + 3) * w)
         mu, z = np.empty(data.m_z), np.empty(data.n_z)
+        item = xi_padded.itemsize
         return cls(
             data=data,
             p_offsets=np.array([0, n]),
             p_sums=np.empty((2, w)),
             xi_stages=xi_padded[w : (n + 1) * w].reshape(n, w),
             xi_ref=xi_padded[(n + 1) * w :].reshape(2, w),
-            xi_window=sliding_window_view(xi_padded, 2 * w)[::w],
+            xi_window=as_strided(xi_padded, (n + 2, 2 * w), (w * item, item), writeable=False),
             mu=mu,
             mu_blocks=mu.reshape(n + 2, nx),
             mu_sums=np.empty((4, nx)),
-            mu_window=sliding_window_view(mu, 2 * nx)[::nx][:n],
+            mu_window=as_strided(mu, (n, 2 * nx), (nx * item, item), writeable=False),
             z=z,
             z_stages=z[: n * w].reshape(n, w),
             z_ref=z[n * w :],

@@ -189,11 +189,16 @@ class TestAdmmSolve:
         for name in ("z", "v", "lam"):
             np.testing.assert_array_equal(getattr(state, name), getattr(expected_state, name))
 
-    def test_warm_dimension_check(self):
+    @pytest.mark.parametrize("field", ["v", "lam"])
+    def test_warm_dimension_check(self, field):
+        # one field of the wrong length at a time; the error names it and
+        # the expected length
         model, params = small_tracking_instance()
         data = build_problem(model, params)
-        with pytest.raises(DimensionMismatch):
-            admm_solve(data, [0.5], [0.8], [0.0], warm=AdmmState(z=np.zeros(3), v=np.zeros(3), lam=np.zeros(3)))
+        warm = cold_start(data)
+        setattr(warm, field, np.zeros(3))
+        with pytest.raises(DimensionMismatch, match=rf"warm state {field} must have length {data.n_z}\b"):
+            admm_solve(data, [0.5], [0.8], [0.0], warm=warm)
 
     def test_limits_match_oracle_on_random_instances(self):
         rng = np.random.default_rng(11)

@@ -104,6 +104,17 @@ class TestSolve:
         err = capsys.readouterr().err
         assert str(warm) in err and repr(key) in err
 
+    @pytest.mark.parametrize("key", ["v", "lam"])
+    def test_warm_state_wrong_length_exits_three(self, integrator_problem, tmp_path, capsys, key):
+        # double_integrator.json has n_z = 33
+        warm = tmp_path / "warm.json"
+        state = {"format": "mpct-state-v1", "v": [0.0] * 33, "lam": [0.0] * 33}
+        warm.write_text(json.dumps({**state, key: [0.0]}))
+        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0", "--warm", str(warm)]
+        assert main(solve) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert str(warm) in err and f"warm state {key}" in err and "33" in err
+
     def test_warm_state_without_z(self, integrator_problem, tmp_path, capsys):
         # a warm start reads v and lam only, so dropping z changes nothing
         with_z, without_z = tmp_path / "with_z.json", tmp_path / "without_z.json"
