@@ -41,26 +41,6 @@ def _float_list(text: str) -> np.ndarray:
     return np.asarray([float(tok) for tok in text.replace(",", " ").split()], dtype=float)
 
 
-def _apply_overrides(params, args):
-    updates = {}
-    if getattr(args, "rho", None) is not None:
-        updates["rho"] = args.rho
-    if getattr(args, "eps_primal", None) is not None:
-        updates["eps_primal"] = args.eps_primal
-    if getattr(args, "eps_dual", None) is not None:
-        updates["eps_dual"] = args.eps_dual
-    if getattr(args, "max_iter", None) is not None:
-        updates["max_iter"] = args.max_iter
-    return replace(params, **updates) if updates else params
-
-
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--rho", type=float, default=None, help="override penalty parameter")
-    parser.add_argument("--eps-primal", type=float, default=None, help="override primal tolerance")
-    parser.add_argument("--eps-dual", type=float, default=None, help="override dual tolerance")
-    parser.add_argument("--max-iter", type=int, default=None, help="override iteration cap")
-
-
 def _warm_vector(obj: dict, key: str, path: str, n: int) -> np.ndarray:
     try:
         value = np.asarray(obj[key], dtype=float)
@@ -71,7 +51,7 @@ def _warm_vector(obj: dict, key: str, path: str, n: int) -> np.ndarray:
 
 def cmd_solve(args) -> int:
     model, params, scaling = load_problem(args.problem)
-    data = build_problem(model, _apply_overrides(params, args), scaling)
+    data = build_problem(model, params, scaling)
     x0 = _float_list(args.x0)
     xr = _float_list(args.xr)
     ur = _float_list(args.ur) if args.ur else np.zeros(data.n_u)
@@ -107,7 +87,6 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
-    scenario = replace(scenario, params=_apply_overrides(scenario.params, args))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     labels = [r.label for r in scenario.references]
@@ -141,7 +120,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     scenario = load_scenario(args.scenario)
-    scenario = replace(scenario, params=_apply_overrides(scenario.params, args))
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.trials is not None:
@@ -170,7 +148,7 @@ def cmd_check(args) -> int:
     # the effective (post-scaling) problem space on both sides
     model, params, scaling = load_problem(args.problem)
     # the ADMM check solves to 1e-6 whatever the file's tolerances and cap
-    params = replace(_apply_overrides(params, args), eps_primal=1e-6, eps_dual=1e-6, max_iter=200000)
+    params = replace(params, eps_primal=1e-6, eps_dual=1e-6, max_iter=200000)
     if scaling is not None:
         model, params = scaling.apply(model, params)
     data = build_problem(model, params)
@@ -237,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ur", default=None, help="input reference (default zeros)")
     p.add_argument("--warm", default=None, help="warm-start state JSON from --save-state")
     p.add_argument("--save-state", default=None, help="write the final iterates as JSON")
-    _add_override_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("simulate", help="closed-loop simulation to CSV")
@@ -246,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", default=None, help="reference label (default: first)")
     p.add_argument("--trial", type=int, default=0, help="which sampled initial state to use")
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    _add_override_flags(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("bench", help="random-initial-state benchmark")
@@ -255,15 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-trial", default=None, help="per-trial CSV path (default: derived)")
     p.add_argument("--trials", type=int, default=None, help="override trial count")
     p.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    _add_override_flags(p)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("check", help="cross-validate against the dense oracle")
     p.add_argument("problem", help="problem definition JSON (mpct-v1)")
     p.add_argument("--samples", type=int, default=25, help="random KKT right-hand sides")
     p.add_argument("--seed", type=int, default=None)
-    # the ADMM check runs at fixed tolerances and cap, so only rho applies
-    p.add_argument("--rho", type=float, default=None, help="override penalty parameter")
     p.set_defaults(func=cmd_check)
 
     return parser

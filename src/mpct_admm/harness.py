@@ -29,6 +29,7 @@ from .mpct_problem import (
     LtiModel,
     MpctParams,
     PrecomputedData,
+    _finite_vector,
     _matrix,
     _parse,
     _positive_finite,
@@ -76,7 +77,8 @@ class Scenario:
 
     ``trials`` (at least 1), ``steps`` and ``seed`` (at least 0) must be
     whole numbers and are stored as ints; anything else raises a ValueError
-    that names the field.
+    that names the field. Each reference's ``x_r`` and ``u_r`` must match the
+    model's dimensions and be finite; the error names the reference's label.
     """
 
     model: LtiModel
@@ -97,14 +99,17 @@ class Scenario:
             raise ValueError("x0 intervals must satisfy lo <= hi")
         if np.any(iv[:, 0] < self.model.x_lo) or np.any(iv[:, 1] > self.model.x_hi):
             raise ValueError("x0 intervals must lie within the state bounds")
+        object.__setattr__(self, "references", tuple(self.references))
         if not self.references:
             raise ValueError("scenario needs at least one reference")
+        for r in self.references:
+            _finite_vector(r.x_r, self.model.n_x, f"reference {r.label!r} x_r")
+            _finite_vector(r.u_r, self.model.n_u, f"reference {r.label!r} u_r")
         object.__setattr__(self, "trials", _whole_number(self.trials, "trials", 1))
         object.__setattr__(self, "steps", _whole_number(self.steps, "steps", 0))
         object.__setattr__(self, "seed", _whole_number(self.seed, "seed", 0))
         object.__setattr__(self, "sample_time", _positive_finite(self.sample_time, "sample_time"))
         object.__setattr__(self, "x0_intervals", iv)
-        object.__setattr__(self, "references", tuple(self.references))
 
 
 def _references(entries) -> tuple[Reference, ...]:
@@ -112,10 +117,10 @@ def _references(entries) -> tuple[Reference, ...]:
 
 
 def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
-    """Parse a scenario mapping; a field of the wrong type raises a ValueError naming it."""
+    """Parse a scenario mapping; a missing or wrongly-typed field raises a ValueError naming it."""
     if not isinstance(obj, dict) or obj.get("format") != SCENARIO_FORMAT:
         raise ValueError(f'scenario file must declare "format": "{SCENARIO_FORMAT}"')
-    problem = obj["problem"]
+    problem = _parse("problem", lambda value: value, obj, "problem")
     if isinstance(problem, str):
         path = Path(problem)
         if base_dir is not None and not path.is_absolute():
@@ -123,18 +128,18 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             problem = json.load(fh)
     model, params, scaling = problem_from_dict(problem)
-    references = _parse("references", _references, obj["references"])
-    intervals = _section(obj, "initial_state")["intervals"]
+    references = _parse("references", _references, obj, "references")
+    intervals = _parse("initial_state.intervals", _matrix, _section(obj, "initial_state"), "intervals")
     return Scenario(
         model=model,
         params=params,
         scaling=scaling,
         references=references,
-        x0_intervals=_parse("initial_state.intervals", _matrix, intervals),
+        x0_intervals=intervals,
         trials=obj.get("trials", 1),
         steps=obj.get("steps", 0),
         seed=obj.get("seed", 0),
-        sample_time=_parse("sample_time", float, obj.get("sample_time", 1.0)),
+        sample_time=obj.get("sample_time", 1.0),
     )
 
 

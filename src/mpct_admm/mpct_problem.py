@@ -528,15 +528,19 @@ def _encode_bound(value: float):
     return float(value)
 
 
-def _parse(where: str, convert, value):
-    """``convert(value)``, turning a wrongly-typed value into a named ValueError."""
+def _parse(where: str, convert, obj, key: str):
+    """``convert(obj[key])``, or a ValueError naming ``where`` if the key is missing or mistyped."""
+    if key not in obj:
+        raise ValueError(f"missing {where}")
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
+        return convert(obj[key])
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
 def _section(obj, key: str) -> dict:
+    if key not in obj:
+        raise ValueError(f"missing {key}")
     value = obj[key]
     if not isinstance(value, dict):
         raise ValueError(f"{key!r} must be a JSON object, got {type(value).__name__}")
@@ -554,43 +558,40 @@ def _bounds(values) -> list[float]:
 def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams, DiagonalScaling | None]:
     """Parse the versioned problem-definition mapping.
 
-    A missing field raises KeyError; a field of the wrong type raises a
-    ValueError that names it.
+    A missing field or one of the wrong type raises a ValueError that names
+    it, such as ``missing model.A``.
     """
     if not isinstance(obj, dict) or obj.get("format") != PROBLEM_FORMAT:
         raise ValueError(f'problem file must declare "format": "{PROBLEM_FORMAT}"')
-    try:
-        mdl = _section(obj, "model")
-        prm = _section(obj, "params")
-    except KeyError as exc:
-        raise ValueError(f"problem file is missing the {exc.args[0]!r} object") from None
+    mdl = _section(obj, "model")
+    prm = _section(obj, "params")
     model = LtiModel(
-        A=_parse("model.A", _matrix, mdl["A"]),
-        B=_parse("model.B", _matrix, mdl["B"]),
-        x_lo=_parse("model.x_lo", _bounds, mdl["x_lo"]),
-        x_hi=_parse("model.x_hi", _bounds, mdl["x_hi"]),
-        u_lo=_parse("model.u_lo", _bounds, mdl["u_lo"]),
-        u_hi=_parse("model.u_hi", _bounds, mdl["u_hi"]),
+        A=_parse("model.A", _matrix, mdl, "A"),
+        B=_parse("model.B", _matrix, mdl, "B"),
+        x_lo=_parse("model.x_lo", _bounds, mdl, "x_lo"),
+        x_hi=_parse("model.x_hi", _bounds, mdl, "x_hi"),
+        u_lo=_parse("model.u_lo", _bounds, mdl, "u_lo"),
+        u_hi=_parse("model.u_hi", _bounds, mdl, "u_hi"),
     )
     scalars = {
-        key: _parse(f"params.{key}", float, prm[key])
+        key: _parse(f"params.{key}", float, prm, key)
         for key in ("epsilon", "rho", "eps_primal", "eps_dual", "max_iter")
         if key in prm
     }
     params = MpctParams(
-        Q=_parse("params.Q", _matrix, prm["Q"]),
-        R=_parse("params.R", _matrix, prm["R"]),
-        T=_parse("params.T", _matrix, prm["T"]),
-        S=_parse("params.S", _matrix, prm["S"]),
-        N=_parse("params.N", float, prm["N"]),
+        Q=_parse("params.Q", _matrix, prm, "Q"),
+        R=_parse("params.R", _matrix, prm, "R"),
+        T=_parse("params.T", _matrix, prm, "T"),
+        S=_parse("params.S", _matrix, prm, "S"),
+        N=_parse("params.N", float, prm, "N"),
         **scalars,
     )
     scaling = None
     if obj.get("scaling") is not None:
         scl = _section(obj, "scaling")
         scaling = DiagonalScaling(
-            state=_parse("scaling.state", _matrix, scl["state"]),
-            input=_parse("scaling.input", _matrix, scl["input"]),
+            state=_parse("scaling.state", _matrix, scl, "state"),
+            input=_parse("scaling.input", _matrix, scl, "input"),
         )
     return model, params, scaling
 

@@ -17,6 +17,15 @@ def integrator_problem():
     return model_path("double_integrator.json")
 
 
+def problem_copy(tmp_path, edit):
+    """A copy of double_integrator.json after ``edit`` has changed its mapping in place."""
+    obj = json.loads(Path(model_path("double_integrator.json")).read_text(encoding="utf-8"))
+    edit(obj)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 @pytest.fixture
 def small_scenario(tmp_path, integrator_problem):
     obj = {
@@ -45,10 +54,9 @@ class TestSolve:
         assert out["status"] == "converged"
         assert len(out["control_action"]) == 1
 
-    def test_not_converged_exit_code(self, integrator_problem, capsys):
-        code = main(
-            ["solve", integrator_problem, "--x0", "0.5,0.0", "--xr", "2.0,0.0", "--max-iter", "1"]
-        )
+    def test_not_converged_exit_code(self, tmp_path, capsys):
+        problem = problem_copy(tmp_path, lambda obj: obj["params"].update(max_iter=1))
+        code = main(["solve", problem, "--x0", "0.5,0.0", "--xr", "2.0,0.0"])
         assert code == EXIT_NOT_CONVERGED
         assert json.loads(capsys.readouterr().out)["status"] == "max_iterations"
 
@@ -118,13 +126,15 @@ class TestSolve:
     def test_warm_state_without_z(self, integrator_problem, tmp_path, capsys):
         # a warm start reads v and lam only, so dropping z changes nothing
         with_z, without_z = tmp_path / "with_z.json", tmp_path / "without_z.json"
-        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"]
-        assert main(solve + ["--max-iter", "5", "--save-state", str(with_z)]) == EXIT_NOT_CONVERGED
+        capped = problem_copy(tmp_path, lambda obj: obj["params"].update(max_iter=5))
+        first = ["solve", capped, "--x0", "0.5,0", "--xr", "2,0"]
+        assert main(first + ["--save-state", str(with_z)]) == EXIT_NOT_CONVERGED
         state = json.loads(with_z.read_text())
         del state["z"]
         without_z.write_text(json.dumps(state))
         capsys.readouterr()
         iterations = []
+        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"]
         for warm in (with_z, without_z):
             assert main(solve + ["--warm", str(warm)]) == EXIT_OK
             iterations.append(json.loads(capsys.readouterr().out)["iterations"])
@@ -158,26 +168,20 @@ class TestSolve:
         assert main(["solve", str(path), "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
         assert key in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["solve", "check"])
-    def test_infinite_rho_flag_exits_three(self, integrator_problem, command, capsys):
-        extra = ["--x0", "0.5,0", "--xr", "2,0"] if command == "solve" else ["--samples", "1"]
-        assert main([command, integrator_problem, *extra, "--rho", "inf"]) == EXIT_INVALID_INPUT
-        assert "rho" in capsys.readouterr().err
-
-    def test_infinite_tolerances_exit_three(self, integrator_problem, capsys):
+    @pytest.mark.parametrize("key", ["rho", "eps_primal", "eps_dual"])
+    def test_infinite_setting_in_problem_file_exits_three(self, tmp_path, capsys, key):
         # accepted, an infinite tolerance would report "converged" after one iteration
-        flags = ["--eps-primal", "inf", "--eps-dual", "inf"]
-        assert main(["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0", *flags]) == EXIT_INVALID_INPUT
-        assert "eps_primal" in capsys.readouterr().err
+        path = problem_copy(tmp_path, lambda obj: obj["params"].update({key: float("inf")}))
+        # written as the JSON token Infinity
+        assert "Infinity" in Path(path).read_text(encoding="utf-8")
+        assert main(["solve", path, "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
+        assert key in capsys.readouterr().err
 
-    def test_infinite_rho_in_problem_file_exits_three(self, integrator_problem, tmp_path, capsys):
-        obj = json.loads(Path(integrator_problem).read_text(encoding="utf-8"))
-        obj["params"]["rho"] = float("inf")
-        path = tmp_path / "infinite_rho.json"
-        path.write_text(json.dumps(obj))  # written as the JSON token Infinity
-        assert "Infinity" in path.read_text(encoding="utf-8")
-        assert main(["solve", str(path), "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
-        assert "rho" in capsys.readouterr().err
+    @pytest.mark.parametrize("section, key", [("model", "A"), ("params", "N")])
+    def test_missing_field_exits_three(self, tmp_path, capsys, section, key):
+        path = problem_copy(tmp_path, lambda obj: obj[section].pop(key))
+        assert main(["solve", path, "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
+        assert f"missing {section}.{key}" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -213,6 +217,23 @@ class TestSimulate:
         path.write_text(json.dumps(obj))
         assert main(["simulate", str(path), "-o", str(tmp_path / "t.csv")]) == EXIT_INVALID_INPUT
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["references"][0].pop("x_r"), "references: 'x_r'"),
+            (lambda obj: obj.pop("initial_state"), "missing initial_state"),
+            (lambda obj: obj.pop("problem"), "missing problem"),
+        ],
+        ids=["references[0].x_r", "initial_state", "problem"],
+    )
+    def test_missing_field_exits_three(self, small_scenario, tmp_path, capsys, edit, message):
+        obj = json.loads(Path(small_scenario).read_text(encoding="utf-8"))
+        edit(obj)
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(obj))
+        assert main(["simulate", str(path), "-o", str(tmp_path / "t.csv")]) == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
 
     def test_unknown_reference_label(self, small_scenario, tmp_path):
         out = tmp_path / "traj.csv"
@@ -290,10 +311,21 @@ class TestCheck:
         assert "--samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--eps-primal", "1e-1"), ("--eps-dual", "1e-1"), ("--max-iter", "1")]
+        "flag, value",
+        [("--rho", "1"), ("--eps-primal", "1e-1"), ("--eps-dual", "1e-1"), ("--max-iter", "1")],
     )
-    def test_solver_overrides_are_not_options(self, integrator_problem, flag, value, capsys):
-        # the ADMM check runs at fixed tolerances and cap, so argparse rejects these
+    @pytest.mark.parametrize("command", ["solve", "simulate", "bench", "check"])
+    def test_solver_overrides_are_not_options(
+        self, integrator_problem, small_scenario, tmp_path, command, flag, value, capsys
+    ):
+        # solver settings come from the problem file only, so argparse rejects these
+        argv = {
+            "solve": ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"],
+            "simulate": ["simulate", small_scenario, "-o", str(tmp_path / "t.csv")],
+            "bench": ["bench", small_scenario, "-o", str(tmp_path / "s.json")],
+            "check": ["check", integrator_problem, "--samples", "1"],
+        }[command]
         with pytest.raises(SystemExit) as exc:
-            main(["check", integrator_problem, "--samples", "1", flag, value])
-        assert exc.value.code != EXIT_OK
+            main(argv + [flag, value])
+        assert exc.value.code == EXIT_INVALID_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err

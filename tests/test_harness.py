@@ -18,6 +18,7 @@ from mpct_admm import (
     simulate_closed_loop,
 )
 from mpct_admm import harness
+from mpct_admm.errors import MpctError
 from mpct_admm.harness import Trajectory, bench_stats_dict, scenario_from_dict, write_trials_csv
 
 
@@ -67,6 +68,21 @@ class TestScenarioLoading:
     def test_requires_reference(self, integrator_scenario):
         with pytest.raises(ValueError):
             replace(integrator_scenario, references=())
+
+    @pytest.mark.parametrize(
+        "x_r, u_r, message",
+        [
+            ([1.0], [0.0], "x_r must have length 2"),
+            ([1.0, 0.0], [0.0, 0.0], "u_r must have length 1"),
+            ([float("nan"), 0.0], [0.0], "x_r contains NaN"),
+        ],
+        ids=["x_r-too-short", "u_r-too-long", "x_r-nan"],
+    )
+    def test_reference_dimensions_validated(self, integrator_scenario, x_r, u_r, message):
+        # rejected when the scenario is built, not at the first solve
+        refs = (integrator_scenario.references[0], Reference("bad", x_r, u_r))
+        with pytest.raises(MpctError, match=f"reference 'bad' {message}"):
+            replace(integrator_scenario, references=refs)
 
     @pytest.mark.parametrize("sample_time", [-1.0, 0.0, float("nan"), float("inf")])
     def test_sample_time_must_be_positive_and_finite(self, integrator_scenario, sample_time):
