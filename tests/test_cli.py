@@ -17,9 +17,9 @@ def integrator_problem():
     return model_path("double_integrator.json")
 
 
-def problem_copy(tmp_path, edit):
-    """A copy of double_integrator.json after ``edit`` has changed its mapping in place."""
-    obj = json.loads(Path(model_path("double_integrator.json")).read_text(encoding="utf-8"))
+def problem_copy(tmp_path, edit, name="double_integrator.json"):
+    """A copy of the bundled problem ``name`` after ``edit`` has changed its mapping in place."""
+    obj = json.loads(Path(model_path(name)).read_text(encoding="utf-8"))
     edit(obj)
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(obj))
@@ -297,10 +297,16 @@ class TestCheck:
         assert code == EXIT_OK
         assert "PASS" in out
 
-    def test_check_passes_on_scaled_problem(self, capsys):
-        # the ball-and-plate-like file carries a diagonal scaling; the oracle
-        # comparison must happen in the effective problem space
-        code = main(["check", model_path("ball_plate_like.json"), "--samples", "3"])
+    def test_check_passes_on_scaled_problem(self, tmp_path, capsys):
+        # the ball-and-plate-like file with its former hand-picked diagonal
+        # scaling and penalty; the oracle comparison must happen in the
+        # effective problem space
+        def edit(obj):
+            obj["scaling"] = {"state": [1.0, 1.0, 0.785, 2.0, 1.0, 1.0, 0.785, 2.0], "input": [0.2, 0.2]}
+            obj["params"]["rho"] = 0.6
+
+        problem = problem_copy(tmp_path, edit, "ball_plate_like.json")
+        code = main(["check", problem, "--samples", "3"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "FAIL" not in out

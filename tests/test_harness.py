@@ -1,7 +1,10 @@
 import csv
+import importlib.util
 import io
+import json
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +46,8 @@ class TestScenarioLoading:
         assert sc.trials == 500
         assert [r.label for r in sc.references] == ["reachable", "unreachable"]
         assert sc.model.n_x == 8
-        assert sc.scaling is not None
+        # the penalty comes from the null-space rule, which needs no scaling
+        assert sc.scaling is None
 
     @pytest.mark.parametrize(
         "name", ["ball_plate_like.json", "double_integrator.json", "mass_spring.json"]
@@ -250,6 +254,26 @@ class TestBenchmark:
         # per-trial records reproduce the aggregates exactly
         reach = [int(r["iterations"]) for r in rows if r["label"] == "reachable"]
         assert float(np.median(reach)) == obj["results"][0]["iterations"]["median"]
+
+
+class TestBundledPenalty:
+    """The bundled ball-plate penalty is the null-space rule's value, and it serves the scenario."""
+
+    def test_scenario_converges_at_its_own_defaults(self):
+        sc = load_scenario(str(models_dir() / "scenario_ball_plate.json"))
+        reach, unreach = run_benchmark(replace(sc, trials=20))
+        assert (reach.label, unreach.label) == ("reachable", "unreachable")
+        for stats in (reach, unreach):
+            assert stats.converged == stats.completed == 20
+        assert reach.iteration_stats()["average"] <= 90
+
+    def test_file_rho_is_the_null_space_rule(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "make_models.py"
+        spec = importlib.util.spec_from_file_location("make_models", script)
+        make_models = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_models)
+        obj = json.loads((models_dir() / "ball_plate_like.json").read_text(encoding="utf-8"))
+        assert obj["params"]["rho"] == make_models.null_space_rho(obj["model"], obj["params"])
 
 
 class TestPlotData:
