@@ -60,10 +60,11 @@ class SymBandedMatrix:
             raise ValueError(
                 f"bands must have shape {(self.half_bandwidth + 1, self.n)}, got {bands.shape}"
             )
-        mask = _band_mask(self.half_bandwidth, self.n)
-        if not np.all(np.isfinite(bands[mask])):
+        # the unused slots all lie in the last bw columns
+        bw = self.half_bandwidth
+        bands[:, self.n - bw :][~_band_mask(bw, bw)] = 0.0
+        if not np.isfinite(bands).all():
             raise ValueError("banded entries must be finite")
-        bands[~mask] = 0.0
         object.__setattr__(self, "bands", bands)
 
     @classmethod
@@ -179,8 +180,11 @@ class PredictionSparseMatrix:
             raise DimensionMismatch("B must have as many rows as A")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        nx = a.shape[0]
-        window = np.vstack([-np.hstack([a, b]).T, np.eye(nx + b.shape[1], nx)])
+        nx, w = a.shape[0], a.shape[0] + b.shape[1]
+        window = np.zeros((2 * w, nx))
+        np.negative(a.T, out=window[:nx])
+        np.negative(b.T, out=window[nx:w])
+        np.fill_diagonal(window[w:], 1.0)
         object.__setattr__(self, "window", window)
 
     @property

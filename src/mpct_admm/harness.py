@@ -9,8 +9,9 @@ warm-started solves and records everything needed to regenerate trajectory
 plots.
 
 Randomness comes from numpy's PCG64 via ``default_rng``; one child seed is
-spawned per reference so results are reproducible and independent of how
-many references a scenario lists.
+spawned per position in the reference list, so results are reproducible,
+appending a reference keeps the earlier references' draws, and removing or
+reordering references changes them.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def load_scenario(path) -> Scenario:
 
 
 def sample_initial_states(scenario: Scenario, reference_index: int) -> np.ndarray:
-    """All trial initial states for one reference, shape (trials, n_x)."""
+    """All trial initial states for the reference at this position, shape (trials, n_x)."""
     seeds = np.random.SeedSequence(scenario.seed).spawn(len(scenario.references))
     rng = np.random.default_rng(seeds[reference_index])
     iv = scenario.x0_intervals

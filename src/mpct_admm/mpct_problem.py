@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import block_diag as _dense_block_diag
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpotrf
 
 from .banded_linalg import PredictionSparseMatrix, SymBandedMatrix, banded_cholesky_factor
@@ -277,17 +277,17 @@ def tightened_bounds(model: LtiModel, params: MpctParams) -> tuple[np.ndarray, n
     Blocks ``(x_lo, u_lo)`` repeat N times, then the last block is tightened
     by epsilon where finite; infinite entries pass through untouched.
     """
+    nx, w, n = model.n_x, model.n_x + model.n_u, params.N
+    v_lo, v_hi = np.empty((n + 1) * w), np.empty((n + 1) * w)
     eps = params.epsilon
-    x_lo_e = np.where(np.isfinite(model.x_lo), model.x_lo + eps, model.x_lo)
-    x_hi_e = np.where(np.isfinite(model.x_hi), model.x_hi - eps, model.x_hi)
-    u_lo_e = np.where(np.isfinite(model.u_lo), model.u_lo + eps, model.u_lo)
-    u_hi_e = np.where(np.isfinite(model.u_hi), model.u_hi - eps, model.u_hi)
-    if np.any(x_lo_e >= x_hi_e) or np.any(u_lo_e >= u_hi_e):
+    # x - eps is x + (-eps), exactly
+    for v, x, u, shift in ((v_lo, model.x_lo, model.u_lo, eps), (v_hi, model.x_hi, model.u_hi, -eps)):
+        blocks = v.reshape(n + 1, w)
+        blocks[:, :nx] = x
+        blocks[:, nx:] = u
+        np.add(blocks[n], shift, out=blocks[n], where=np.isfinite(blocks[n]))
+    if np.any(v_lo[n * w :] >= v_hi[n * w :]):
         raise EmptyTightenedBox("epsilon-tightened artificial-reference box is empty")
-    stage_lo = np.concatenate([model.x_lo, model.u_lo])
-    stage_hi = np.concatenate([model.x_hi, model.u_hi])
-    v_lo = np.concatenate([np.tile(stage_lo, params.N), x_lo_e, u_lo_e])
-    v_hi = np.concatenate([np.tile(stage_hi, params.N), x_hi_e, u_hi_e])
     return v_lo, v_hi
 
 
@@ -310,6 +310,12 @@ class PrecomputedData:
     into the KKT chain's second primal solve (see
     :func:`~mpct_admm.semiband_solver.gt_fold_blocks`). None of the three
     blocks grows with ``N``.
+
+    :func:`build_problem` writes each array in place in its final shape and
+    memory order, and none is a view into a larger scratch buffer. The
+    banded factor is column-major, the order ``dpbtrs`` reads it in; ``w``
+    is the row-major transpose of ``dgetrs``'s column-major result, so its
+    ``.T`` goes to ``dgemv`` without a copy. The rest is row-major.
 
     No factor depends on ``params.eps_primal``, ``eps_dual`` or
     ``max_iter``, which only steer the ADMM loop, so built data may have
@@ -346,6 +352,15 @@ class PrecomputedData:
         return (self.params.N + 2) * self.n_x
 
 
+def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[[a, 0], [0, b]]`` for square ``a`` and ``b``."""
+    k = a.shape[0]
+    out = np.zeros((k + b.shape[0],) * 2)
+    out[:k, :k] = a
+    out[k:, k:] = b
+    return out
+
+
 def _minus_g_blocks(window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
     """The four distinct row blocks of ``-G X`` for the pin-negated ``G``.
 
@@ -353,10 +368,49 @@ def _minus_g_blocks(window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> l
     ``-G X`` takes four values, each ``[X_{i-1} ; X_i]`` read through the
     stage ``window`` of ``G``: the pin ``(0, stage)``, the stage couplings
     ``(stage, stage)``, the handoff ``(stage, ref)`` and the equilibrium row
-    ``(ref, ref)``.
+    ``(ref, ref)``. These are consecutive windows of ``(0, stage, stage,
+    ref, ref)``, so each product reads a contiguous slice of one array.
     """
-    pairs = ((np.zeros_like(stage), stage), (stage, stage), (stage, ref), (ref, ref))
-    return [window.T @ np.vstack(pair) for pair in pairs]
+    w, k = stage.shape
+    x = np.zeros((5, w, k))
+    x[1:3] = stage
+    x[3:] = ref
+    x = x.reshape(5 * w, k)
+    return [window.T @ x[i * w : (i + 2) * w] for i in range(4)]
+
+
+def _banded_from_block_columns(columns: np.ndarray, horizon: int) -> SymBandedMatrix:
+    """The symmetric block-tridiagonal matrix with these block columns, in band storage.
+
+    ``columns`` is ``(4, 2 n_x, n_x)``: the distinct block columns, each
+    its diagonal block stacked over its sub-diagonal one, for the pin
+    (block column 0), the stage couplings (``1 .. N-1``, one shared block),
+    the handoff (``N``) and the equilibrium row (``N+1``, whose
+    sub-diagonal half lies outside the matrix and must be zero). Only
+    entries on or below each diagonal block's diagonal are read.
+
+    Column ``j = i n_x + c`` of the lower-band storage holds entries ``(c +
+    k, c)`` of block column ``i``, for ``k = 0 .. bw``: a diagonal read of
+    the zero-padded block column, taken for all four at once by one strided
+    view. The bands are written column-major, the order ``dpbtrf`` reads,
+    and those past the last one that is not all zero are dropped; a banded
+    Cholesky factor has no fill outside its input band, so the trim is
+    exact.
+    """
+    _, two_nx, nx = columns.shape
+    m_z = (horizon + 2) * nx
+    # rows past 2 n_x are zero, so the diagonal reads below run off no block
+    padded = np.zeros((4, two_nx + nx, nx))
+    padded[:, :two_nx] = columns
+    s_col, s_row, s_item = padded.strides
+    skew = as_strided(padded, (4, nx, two_nx), (s_col, s_row + s_item, s_row), writeable=False)
+    bw = int(np.flatnonzero(skew.any(axis=(0, 1)))[-1])
+    bands = np.empty((bw + 1, m_z), order="F")
+    # row j of bands.T is matrix column j; split it into (block column, c)
+    stages = bands.T.reshape(horizon + 2, nx, bw + 1)
+    for dst, src in zip((0, slice(1, horizon), horizon, horizon + 1), skew[:, :, : bw + 1]):
+        stages[dst] = src
+    return SymBandedMatrix(n=m_z, half_bandwidth=bw, bands=bands)
 
 
 def _gamma_tilde_banded(
@@ -367,43 +421,31 @@ def _gamma_tilde_banded(
     d_xs: np.ndarray,
     d_us: np.ndarray,
 ) -> SymBandedMatrix:
-    """Banded core of the dual-space matrix, written from its stacked blocks.
+    """Banded core of the dual-space matrix, from its four distinct block columns.
 
     The product of the pin-negated dynamics pattern with the inverted
     block-diagonal core is block tridiagonal; the blocks follow directly from
     which decision blocks each pair of constraint rows shares. Rows ``i`` and
     ``i+1`` share ``z_i``, read as ``-E z_i`` and ``C z_i``, for every
-    ``i < N``, so all but the last sub-diagonal block are ``-A D_x``. With
-    ``n_x``-wide blocks the half-bandwidth is at most ``2 n_x - 1``; the
-    bands past the last one that is not all zero are dropped. A banded
-    Cholesky factor has no fill outside its input band, so the trim is exact.
+    ``i < N``, so all but the last sub-diagonal block are ``-A D_x``, and
+    block columns ``1 .. N-1`` are one shared column. With ``n_x``-wide
+    blocks the half-bandwidth is at most ``2 n_x - 1``; see
+    :func:`_banded_from_block_columns` for the placement and the trim.
     """
     nx = model.n_x
-    n = params.N
-    m_z = (n + 2) * nx
     a, b = model.A, model.B
 
     ada = a @ d_x @ a.T
     bdb = b @ d_u @ b.T
     a_eye = a - np.eye(nx)
-    # block column i stacks the diagonal block i over the sub-diagonal block
-    # (i+1, i); the last has none
-    blocks = np.zeros((n + 2, 2 * nx, nx))
-    blocks[0, :nx] = d_x
-    blocks[1:n, :nx] = ada + bdb + d_x
-    blocks[n, :nx] = ada + bdb + d_xs
-    blocks[n + 1, :nx] = a_eye @ d_xs @ a_eye.T + b @ d_us @ b.T
-    blocks[:n, nx:] = -(a @ d_x)
-    blocks[n, nx:] = -(a_eye @ d_xs)
-
-    # entry (r, c) of block column i, on or below the diagonal, is band r - c
-    # of matrix column i n_x + c
-    r, c = np.tril_indices(2 * nx, 0, nx)
-    bands = np.zeros((2 * nx, m_z))
-    bands[r - c, np.arange(0, m_z, nx)[:, None] + c] = blocks[:, r, c]
-
-    bw = int(np.flatnonzero(bands.any(axis=1))[-1])
-    return SymBandedMatrix(n=m_z, half_bandwidth=bw, bands=bands[: bw + 1])
+    columns = np.zeros((4, 2 * nx, nx))
+    columns[0, :nx] = d_x
+    columns[1, :nx] = ada + bdb + d_x
+    columns[2, :nx] = ada + bdb + d_xs
+    columns[3, :nx] = a_eye @ d_xs @ a_eye.T + b @ d_us @ b.T
+    columns[:2, nx:] = -(a @ d_x)
+    columns[2, nx:] = -(a_eye @ d_xs)
+    return _banded_from_block_columns(columns, params.N)
 
 
 def build_problem(
@@ -423,16 +465,16 @@ def build_problem(
         model, params = scaling.apply(model, params)
 
     nx, nu, n = model.n_x, model.n_u, params.N
-    w = nx + nu
-    rho = params.rho
+    w, m_z = nx + nu, (n + 2) * nx
 
     v_lo, v_hi = tightened_bounds(model, params)
 
     # every stage couples to (x_s, u_s) through -diag(Q, R)
-    coupling = _dense_block_diag(params.Q, params.R)
+    coupling = _block_diag(params.Q, params.R)
+    rho_eye = params.rho * np.eye(w)
     p_system, g_s, w_rows = _split_primal(
-        gamma_stage=coupling + rho * np.eye(w),
-        gamma_ref=_dense_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho * np.eye(w),
+        gamma_stage=coupling + rho_eye,
+        gamma_ref=_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho_eye,
         coupling=coupling,
         horizon=n,
     )
@@ -451,16 +493,26 @@ def build_problem(
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
         ) from None
 
-    # u_tilde = -G W. W repeats one row block over the stages, and so does
-    # Gamma^-1 V^T in v_tilde = (G Gamma^-1 V^T)^T
-    zero = np.zeros((w, w))
-    pin, coupled, handoff, equilibrium = _minus_g_blocks(g.window, w_rows[:w], w_rows[w:])
-    u_tilde = np.vstack([pin, np.tile(coupled, (n - 1, 1)), handoff, equilibrium])
-    stage = np.hstack([zero, -g_st @ coupling])
-    ref = np.hstack([g_s, zero])
-    v_tilde = StageSumMatrix(
-        horizon=n, blocks=-np.vstack(_minus_g_blocks(g.window, stage, ref)).T
-    )
+    # u_tilde = -G W. W repeats one row block over the stages, so u_tilde
+    # repeats one n_x-row block over the stage couplings; it is written
+    # column-major, the order dpbtrs reads it in
+    u_tilde = np.empty((m_z, 2 * w), order="F")
+    rows = u_tilde.reshape(n + 2, nx, 2 * w)
+    blocks = _minus_g_blocks(g.window, w_rows[:w], w_rows[w:])
+    for dst, block in zip((0, slice(1, n), n, n + 1), blocks):
+        rows[dst] = block
+    # so does Gamma^-1 V^T in v_tilde = (G Gamma^-1 V^T)^T: its row blocks
+    # are (0, -Gamma_st^-1 D) for the stages and (Gamma_s^-1, 0) for the
+    # reference, and column block i of v_tilde is row block i of G Gamma^-1
+    # V^T, transposed
+    gamma_inv_vt = np.zeros((2 * w, 2 * w))
+    gamma_inv_vt[:w, w:] = -g_st @ coupling
+    gamma_inv_vt[w:, :w] = g_s
+    v_blocks = np.empty((2 * w, 4 * nx))
+    blocks = _minus_g_blocks(g.window, gamma_inv_vt[:w], gamma_inv_vt[w:])
+    for i, block in enumerate(blocks):
+        np.negative(block.T, out=v_blocks[:, i * nx : (i + 1) * nx])
+    v_tilde = StageSumMatrix(horizon=n, blocks=v_blocks)
 
     w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, v_tilde)
     gt_window, gt_sums = gt_fold_blocks(p_system, w_system, g)

@@ -150,7 +150,8 @@ class SemiBandedSystem:
 
         Raises :class:`SingularSmallSystem` when the core is singular.
         """
-        u = np.ascontiguousarray(u, dtype=float)
+        # u is only solved with, and dpbtrs reads it column-major
+        u = np.asarray(u, dtype=float)
         if not isinstance(v, StageSumMatrix):
             v = np.ascontiguousarray(v, dtype=float)
         if u.ndim != 2 or v.shape != u.shape[::-1]:
@@ -275,15 +276,23 @@ def _split_primal(
     w = coupling.shape[0]
     g_st = _spd_inverse(gamma_stage, "stage core block")
     g_s = _spd_inverse(gamma_ref, "reference core block")
-    zero = np.zeros((w, w))
     # distinct row blocks of Gamma^-1 U: stages (-Gamma_st^-1 D, 0), reference (0, Gamma_s^-1)
-    gamma_inv_u = np.block([[-g_st @ coupling, zero], [zero, g_s]])
-    core = np.eye(2 * w) + np.block([[zero, g_s], [horizon * coupling @ g_st @ coupling, zero]])
+    gamma_inv_u = np.zeros((2 * w, 2 * w))
+    gamma_inv_u[:w, :w] = -g_st @ coupling
+    gamma_inv_u[w:, w:] = g_s
+    core = np.eye(2 * w)
+    core[:w, w:] += g_s
+    core[w:, :w] += horizon * coupling @ g_st @ coupling
     w_rows = _fold_core(gamma_inv_u, core)
     # V Gamma^-1 d = (Gamma_s^-1 d_s, -D Gamma_st^-1 sum_i d_i), read off (sum_i d_i, d_s)
-    v_gamma_inv = np.block([[zero, g_s], [-coupling @ g_st, zero]])
-    correction = w_rows @ v_gamma_inv
-    f = np.vstack([correction[:w], np.hstack([zero, g_s]) - correction[w:]])
+    v_gamma_inv = np.zeros((2 * w, 2 * w))
+    v_gamma_inv[:w, w:] = g_s
+    v_gamma_inv[w:, :w] = -coupling @ g_st
+    # f = [correction_st ; (0, Gamma_s^-1) - correction_s], in place; 0 - x
+    # rather than -x, which would turn a zero into -0.0
+    f = w_rows @ v_gamma_inv
+    np.subtract(0.0, f[w:, :w], out=f[w:, :w])
+    np.subtract(g_s, f[w:, w:], out=f[w:, w:])
     system = StageCoupledSystem(
         horizon=horizon,
         coupling=coupling,
@@ -326,16 +335,20 @@ def gt_fold_blocks(
     """
     nx, nu, n = g.n_x, g.n_u, g.horizon
     w = nx + nu
-    # g.window is [-C' ; E']
-    c = -g.window[:w].T
-    e = g.window[w:].T
-    window = np.vstack([e, -c]) @ p_system.gamma_stage_inv
-    zero = np.zeros((w, nx))
+    # g.window is [-C' ; E'], so [E ; -C] is its two halves transposed and swapped
+    e_c = np.empty((2 * nx, w))
+    e_c[:nx] = g.window[w:].T
+    e_c[nx:] = g.window[:w].T
+    window = e_c @ p_system.gamma_stage_inv
     # sum_i (G' mu)_i = -s_0 E + s_1 (C - E) + s_2 C; (G' mu)_s = mu_{N+1} (C - E) - mu_N E
-    gt_sums = np.block([
-        [-e.T, (c - e).T, c.T, zero],
-        [zero, zero, -e.T, (c - e).T],
-    ])
+    # (C' = -g.window[:w], E' = g.window[w:])
+    c_t, e_t = np.negative(g.window[:w]), g.window[w:]
+    gt_sums = np.zeros((2 * w, 4 * nx))
+    np.negative(e_t, out=gt_sums[:w, :nx])
+    np.subtract(c_t, e_t, out=gt_sums[:w, nx : 2 * nx])
+    gt_sums[:w, 2 * nx : 3 * nx] = c_t
+    gt_sums[w:, 2 * nx : 3 * nx] = gt_sums[:w, :nx]
+    gt_sums[w:, 3 * nx :] = gt_sums[:w, nx : 2 * nx]
     v = w_system.v
     w_sums = np.add.reduceat(w_system.w.reshape(n + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
     mu_sums = np.eye(4 * nx) - w_sums @ v.blocks

@@ -1,32 +1,45 @@
+from contextlib import suppress
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, lu_factor, lu_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve, cho_solve_banded, lu_factor, lu_solve
 
 from mpct_admm import (
     DimensionMismatch,
     NotPositiveDefinite,
     PredictionSparseMatrix,
+    RankDeficientG,
     SymBandedMatrix,
     banded_cholesky_factor,
     build_problem,
     load_problem,
 )
+from mpct_admm import mpct_problem
 from mpct_admm.oracle import dense_dynamics
 from mpct_admm.semiband_solver import _fold_core, _spd_inverse
 
 from conftest import random_controllable_model
 
 
-def random_spd_banded(rng, n, bw, diag_boost=None):
-    """Random SPD banded matrix via diagonal dominance."""
+def random_spd_banded(rng, n, bw):
+    """Random SPD banded matrix via strict diagonal dominance.
+
+    Each diagonal entry exceeds by at least 1 the sum of the absolute
+    off-diagonal entries in its row of the symmetric matrix, so every
+    eigenvalue is at least 1 (Gershgorin). One ``(bw + 1, n)`` normal draw.
+    """
     bands = rng.standard_normal((bw + 1, n))
-    if diag_boost is None:
-        diag_boost = 2.0 * (bw + 1)
-    bands[0] = np.abs(bands[0]) + diag_boost
+    row_sums = np.zeros(n)
+    for k in range(1, bw + 1):
+        # entry (j + k, j) sits in rows j and j + k; slots past row n - 1 are unused
+        off = np.abs(bands[k, : n - k])
+        row_sums[: n - k] += off
+        row_sums[k:] += off
+    bands[0] = np.abs(bands[0]) + row_sums + 1.0
     return SymBandedMatrix(n=n, half_bandwidth=bw, bands=bands)
 
 
@@ -85,6 +98,27 @@ class TestBandedCholesky:
         m = random_spd_banded(rng, 17, 3)
         factor = banded_cholesky_factor(m)
         assert factor.half_bandwidth <= m.half_bandwidth
+
+
+class TestRandomSpdBanded:
+    # (198, 1, 1412) is a draw on which a generator without row dominance
+    # gave a smallest eigenvalue of -0.08
+    @pytest.mark.parametrize(
+        "n, bw, seed",
+        [(198, 1, 1412), (1, 0, 0), (2, 1, 3), (12, 3, 12), (60, 6, 77), (11, 10, 5), (200, 10, 2**31 - 1)],
+    )
+    def test_is_positive_definite(self, n, bw, seed):
+        m = random_spd_banded(np.random.default_rng(seed), n, bw)
+        assert np.linalg.eigvalsh(m.to_dense()).min() > 0.0
+
+    def test_rows_strictly_dominant_over_many_draws(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            n = int(rng.integers(1, 201))
+            bw = min(int(rng.integers(0, 11)), n - 1)
+            dense = random_spd_banded(np.random.default_rng(int(rng.integers(2**31))), n, bw).to_dense()
+            off = np.abs(dense).sum(axis=1) - np.abs(np.diag(dense))
+            assert np.all(np.diag(dense) > off)
 
 
 class TestBandedSolve:
@@ -226,3 +260,84 @@ class TestLapackCallsMatchScipy:
         u = rng.standard_normal((n, 2 * w))
         expected = lu_solve(lu_factor(core), u.T, trans=1).T
         np.testing.assert_array_equal(_fold_core(u, core), expected)
+
+
+def dense_from_block_columns(columns, horizon):
+    """The symmetric block-tridiagonal matrix, assembled entry by entry.
+
+    Block column ``i`` is ``columns[0]`` for ``i = 0``, ``columns[1]`` for
+    ``i = 1 .. horizon - 1``, ``columns[2]`` for ``horizon`` and
+    ``columns[3]`` for ``horizon + 1``; only entries on or below each
+    diagonal block's diagonal are read.
+    """
+    _, two_nx, nx = columns.shape
+    m = (horizon + 2) * nx
+    dense = np.zeros((m, m))
+    for i in range(horizon + 2):
+        column = columns[0 if i == 0 else 1 if i < horizon else i - horizon + 2]
+        for r in range(two_nx):
+            for c in range(min(r + 1, nx)):
+                row, col = i * nx + r, i * nx + c
+                if row < m:
+                    dense[row, col] = dense[col, row] = column[r, c]
+    return dense
+
+
+def assert_placed_exactly(columns, horizon, placed):
+    """``placed`` holds the dense assembly's bands up to its last nonzero one, bit for bit."""
+    nx = columns.shape[2]
+    expected = SymBandedMatrix.from_dense(dense_from_block_columns(columns, horizon), 2 * nx - 1)
+    last = max(k for k in range(2 * nx) if expected.bands[k].any())
+    assert placed.half_bandwidth == last
+    assert placed.bands.flags["F_CONTIGUOUS"]
+    np.testing.assert_array_equal(placed.bands, expected.bands[: last + 1])
+
+
+class TestLayoutsMatchReference:
+    """The offline build writes blocks straight into their final arrays; the
+    layouts must equal, bit for bit, a generic assembly of the same blocks."""
+
+    @pytest.mark.parametrize("na, nb", [(1, 1), (3, 5), (8, 2)])
+    def test_block_diag_equals_scipy(self, na, nb):
+        rng = np.random.default_rng(10 * na + nb)
+        a, b = rng.standard_normal((na, na)), rng.standard_normal((nb, nb))
+        a[0, 0] = -0.0
+        expected = block_diag(a, b)
+        got = mpct_problem._block_diag(a, b)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["double_integrator.json", "mass_spring.json", "ball_plate_like.json"])
+    @pytest.mark.parametrize("horizon", [2, 30])
+    def test_band_placement_on_bundled_models(self, name, horizon, monkeypatch):
+        # the placement the build makes, on the block columns the build forms
+        place = mpct_problem._banded_from_block_columns
+        seen = []
+
+        def spy(columns, h):
+            seen.append((columns, h, place(columns, h)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(mpct_problem, "_banded_from_block_columns", spy)
+        model, params, scaling = load_problem(resources.files("mpct_admm") / "models" / name)
+        # ball-plate cannot reach an equilibrium in 2 steps, so its build
+        # stops at the factorization, after the placement
+        with suppress(RankDeficientG):
+            build_problem(model, replace(params, N=horizon), scaling)
+        [(columns, h, placed)] = seen
+        assert h == horizon
+        assert_placed_exactly(columns, horizon, placed)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_band_placement_on_random_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        nx, horizon = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+        columns = rng.standard_normal((4, 2 * nx, nx)) * (rng.random((4, 2 * nx, nx)) < 0.6)
+        # the equilibrium column's sub-diagonal half lies outside the matrix
+        columns[3, nx:] = 0.0
+        # and a diagonal without zeros, so that no row of the matrix is empty
+        columns[:, np.arange(nx), np.arange(nx)] = 1.0 + rng.random((4, nx))
+        if seed % 3 == 0:
+            # bands that vanish past the diagonal blocks, to exercise the trim
+            columns[:, nx:] = 0.0
+        assert_placed_exactly(columns, horizon, mpct_problem._banded_from_block_columns(columns, horizon))

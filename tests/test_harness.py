@@ -224,6 +224,24 @@ class TestBenchmark:
         sc2 = replace(sc1, seed=sc1.seed + 1)
         assert not np.array_equal(sample_initial_states(sc1, 0), sample_initial_states(sc2, 0))
 
+    def test_draws_follow_list_position(self, integrator_scenario):
+        # one child seed per position in the list, not per reference
+        sc = replace(integrator_scenario, trials=5)
+        first, second = sc.references[:2]
+        draws = [sample_initial_states(sc, i) for i in range(2)]
+        assert not np.array_equal(draws[0], draws[1])
+        # appending keeps every earlier draw
+        appended = replace(sc, references=(first, second, first))
+        for i in range(2):
+            np.testing.assert_array_equal(sample_initial_states(appended, i), draws[i])
+        # removing the first moves the second into its draws
+        alone = replace(sc, references=(second,))
+        np.testing.assert_array_equal(sample_initial_states(alone, 0), draws[0])
+        # and reordering swaps the two references' draws
+        swapped = replace(sc, references=(second, first))
+        for i in range(2):
+            np.testing.assert_array_equal(sample_initial_states(swapped, i), draws[i])
+
     def test_samples_respect_intervals(self, integrator_scenario):
         sc = replace(integrator_scenario, trials=64)
         x0s = sample_initial_states(sc, 1)

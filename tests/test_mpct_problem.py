@@ -1,4 +1,5 @@
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mpct_admm import (
     RankDeficientG,
     assemble_online,
     build_problem,
+    load_scenario,
     problem_from_dict,
     problem_to_dict,
     tightened_bounds,
@@ -24,6 +26,8 @@ from mpct_admm import (
 from mpct_admm.oracle import dense_bounds, dense_dynamics, dense_hessian
 
 from conftest import random_instance
+
+from test_semiband_solver import reachable_arrays
 
 
 def split_primal_dense(data):
@@ -108,6 +112,16 @@ class TestBuildProblem:
         params = MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=3)
         with pytest.raises(RankDeficientG):
             build_problem(model, params)
+
+    @pytest.mark.parametrize("horizon, limit", [(30, 85472), (240, 508832)])
+    def test_stored_bytes_do_not_grow(self, horizon, limit):
+        # the distinct buffers the built data keeps alive, views counted as
+        # their base: 83.47 and 496.91 KiB when this bound was set. A stored
+        # view into a padded scratch buffer would count the whole buffer
+        sc = load_scenario(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json")
+        data = build_problem(sc.model, dataclasses.replace(sc.params, N=horizon), sc.scaling)
+        buffers = {id(a): a.nbytes for a in reachable_arrays(data)}
+        assert sum(buffers.values()) <= limit
 
     def test_dimension_mismatch_between_model_and_params(self, integrator_model):
         params = MpctParams(Q=np.eye(2), R=[[1.0]], T=np.eye(2), S=[[1.0]], N=2)
