@@ -10,10 +10,10 @@ class; the A/B matrices themselves are a generic textbook linearization, not
 taken from any specific rig. Its ADMM penalty is not picked by hand:
 ``null_space_rho`` evaluates the rule of Ghadimi et al., "Optimal parameter
 selection for the ADMM: quadratic problems" (IEEE TAC 2015), at the file's
-own horizon, and the file carries no scaling. The double integrator and the
-mass-spring-damper keep rho = 1: at its rule value, 0.165, the double
-integrator's unreachable reference, where the solution rides a bound, stops
-at the iteration cap on 2 of its 50 cold starts.
+own horizon. The double integrator and the mass-spring-damper keep rho = 1:
+at its rule value, 0.165, the double integrator's unreachable reference,
+where the solution rides a bound, stops at the iteration cap on 2 of its 50
+cold starts.
 
 It imports ``mpct_admm`` from this checkout's ``src``, so it needs no
 PYTHONPATH:
@@ -55,7 +55,7 @@ def null_space_rho(model: dict, params: dict) -> float:
     significant digits, so that the written file does not depend on the
     LAPACK build.
     """
-    lti, mpct, _ = problem_from_dict({"format": "mpct-v1", "model": model, "params": params})
+    lti, mpct = problem_from_dict({"format": "mpct-v1", "model": model, "params": params})
     basis = scipy.linalg.null_space(dense_dynamics(lti, mpct.N))
     eig = np.linalg.eigvalsh(basis.T @ dense_hessian(mpct) @ basis)
     return float(f"{np.sqrt(eig[0] * eig[-1]):.3g}")

@@ -41,7 +41,6 @@ from .harness import (
     simulate_closed_loop,
 )
 from .mpct_problem import (
-    DiagonalScaling,
     LtiModel,
     MpctParams,
     PrecomputedData,

@@ -9,8 +9,8 @@ The loop runs on the scaled dual ``u = lam / rho`` (Boyd et al., "ADMM",
 2011, section 3.1.1): the QP's linear term is ``rho (u - v) + q``, the
 relaxed point is ``z + u`` and the dual step is ``u += z - v``, so no
 iteration divides or multiplies the dual by ``rho``. Warm states and
-returned states hold the unscaled ``lam``, converted once on the way in and
-once on the way out.
+returned states hold ``lam`` itself, converted once on the way in and once
+on the way out.
 """
 
 from __future__ import annotations
@@ -156,10 +156,6 @@ def admm_solve(
     u_t = v[nx : nx + nu].copy()
     xs = v[data.n_z - nx - nu : data.n_z - nu].copy()
     us = v[data.n_z - nu :].copy()
-    if data.scaling is not None:
-        u_t = data.scaling.unscale_input(u_t)
-        xs = data.scaling.unscale_state(xs)
-        us = data.scaling.unscale_input(us)
 
     report = SolveReport(
         status=status,

@@ -50,8 +50,7 @@ def _warm_vector(obj: dict, key: str, path: str, n: int) -> np.ndarray:
 
 
 def cmd_solve(args) -> int:
-    model, params, scaling = load_problem(args.problem)
-    data = build_problem(model, params, scaling)
+    data = build_problem(*load_problem(args.problem))
     x0 = _float_list(args.x0)
     xr = _float_list(args.xr)
     ur = _float_list(args.ur) if args.ur else np.zeros(data.n_u)
@@ -98,7 +97,7 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown reference {args.reference!r}; scenario has {labels}")
     if not 0 <= args.trial < scenario.trials:
         raise ValueError(f"trial index must be in [0, {scenario.trials})")
-    data = build_problem(scenario.model, scenario.params, scenario.scaling)
+    data = build_problem(scenario.model, scenario.params)
     x0 = sample_initial_states(scenario, ref_index)[args.trial]
     trajectory = simulate_closed_loop(
         data,
@@ -144,19 +143,18 @@ def cmd_bench(args) -> int:
 def cmd_check(args) -> int:
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    # the oracle knows nothing about the scaling wrapper, so cross-validate in
-    # the effective (post-scaling) problem space on both sides
-    model, params, scaling = load_problem(args.problem)
+    model, params = load_problem(args.problem)
     # the ADMM check solves to 1e-6 whatever the file's tolerances and cap
     params = replace(params, eps_primal=1e-6, eps_dual=1e-6, max_iter=200000)
-    if scaling is not None:
-        model, params = scaling.apply(model, params)
     data = build_problem(model, params)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     nx, nu = model.n_x, model.n_u
-    both_finite = np.isfinite(model.x_lo) & np.isfinite(model.x_hi)
-    x_t = np.zeros(nx)
-    x_t[both_finite] = 0.5 * (model.x_lo[both_finite] + model.x_hi[both_finite])
+    # x_t lies strictly inside the state box: 1 inside the finite bound of a
+    # half-bounded coordinate, midway between two finite ones, else 0
+    lo, hi = model.x_lo, model.x_hi
+    x_t = np.where(np.isfinite(hi), hi - 1.0, np.where(np.isfinite(lo), lo + 1.0, 0.0))
+    both_finite = np.isfinite(lo) & np.isfinite(hi)
+    x_t[both_finite] = 0.5 * (lo[both_finite] + hi[both_finite])
     x_r = rng.uniform(-1.0, 1.0, nx)
     u_r = np.zeros(nu)
     instance = dense_instance(model, params, x_t, x_r, u_r)

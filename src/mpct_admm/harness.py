@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +26,11 @@ import numpy as np
 from .admm_solver import AdmmState, SolveStatus, admm_solve
 from .errors import SolverFailed
 from .mpct_problem import (
-    DiagonalScaling,
     LtiModel,
     MpctParams,
     PrecomputedData,
     _finite_vector,
+    _known_keys,
     _matrix,
     _parse,
     _positive_finite,
@@ -57,6 +57,10 @@ __all__ = [
 ]
 
 SCENARIO_FORMAT = "mpct-scenario-v1"
+_SCENARIO_KEYS = (
+    "format", "description", "problem", "references", "initial_state",
+    "trials", "steps", "seed", "sample_time",
+)
 
 
 @dataclass(frozen=True)
@@ -84,13 +88,14 @@ class Scenario:
 
     model: LtiModel
     params: MpctParams
-    scaling: DiagonalScaling | None
     references: tuple[Reference, ...]
     x0_intervals: np.ndarray
     trials: int
     steps: int
     seed: int
     sample_time: float = 1.0
+    # always None; read only by perfbench/run.py:276-279 and sweep.py:96 (ROADMAP item 1)
+    scaling: None = None
 
     def __post_init__(self):
         iv = np.asarray(self.x0_intervals, dtype=float)
@@ -118,9 +123,14 @@ def _references(entries) -> tuple[Reference, ...]:
 
 
 def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
-    """Parse a scenario mapping; a missing or wrongly-typed field raises a ValueError naming it."""
+    """Parse a scenario mapping.
+
+    A missing or wrongly-typed field, or an unknown key at the top level or
+    in ``initial_state``, raises a ValueError naming it.
+    """
     if not isinstance(obj, dict) or obj.get("format") != SCENARIO_FORMAT:
         raise ValueError(f'scenario file must declare "format": "{SCENARIO_FORMAT}"')
+    _known_keys(obj, "", _SCENARIO_KEYS)
     problem = _parse("problem", lambda value: value, obj, "problem")
     if isinstance(problem, str):
         path = Path(problem)
@@ -128,13 +138,14 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
             path = base_dir / path
         with open(path, "r", encoding="utf-8") as fh:
             problem = json.load(fh)
-    model, params, scaling = problem_from_dict(problem)
+    model, params = problem_from_dict(problem)
     references = _parse("references", _references, obj, "references")
-    intervals = _parse("initial_state.intervals", _matrix, _section(obj, "initial_state"), "intervals")
+    initial_state = _section(obj, "initial_state")
+    _known_keys(initial_state, "initial_state.", ("intervals",))
+    intervals = _parse("initial_state.intervals", _matrix, initial_state, "intervals")
     return Scenario(
         model=model,
         params=params,
-        scaling=scaling,
         references=references,
         x0_intervals=intervals,
         trials=obj.get("trials", 1),
@@ -185,27 +196,18 @@ def simulate_closed_loop(
     reference: Reference,
     steps: int,
     sample_time: float = 1.0,
-    *,
-    eps_primal: float | None = None,
-    eps_dual: float | None = None,
-    max_iter: int | None = None,
 ) -> Trajectory:
     """Roll the plant under the tracking controller with warm-started solves.
 
     The applied input is always the projected iterate's first block, so it is
     box-feasible even when a step exits on the iteration cap. A numerical
     failure aborts the trial with :class:`SolverFailed`. ``steps`` must be a
-    whole number of at least 0 and ``sample_time`` positive and finite.
-    ``eps_primal``, ``eps_dual`` and ``max_iter``, when given, replace those
-    of ``data.params`` for every step, and :class:`MpctParams` checks them.
-    A bad argument raises a ValueError naming it before any solve.
+    whole number of at least 0 and ``sample_time`` positive and finite; a
+    bad argument raises a ValueError naming it before any solve. Every step
+    solves at the settings of ``data.params`` (see :class:`PrecomputedData`).
     """
     steps = _whole_number(steps, "steps", 0)
     sample_time = _positive_finite(sample_time, "sample_time")
-    overrides = {"eps_primal": eps_primal, "eps_dual": eps_dual, "max_iter": max_iter}
-    overrides = {name: value for name, value in overrides.items() if value is not None}
-    if overrides:
-        data = replace(data, params=replace(data.params, **overrides))
     nx, nu = plant.n_x, plant.n_u
     x = np.asarray(x0, dtype=float).copy()
     states = np.empty((steps + 1, nx))
@@ -282,7 +284,7 @@ def run_benchmark(scenario: Scenario) -> list[BenchStats]:
     Deterministic in iteration counts for a fixed seed (timings are not).
     Timing covers the iteration loop only, never file I/O.
     """
-    data = build_problem(scenario.model, scenario.params, scenario.scaling)
+    data = build_problem(scenario.model, scenario.params)
     results = []
     for ri, ref in enumerate(scenario.references):
         x0s = sample_initial_states(scenario, ri)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,6 @@ __all__ = [
     "LtiModel",
     "MpctParams",
     "QpVectors",
-    "DiagonalScaling",
     "PrecomputedData",
     "build_problem",
     "assemble_online",
@@ -208,60 +207,6 @@ class MpctParams:
 
 
 @dataclass(frozen=True)
-class DiagonalScaling:
-    """Optional diagonal change of variables ``x = state * x_scaled``.
-
-    Applied to the model, bounds and costs before transcription; positive
-    entries required so that inequality directions are preserved. The scaled
-    problem is what the solver iterates on; reports are mapped back.
-    """
-
-    state: np.ndarray
-    input: np.ndarray
-
-    def __post_init__(self):
-        s = _finite_vector(self.state, np.atleast_1d(np.asarray(self.state)).shape[0], "state scaling")
-        u = _finite_vector(self.input, np.atleast_1d(np.asarray(self.input)).shape[0], "input scaling")
-        if np.any(s <= 0.0) or np.any(u <= 0.0):
-            raise ValueError("scaling factors must be positive")
-        object.__setattr__(self, "state", s)
-        object.__setattr__(self, "input", u)
-
-    def scale_state(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) / self.state
-
-    def unscale_state(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * self.state
-
-    def scale_input(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float) / self.input
-
-    def unscale_input(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float) * self.input
-
-    def apply(self, model: LtiModel, params: MpctParams) -> tuple[LtiModel, MpctParams]:
-        dx, du = self.state, self.input
-        if dx.shape != (model.n_x,) or du.shape != (model.n_u,):
-            raise DimensionMismatch("scaling dimensions do not match the model")
-        model_s = LtiModel(
-            A=model.A * dx[None, :] / dx[:, None],
-            B=model.B * du[None, :] / dx[:, None],
-            x_lo=model.x_lo / dx,
-            x_hi=model.x_hi / dx,
-            u_lo=model.u_lo / du,
-            u_hi=model.u_hi / du,
-        )
-        params_s = replace(
-            params,
-            Q=dx[:, None] * params.Q * dx[None, :],
-            R=du[:, None] * params.R * du[None, :],
-            T=dx[:, None] * params.T * dx[None, :],
-            S=du[:, None] * params.S * du[None, :],
-        )
-        return model_s, params_s
-
-
-@dataclass(frozen=True)
 class QpVectors:
     """Per-sample QP vectors: linear cost, equality RHS and stacked bounds."""
 
@@ -326,7 +271,6 @@ class PrecomputedData:
 
     model: LtiModel
     params: MpctParams
-    scaling: DiagonalScaling | None
     g: PredictionSparseMatrix
     v_lo: np.ndarray
     v_hi: np.ndarray
@@ -334,6 +278,8 @@ class PrecomputedData:
     w_system: SemiBandedSystem
     gt_window: np.ndarray
     gt_sums: np.ndarray
+    # always None; read only by perfbench/checks.py:38 and sweep.py:98 (ROADMAP item 1)
+    scaling: None = None
 
     @property
     def n_x(self) -> int:
@@ -448,11 +394,7 @@ def _gamma_tilde_banded(
     return _banded_from_block_columns(columns, params.N)
 
 
-def build_problem(
-    model: LtiModel,
-    params: MpctParams,
-    scaling: DiagonalScaling | None = None,
-) -> PrecomputedData:
+def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> PrecomputedData:
     """Offline phase: transcribe and factor everything the iterations reuse.
 
     Raises :class:`NotPositiveDefinite` naming the failing cost matrix or
@@ -461,8 +403,9 @@ def build_problem(
     """
     if model.n_x != params.n_x or model.n_u != params.n_u:
         raise DimensionMismatch("model and params dimensions do not agree")
+    # passed only by perfbench/run.py:276-279 and sweep.py:96 (ROADMAP item 1)
     if scaling is not None:
-        model, params = scaling.apply(model, params)
+        raise TypeError("build_problem takes no scaling")
 
     nx, nu, n = model.n_x, model.n_u, params.N
     w, m_z = nx + nu, (n + 2) * nx
@@ -520,7 +463,6 @@ def build_problem(
     return PrecomputedData(
         model=model,
         params=params,
-        scaling=scaling,
         g=g,
         v_lo=v_lo,
         v_hi=v_hi,
@@ -546,10 +488,6 @@ def assemble_online(
     x_t = _finite_vector(x_t, nx, "x_t")
     x_r = _finite_vector(x_r, nx, "x_r")
     u_r = _finite_vector(u_r, nu, "u_r")
-    if data.scaling is not None:
-        x_t = data.scaling.scale_state(x_t)
-        x_r = data.scaling.scale_state(x_r)
-        u_r = data.scaling.scale_input(u_r)
     q = np.zeros(data.n_z)
     q[data.n_z - nx - nu : data.n_z - nu] = -(data.params.T @ x_r)
     q[data.n_z - nu :] = -(data.params.S @ u_r)
@@ -561,6 +499,8 @@ def assemble_online(
 # --- problem-definition file format ("mpct-v1") -----------------------------
 
 _INF_TOKENS = {"inf": np.inf, "+inf": np.inf, "-inf": -np.inf}
+# the optional params entries, each a field of MpctParams with a default
+_SETTINGS = ("epsilon", "rho", "eps_primal", "eps_dual", "max_iter")
 
 
 def _bound_entry(value) -> float:
@@ -590,6 +530,13 @@ def _parse(where: str, convert, obj, key: str):
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _known_keys(obj: dict, where: str, keys: tuple[str, ...]) -> None:
+    """Raise a ValueError naming the first key of ``obj`` outside ``keys``, prefixed by ``where``."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"unknown key {where}{key}; expected one of {', '.join(keys)}")
+
+
 def _section(obj, key: str) -> dict:
     if key not in obj:
         raise ValueError(f"missing {key}")
@@ -607,16 +554,20 @@ def _bounds(values) -> list[float]:
     return [_bound_entry(v) for v in values]
 
 
-def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams, DiagonalScaling | None]:
+def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams]:
     """Parse the versioned problem-definition mapping.
 
-    A missing field or one of the wrong type raises a ValueError that names
-    it, such as ``missing model.A``.
+    A missing field, one of the wrong type or an unknown key, at the top
+    level or in ``model`` or ``params``, raises a ValueError that names it,
+    such as ``missing model.A`` or ``unknown key params.max_iters``.
     """
     if not isinstance(obj, dict) or obj.get("format") != PROBLEM_FORMAT:
         raise ValueError(f'problem file must declare "format": "{PROBLEM_FORMAT}"')
+    _known_keys(obj, "", ("format", "description", "model", "params"))
     mdl = _section(obj, "model")
+    _known_keys(mdl, "model.", ("A", "B", "x_lo", "x_hi", "u_lo", "u_hi"))
     prm = _section(obj, "params")
+    _known_keys(prm, "params.", ("Q", "R", "T", "S", "N", *_SETTINGS))
     model = LtiModel(
         A=_parse("model.A", _matrix, mdl, "A"),
         B=_parse("model.B", _matrix, mdl, "B"),
@@ -627,7 +578,7 @@ def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams, DiagonalScaling 
     )
     scalars = {
         key: _parse(f"params.{key}", float, prm, key)
-        for key in ("epsilon", "rho", "eps_primal", "eps_dual", "max_iter")
+        for key in _SETTINGS
         if key in prm
     }
     params = MpctParams(
@@ -638,17 +589,10 @@ def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams, DiagonalScaling 
         N=_parse("params.N", float, prm, "N"),
         **scalars,
     )
-    scaling = None
-    if obj.get("scaling") is not None:
-        scl = _section(obj, "scaling")
-        scaling = DiagonalScaling(
-            state=_parse("scaling.state", _matrix, scl, "state"),
-            input=_parse("scaling.input", _matrix, scl, "input"),
-        )
-    return model, params, scaling
+    return model, params
 
 
-def load_problem(path) -> tuple[LtiModel, MpctParams, DiagonalScaling | None]:
+def load_problem(path) -> tuple[LtiModel, MpctParams]:
     with open(Path(path), "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     return problem_from_dict(obj)
@@ -657,7 +601,6 @@ def load_problem(path) -> tuple[LtiModel, MpctParams, DiagonalScaling | None]:
 def problem_to_dict(
     model: LtiModel,
     params: MpctParams,
-    scaling: DiagonalScaling | None = None,
     description: str | None = None,
 ) -> dict:
     obj = {
@@ -685,6 +628,4 @@ def problem_to_dict(
     }
     if description:
         obj["description"] = description
-    if scaling is not None:
-        obj["scaling"] = {"state": scaling.state.tolist(), "input": scaling.input.tolist()}
     return obj

@@ -6,6 +6,8 @@ spectral-radius caps) because the numerical contracts under test assume
 sanely scaled data.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,11 @@ def random_instance(rng: np.random.Generator, **param_overrides):
     model = random_controllable_model(rng, n_x, n_u)
     params = random_params(rng, n_x, n_u, horizon, **param_overrides)
     return model, params
+
+
+def with_params(data, **updates):
+    """``data`` with tolerances or cap replaced; no factor depends on them."""
+    return replace(data, params=replace(data.params, **updates))
 
 
 def interior_point(model: LtiModel, rng: np.random.Generator, margin: float = 0.5) -> np.ndarray:

@@ -198,11 +198,11 @@ def test_acceptance_5_per_iteration_cost_scaling():
     """Doubling the horizon from 30 to 60 at n_x=8, n_u=2 costs at most 2.6x per iteration."""
     start = time.perf_counter()
     base = str(resources.files("mpct_admm") / "models" / "ball_plate_like.json")
-    model, params, scaling = load_problem(base)
+    model, params = load_problem(base)
 
     def median_iter_time(horizon):
         p = replace(params, N=horizon, eps_primal=1e-14, eps_dual=1e-14, max_iter=300)
-        data = build_problem(model, p, scaling)
+        data = build_problem(model, p)
         x0 = np.array([0.5, 0, 0, 0, 1.5, 0, 0, 0])
         times = []
         for _ in range(9):
@@ -226,19 +226,18 @@ def test_acceptance_5_per_iteration_cost_scaling():
 def test_acceptance_6_closed_loop_semantics():
     """Reachable references are tracked; unreachable ones settle at the closest equilibrium."""
     scenario = load_scenario(str(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json"))
-    model, params, scaling = scenario.model, scenario.params, scenario.scaling
+    model, params = scenario.model, scenario.params
     x0 = np.array([0.5, 0, 0, 0, 1.5, 0, 0, 0])
 
     reachable = next(r for r in scenario.references if r.label == "reachable")
-    data = build_problem(model, params, scaling)
-    traj = simulate_closed_loop(
-        data, model, x0, reachable, steps=150, eps_primal=1e-5, eps_dual=1e-5, max_iter=20000
-    )
+    data = build_problem(model, params)
+    data = replace(data, params=replace(params, eps_primal=1e-5, eps_dual=1e-5, max_iter=20000))
+    traj = simulate_closed_loop(data, model, x0, reachable, steps=150)
     err_reach = float(np.abs(traj.states[-1] - reachable.x_r).max())
 
     unreachable = next(r for r in scenario.references if r.label == "unreachable")
     # constraint-riding regime: the stiffer penalty keeps per-step solves quick
-    data_u = build_problem(model, replace(params, rho=6.0), scaling)
+    data_u = build_problem(model, replace(params, rho=6.0))
     x_hat, _ = optimal_steady_state(model, params, unreachable.x_r, unreachable.u_r)
     traj_u = simulate_closed_loop(data_u, model, x0, unreachable, steps=250)
     err_unreach = float(np.abs(traj_u.states[-1] - x_hat).max())

@@ -22,7 +22,7 @@ from mpct_admm import (
 )
 from mpct_admm.oracle import dense_instance, dense_qp_solve
 
-from conftest import random_controllable_model, random_params
+from conftest import random_controllable_model, random_params, with_params
 
 
 def small_tracking_instance(rho=1.0, eps=1e-6):
@@ -32,11 +32,6 @@ def small_tracking_instance(rho=1.0, eps=1e-6):
         epsilon=1e-6, rho=rho, eps_primal=eps, eps_dual=eps, max_iter=20000,
     )
     return model, params
-
-
-def with_params(data, **updates):
-    """``data`` with tolerances or cap replaced; no factor depends on them."""
-    return replace(data, params=replace(data.params, **updates))
 
 
 class TestAdmmSolve:
@@ -90,10 +85,9 @@ class TestAdmmSolve:
         # solve_kkt_system, the box projection and the scaled dual step from
         # a cold start and then from the warm state it returned, which holds
         # lam = rho u and is re-entered through u = lam / rho. The bundled
-        # scenario is scaled, and its box constraints are active within
-        # these steps.
+        # scenario's box constraints are active within these steps.
         scenario = load_scenario(str(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json"))
-        data = build_problem(scenario.model, scenario.params, scenario.scaling)
+        data = build_problem(scenario.model, scenario.params)
         ref = scenario.references[reference]
         x_t = sample_initial_states(scenario, reference)[0]
         rho = scenario.params.rho
@@ -173,8 +167,8 @@ class TestAdmmSolve:
     def test_warm_state_of_another_dtype(self, dtype):
         # the warm state is converted to float once, on the way in, so the
         # loop never mixes it with its float buffers
-        model, params, scaling = load_problem(resources.files("mpct_admm") / "models" / "double_integrator.json")
-        data = build_problem(model, params, scaling)
+        path = resources.files("mpct_admm") / "models" / "double_integrator.json"
+        data = build_problem(*load_problem(path))
         zeros = np.zeros(data.n_z)
         args = (data, [0.5, 0.0], [0.2, 0.0], [0.0])
         expected, expected_state = admm_solve(*args, warm=AdmmState(z=zeros, v=zeros, lam=zeros))
@@ -238,16 +232,3 @@ class TestAdmmSolve:
         for (it_s, v_s), (it_p, v_p) in zip(sequential, parallel):
             assert it_s == it_p
             np.testing.assert_array_equal(v_s, v_p)
-
-    def test_scaling_transparent_to_caller(self):
-        model, params = small_tracking_instance(eps=1e-8)
-        from mpct_admm import DiagonalScaling
-
-        scaling = DiagonalScaling(state=[2.0], input=[0.5])
-        plain = build_problem(model, params)
-        scaled = build_problem(model, params, scaling)
-        r1, _ = admm_solve(plain, [0.5], [0.8], [0.0])
-        r2, _ = admm_solve(scaled, [0.5], [0.8], [0.0])
-        assert r1.status is SolveStatus.CONVERGED and r2.status is SolveStatus.CONVERGED
-        np.testing.assert_allclose(r1.control_action, r2.control_action, atol=1e-6)
-        np.testing.assert_allclose(r1.artificial_reference[0], r2.artificial_reference[0], atol=1e-6)

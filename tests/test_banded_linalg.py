@@ -222,8 +222,7 @@ class TestPredictionMatrix:
 
     @pytest.mark.parametrize("name", ["double_integrator.json", "mass_spring.json", "ball_plate_like.json"])
     def test_solver_window_matches_dense_on_bundled_models(self, name):
-        # data.g is the matrix the KKT chain applies; ball_plate_like is
-        # scaled, so data.model is the scaled model
+        # data.g is the matrix the KKT chain applies
         data = build_problem(*load_problem(resources.files("mpct_admm") / "models" / name))
         np.testing.assert_array_equal(data.g.to_dense(), dense_dynamics(data.model, data.params.N))
 
@@ -319,11 +318,11 @@ class TestLayoutsMatchReference:
             return seen[-1][2]
 
         monkeypatch.setattr(mpct_problem, "_banded_from_block_columns", spy)
-        model, params, scaling = load_problem(resources.files("mpct_admm") / "models" / name)
+        model, params = load_problem(resources.files("mpct_admm") / "models" / name)
         # ball-plate cannot reach an equilibrium in 2 steps, so its build
         # stops at the factorization, after the placement
         with suppress(RankDeficientG):
-            build_problem(model, replace(params, N=horizon), scaling)
+            build_problem(model, replace(params, N=horizon))
         [(columns, h, placed)] = seen
         assert h == horizon
         assert_placed_exactly(columns, horizon, placed)

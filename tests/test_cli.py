@@ -177,6 +177,25 @@ class TestSolve:
         assert main(["solve", path, "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "scaling", {"state": [1.0, 1.0], "input": [1.0]}),
+            ("model", "x_low", [-5.0, -2.0]),
+            ("params", "max_iters", 1),
+        ],
+    )
+    def test_unknown_key_exits_three(self, tmp_path, capsys, section, key, value):
+        # neither is silently ignored: the file has no scaling feature, and
+        # a misspelled setting would fall back to its default
+        def edit(obj):
+            (obj if section is None else obj[section])[key] = value
+
+        path = problem_copy(tmp_path, edit)
+        assert main(["solve", path, "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
+        where = "" if section is None else f"{section}."
+        assert f"unknown key {where}{key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key", [("model", "A"), ("params", "N")])
     def test_missing_field_exits_three(self, tmp_path, capsys, section, key):
         path = problem_copy(tmp_path, lambda obj: obj[section].pop(key))
@@ -297,19 +316,18 @@ class TestCheck:
         assert code == EXIT_OK
         assert "PASS" in out
 
-    def test_check_passes_on_scaled_problem(self, tmp_path, capsys):
-        # the ball-and-plate-like file with its former hand-picked diagonal
-        # scaling and penalty; the oracle comparison must happen in the
-        # effective problem space
+    def test_check_passes_on_half_bounded_state(self, tmp_path, capsys):
+        # x_0 >= 1 with no upper bound: a current state of 0 would lie
+        # outside the box, and the ADMM run would never converge
         def edit(obj):
-            obj["scaling"] = {"state": [1.0, 1.0, 0.785, 2.0, 1.0, 1.0, 0.785, 2.0], "input": [0.2, 0.2]}
-            obj["params"]["rho"] = 0.6
+            obj["model"]["x_lo"][0] = 1.0
+            obj["model"]["x_hi"][0] = "inf"
 
-        problem = problem_copy(tmp_path, edit, "ball_plate_like.json")
+        problem = problem_copy(tmp_path, edit)
         code = main(["check", problem, "--samples", "3"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "FAIL" not in out
+        assert "converged" in out and "FAIL" not in out
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_exit_three(self, integrator_problem, samples, capsys):

@@ -24,6 +24,8 @@ from mpct_admm import harness
 from mpct_admm.errors import MpctError
 from mpct_admm.harness import Trajectory, bench_stats_dict, scenario_from_dict, write_trials_csv
 
+from conftest import with_params
+
 
 def models_dir():
     return resources.files("mpct_admm") / "models"
@@ -37,7 +39,7 @@ def integrator_scenario():
 @pytest.fixture(scope="module")
 def integrator_data(integrator_scenario):
     sc = integrator_scenario
-    return build_problem(sc.model, sc.params, sc.scaling)
+    return build_problem(sc.model, sc.params)
 
 
 class TestScenarioLoading:
@@ -46,8 +48,6 @@ class TestScenarioLoading:
         assert sc.trials == 500
         assert [r.label for r in sc.references] == ["reachable", "unreachable"]
         assert sc.model.n_x == 8
-        # the penalty comes from the null-space rule, which needs no scaling
-        assert sc.scaling is None
 
     @pytest.mark.parametrize(
         "name", ["ball_plate_like.json", "double_integrator.json", "mass_spring.json"]
@@ -55,8 +55,8 @@ class TestScenarioLoading:
     def test_every_bundled_model_builds_and_solves(self, name):
         from mpct_admm import admm_solve, load_problem
 
-        model, params, scaling = load_problem(str(models_dir() / name))
-        data = build_problem(model, params, scaling)
+        model, params = load_problem(str(models_dir() / name))
+        data = build_problem(model, params)
         both = np.isfinite(model.x_lo) & np.isfinite(model.x_hi)
         x0 = np.zeros(model.n_x)
         x0[both] = 0.5 * (model.x_lo[both] + model.x_hi[both])
@@ -130,6 +130,16 @@ class TestScenarioLoading:
         sc = scenario_from_dict(obj)
         assert sc.model.n_x == 1 and sc.trials == 2
 
+    @pytest.mark.parametrize("section, key", [(None, "trails"), ("initial_state", "interval")])
+    def test_unknown_key_rejected(self, section, key):
+        # a misspelled "trials" would otherwise bench the default single trial
+        path = Path(str(models_dir() / "scenario_double_integrator.json"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        (obj if section is None else obj[section])[key] = 50
+        where = "" if section is None else f"{section}."
+        with pytest.raises(ValueError, match=f"unknown key {where}{key}"):
+            scenario_from_dict(obj, base_dir=path.parent)
+
 
 class TestSimulation:
     def test_constant_at_equilibrium(self, integrator_scenario, integrator_data):
@@ -143,30 +153,26 @@ class TestSimulation:
     def test_reachable_reference_is_tracked(self, integrator_scenario, integrator_data):
         sc = integrator_scenario
         ref = next(r for r in sc.references if r.label == "reachable")
-        traj = simulate_closed_loop(
-            integrator_data, sc.model, np.array([-1.0, 0.0]), ref, steps=80,
-            eps_primal=1e-6, eps_dual=1e-6, max_iter=20000,
-        )
+        data = with_params(integrator_data, eps_primal=1e-6, eps_dual=1e-6, max_iter=20000)
+        traj = simulate_closed_loop(data, sc.model, np.array([-1.0, 0.0]), ref, steps=80)
         assert np.abs(traj.states[-1] - ref.x_r).max() <= 1e-3
 
     def test_unreachable_reference_settles_at_closest_equilibrium(self, integrator_scenario):
         # constraints ride the state bound at the limit; a stiffer penalty
         # keeps the per-step solves quick in that regime
         sc = integrator_scenario
-        data = build_problem(sc.model, replace(sc.params, rho=4.0), sc.scaling)
+        params = replace(sc.params, rho=4.0, eps_primal=1e-5, eps_dual=1e-5, max_iter=20000)
+        data = build_problem(sc.model, params)
         ref = next(r for r in sc.references if r.label == "unreachable")
         x_hat, _ = optimal_steady_state(sc.model, sc.params, ref.x_r, ref.u_r)
-        traj = simulate_closed_loop(
-            data, sc.model, np.array([0.0, 0.0]), ref, steps=120,
-            eps_primal=1e-5, eps_dual=1e-5, max_iter=20000,
-        )
+        traj = simulate_closed_loop(data, sc.model, np.array([0.0, 0.0]), ref, steps=120)
         assert np.abs(traj.states[-1] - x_hat).max() <= 1e-3
 
     def test_benchmark_model_tracks_within_100_steps(self):
         # default tolerances, default penalty: position error under 1e-2 by
         # the end of the bundled scenario's own step budget
         sc = load_scenario(str(models_dir() / "scenario_ball_plate.json"))
-        data = build_problem(sc.model, sc.params, sc.scaling)
+        data = build_problem(sc.model, sc.params)
         ref = next(r for r in sc.references if r.label == "reachable")
         x0 = np.array([0.5, 0, 0, 0, 1.5, 0, 0, 0])
         traj = simulate_closed_loop(data, sc.model, x0, ref, steps=100)
@@ -175,9 +181,8 @@ class TestSimulation:
     def test_inputs_feasible_even_when_capped(self, integrator_scenario, integrator_data):
         sc = integrator_scenario
         ref = next(r for r in sc.references if r.label == "unreachable")
-        traj = simulate_closed_loop(
-            integrator_data, sc.model, np.array([0.0, 0.0]), ref, steps=30, max_iter=2
-        )
+        data = with_params(integrator_data, max_iter=2)
+        traj = simulate_closed_loop(data, sc.model, np.array([0.0, 0.0]), ref, steps=30)
         assert all(s is SolveStatus.MAX_ITERATIONS for s in traj.statuses)
         assert np.all(traj.inputs >= sc.model.u_lo - 1e-12)
         assert np.all(traj.inputs <= sc.model.u_hi + 1e-12)
@@ -192,11 +197,6 @@ class TestSimulation:
             ("sample_time", float("inf")),
             ("steps", -1),
             ("steps", 2.5),
-            ("eps_primal", -1e-4),
-            ("eps_dual", float("nan")),
-            ("eps_primal", float("inf")),
-            ("max_iter", 0),
-            ("max_iter", 2.5),
         ],
     )
     def test_invalid_arguments_rejected_before_solving(

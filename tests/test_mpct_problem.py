@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from mpct_admm import (
-    DiagonalScaling,
     DimensionMismatch,
     EmptyTightenedBox,
     LtiModel,
@@ -119,7 +118,7 @@ class TestBuildProblem:
         # their base: 83.47 and 496.91 KiB when this bound was set. A stored
         # view into a padded scratch buffer would count the whole buffer
         sc = load_scenario(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json")
-        data = build_problem(sc.model, dataclasses.replace(sc.params, N=horizon), sc.scaling)
+        data = build_problem(sc.model, dataclasses.replace(sc.params, N=horizon))
         buffers = {id(a): a.nbytes for a in reachable_arrays(data)}
         assert sum(buffers.values()) <= limit
 
@@ -284,53 +283,13 @@ class TestValidation:
             MpctParams(Q=q, R=[[1.0]], T=np.eye(2), S=[[1.0]], N=2)
 
 
-class TestScaling:
-    def test_cost_energy_is_preserved(self):
-        rng = np.random.default_rng(5)
-        model, params = random_instance(rng)
-        scaling = DiagonalScaling(
-            state=rng.uniform(0.5, 2.0, model.n_x), input=rng.uniform(0.5, 2.0, model.n_u)
-        )
-        model_s, params_s = scaling.apply(model, params)
-        x = rng.standard_normal(model.n_x)
-        u = rng.standard_normal(model.n_u)
-        xs, us = scaling.scale_state(x), scaling.scale_input(u)
-        assert np.isclose(xs @ params_s.Q @ xs, x @ params.Q @ x)
-        assert np.isclose(us @ params_s.S @ us, u @ params.S @ u)
-        # dynamics commute with the change of variables
-        x_next = model.A @ x + model.B @ u
-        np.testing.assert_allclose(
-            model_s.A @ xs + model_s.B @ us, scaling.scale_state(x_next), atol=1e-12
-        )
-
-    def test_positive_factors_required(self):
-        with pytest.raises(ValueError):
-            DiagonalScaling(state=[1.0, -1.0], input=[1.0])
-
-    @pytest.mark.parametrize(
-        "field",
-        [f for f in dataclasses.fields(MpctParams) if f.name not in ("Q", "R", "T", "S")],
-        ids=lambda f: f.name,
-    )
-    def test_scaling_keeps_every_setting(self, field):
-        # scaling changes only the costs; half the default is a valid
-        # non-default value for every positive setting
-        value = 7 if field.default is dataclasses.MISSING else field.default / 2
-        base = {"Q": [[1.0]], "R": [[1.0]], "T": [[1.0]], "S": [[1.0]], "N": 3}
-        params = MpctParams(**{**base, field.name: value})
-        model = LtiModel(A=[[1.0]], B=[[1.0]], x_lo=[-1.0], x_hi=[1.0], u_lo=[-1.0], u_hi=[1.0])
-        _, params_s = DiagonalScaling(state=[2.0], input=[0.5]).apply(model, params)
-        assert getattr(params_s, field.name) == getattr(params, field.name) == value
-
-
 class TestJsonFormat:
     def test_roundtrip(self, integrator_model, integrator_params):
         obj = problem_to_dict(integrator_model, integrator_params)
-        model, params, scaling = problem_from_dict(obj)
+        model, params = problem_from_dict(obj)
         np.testing.assert_array_equal(model.A, integrator_model.A)
         np.testing.assert_array_equal(params.Q, integrator_params.Q)
         assert params.N == integrator_params.N
-        assert scaling is None
 
     def test_infinity_sentinels(self):
         model = LtiModel(
@@ -340,19 +299,12 @@ class TestJsonFormat:
         obj = problem_to_dict(model, params)
         assert obj["model"]["x_lo"] == ["-inf"]
         assert obj["model"]["x_hi"] == ["inf"]
-        back, _, _ = problem_from_dict(obj)
+        back, _ = problem_from_dict(obj)
         assert back.x_hi[0] == np.inf
 
     def test_missing_format_key_rejected(self):
         with pytest.raises(ValueError):
             problem_from_dict({"model": {}, "params": {}})
-
-    def test_scaling_roundtrip(self, integrator_model, integrator_params):
-        scaling = DiagonalScaling(state=[2.0], input=[0.25])
-        obj = problem_to_dict(integrator_model, integrator_params, scaling)
-        _, _, back = problem_from_dict(obj)
-        np.testing.assert_array_equal(back.state, scaling.state)
-        np.testing.assert_array_equal(back.input, scaling.input)
 
     def test_diagonal_cost_shorthand(self):
         obj = {
@@ -367,6 +319,6 @@ class TestJsonFormat:
             },
             "params": {"Q": [2.0], "R": [1.0], "T": [1.0], "S": [1.0], "N": 3},
         }
-        _, params, _ = problem_from_dict(obj)
+        _, params = problem_from_dict(obj)
         np.testing.assert_array_equal(params.Q, [[2.0]])
         assert params.N == 3

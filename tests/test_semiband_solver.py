@@ -20,7 +20,6 @@ from mpct_admm import (
     banded_cholesky_factor,
     build_problem,
     load_problem,
-    load_scenario,
     solve_kkt_system,
     solve_semibanded,
 )
@@ -149,12 +148,10 @@ def reachable_arrays(obj, seen=None):
 
 
 BUNDLED_MODELS = ["ball_plate_like.json", "double_integrator.json", "mass_spring.json"]
-SCENARIO = "scenario_ball_plate.json"
 
 
 def bundled_data(name):
-    model, params, scaling = load_problem(resources.files("mpct_admm") / "models" / name)
-    return build_problem(model, params, scaling)
+    return build_problem(*load_problem(resources.files("mpct_admm") / "models" / name))
 
 
 def arrays_in(obj):
@@ -396,20 +393,17 @@ class TestSolveKkt:
 
     @pytest.mark.parametrize(
         "source",
-        [(1, 1, 2), (3, 1, 2), (2, 1, 5), (4, 2, 9), *BUNDLED_MODELS, SCENARIO],
-        ids=["n_x-1-horizon-2", "one-input-horizon-2", "one-input", "4x2", *BUNDLED_MODELS, "scaled-scenario"],
+        [(1, 1, 2), (3, 1, 2), (2, 1, 5), (4, 2, 9), *BUNDLED_MODELS],
+        ids=["n_x-1-horizon-2", "one-input-horizon-2", "one-input", "4x2", *BUNDLED_MODELS],
     )
     def test_fused_chain_against_dense_oracle(self, source):
         # both outputs, z and mu, satisfy both rows of the KKT system, and
         # match the oracle's dense saddle-point solve
-        if source == SCENARIO:
-            sc = load_scenario(str(resources.files("mpct_admm") / "models" / SCENARIO))
-            data = build_problem(sc.model, sc.params, sc.scaling)
-        elif isinstance(source, str):
+        if isinstance(source, str):
             data = bundled_data(source)
         else:
             data = random_data(*source)  # Q and R are not diagonal
-        model, params = data.model, data.params  # already scaled
+        model, params = data.model, data.params
         rng = np.random.default_rng(data.n_z)
         g = dense_dynamics(model, params.N)
         p_mat = dense_hessian(params) + params.rho * np.eye(data.n_z)
