@@ -104,10 +104,7 @@ def admm_solve(
     lam = _finite_vector(warm.lam, data.n_z, "warm state lam")
 
     work = KktWorkspace.for_problem(data)
-    # the chain runs with the pin row of G negated, and so with b's pin block
-    b = qp.b.copy()
-    np.negative(b[: data.n_x], out=b[: data.n_x])
-    q, v_lo, v_hi = qp.q, qp.v_lo, qp.v_hi
+    q, b, v_lo, v_hi = qp.q, qp.b, qp.v_lo, qp.v_hi
     # per-solve buffers; the chain reads p by its stage blocks, v and v_next
     # swap roles every iteration, and the rows of gaps receive z - v_next
     # and v_next - v

@@ -152,18 +152,17 @@ class PredictionSparseMatrix:
     """Equality-constraint matrix of the horizon-stacked dynamics, by its stage window.
 
     Row blocks of ``n_x`` rows each: the initial-state pin ``x_0``, the stage
-    couplings ``A x_{i-1} + B u_{i-1} - x_i`` for ``i = 1 .. N-1``, the handoff
-    into the artificial reference ``A x_{N-1} + B u_{N-1} - x_s``, and the
-    equilibrium row ``(A - I) x_s + B u_s``. Columns follow the decision stack
-    ``(x_0, u_0, ..., x_{N-1}, u_{N-1}, x_s, u_s)``.
+    couplings ``x_i - A x_{i-1} - B u_{i-1}`` for ``i = 1 .. N-1``, the
+    handoff into the artificial reference ``x_s - A x_{N-1} - B u_{N-1}``,
+    and the equilibrium row ``x_s - A x_s - B u_s``. Columns follow the
+    decision stack ``(x_0, u_0, ..., x_{N-1}, u_{N-1}, x_s, u_s)``.
 
-    With its pin row negated, every row block ``i = 0 .. N+1`` of ``G`` reads
-    ``C z_{i-1} - E z_i`` with ``C = [A B]``, ``E = [I 0]``, ``z_{-1} = 0``
-    and ``z_N = z_{N+1} = (x_s, u_s)``. The matrix is stored only as
-    ``window = [-C' ; E']`` (``2(n_x+n_u)`` by ``n_x``), formed from ``a``
-    and ``b`` at construction, so that row block ``i`` of ``-G z`` for that
-    negated ``G`` is ``[z_{i-1}, z_i] window``: the product the KKT chain
-    takes, whatever the horizon.
+    Every row block ``i = 0 .. N+1`` of ``G`` thus reads ``E z_i - C z_{i-1}``
+    with ``C = [A B]``, ``E = [I 0]``, ``z_{-1} = 0`` and ``z_N = z_{N+1} =
+    (x_s, u_s)``. The matrix is stored only as ``window = [C' ; -E']``
+    (``2(n_x+n_u)`` by ``n_x``), formed from ``a`` and ``b`` at
+    construction, so that row block ``i`` of ``-G z`` is ``[z_{i-1}, z_i]
+    window``: the product the KKT chain takes, whatever the horizon.
     """
 
     a: InitVar[np.ndarray]
@@ -182,9 +181,9 @@ class PredictionSparseMatrix:
             raise ValueError("horizon must be at least 1")
         nx, w = a.shape[0], a.shape[0] + b.shape[1]
         window = np.zeros((2 * w, nx))
-        np.negative(a.T, out=window[:nx])
-        np.negative(b.T, out=window[nx:w])
-        np.fill_diagonal(window[w:], 1.0)
+        window[:nx] = a.T
+        window[nx:w] = b.T
+        np.fill_diagonal(window[w:], -1.0)
         object.__setattr__(self, "window", window)
 
     @property
@@ -200,8 +199,8 @@ class PredictionSparseMatrix:
 
         Row block ``i`` is ``-window'`` on the column blocks of ``(z_{i-1},
         z_i)`` in the padded stack ``(z_{-1}, z_0, ..., z_{N-1}, z_s, z_s)``.
-        Dropping ``z_{-1}``, folding the second copy of ``z_s`` onto the first
-        and negating the pin row again gives ``G``.
+        Dropping ``z_{-1}`` and folding the second copy of ``z_s`` onto the
+        first gives ``G``.
         """
         nx, n = self.n_x, self.horizon
         w = nx + self.n_u
@@ -211,5 +210,4 @@ class PredictionSparseMatrix:
             padded[i * nx : (i + 1) * nx, i * w : (i + 2) * w] -= self.window.T
         g = padded[:, w : (n + 2) * w]
         g[:, n * w :] += padded[:, (n + 2) * w :]
-        np.subtract(0.0, g[:nx], out=g[:nx])
         return g

@@ -119,14 +119,26 @@ class Scenario:
 
 
 def _references(entries) -> tuple[Reference, ...]:
-    return tuple(Reference(label=r["label"], x_r=r["x_r"], u_r=r["u_r"]) for r in entries)
+    refs = []
+    for i, entry in enumerate(entries):
+        where = f"references[{i}]"
+        if not isinstance(entry, dict):
+            raise ValueError(f"{where} must be a JSON object, got {type(entry).__name__}")
+        _known_keys(entry, f"{where}.", ("label", "x_r", "u_r"))
+        refs.append(Reference(
+            label=_parse(f"{where}.label", str, entry, "label"),
+            x_r=_parse(f"{where}.x_r", _matrix, entry, "x_r"),
+            u_r=_parse(f"{where}.u_r", _matrix, entry, "u_r"),
+        ))
+    return tuple(refs)
 
 
 def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
     """Parse a scenario mapping.
 
-    A missing or wrongly-typed field, or an unknown key at the top level or
-    in ``initial_state``, raises a ValueError naming it.
+    A missing or wrongly-typed field, or an unknown key at the top level, in
+    ``initial_state`` or in a reference, raises a ValueError naming it, such
+    as ``missing references[0].u_r``.
     """
     if not isinstance(obj, dict) or obj.get("format") != SCENARIO_FORMAT:
         raise ValueError(f'scenario file must declare "format": "{SCENARIO_FORMAT}"')
@@ -139,7 +151,7 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             problem = json.load(fh)
     model, params = problem_from_dict(problem)
-    references = _parse("references", _references, obj, "references")
+    references = _references(_parse("references", list, obj, "references"))
     initial_state = _section(obj, "initial_state")
     _known_keys(initial_state, "initial_state.", ("intervals",))
     intervals = _parse("initial_state.intervals", _matrix, initial_state, "intervals")

@@ -7,13 +7,12 @@ stage to the artificial reference through the same block ``-diag(Q, R)``;
 it is kept as its distinct stage and reference blocks only. The dual-space
 matrix splits into a banded core plus a completion of the same rank whose
 right factor repeats one column block across the stage couplings.
-Both are factored here, with their small Woodbury cores folded in. The
-dual-space matrix is formed for the dynamics matrix with its initial-state
-pin row negated (``-x_0 = -x_t``), so that every constraint row block
-``i = 0 .. N`` reads ``C z_{i-1} - E z_i`` with ``C = [A B]``, ``E = [I 0]``,
-``z_{-1} = 0`` and ``z_N = (x_s, u_s)``. The three small blocks through
-which the KKT chain applies that matrix and its transpose on stage windows
-are formed here too, so that the online phase is vector assembly only.
+Both are factored here, with their small Woodbury cores folded in. Every
+constraint row block ``i = 0 .. N+1`` of the dynamics matrix reads ``E z_i -
+C z_{i-1}`` with ``C = [A B]``, ``E = [I 0]``, ``z_{-1} = 0`` and ``z_N =
+z_{N+1} = (x_s, u_s)``. The three small blocks through which the KKT chain
+applies that matrix and its transpose on stage windows are formed here too,
+so that the online phase is vector assembly only.
 """
 
 from __future__ import annotations
@@ -246,13 +245,11 @@ class PrecomputedData:
     the core's nonzero bands, plus the Woodbury factors: ``v`` as its four
     distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
     :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
-    ``2(n_x+n_u)``. ``w_system`` is formed for ``g`` with its pin row
-    negated. ``g`` is stored once, by its stage window ``g.window``
+    ``2(n_x+n_u)``. ``g`` is stored once, by its stage window ``g.window``
     (``2(n_x+n_u)`` by ``n_x``), the block through which the KKT chain
-    applies that negated ``G``; :meth:`PredictionSparseMatrix.to_dense`
-    restores the pin row's sign. ``gt_window`` (``2n_x`` by ``n_x+n_u``)
-    and ``gt_sums`` (``2(n_x+n_u)`` by ``4n_x``) fold the ``G'`` product
-    into the KKT chain's second primal solve (see
+    applies ``G``. ``gt_window`` (``2n_x`` by ``n_x+n_u``) and ``gt_sums``
+    (``2(n_x+n_u)`` by ``4n_x``) fold the ``G'`` product into the KKT
+    chain's second primal solve (see
     :func:`~mpct_admm.semiband_solver.gt_fold_blocks`). None of the three
     blocks grows with ``N``.
 
@@ -308,7 +305,7 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _minus_g_blocks(window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
-    """The four distinct row blocks of ``-G X`` for the pin-negated ``G``.
+    """The four distinct row blocks of ``-G X``.
 
     ``X`` repeats the row block ``stage`` over the N stages above ``ref``, so
     ``-G X`` takes four values, each ``[X_{i-1} ; X_i]`` read through the
@@ -369,10 +366,10 @@ def _gamma_tilde_banded(
 ) -> SymBandedMatrix:
     """Banded core of the dual-space matrix, from its four distinct block columns.
 
-    The product of the pin-negated dynamics pattern with the inverted
-    block-diagonal core is block tridiagonal; the blocks follow directly from
-    which decision blocks each pair of constraint rows shares. Rows ``i`` and
-    ``i+1`` share ``z_i``, read as ``-E z_i`` and ``C z_i``, for every
+    The product of the dynamics pattern with the inverted block-diagonal
+    core is block tridiagonal; the blocks follow directly from which
+    decision blocks each pair of constraint rows shares. Rows ``i`` and
+    ``i+1`` share ``z_i``, read as ``E z_i`` and ``-C z_i``, for every
     ``i < N``, so all but the last sub-diagonal block are ``-A D_x``, and
     block columns ``1 .. N-1`` are one shared column. With ``n_x``-wide
     blocks the half-bandwidth is at most ``2 n_x - 1``; see

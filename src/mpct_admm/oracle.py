@@ -62,12 +62,12 @@ def dense_dynamics(model: LtiModel, n: int) -> np.ndarray:
     g[:nx, :nx] = np.eye(nx)
     for i in range(1, n + 1):
         rows = slice(i * nx, (i + 1) * nx)
-        g[rows, (i - 1) * w : (i - 1) * w + nx] = model.A
-        g[rows, (i - 1) * w + nx : i * w] = model.B
-        g[rows, i * w : i * w + nx] = -np.eye(nx)
+        g[rows, (i - 1) * w : (i - 1) * w + nx] = -model.A
+        g[rows, (i - 1) * w + nx : i * w] = -model.B
+        g[rows, i * w : i * w + nx] = np.eye(nx)
     rows = slice((n + 1) * nx, (n + 2) * nx)
-    g[rows, n * w : n * w + nx] = model.A - np.eye(nx)
-    g[rows, n * w + nx :] = model.B
+    g[rows, n * w : n * w + nx] = np.eye(nx) - model.A
+    g[rows, n * w + nx :] = -model.B
     return g
 
 
@@ -218,13 +218,27 @@ def _box_qp_admm(h, q, g, b, lo, hi):
     return v, lam, mu, k, converged
 
 
+def _require_feasible(g, b, lo, hi, what: str) -> None:
+    """Raise :class:`Infeasible` naming ``what`` when HiGHS proves ``{z : g z = b,
+    lo <= z <= hi}`` empty, before any iteration can stall on it."""
+    probe = linprog(
+        c=np.zeros(g.shape[1]), A_eq=g, b_eq=b, bounds=np.column_stack([lo, hi]), method="highs"
+    )
+    if probe.status == 2:
+        raise Infeasible(f"no admissible {what}")
+
+
 def dense_qp_solve(instance: DenseQpInstance) -> DenseQpSolution:
     """High-accuracy reference solution of the full box-constrained QP.
 
     The penalty here is independent of the structured solver's (the minimizer
-    does not depend on it). Raises :class:`NotConverged` instead of returning
-    a doubtful answer.
+    does not depend on it). Raises :class:`Infeasible` when the constraint
+    set is empty and :class:`NotConverged` instead of returning a doubtful
+    answer.
     """
+    _require_feasible(
+        instance.g, instance.b, instance.v_lo, instance.v_hi, "trajectory from x_t inside the box"
+    )
     v, lam, mu, k, ok = _box_qp_admm(
         instance.h, instance.q, instance.g, instance.b, instance.v_lo, instance.v_hi
     )
@@ -325,19 +339,7 @@ def optimal_steady_state(
     lo, hi = (bound[-(nx + nu) :] for bound in dense_bounds(model, params))
     g_eq = np.hstack([model.A - np.eye(nx), model.B])
     b_eq = np.zeros(nx)
-
-    probe = linprog(
-        c=np.zeros(nx + nu),
-        A_eq=g_eq,
-        b_eq=b_eq,
-        bounds=[
-            (None if np.isneginf(l) else l, None if np.isposinf(h) else h)
-            for l, h in zip(lo, hi)
-        ],
-        method="highs",
-    )
-    if probe.status == 2:
-        raise Infeasible("no admissible steady state inside the tightened box")
+    _require_feasible(g_eq, b_eq, lo, hi, "steady state inside the tightened box")
 
     h = block_diag(2.0 * params.T, 2.0 * params.S)
     q = np.concatenate([-2.0 * (params.T @ x_r), -2.0 * (params.S @ u_r)])

@@ -18,14 +18,13 @@ artificial reference through one repeated block and is solved stage by stage
 banded core (:class:`SemiBandedSystem`), whose ``V`` repeats one column
 block across the stage couplings and is applied as a stage sum
 (:class:`StageSumMatrix`). :func:`solve_kkt_system` runs the chain in one
-stage-blocked pass, for ``G`` with its initial-state pin row negated so that
-every constraint row block ``i = 0 .. N`` reads ``C z_{i-1} - E z_i``. Each
-half of the chain is then one product on overlapping stage windows: the
-``G`` product after the first primal solve reads the windows
-``(xi_{i-1}, xi_i)`` of the unconstrained step, and the second primal solve,
-with the ``G'`` product before it, reads the windows ``(mu_i, mu_{i+1})`` of
-the multipliers plus one small product with the four stage sums the dual
-solve already takes.
+stage-blocked pass. Every constraint row block ``i = 0 .. N+1`` of ``G``
+reads ``E z_i - C z_{i-1}``, so each half of the chain is one product on
+overlapping stage windows: the ``G`` product after the first primal solve
+reads the windows ``(xi_{i-1}, xi_i)`` of the unconstrained step, and the
+second primal solve, with the ``G'`` product before it, reads the windows
+``(mu_i, mu_{i+1})`` of the multipliers plus one small product with the four
+stage sums the dual solve already takes.
 """
 
 from __future__ import annotations
@@ -318,11 +317,10 @@ def gt_fold_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two blocks that fold ``G'`` into the KKT chain's second primal solve.
 
-    ``G`` here has its pin row negated, as in ``w_system``. With ``E = [I
-    0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of ``G' mu`` is
-    then ``-mu_i E + mu_{i+1} C`` for every ``i``. The returned ``window``
-    (2n_x-by-w) is ``[E ; -C] Gamma_st^-1``, so ``-[mu_i, mu_{i+1}] window``
-    is the stage block of ``Gamma_st^-1 G' mu``.
+    With ``E = [I 0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of
+    ``G' mu`` is ``mu_i E - mu_{i+1} C`` for every ``i``. The returned
+    ``window`` (2n_x-by-w) is ``[-E ; C] Gamma_st^-1``, so ``-[mu_i,
+    mu_{i+1}] window`` is the stage block of ``Gamma_st^-1 G' mu``.
 
     The sums the primal solve needs, ``(sum_i (G' mu)_i, (G' mu)_s)``, are
     linear in the four stage sums ``(mu_0, mu_1 + .. + mu_{N-1}, mu_N,
@@ -335,18 +333,18 @@ def gt_fold_blocks(
     """
     nx, nu, n = g.n_x, g.n_u, g.horizon
     w = nx + nu
-    # g.window is [-C' ; E'], so [E ; -C] is its two halves transposed and swapped
+    # g.window is [C' ; -E'], so [-E ; C] is its two halves transposed and swapped
     e_c = np.empty((2 * nx, w))
     e_c[:nx] = g.window[w:].T
     e_c[nx:] = g.window[:w].T
     window = e_c @ p_system.gamma_stage_inv
-    # sum_i (G' mu)_i = -s_0 E + s_1 (C - E) + s_2 C; (G' mu)_s = mu_{N+1} (C - E) - mu_N E
-    # (C' = -g.window[:w], E' = g.window[w:])
-    c_t, e_t = np.negative(g.window[:w]), g.window[w:]
+    # sum_i (G' mu)_i = s_0 E + s_1 (E - C) - s_2 C; (G' mu)_s = mu_{N+1} (E - C) + mu_N E
+    # (C' = g.window[:w], -E' = g.window[w:])
+    minus_c_t, minus_e_t = np.negative(g.window[:w]), g.window[w:]
     gt_sums = np.zeros((2 * w, 4 * nx))
-    np.negative(e_t, out=gt_sums[:w, :nx])
-    np.subtract(c_t, e_t, out=gt_sums[:w, nx : 2 * nx])
-    gt_sums[:w, 2 * nx : 3 * nx] = c_t
+    np.negative(minus_e_t, out=gt_sums[:w, :nx])
+    np.subtract(minus_c_t, minus_e_t, out=gt_sums[:w, nx : 2 * nx])
+    gt_sums[:w, 2 * nx : 3 * nx] = minus_c_t
     gt_sums[w:, 2 * nx : 3 * nx] = gt_sums[:w, :nx]
     gt_sums[w:, 3 * nx :] = gt_sums[:w, nx : 2 * nx]
     v = w_system.v
@@ -371,10 +369,9 @@ class KktWorkspace:
     and ``(n_x, 1)`` items over their contiguous buffers, so consecutive
     rows share a block. ``p_sums`` and ``mu_sums`` receive the stage sums
     the chain takes, at the ``p_offsets`` and at the dual ``v.offsets``
-    where they start. ``z`` and ``mu`` receive the chain's results, ``mu``
-    with the sign of the pin-negated ``G``; the dual right-hand side and the
-    banded solve's output pass through ``mu`` on the way. The next call with
-    the same workspace overwrites them.
+    where they start. ``z`` and ``mu`` receive the chain's results; the dual
+    right-hand side and the banded solve's output pass through ``mu`` on the
+    way. The next call with the same workspace overwrites them.
 
     The chain reads its factors from ``data``, so a workspace serves only
     the ``data`` it was made for.
@@ -431,16 +428,13 @@ def solve_kkt_system(
     second primal-space solve fused with the ``G'`` product before it (see
     :func:`gt_fold_blocks`). The multipliers are returned for residual
     diagnostics even though the outer iteration discards them. With ``work``
-    given, ``z`` and ``mu`` are its buffers. The arguments are checked here,
-    once; the ADMM loop runs the same chain on its own checked buffers.
-
-    The chain runs with the pin row of ``G`` negated; this boundary negates
-    the pin block of a copy of ``b`` on the way in and that of ``mu`` on the
-    way out, so ``b`` and ``(z, mu)`` keep the sign of the dynamics, that of
-    ``data.g.to_dense()``.
+    given, ``z`` and ``mu`` are its buffers. ``G`` is ``data.g.to_dense()``,
+    whose dynamics rows read ``x_i - A x_{i-1} - B u_{i-1}``; ``b`` is only
+    read. The arguments are checked here, once; the ADMM loop runs the same
+    chain on its own checked buffers.
     """
     p = np.asarray(p, dtype=float)
-    b = np.array(b, dtype=float)
+    b = np.asarray(b, dtype=float)
     if p.shape != (data.n_z,):
         raise DimensionMismatch(f"p must have length {data.n_z}")
     if b.shape != (data.m_z,):
@@ -449,18 +443,12 @@ def solve_kkt_system(
         work = KktWorkspace.for_problem(data)
     elif work.data is not data:
         raise DimensionMismatch("work was made for another problem")
-    nx = data.n_x
-    np.negative(b[:nx], out=b[:nx])
-    z, mu = _solve_kkt(work, p.reshape(-1, nx + data.n_u), b)
-    np.negative(mu[:nx], out=mu[:nx])
-    return z, mu
+    return _solve_kkt(work, p.reshape(-1, data.n_x + data.n_u), b)
 
 
 def _solve_kkt(work: KktWorkspace, p_blocks: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The chain of :func:`solve_kkt_system`, without its checks, on the
-    ``(N+1, w)`` blocks of ``p`` and for ``G`` with its pin row negated: the
-    pin blocks of ``b`` and of the returned ``mu`` are those of the public
-    convention, negated."""
+    ``(N+1, w)`` blocks of ``p``."""
     data = work.data
     xi_stages, xi_ref = work.xi_stages, work.xi_ref
     w = xi_ref.shape[1]

@@ -22,7 +22,7 @@ from mpct_admm import mpct_problem
 from mpct_admm.oracle import dense_dynamics
 from mpct_admm.semiband_solver import _fold_core, _spd_inverse
 
-from conftest import random_controllable_model
+from conftest import random_controllable_model, random_instance
 
 
 def random_spd_banded(rng, n, bw):
@@ -198,12 +198,12 @@ class TestPredictionMatrix:
         g = PredictionSparseMatrix(a=np.array([[1.0]]), b=np.array([[1.0]]), horizon=2)
         expected = [
             [1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-            [1.0, 1.0, -1.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 1.0, -1.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+            [-1.0, -1.0, 1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, -1.0, -1.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0, -1.0],
         ]
         np.testing.assert_array_equal(g.to_dense(), expected)
-        np.testing.assert_array_equal(g.to_dense() @ np.ones(6), [1.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(g.to_dense() @ np.ones(6), [1.0, -1.0, -1.0, -1.0])
 
     def test_first_block_row_is_identity(self):
         rng = np.random.default_rng(10)
@@ -219,6 +219,27 @@ class TestPredictionMatrix:
             n = int(rng.integers(2, 6))
             g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
             np.testing.assert_array_equal(g.to_dense(), dense_dynamics(model, n))
+
+    def test_one_row_form_for_solver_and_oracle(self):
+        # every row block reads E z_i - C z_{i-1}: the pin x_0, then
+        # x_i - A x_{i-1} - B u_{i-1} up to the handoff into x_s, then
+        # x_s - A x_s - B u_s, for the solver's G and the oracle's alike
+        rng = np.random.default_rng(12)
+        for _ in range(8):
+            model, params = random_instance(rng)
+            data = build_problem(model, params)
+            n = params.N
+            z = rng.standard_normal(data.n_z)
+            # rows of x and u are the stage blocks, with x[n], u[n] = x_s, u_s
+            x, u = np.split(z.reshape(n + 1, -1), [data.n_x], axis=1)
+            rows = [x[0]]
+            for i in range(1, n + 1):
+                rows.append(x[i] - model.A @ x[i - 1] - model.B @ u[i - 1])
+            rows.append(x[n] - model.A @ x[n] - model.B @ u[n])
+            expected = np.concatenate(rows)
+            tol = 1e-12 * (1.0 + np.abs(expected).max())
+            for g in (data.g.to_dense(), dense_dynamics(model, n)):
+                np.testing.assert_allclose(g @ z, expected, rtol=0.0, atol=tol)
 
     @pytest.mark.parametrize("name", ["double_integrator.json", "mass_spring.json", "ball_plate_like.json"])
     def test_solver_window_matches_dense_on_bundled_models(self, name):

@@ -240,7 +240,7 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "edit, message",
         [
-            (lambda obj: obj["references"][0].pop("x_r"), "references: 'x_r'"),
+            (lambda obj: obj["references"][0].pop("x_r"), "missing references[0].x_r"),
             (lambda obj: obj.pop("initial_state"), "missing initial_state"),
             (lambda obj: obj.pop("problem"), "missing problem"),
         ],

@@ -140,6 +140,22 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match=f"unknown key {where}{key}"):
             scenario_from_dict(obj, base_dir=path.parent)
 
+    def test_unknown_reference_key_rejected(self):
+        # a misspelled "u_r" would otherwise track the reference with u_r = 0
+        path = Path(str(models_dir() / "scenario_double_integrator.json"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["references"][0]["u_ref"] = [5.0]
+        with pytest.raises(ValueError, match=r"unknown key references\[0\]\.u_ref"):
+            scenario_from_dict(obj, base_dir=path.parent)
+
+    @pytest.mark.parametrize("key", ["label", "x_r", "u_r"])
+    def test_missing_reference_field_named(self, key):
+        path = Path(str(models_dir() / "scenario_double_integrator.json"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        del obj["references"][1][key]
+        with pytest.raises(ValueError, match=rf"^missing references\[1\]\.{key}$"):
+            scenario_from_dict(obj, base_dir=path.parent)
+
 
 class TestSimulation:
     def test_constant_at_equilibrium(self, integrator_scenario, integrator_data):

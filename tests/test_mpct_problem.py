@@ -90,9 +90,7 @@ class TestBuildProblem:
         for _ in range(6):
             model, params = random_instance(rng)
             data = build_problem(model, params)
-            # the dual system is formed for G with its pin row negated
             g = dense_dynamics(model, params.N)
-            g[: model.n_x] *= -1.0
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
             w = data.n_x + data.n_u

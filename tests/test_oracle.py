@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from mpct_admm import (
     dense_instance,
     dense_kkt_solve,
     dense_qp_solve,
+    load_problem,
     optimal_steady_state,
 )
 from conftest import random_controllable_model, random_params
@@ -141,6 +144,14 @@ class TestDenseQpSolve:
         params = MpctParams(Q=[[1.0]], R=[[1.0]], T=[[1.0]], S=[[1.0]], N=500, epsilon=1e-3)
         with pytest.raises(ValueError):
             dense_instance(model, params, [0.0], [0.0], [0.0])
+
+    def test_infeasible_instance_raises_before_iterating(self):
+        # x_t lies outside the state box, so no trajectory is admissible; the
+        # reference loop would otherwise run to its iteration cap
+        model, params = load_problem(resources.files("mpct_admm") / "models" / "double_integrator.json")
+        inst = dense_instance(model, params, [6.0, 0.0], [0.0, 0.0], [0.0])
+        with pytest.raises(Infeasible, match="trajectory"):
+            dense_qp_solve(inst)
 
 
 class TestOptimalSteadyState:

@@ -179,9 +179,7 @@ def dense_dual_v(data):
     v_p = np.block([[np.zeros((w, n * w)), np.eye(w)], [np.tile(-d, (1, n)), np.zeros((w, w))]])
     # the rebuilt split is the primal matrix the solver factors
     np.testing.assert_allclose(gamma + u_p @ v_p, ps.to_dense(), rtol=0.0, atol=1e-14)
-    # the dual system is formed for G with its pin row negated
     g = dense_dynamics(data.model, n)
-    g[: data.n_x] *= -1.0
     return (g @ gamma_inv @ v_p.T).T
 
 
@@ -384,12 +382,15 @@ class TestSolveKkt:
         data = bundled_data("double_integrator.json")
         rng = np.random.default_rng(8)
         p, b = rng.standard_normal(data.n_z), rng.standard_normal(data.m_z)
+        b_before = b.copy()
         z_fresh, mu_fresh = solve_kkt_system(data, p, b)
         work = KktWorkspace.for_problem(data)
         z, mu = solve_kkt_system(data, p, b, work=work)
         assert z is work.z and mu is work.mu
         np.testing.assert_array_equal(z, z_fresh)
         np.testing.assert_array_equal(mu, mu_fresh)
+        # b is only read
+        np.testing.assert_array_equal(b, b_before)
 
     @pytest.mark.parametrize(
         "source",
