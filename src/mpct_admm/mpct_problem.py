@@ -380,14 +380,15 @@ def _gamma_tilde_banded(
 
     ada = a @ d_x @ a.T
     bdb = b @ d_u @ b.T
-    a_eye = a - np.eye(nx)
+    # the equilibrium row reads (I - A) x_s - B u_s
+    eye_a = np.eye(nx) - a
     columns = np.zeros((4, 2 * nx, nx))
     columns[0, :nx] = d_x
     columns[1, :nx] = ada + bdb + d_x
     columns[2, :nx] = ada + bdb + d_xs
-    columns[3, :nx] = a_eye @ d_xs @ a_eye.T + b @ d_us @ b.T
+    columns[3, :nx] = eye_a @ d_xs @ eye_a.T + b @ d_us @ b.T
     columns[:2, nx:] = -(a @ d_x)
-    columns[2, nx:] = -(a_eye @ d_xs)
+    columns[2, nx:] = eye_a @ d_xs
     return _banded_from_block_columns(columns, params.N)
 
 
@@ -412,14 +413,15 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # every stage couples to (x_s, u_s) through -diag(Q, R)
     coupling = _block_diag(params.Q, params.R)
     rho_eye = params.rho * np.eye(w)
-    p_system, g_s, w_rows = _split_primal(
+    p_system, v_gamma_inv, w_rows = _split_primal(
         gamma_stage=coupling + rho_eye,
         gamma_ref=_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho_eye,
         coupling=coupling,
         horizon=n,
     )
-    # both core blocks are block diagonal in (x, u), and so are their inverses
-    g_st = p_system.gamma_stage_inv
+    # both core blocks are block diagonal in (x, u), and so are their
+    # inverses; V Gamma^-1 holds Gamma_s^-1 in its upper right block
+    g_st, g_s = p_system.gamma_stage_inv, v_gamma_inv[:w, w:]
 
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
 
@@ -443,11 +445,9 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
         rows[dst] = block
     # so does Gamma^-1 V^T in v_tilde = (G Gamma^-1 V^T)^T: its row blocks
     # are (0, -Gamma_st^-1 D) for the stages and (Gamma_s^-1, 0) for the
-    # reference, and column block i of v_tilde is row block i of G Gamma^-1
-    # V^T, transposed
-    gamma_inv_vt = np.zeros((2 * w, 2 * w))
-    gamma_inv_vt[:w, w:] = -g_st @ coupling
-    gamma_inv_vt[w:, :w] = g_s
+    # reference, the transpose of V Gamma^-1, and column block i of v_tilde
+    # is row block i of G Gamma^-1 V^T, transposed
+    gamma_inv_vt = v_gamma_inv.T
     v_blocks = np.empty((2 * w, 4 * nx))
     blocks = _minus_g_blocks(g.window, gamma_inv_vt[:w], gamma_inv_vt[w:])
     for i, block in enumerate(blocks):

@@ -337,7 +337,8 @@ def optimal_steady_state(
         raise DimensionMismatch("reference dimensions do not match the model")
     # the tightened box of the reference block, the last n_x + n_u entries
     lo, hi = (bound[-(nx + nu) :] for bound in dense_bounds(model, params))
-    g_eq = np.hstack([model.A - np.eye(nx), model.B])
+    # the equilibrium row block of the dynamics matrix, [I - A, -B]
+    g_eq = dense_dynamics(model, 0)[nx:]
     b_eq = np.zeros(nx)
     _require_feasible(g_eq, b_eq, lo, hi, "steady state inside the tightened box")
 

@@ -13,18 +13,19 @@ one structured solve and two thin products:
 
 The equality-constrained QP update chains three solves: two with the
 primal-space matrix, whose low-rank term couples every stage to the
-artificial reference through one repeated block and is solved stage by stage
-(:class:`StageCoupledSystem`), and one with the dual-space matrix around its
-banded core (:class:`SemiBandedSystem`), whose ``V`` repeats one column
-block across the stage couplings and is applied as a stage sum
+artificial reference through one repeated block (:class:`StageCoupledSystem`
+holds its factors), and one with the dual-space matrix around its banded
+core (:class:`SemiBandedSystem`), whose ``V`` repeats one column block
+across the stage couplings and is applied as a stage sum
 (:class:`StageSumMatrix`). :func:`solve_kkt_system` runs the chain in one
-stage-blocked pass. Every constraint row block ``i = 0 .. N+1`` of ``G``
-reads ``E z_i - C z_{i-1}``, so each half of the chain is one product on
-overlapping stage windows: the ``G`` product after the first primal solve
-reads the windows ``(xi_{i-1}, xi_i)`` of the unconstrained step, and the
-second primal solve, with the ``G'`` product before it, reads the windows
-``(mu_i, mu_{i+1})`` of the multipliers plus one small product with the four
-stage sums the dual solve already takes.
+stage-blocked pass, and the primal solves in it stage by stage. Every
+constraint row block ``i = 0 .. N+1`` of ``G`` reads ``E z_i - C z_{i-1}``,
+so each half of the chain is one product on overlapping stage windows: the
+``G`` product after the first primal solve reads the windows ``(xi_{i-1},
+xi_i)`` of the unconstrained step, and the second primal solve, with the
+``G'`` product before it, reads the windows ``(mu_i, mu_{i+1})`` of the
+multipliers plus one small product with the four stage sums the dual solve
+already takes.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class SemiBandedSystem:
 
 @dataclass(frozen=True)
 class StageCoupledSystem:
-    """The primal-space matrix, stored by its distinct blocks.
+    """The primal-space matrix, stored by its distinct blocks and factors.
 
     With the decision stack ``(z_0, ..., z_{N-1}, z_s)`` in blocks of width
     ``w = n_x + n_u``, the matrix is ``blkdiag(I_N (x) Gamma_st, Gamma_s) +
@@ -175,19 +176,21 @@ class StageCoupledSystem:
 
     The Woodbury factor ``W = Gamma^-1 U (I + V Gamma^-1 U)^-1`` has only two
     distinct row blocks, one shared by all stages and one for the reference.
-    A solve needs ``Gamma_st^-1`` per stage plus one 2w-by-2w matrix ``f``
-    applied to ``(sum_i d_i, d_s)``, which gives the stage correction
-    ``y[:w]`` and ``z_s = y[w:]``:
+    So ``P z = d`` is solved with ``Gamma_st^-1`` per stage plus one
+    2w-by-2w matrix ``f`` applied to ``(sum_i d_i, d_s)``, which gives the
+    stage correction ``y[:w]`` and ``z_s = y[w:]``:
 
         z_i = Gamma_st^-1 d_i - y[:w]
 
     Its column blocks come in that order because one ``np.add.reduceat`` on
-    the ``(N+1, w)`` blocks of ``d`` takes both sums at once.
+    the ``(N+1, w)`` blocks of ``d`` takes both sums at once. The KKT chain
+    (:func:`_solve_kkt`) runs this solve inline, and folds the second one
+    into the ``G'`` product (:func:`gt_fold_blocks`).
 
-    Only ``gamma_stage_inv`` and ``f`` are read by a solve; the three blocks
-    of the matrix itself are kept for :meth:`to_dense`. Every stored array
-    is w-by-w or 2w-by-2w, whatever the horizon. Immutable and safe to share
-    across threads.
+    Only ``gamma_stage_inv`` and ``f`` are read by the chain; the three
+    blocks of the matrix itself are kept for :meth:`to_dense`. Every stored
+    array is w-by-w or 2w-by-2w, whatever the horizon. Immutable and safe to
+    share across threads.
     """
 
     horizon: int
@@ -196,64 +199,6 @@ class StageCoupledSystem:
     gamma_ref: np.ndarray
     gamma_stage_inv: np.ndarray
     f: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.coupling.shape[0]
-
-    @property
-    def n(self) -> int:
-        return (self.horizon + 1) * self.width
-
-    @classmethod
-    def build(
-        cls,
-        gamma_stage: np.ndarray,
-        gamma_ref: np.ndarray,
-        coupling: np.ndarray,
-        horizon: int,
-    ) -> "StageCoupledSystem":
-        """Invert the two SPD core blocks and fold the 2w-by-2w Woodbury core.
-
-        ``coupling`` is ``D``, the block each stage shares with the reference
-        (with a minus sign). Raises :class:`NotPositiveDefinite` when a core
-        block is not SPD and :class:`SingularSmallSystem` when the core
-        ``I + V Gamma^-1 U = I + [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]``
-        is singular.
-        """
-        return _split_primal(gamma_stage, gamma_ref, coupling, horizon)[0]
-
-    def solve(self, d: np.ndarray) -> np.ndarray:
-        """Solve ``P z = d`` in O(N w^2)."""
-        d = np.asarray(d, dtype=float)
-        if d.shape != (self.n,):
-            raise DimensionMismatch(f"expected right-hand side of length {self.n}")
-        out = np.empty(self.n)
-        n, w = self.horizon, self.width
-        self._solve(
-            d.reshape(n + 1, w), np.array([0, n]), np.empty((2, w)), out[: n * w].reshape(n, w), out[n * w :]
-        )
-        return out
-
-    def _solve(
-        self, d_blocks: np.ndarray, offsets: np.ndarray, sums: np.ndarray, stages: np.ndarray, ref: np.ndarray
-    ) -> None:
-        """:meth:`solve` without its checks, on the ``(N+1, w)`` blocks of ``d``.
-
-        ``offsets`` is the index array ``[0, N]`` and ``sums``, of shape
-        ``(2, w)``, receives ``(sum_i d_i, d_s)``. The stage blocks of ``z``
-        land in ``stages``, of shape ``(N, w)``, and ``z_s`` in every row of
-        ``ref``.
-        """
-        w = stages.shape[1]
-        # dot rather than @ here and in the KKT chain: on operands this
-        # small the call overhead is most of the cost, and dot's is smaller
-        np.add.reduceat(d_blocks, offsets, axis=0, out=sums)
-        y = self.f.dot(sums.reshape(-1))
-        # row i of d_i @ Gamma_st^-1 is Gamma_st^-1 d_i, the inverse being symmetric
-        np.dot(d_blocks[:-1], self.gamma_stage_inv, out=stages)
-        stages -= y[:w]
-        ref[...] = y[w:]
 
     def to_dense(self) -> np.ndarray:
         """The full n-by-n matrix (test helper)."""
@@ -267,11 +212,16 @@ class StageCoupledSystem:
 def _split_primal(
     gamma_stage: np.ndarray, gamma_ref: np.ndarray, coupling: np.ndarray, horizon: int
 ) -> tuple[StageCoupledSystem, np.ndarray, np.ndarray]:
-    """:meth:`StageCoupledSystem.build`, plus ``Gamma_s^-1`` and the two row
-    blocks of ``W`` stacked, which the dual-space build reads once."""
-    gamma_stage, gamma_ref, coupling = (
-        np.asarray(b, dtype=float) for b in (gamma_stage, gamma_ref, coupling)
-    )
+    """Invert the two SPD core blocks and fold the 2w-by-2w Woodbury core.
+
+    ``coupling`` is ``D``, the block each stage shares with the reference
+    (with a minus sign); the three blocks are float arrays. Returns the
+    system, ``V Gamma^-1`` by its distinct 2w-by-2w block and the two row
+    blocks of ``W`` stacked, which the dual-space build reads once. Raises
+    :class:`NotPositiveDefinite` when a core block is not SPD and
+    :class:`SingularSmallSystem` when the core ``I + V Gamma^-1 U = I +
+    [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]`` is singular.
+    """
     w = coupling.shape[0]
     g_st = _spd_inverse(gamma_stage, "stage core block")
     g_s = _spd_inverse(gamma_ref, "reference core block")
@@ -300,7 +250,7 @@ def _split_primal(
         gamma_stage_inv=g_st,
         f=f,
     )
-    return system, g_s, w_rows
+    return system, v_gamma_inv, w_rows
 
 
 def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
@@ -452,8 +402,18 @@ def _solve_kkt(work: KktWorkspace, p_blocks: np.ndarray, b: np.ndarray) -> tuple
     data = work.data
     xi_stages, xi_ref = work.xi_stages, work.xi_ref
     w = xi_ref.shape[1]
-    # xi = P^-1 p, straight into the padded buffer, both copies of xi_s at once
-    data.p_system._solve(p_blocks, work.p_offsets, work.p_sums, xi_stages, xi_ref)
+    # xi = P^-1 p stage by stage (see StageCoupledSystem), straight into the
+    # padded buffer, both copies of xi_s at once: y = f (sum_i p_i, p_s),
+    # xi_i = Gamma_st^-1 p_i - y[:w] and xi_s = y[w:]. dot rather than @
+    # here and below: on operands this small the call overhead is most of
+    # the cost, and dot's is smaller
+    p_sys = data.p_system
+    np.add.reduceat(p_blocks, work.p_offsets, axis=0, out=work.p_sums)
+    y = p_sys.f.dot(work.p_sums.reshape(-1))
+    # row i of p_i @ Gamma_st^-1 is Gamma_st^-1 p_i, the inverse being symmetric
+    np.dot(p_blocks[:-1], p_sys.gamma_stage_inv, out=xi_stages)
+    xi_stages -= y[:w]
+    xi_ref[...] = y[w:]
 
     # mu = W~^-1 rhs with rhs = -(G xi + b), all in mu's buffer: row i of
     # -G xi is [xi_{i-1}, xi_i] g.window. z1 overwrites rhs in the banded

@@ -13,7 +13,6 @@ from mpct_admm import (
     NotPositiveDefinite,
     SemiBandedSystem,
     SingularSmallSystem,
-    StageCoupledSystem,
     StageSumMatrix,
     SymBandedMatrix,
     assemble_online,
@@ -24,7 +23,7 @@ from mpct_admm import (
     solve_semibanded,
 )
 from mpct_admm.oracle import dense_dynamics, dense_hessian, dense_instance, dense_kkt_solve
-from mpct_admm.semiband_solver import _spd_inverse
+from mpct_admm.semiband_solver import _split_primal, _spd_inverse
 
 from conftest import random_controllable_model, random_instance, random_params, random_spd
 
@@ -197,7 +196,7 @@ class TestDualSystemStructure:
             expected = v_dense @ operand
             got = v @ operand
             assert got.shape == expected.shape
-            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
+            np.testing.assert_allclose(got, expected, atol=1e-12 * (1.0 + np.abs(expected).max()))
 
     @pytest.mark.parametrize(
         "horizon, blocks_shape", [(1, (3, 8)), (2, (3, 6)), (2, (8,))], ids=["horizon-1", "width-6", "1-d"]
@@ -234,6 +233,21 @@ class TestDualSystemStructure:
         assert gamma.half_bandwidth <= 2 * n_x - 1
 
 
+def dense_inverse_from_factors(system):
+    """``P^-1`` rebuilt from the two factors the KKT chain's primal solve reads.
+
+    With ``y = f (sum_i d_i, d_s)``, ``z_i = Gamma_st^-1 d_i - y[:w]`` and
+    ``z_s = y[w:]``, so ``P^-1 = [[I_N (x) Gamma_st^-1 - 1 1' (x) f_11,
+    -1 (x) f_12], [1' (x) f_21, f_22]]``.
+    """
+    n, w = system.horizon, system.gamma_stage_inv.shape[0]
+    f, ones = system.f, np.ones((n, 1))
+    return np.block([
+        [np.kron(np.eye(n), system.gamma_stage_inv) - np.kron(ones @ ones.T, f[:w, :w]), -np.kron(ones, f[:w, w:])],
+        [np.kron(ones.T, f[w:, :w]), f[w:, w:]],
+    ])
+
+
 class TestStageCoupledSystem:
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (3, 1, 2), (2, 1, 5), (3, 2, 4), (4, 2, 9)])
     def test_solve_matches_dense_on_random_models(self, n_x, n_u, horizon):
@@ -241,11 +255,9 @@ class TestStageCoupledSystem:
         model = random_controllable_model(rng, n_x, n_u)
         params = random_params(rng, n_x, n_u, horizon)  # Q and R are not diagonal
         data = build_problem(model, params)
-        p_dense = data.p_system.to_dense()
-        for _ in range(3):
-            d = rng.standard_normal(data.n_z)
-            expected = np.linalg.solve(p_dense, d)
-            np.testing.assert_allclose(data.p_system.solve(d), expected, atol=1e-12 * (1.0 + np.abs(expected).max()))
+        expected = np.linalg.inv(data.p_system.to_dense())
+        got = dense_inverse_from_factors(data.p_system)
+        np.testing.assert_allclose(got, expected, atol=1e-12 * (1.0 + np.abs(expected).max()))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -256,42 +268,35 @@ class TestStageCoupledSystem:
         coupling = rng.standard_normal((w, w))
         coupling = coupling + coupling.T
         # Gamma_st >= I keeps the Schur complement Gamma_s - N D Gamma_st^-1 D >= I
-        sys = StageCoupledSystem.build(
+        system, _, _ = _split_primal(
             random_spd(rng, w, 1.0, 4.0),
             random_spd(rng, w, 1.0, 4.0) + horizon * coupling @ coupling,
             coupling,
             horizon,
         )
-        p_dense = sys.to_dense()
-        d = rng.standard_normal(sys.n)
-        expected = np.linalg.solve(p_dense, d)
-        out = sys.solve(d)
-        assert np.abs(out - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
+        expected = np.linalg.inv(system.to_dense())
+        got = dense_inverse_from_factors(system)
+        assert np.abs(got - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
 
     def test_to_dense_is_core_plus_coupling(self):
         # two stages of width 1: core blocks 2, 2, 5 and coupling -3
-        sys = StageCoupledSystem.build([[2.0]], [[5.0]], [[3.0]], 2)
+        system, _, _ = _split_primal(np.array([[2.0]]), np.array([[5.0]]), np.array([[3.0]]), 2)
         expected = np.array([[2.0, 0.0, -3.0], [0.0, 2.0, -3.0], [-3.0, -3.0, 5.0]])
-        np.testing.assert_array_equal(sys.to_dense(), expected)
+        np.testing.assert_array_equal(system.to_dense(), expected)
 
     def test_singular_core(self):
         # Gamma_s = N D Gamma_st^-1 D makes I + V Gamma^-1 U singular
         with pytest.raises(SingularSmallSystem):
-            StageCoupledSystem.build([[1.0]], [[2.0]], [[1.0]], 2)
+            _split_primal(np.array([[1.0]]), np.array([[2.0]]), np.array([[1.0]]), 2)
         d = np.array([[1.0, 0.5], [0.5, 2.0]])
         g_st = np.array([[3.0, 1.0], [1.0, 2.0]])
         with pytest.raises(SingularSmallSystem):
-            StageCoupledSystem.build(g_st, 4 * d @ np.linalg.solve(g_st, d), d, 4)
+            _split_primal(g_st, 4 * d @ np.linalg.solve(g_st, d), d, 4)
 
     def test_non_spd_block(self):
         with pytest.raises(NotPositiveDefinite) as exc:
-            StageCoupledSystem.build(np.eye(2), np.diag([1.0, -1.0]), np.eye(2), 3)
+            _split_primal(np.eye(2), np.diag([1.0, -1.0]), np.eye(2), 3)
         assert exc.value.index == 1
-
-    def test_dimension_mismatch(self):
-        sys = StageCoupledSystem.build(np.eye(2), 4.0 * np.eye(2), np.eye(2), 3)
-        with pytest.raises(DimensionMismatch):
-            sys.solve(np.zeros(sys.n + 1))
 
     def test_footprint_independent_of_horizon(self):
         rng = np.random.default_rng(12)
