@@ -196,7 +196,7 @@ class TestDualSystemStructure:
             expected = v_dense @ operand
             got = v @ operand
             assert got.shape == expected.shape
-            np.testing.assert_allclose(got, expected, atol=1e-12 * (1.0 + np.abs(expected).max()))
+            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
 
     @pytest.mark.parametrize(
         "horizon, blocks_shape", [(1, (3, 8)), (2, (3, 6)), (2, (8,))], ids=["horizon-1", "width-6", "1-d"]
