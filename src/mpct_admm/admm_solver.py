@@ -95,13 +95,16 @@ def admm_solve(
     params = data.params
     rho, eps_p, eps_d = params.rho, params.eps_primal, params.eps_dual
 
+    # warm.z is not read, since every iteration computes z before it uses it
     if warm is None:
-        warm = cold_start(data)
-    # float, whatever the warm state's dtype; v is copied because the loop
-    # writes into its buffer, lam is only read. warm.z is not read, since
-    # every iteration computes z before it uses it
-    v = np.array(_finite_vector(warm.v, data.n_z, "warm state v"))
-    lam = _finite_vector(warm.lam, data.n_z, "warm state lam")
+        # fresh, finite buffers of the right length: nothing to check or copy
+        cold = cold_start(data)
+        v, lam = cold.v, cold.lam
+    else:
+        # float, whatever the caller's dtype; v is copied because the loop
+        # writes into its buffer, lam is only read
+        v = np.array(_finite_vector(warm.v, data.n_z, "warm state v"))
+        lam = _finite_vector(warm.lam, data.n_z, "warm state lam")
 
     work = KktWorkspace.for_problem(data)
     q, b, v_lo, v_hi = qp.q, qp.b, qp.v_lo, qp.v_hi

@@ -6,8 +6,8 @@ Two matrix families cover the structured solves and products:
   banded Cholesky factorization and triangular solves,
 * the sparse prediction-dynamics matrix ``G``, stored by its stage window:
   the one horizon-independent block through which the KKT chain applies
-  ``G`` and from which the offline build forms ``G'`` and the dual-space
-  matrix (see ``semiband_solver``).
+  ``G`` and from which the offline build forms ``G'``, the stage-sum block
+  ``(G Y)'`` and the dual-space matrix (see ``semiband_solver``).
 
 No full dense matrix is ever materialized here; the ``to_dense`` helpers
 exist for tests and small-scale verification only.
@@ -193,6 +193,27 @@ class PredictionSparseMatrix:
     @property
     def n_u(self) -> int:
         return self.window.shape[0] // 2 - self.n_x
+
+    def stage_sum_block(self) -> np.ndarray:
+        """``S = (G Y)'`` by its four distinct ``n_x``-wide column blocks, ``2w`` by ``4 n_x``.
+
+        ``Y = [[1_N (x) I_w, 0], [0, I_w]]`` sums the N stage blocks of a
+        decision vector and passes its reference block, so row block ``i``
+        of ``G Y`` is ``(E, 0)`` for the pin, ``(E - C, 0)`` for each stage
+        coupling, ``(-C, E)`` for the handoff and ``(0, E - C)`` for the
+        equilibrium row. ``S`` holds these four transposed side by side, in
+        the order of :class:`~mpct_admm.semiband_solver.StageSumMatrix`.
+        """
+        nx, w = self.n_x, self.window.shape[0] // 2
+        # window is [C' ; -E']
+        c_t, e_t = self.window[:w], -self.window[w:]
+        s = np.zeros((2 * w, 4 * nx))
+        s[:w, :nx] = e_t
+        np.subtract(e_t, c_t, out=s[:w, nx : 2 * nx])
+        np.negative(c_t, out=s[:w, 2 * nx : 3 * nx])
+        s[w:, 2 * nx : 3 * nx] = e_t
+        s[w:, 3 * nx :] = s[:w, nx : 2 * nx]
+        return s
 
     def to_dense(self) -> np.ndarray:
         """Dense reconstruction from ``window`` (test helper).

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .admm_solver import AdmmState, SolveStatus, admm_solve
-from .errors import SolverFailed
+from .errors import DimensionMismatch, SolverFailed
 from .mpct_problem import (
     LtiModel,
     MpctParams,
@@ -215,13 +215,18 @@ def simulate_closed_loop(
     box-feasible even when a step exits on the iteration cap. A numerical
     failure aborts the trial with :class:`SolverFailed`. ``steps`` must be a
     whole number of at least 0 and ``sample_time`` positive and finite; a
-    bad argument raises a ValueError naming it before any solve. Every step
-    solves at the settings of ``data.params`` (see :class:`PrecomputedData`).
+    bad argument raises a ValueError naming it before any solve. ``plant``
+    must have the dimensions of ``data.model`` and ``x0`` be a finite state
+    of them; otherwise :class:`DimensionMismatch` or :class:`NonFiniteInput`
+    names the argument before any solve. Every step solves at the settings
+    of ``data.params`` (see :class:`PrecomputedData`).
     """
     steps = _whole_number(steps, "steps", 0)
     sample_time = _positive_finite(sample_time, "sample_time")
-    nx, nu = plant.n_x, plant.n_u
-    x = np.asarray(x0, dtype=float).copy()
+    nx, nu = data.n_x, data.n_u
+    if (plant.n_x, plant.n_u) != (nx, nu):
+        raise DimensionMismatch(f"plant must have the problem's {nx} states and {nu} inputs")
+    x = _finite_vector(x0, nx, "x0").copy()
     states = np.empty((steps + 1, nx))
     inputs = np.empty((steps, nu))
     art_x = np.empty((steps, nx))

@@ -4,15 +4,19 @@ Turns a discrete-time model plus cost/horizon parameters into the data the
 per-sample solver consumes. The Hessian-plus-penalty matrix splits into a
 block-diagonal core plus a rank-``2(n_x+n_u)`` completion that couples every
 stage to the artificial reference through the same block ``-diag(Q, R)``;
-it is kept as its distinct stage and reference blocks only. The dual-space
-matrix splits into a banded core plus a completion of the same rank whose
-right factor repeats one column block across the stage couplings.
-Both are factored here, with their small Woodbury cores folded in. Every
-constraint row block ``i = 0 .. N+1`` of the dynamics matrix reads ``E z_i -
-C z_{i-1}`` with ``C = [A B]``, ``E = [I 0]``, ``z_{-1} = 0`` and ``z_N =
-z_{N+1} = (x_s, u_s)``. The three small blocks through which the KKT chain
-applies that matrix and its transpose on stage windows are formed here too,
-so that the online phase is vector assembly only.
+it is kept as its distinct stage and reference blocks only. Its inverse is
+``P^-1 = Lambda - Y M Y'``, with ``Lambda = blkdiag(Gamma_st^-1, ...,
+Gamma_s^-1)``, a ``2(n_x+n_u)``-square ``M`` and the stage-sum pattern ``Y
+= [[1_N (x) I_w, 0], [0, I_w]]``. So the dual-space matrix is ``W~ = Gamma~
+- (G Y) M (G Y)'``: a banded core ``Gamma~ = G Lambda G'`` plus a completion
+of the same rank, whose factors ``-G Y`` and ``M (G Y)'`` repeat one block
+across the stage couplings. Both are factored here, with their small
+Woodbury cores folded in. Every constraint row block ``i = 0 .. N+1`` of
+the dynamics matrix reads ``E z_i - C z_{i-1}`` with ``C = [A B]``, ``E =
+[I 0]``, ``z_{-1} = 0`` and ``z_N = z_{N+1} = (x_s, u_s)``. The three small
+blocks through which the KKT chain applies that matrix and its transpose on
+stage windows are formed here too, so that the online phase is vector
+assembly only.
 """
 
 from __future__ import annotations
@@ -240,10 +244,13 @@ class PrecomputedData:
     """Everything the per-iteration solver needs, factored once offline.
 
     ``p_system`` is the primal-space matrix by its ``(n_x+n_u)``-wide stage
-    and reference blocks, whatever the horizon. ``w_system`` is the
-    dual-space matrix as the banded Cholesky factor of its core, trimmed to
-    the core's nonzero bands, plus the Woodbury factors: ``v`` as its four
-    distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
+    and reference blocks, whatever the horizon; its inverse is ``P^-1 =
+    Lambda - Y M Y'`` with ``Lambda = blkdiag(Gamma_st^-1, ...,
+    Gamma_s^-1)`` and ``Y`` the stage-sum pattern. ``w_system`` is the
+    dual-space matrix ``W~ = Gamma~ - (G Y) M (G Y)'`` as the banded
+    Cholesky factor of its core ``Gamma~ = G Lambda G'``, trimmed to the
+    core's nonzero bands, plus the Woodbury factors: ``v = M (G Y)'`` as its
+    four distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
     :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
     ``2(n_x+n_u)``. ``g`` is stored once, by its stage window ``g.window``
     (``2(n_x+n_u)`` by ``n_x``), the block through which the KKT chain
@@ -302,24 +309,6 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:k, :k] = a
     out[k:, k:] = b
     return out
-
-
-def _minus_g_blocks(window: np.ndarray, stage: np.ndarray, ref: np.ndarray) -> list[np.ndarray]:
-    """The four distinct row blocks of ``-G X``.
-
-    ``X`` repeats the row block ``stage`` over the N stages above ``ref``, so
-    ``-G X`` takes four values, each ``[X_{i-1} ; X_i]`` read through the
-    stage ``window`` of ``G``: the pin ``(0, stage)``, the stage couplings
-    ``(stage, stage)``, the handoff ``(stage, ref)`` and the equilibrium row
-    ``(ref, ref)``. These are consecutive windows of ``(0, stage, stage,
-    ref, ref)``, so each product reads a contiguous slice of one array.
-    """
-    w, k = stage.shape
-    x = np.zeros((5, w, k))
-    x[1:3] = stage
-    x[3:] = ref
-    x = x.reshape(5 * w, k)
-    return [window.T @ x[i * w : (i + 2) * w] for i in range(4)]
 
 
 def _banded_from_block_columns(columns: np.ndarray, horizon: int) -> SymBandedMatrix:
@@ -413,15 +402,14 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # every stage couples to (x_s, u_s) through -diag(Q, R)
     coupling = _block_diag(params.Q, params.R)
     rho_eye = params.rho * np.eye(w)
-    p_system, v_gamma_inv, w_rows = _split_primal(
+    p_system, g_s, m = _split_primal(
         gamma_stage=coupling + rho_eye,
         gamma_ref=_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho_eye,
         coupling=coupling,
         horizon=n,
     )
-    # both core blocks are block diagonal in (x, u), and so are their
-    # inverses; V Gamma^-1 holds Gamma_s^-1 in its upper right block
-    g_st, g_s = p_system.gamma_stage_inv, v_gamma_inv[:w, w:]
+    # both core blocks are block diagonal in (x, u), and so are their inverses
+    g_st = p_system.gamma_stage_inv
 
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
 
@@ -435,27 +423,16 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
         ) from None
 
-    # u_tilde = -G W. W repeats one row block over the stages, so u_tilde
-    # repeats one n_x-row block over the stage couplings; it is written
-    # column-major, the order dpbtrs reads it in
+    # P^-1 = Lambda - Y M Y' makes the dual matrix Gamma~ - (G Y) M (G Y)',
+    # so U~ = -G Y and V~ = M S with S = (G Y)'. Row block i of U~ is minus
+    # column block i of S, transposed, one block repeated over the stage
+    # couplings; U~ is written column-major, the order dpbtrs reads it in
+    s = g.stage_sum_block()
     u_tilde = np.empty((m_z, 2 * w), order="F")
-    rows = u_tilde.reshape(n + 2, nx, 2 * w)
-    blocks = _minus_g_blocks(g.window, w_rows[:w], w_rows[w:])
-    for dst, block in zip((0, slice(1, n), n, n + 1), blocks):
-        rows[dst] = block
-    # so does Gamma^-1 V^T in v_tilde = (G Gamma^-1 V^T)^T: its row blocks
-    # are (0, -Gamma_st^-1 D) for the stages and (Gamma_s^-1, 0) for the
-    # reference, the transpose of V Gamma^-1, and column block i of v_tilde
-    # is row block i of G Gamma^-1 V^T, transposed
-    gamma_inv_vt = v_gamma_inv.T
-    v_blocks = np.empty((2 * w, 4 * nx))
-    blocks = _minus_g_blocks(g.window, gamma_inv_vt[:w], gamma_inv_vt[w:])
-    for i, block in enumerate(blocks):
-        np.negative(block.T, out=v_blocks[:, i * nx : (i + 1) * nx])
-    v_tilde = StageSumMatrix(horizon=n, blocks=v_blocks)
-
-    w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, v_tilde)
-    gt_window, gt_sums = gt_fold_blocks(p_system, w_system, g)
+    s_rows = s.T.reshape(4, nx, 2 * w)
+    np.negative(np.repeat(s_rows, (1, n - 1, 1, 1), axis=0), out=u_tilde.reshape(n + 2, nx, 2 * w))
+    w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, StageSumMatrix(horizon=n, blocks=m @ s))
+    gt_window, gt_sums = gt_fold_blocks(p_system, w_system, s)
 
     return PrecomputedData(
         model=model,

@@ -15,8 +15,12 @@ The equality-constrained QP update chains three solves: two with the
 primal-space matrix, whose low-rank term couples every stage to the
 artificial reference through one repeated block (:class:`StageCoupledSystem`
 holds its factors), and one with the dual-space matrix around its banded
-core (:class:`SemiBandedSystem`), whose ``V`` repeats one column block
-across the stage couplings and is applied as a stage sum
+core (:class:`SemiBandedSystem`). With ``Lambda = blkdiag(Gamma_st^-1, ...,
+Gamma_s^-1)`` and the stage-sum pattern ``Y = [[1_N (x) I_w, 0], [0,
+I_w]]``, the primal inverse is ``P^-1 = Lambda - Y M Y'`` for one 2w-by-2w
+``M``, so the dual matrix is ``W~ = Gamma~ - (G Y) M (G Y)'`` with the
+banded core ``Gamma~ = G Lambda G'``. Its ``V = M (G Y)'`` repeats one
+column block across the stage couplings and is applied as a stage sum
 (:class:`StageSumMatrix`). :func:`solve_kkt_system` runs the chain in one
 stage-blocked pass, and the primal solves in it stage by stage. Every
 constraint row block ``i = 0 .. N+1`` of ``G`` reads ``E z_i - C z_{i-1}``,
@@ -38,7 +42,7 @@ from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dgemv
 from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrs, dpotrf, dpotrs
 
-from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix
+from .banded_linalg import BandedCholeskyFactor
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -216,9 +220,9 @@ def _split_primal(
 
     ``coupling`` is ``D``, the block each stage shares with the reference
     (with a minus sign); the three blocks are float arrays. Returns the
-    system, ``V Gamma^-1`` by its distinct 2w-by-2w block and the two row
-    blocks of ``W`` stacked, which the dual-space build reads once. Raises
-    :class:`NotPositiveDefinite` when a core block is not SPD and
+    system, ``Gamma_s^-1`` and the 2w-by-2w ``M`` of ``P^-1 = Lambda - Y M
+    Y'`` (see the module docstring), which the dual-space build reads once.
+    Raises :class:`NotPositiveDefinite` when a core block is not SPD and
     :class:`SingularSmallSystem` when the core ``I + V Gamma^-1 U = I +
     [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]`` is singular.
     """
@@ -233,13 +237,15 @@ def _split_primal(
     core[:w, w:] += g_s
     core[w:, :w] += horizon * coupling @ g_st @ coupling
     w_rows = _fold_core(gamma_inv_u, core)
-    # V Gamma^-1 d = (Gamma_s^-1 d_s, -D Gamma_st^-1 sum_i d_i), read off (sum_i d_i, d_s)
+    # V Gamma^-1 d = (Gamma_s^-1 d_s, -D Gamma_st^-1 sum_i d_i), read off
+    # (sum_i d_i, d_s), so W V Gamma^-1 = Y M Y'
     v_gamma_inv = np.zeros((2 * w, 2 * w))
     v_gamma_inv[:w, w:] = g_s
     v_gamma_inv[w:, :w] = -coupling @ g_st
-    # f = [correction_st ; (0, Gamma_s^-1) - correction_s], in place; 0 - x
-    # rather than -x, which would turn a zero into -0.0
-    f = w_rows @ v_gamma_inv
+    m = w_rows @ v_gamma_inv
+    # f = [M_st ; (0, Gamma_s^-1) - M_s]; 0 - x rather than -x, which would
+    # turn a zero into -0.0
+    f = m.copy()
     np.subtract(0.0, f[w:, :w], out=f[w:, :w])
     np.subtract(g_s, f[w:, w:], out=f[w:, w:])
     system = StageCoupledSystem(
@@ -250,7 +256,7 @@ def _split_primal(
         gamma_stage_inv=g_st,
         f=f,
     )
-    return system, v_gamma_inv, w_rows
+    return system, g_s, m
 
 
 def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
@@ -263,44 +269,36 @@ def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
 
 
 def gt_fold_blocks(
-    p_system: StageCoupledSystem, w_system: SemiBandedSystem, g: PredictionSparseMatrix
+    p_system: StageCoupledSystem, w_system: SemiBandedSystem, s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The two blocks that fold ``G'`` into the KKT chain's second primal solve.
 
+    ``s`` is the stage-sum block ``S = (G Y)'`` (see
+    :meth:`~mpct_admm.banded_linalg.PredictionSparseMatrix.stage_sum_block`).
     With ``E = [I 0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of
     ``G' mu`` is ``mu_i E - mu_{i+1} C`` for every ``i``. The returned
     ``window`` (2n_x-by-w) is ``[-E ; C] Gamma_st^-1``, so ``-[mu_i,
     mu_{i+1}] window`` is the stage block of ``Gamma_st^-1 G' mu``.
 
-    The sums the primal solve needs, ``(sum_i (G' mu)_i, (G' mu)_s)``, are
-    linear in the four stage sums ``(mu_0, mu_1 + .. + mu_{N-1}, mu_N,
-    mu_{N+1})``, and these follow from the stage sums ``s`` of ``z1`` in the
-    dual solve ``mu = z1 - W (V z1)`` as ``(I - S(W) V_blocks) s``, with
-    ``S(W)`` the stage sums of ``W``'s rows. The returned ``sums``
-    (2w-by-4n_x) is ``-f`` times both maps, so that the second solve's
-    ``y`` is ``sums @ s - y1``, with ``y1`` the first solve's. Neither block
-    depends on the horizon.
+    The primal solve ``P^-1 = Lambda - Y M Y'`` reads ``G' mu`` beyond
+    ``Lambda`` only through ``Y' G' mu = S (mu_0, mu_1 + .. + mu_{N-1},
+    mu_N, mu_{N+1})``, the four stage sums of ``mu``. These follow from the
+    stage sums ``t`` of ``z1`` in the dual solve ``mu = z1 - W (V z1)`` as
+    ``(I - T(W) V_blocks) t``, with ``T(W)`` the stage sums of ``W``'s rows.
+    The returned ``sums`` (2w-by-4n_x) is ``-f S`` times that map, so that
+    the second solve's ``y`` is ``sums @ t - y1``, with ``y1`` the first
+    solve's. Neither block depends on the horizon.
     """
-    nx, nu, n = g.n_x, g.n_u, g.horizon
-    w = nx + nu
-    # g.window is [C' ; -E'], so [-E ; C] is its two halves transposed and swapped
+    nx, w = s.shape[1] // 4, s.shape[0] // 2
+    # the stage rows of S's pin and handoff column blocks are E' and -C'
     e_c = np.empty((2 * nx, w))
-    e_c[:nx] = g.window[w:].T
-    e_c[nx:] = g.window[:w].T
+    np.negative(s[:w, :nx].T, out=e_c[:nx])
+    np.negative(s[:w, 2 * nx : 3 * nx].T, out=e_c[nx:])
     window = e_c @ p_system.gamma_stage_inv
-    # sum_i (G' mu)_i = s_0 E + s_1 (E - C) - s_2 C; (G' mu)_s = mu_{N+1} (E - C) + mu_N E
-    # (C' = g.window[:w], -E' = g.window[w:])
-    minus_c_t, minus_e_t = np.negative(g.window[:w]), g.window[w:]
-    gt_sums = np.zeros((2 * w, 4 * nx))
-    np.negative(minus_e_t, out=gt_sums[:w, :nx])
-    np.subtract(minus_c_t, minus_e_t, out=gt_sums[:w, nx : 2 * nx])
-    gt_sums[:w, 2 * nx : 3 * nx] = minus_c_t
-    gt_sums[w:, 2 * nx : 3 * nx] = gt_sums[:w, :nx]
-    gt_sums[w:, 3 * nx :] = gt_sums[:w, nx : 2 * nx]
     v = w_system.v
-    w_sums = np.add.reduceat(w_system.w.reshape(n + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
+    w_sums = np.add.reduceat(w_system.w.reshape(v.horizon + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
     mu_sums = np.eye(4 * nx) - w_sums @ v.blocks
-    return window, -(p_system.f @ gt_sums @ mu_sums)
+    return window, -(p_system.f @ s @ mu_sums)
 
 
 @dataclass

@@ -185,6 +185,22 @@ class TestBandedSolve:
         assert np.abs(m.to_dense() @ x - d).max() <= 1e-9 * (1.0 + np.abs(d).max())
 
 
+def stage_sum_pattern(horizon, w):
+    """``Y = [[1_N (x) I_w, 0], [0, I_w]]``, which sums the stage blocks of a decision vector."""
+    return block_diag(np.tile(np.eye(w), (horizon, 1)), np.eye(w))
+
+
+def assert_stage_sum_block_exact(model, horizon):
+    """``stage_sum_block`` holds every column block of ``(G Y)'``, bit for bit."""
+    g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=horizon)
+    full = (dense_dynamics(model, horizon) @ stage_sum_pattern(horizon, model.n_x + model.n_u)).T
+    distinct = np.split(g.stage_sum_block(), 4, axis=1)
+    # column block i is the pin, a stage coupling, the handoff or the equilibrium row
+    for i, block in enumerate(np.split(full, horizon + 2, axis=1)):
+        k = 0 if i == 0 else 1 if i < horizon else i - horizon + 2
+        np.testing.assert_array_equal(block, distinct[k])
+
+
 class TestPredictionMatrix:
     def test_zero_maps_to_zero(self):
         g = PredictionSparseMatrix(a=np.eye(2), b=np.ones((2, 1)), horizon=3)
@@ -246,6 +262,18 @@ class TestPredictionMatrix:
         # data.g is the matrix the KKT chain applies
         data = build_problem(*load_problem(resources.files("mpct_admm") / "models" / name))
         np.testing.assert_array_equal(data.g.to_dense(), dense_dynamics(data.model, data.params.N))
+
+    @pytest.mark.parametrize("name", ["double_integrator.json", "mass_spring.json", "ball_plate_like.json"])
+    @pytest.mark.parametrize("horizon", [2, None, 240], ids=["N2", "own-N", "N240"])
+    def test_stage_sum_block_on_bundled_models(self, name, horizon):
+        model, params = load_problem(resources.files("mpct_admm") / "models" / name)
+        assert_stage_sum_block_exact(model, horizon or params.N)
+
+    def test_stage_sum_block_on_random_models(self):
+        rng = np.random.default_rng(13)
+        for _ in range(12):
+            model = random_controllable_model(rng, int(rng.integers(1, 5)), int(rng.integers(1, 3)))
+            assert_stage_sum_block_exact(model, int(rng.integers(2, 9)))
 
 
 class TestLapackCallsMatchScipy:

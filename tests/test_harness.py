@@ -14,6 +14,7 @@ from mpct_admm import (
     SolveStatus,
     build_problem,
     emit_plot_data,
+    load_problem,
     load_scenario,
     optimal_steady_state,
     run_benchmark,
@@ -224,6 +225,28 @@ class TestSimulation:
         kwargs = {"steps": 3, "sample_time": 0.1, argument: value}
         with pytest.raises(ValueError, match=argument):
             simulate_closed_loop(integrator_data, sc.model, np.zeros(2), sc.references[0], **kwargs)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "plant_file, x0, argument",
+        [
+            ("ball_plate_like.json", np.zeros(2), "plant"),
+            ("ball_plate_like.json", np.zeros(8), "plant"),
+            ("double_integrator.json", np.zeros(8), "x0"),
+            ("double_integrator.json", np.array([0.0, np.nan]), "x0"),
+        ],
+        ids=["plant-with-problem-state", "plant-with-plant-state", "state-length", "state-nan"],
+    )
+    def test_plant_and_state_checked_before_solving(
+        self, integrator_scenario, integrator_data, monkeypatch, plant_file, x0, argument
+    ):
+        # double-integrator data drives the plant: the plant must have its
+        # dimensions, and x0 must be a finite state of them
+        plant, _ = load_problem(str(models_dir() / plant_file))
+        calls = []
+        monkeypatch.setattr(harness, "admm_solve", lambda *a, **k: calls.append(a))
+        with pytest.raises(MpctError, match=argument):
+            simulate_closed_loop(integrator_data, plant, x0, integrator_scenario.references[0], steps=3)
         assert calls == []
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
 
 from mpct_admm import (
     DimensionMismatch,
@@ -26,6 +25,7 @@ from mpct_admm.oracle import dense_bounds, dense_dynamics, dense_hessian
 
 from conftest import random_instance
 
+from test_banded_linalg import stage_sum_pattern
 from test_semiband_solver import reachable_arrays
 
 
@@ -93,12 +93,8 @@ class TestBuildProblem:
             g = dense_dynamics(model, params.N)
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
-            w = data.n_x + data.n_u
-            # U of the primal split, and W = P^-1 U, rebuilt from the parameters
-            d = block_diag(params.Q, params.R)
-            zero = np.zeros((params.N * w, w))
-            u_p = np.block([[np.tile(-d, (params.N, 1)), zero], [zero[:w], np.eye(w)]])
-            u_dense = -g @ np.linalg.solve(p_dense, u_p)
+            # U = -G Y, with Y the stage-sum pattern of P^-1 = Lambda - Y M Y'
+            u_dense = -g @ stage_sum_pattern(params.N, data.n_x + data.n_u)
             w_sys = data.w_system
             w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + u_dense @ (w_sys.v @ np.eye(data.m_z))
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())

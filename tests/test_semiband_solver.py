@@ -23,11 +23,11 @@ from mpct_admm import (
     solve_semibanded,
 )
 from mpct_admm.oracle import dense_dynamics, dense_hessian, dense_instance, dense_kkt_solve
-from mpct_admm.semiband_solver import _split_primal, _spd_inverse
+from mpct_admm.semiband_solver import _split_primal
 
 from conftest import random_controllable_model, random_instance, random_params, random_spd
 
-from test_banded_linalg import random_spd_banded
+from test_banded_linalg import random_spd_banded, stage_sum_pattern
 
 
 def random_semibanded(rng, n, m, kind="banded", scale=0.4):
@@ -168,18 +168,25 @@ def random_data(n_x, n_u, horizon):
 
 
 def dense_dual_v(data):
-    """The dual ``V`` rebuilt densely: ``(G Gamma^-1 V_p^T)^T`` for the primal split ``Gamma + U_p V_p``."""
+    """The dual ``V = M (G Y)'`` rebuilt densely, with ``M`` read off ``P^-1 = Lambda - Y M Y'``.
+
+    ``Lambda`` is block diagonal, so off its diagonal blocks ``P^-1`` is
+    ``-Y M Y'``: stage blocks 0 and 1 give ``M_11``, stage 0 and the
+    reference ``M_12`` and ``M_21``. The reference block gives ``M_22 =
+    Gamma_s^-1 - P^-1[s, s]``, with ``Gamma_s`` the reference block of
+    ``P``.
+    """
     n, w = data.params.N, data.n_x + data.n_u
-    ps = data.p_system
-    d = ps.coupling
-    gamma = block_diag(*([ps.gamma_stage] * n), ps.gamma_ref)
-    gamma_inv = block_diag(*([ps.gamma_stage_inv] * n), _spd_inverse(ps.gamma_ref, "reference core block"))
-    u_p = np.block([[np.tile(-d, (n, 1)), np.zeros((n * w, w))], [np.zeros((w, w)), np.eye(w)]])
-    v_p = np.block([[np.zeros((w, n * w)), np.eye(w)], [np.tile(-d, (1, n)), np.zeros((w, w))]])
-    # the rebuilt split is the primal matrix the solver factors
-    np.testing.assert_allclose(gamma + u_p @ v_p, ps.to_dense(), rtol=0.0, atol=1e-14)
+    p = dense_hessian(data.params) + data.params.rho * np.eye(data.n_z)
+    p_inv = np.linalg.inv(p)
+    ref = slice(n * w, None)
+    m = np.empty((2 * w, 2 * w))
+    m[:w, :w] = -p_inv[:w, w : 2 * w]
+    m[:w, w:] = -p_inv[:w, ref]
+    m[w:, :w] = -p_inv[ref, :w]
+    m[w:, w:] = np.linalg.inv(p[ref, ref]) - p_inv[ref, ref]
     g = dense_dynamics(data.model, n)
-    return (g @ gamma_inv @ v_p.T).T
+    return m @ (g @ stage_sum_pattern(n, w)).T
 
 
 class TestDualSystemStructure:
