@@ -7,10 +7,11 @@ projected-iterate change drop below their tolerances in the infinity norm.
 
 The loop runs on the scaled dual ``u = lam / rho`` (Boyd et al., "ADMM",
 2011, section 3.1.1): the QP's linear term is ``rho (u - v) + q``, the
-relaxed point is ``z + u`` and the dual step is ``u += z - v``, so no
-iteration divides or multiplies the dual by ``rho``. Warm states and
-returned states hold ``lam`` itself, converted once on the way in and once
-on the way out.
+relaxed point is ``z + u`` and the dual step is ``u += z - v``. The KKT
+chain's factors carry ``rho`` on the linear term's side, so it reads the
+term divided by ``rho``, ``(u - v) + q / rho``, and no iteration divides or
+multiplies by ``rho``. Warm states and returned states hold ``lam`` itself,
+converted once on the way in and once on the way out.
 """
 
 from __future__ import annotations
@@ -97,59 +98,61 @@ def admm_solve(
 
     # warm.z is not read, since every iteration computes z before it uses it
     if warm is None:
-        # fresh, finite buffers of the right length: nothing to check or copy
+        # fresh, finite buffers of the right length: nothing to check
         cold = cold_start(data)
         v, lam = cold.v, cold.lam
     else:
-        # float, whatever the caller's dtype; v is copied because the loop
-        # writes into its buffer, lam is only read
-        v = np.array(_finite_vector(warm.v, data.n_z, "warm state v"))
+        # float, whatever the caller's dtype; both are only read, since the
+        # loop copies them into its own state
+        v = _finite_vector(warm.v, data.n_z, "warm state v")
         lam = _finite_vector(warm.lam, data.n_z, "warm state lam")
 
     work = KktWorkspace.for_problem(data)
-    q, b, v_lo, v_hi = qp.q, qp.b, qp.v_lo, qp.v_hi
-    # per-solve buffers; the chain reads p by its stage blocks, v and v_next
-    # swap roles every iteration, and the rows of gaps receive z - v_next
-    # and v_next - v
-    p = np.empty(data.n_z)
-    p_blocks = p.reshape(-1, data.n_x + data.n_u)
-    v_next = np.empty(data.n_z)
-    gaps = np.empty((2, data.n_z))
-    step, change = gaps
+    b, v_lo, v_hi = qp.b, qp.v_lo, qp.v_hi
+    # per-solve buffers. The chain reads p / rho from work.p, which is u - v
+    # + q / rho. The state (u, v) and the next one are stacked (2, n_z)
+    # rows and swap roles every iteration, so one subtract writes both gaps,
+    # u+ - u (z - v+ up to rounding) and v+ - v, into the rows of gaps
+    p = work.p
+    s0, s1, gaps = np.empty((3, 2, data.n_z))
+    state, nxt = (s0, s0[0], s0[1]), (s1, s1[0], s1[1])
     status = SolveStatus.MAX_ITERATIONS
-    primal = np.inf
-    dual = np.inf
+    primal = dual = inf = math.inf
     k = 0
 
     # non-finite iterates are detected explicitly below; keep numpy quiet,
     # also where a huge warm lam overflows lam / rho or rho * u
     with np.errstate(invalid="ignore", over="ignore"):
-        u = lam / rho
+        q = qp.q / rho
+        state[1][...] = lam / rho
+        state[2][...] = v
         start = time.perf_counter()
         for k in range(1, params.max_iter + 1):
-            # the operation order of p = rho (u - v) + q, solve_kkt_system,
-            # clip(z + u, v_lo, v_hi) and u += z - v_next, so iterates match
-            # them bit for bit; the operands were checked above
+            # the operation order of p = (u - v) + q / rho, _solve_kkt,
+            # v+ = clip(z + u, v_lo, v_hi) and u+ = (z + u) - v+, so
+            # iterates match them bit for bit; the operands were checked above
+            s, u, v = state
+            s_next, u_next, v_next = nxt
             np.subtract(u, v, out=p)
-            p *= rho
             p += q
-            z, _ = _solve_kkt(work, p_blocks, b)
-            np.add(z, u, out=v_next)
-            np.minimum(v_next, v_hi, out=v_next)
+            z, _ = _solve_kkt(work, b)
+            np.add(z, u, out=u_next)
+            np.minimum(u_next, v_hi, out=v_next)
             np.maximum(v_next, v_lo, out=v_next)
-            np.subtract(z, v_next, out=step)
-            np.subtract(v_next, v, out=change)
-            u += step
+            u_next -= v_next
+            np.subtract(s_next, s, out=gaps)
             np.abs(gaps, out=gaps)
             primal, dual = np.maximum.reduce(gaps, axis=1).tolist()
-            v, v_next = v_next, v
-            if not (math.isfinite(primal) and math.isfinite(dual)):
+            state, nxt = nxt, state
+            # NaN fails both comparisons, so this needs no call
+            if not (primal < inf and dual < inf):
                 status = SolveStatus.NUMERICAL_ERROR
                 break
             if primal <= eps_p and dual <= eps_d:
                 status = SolveStatus.CONVERGED
                 break
         elapsed = time.perf_counter() - start
+        _, u, v = state
         lam = rho * u
 
     nx, nu = data.n_x, data.n_u

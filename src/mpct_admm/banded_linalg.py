@@ -3,7 +3,7 @@
 Two matrix families cover the structured solves and products:
 
 * symmetric banded matrices in packed lower-band storage, with a LAPACK
-  banded Cholesky factorization and triangular solves,
+  banded Cholesky factorization and triangular solves in the upper layout,
 * the sparse prediction-dynamics matrix ``G``, stored by its stage window:
   the one horizon-independent block through which the KKT chain applies
   ``G`` and from which the offline build forms ``G'``, the stage-sum block
@@ -90,10 +90,14 @@ class SymBandedMatrix:
 
 @dataclass(frozen=True)
 class BandedCholeskyFactor:
-    """Lower-triangular banded Cholesky factor, same packed layout as its source.
+    """Banded Cholesky factor ``M = L L^T``, stored as ``U = L^T`` in LAPACK's upper layout.
 
-    The bands are stored column-major, the order LAPACK reads them in, so a
-    solve hands them to ``dpbtrs`` without a copy.
+    ``bands[bw - k, j]`` holds ``U[j - k, j] = L[j, j - k]`` for ``k = 0 ..
+    half_bandwidth``, so the diagonal is the last row and the first ``bw -
+    k`` slots of row ``bw - k`` are unused. ``dpbtrs`` solves faster in this
+    layout than in the lower one. The bands are stored column-major, the
+    order LAPACK reads them in, so a solve hands them to ``dpbtrs`` without
+    a copy. :meth:`to_dense` returns ``L``.
     """
 
     n: int
@@ -104,7 +108,7 @@ class BandedCholeskyFactor:
         bands = np.asfortranarray(self.bands, dtype=float)
         if bands.shape != (self.half_bandwidth + 1, self.n):
             raise ValueError("factor bands have the wrong shape")
-        if not np.all(bands[0] > 0.0):
+        if not np.all(bands[-1] > 0.0):
             raise ValueError("factor diagonal must be strictly positive")
         object.__setattr__(self, "bands", bands)
 
@@ -113,16 +117,18 @@ class BandedCholeskyFactor:
         d = np.asarray(d, dtype=float)
         if d.ndim not in (1, 2) or d.shape[0] != self.n:
             raise DimensionMismatch(f"right-hand side must have leading dimension {self.n}")
-        x, info = dpbtrs(self.bands, d, lower=1)
+        x, info = dpbtrs(self.bands, d, lower=0)
         if info != 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
         return x
 
     def to_dense(self) -> np.ndarray:
+        """The lower factor ``L`` (test helper)."""
         out = np.zeros((self.n, self.n))
-        for k in range(self.half_bandwidth + 1):
+        bw = self.half_bandwidth
+        for k in range(bw + 1):
             idx = np.arange(self.n - k)
-            out[idx + k, idx] = self.bands[k, : self.n - k]
+            out[idx + k, idx] = self.bands[bw - k, k:]
         return out
 
 
@@ -134,17 +140,25 @@ _PIVOT_FLOOR = 1e-13
 def banded_cholesky_factor(m: SymBandedMatrix) -> BandedCholeskyFactor:
     """Banded Cholesky ``L L^T = M`` in packed storage (LAPACK ``dpbtrf``).
 
-    A pivot ``L_jj^2`` that is non-positive or below ``_PIVOT_FLOOR *
-    max(diag(M))`` raises :class:`NotPositiveDefinite` with the first such
-    row. The factor bandwidth equals the input bandwidth.
+    ``L`` is factored in the lower layout, where ``dpbtrf`` runs faster,
+    and its bands are then moved to the upper layout of ``U = L^T``, where
+    ``dpbtrs`` runs faster (see :class:`BandedCholeskyFactor`). A pivot
+    ``L_jj^2`` that is non-positive or below ``_PIVOT_FLOOR * max(diag(M))``
+    raises :class:`NotPositiveDefinite` with the first such row. The factor
+    bandwidth equals the input bandwidth.
     """
-    bands, info = dpbtrf(m.bands, lower=1)
+    bw, n = m.half_bandwidth, m.n
+    lower, info = dpbtrf(m.bands, lower=1)
     # rows before LAPACK's failure row (all rows when it succeeded) are final
-    done = info - 1 if info > 0 else m.n
-    low = np.flatnonzero(bands[0, :done] ** 2 < _PIVOT_FLOOR * m.bands[0].max())
+    done = info - 1 if info > 0 else n
+    low = np.flatnonzero(lower[0, :done] ** 2 < _PIVOT_FLOOR * m.bands[0].max())
     if low.size or info > 0:
         raise NotPositiveDefinite("banded matrix", index=int(low[0]) if low.size else done)
-    return BandedCholeskyFactor(n=m.n, half_bandwidth=m.half_bandwidth, bands=bands)
+    # U[j, j + k] = L[j + k, j]
+    upper = np.zeros((bw + 1, n), order="F")
+    for k in range(bw + 1):
+        upper[bw - k, k:] = lower[k, : n - k]
+    return BandedCholeskyFactor(n=n, half_bandwidth=bw, bands=upper)
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,9 @@ class Scenario:
         iv = np.asarray(self.x0_intervals, dtype=float)
         if iv.shape != (self.model.n_x, 2):
             raise ValueError(f"x0 intervals must have shape ({self.model.n_x}, 2)")
+        # NaN fails every comparison below, and an infinite end cannot be sampled
+        if not np.all(np.isfinite(iv)):
+            raise ValueError("initial_state.intervals must be finite")
         if np.any(iv[:, 0] > iv[:, 1]):
             raise ValueError("x0 intervals must satisfy lo <= hi")
         if np.any(iv[:, 0] < self.model.x_lo) or np.any(iv[:, 1] > self.model.x_hi):

@@ -13,9 +13,10 @@ of the same rank, whose factors ``-G Y`` and ``M (G Y)'`` repeat one block
 across the stage couplings. Both are factored here, with their small
 Woodbury cores folded in. Every constraint row block ``i = 0 .. N+1`` of
 the dynamics matrix reads ``E z_i - C z_{i-1}`` with ``C = [A B]``, ``E =
-[I 0]``, ``z_{-1} = 0`` and ``z_N = z_{N+1} = (x_s, u_s)``. The three small
+[I 0]``, ``z_{-1} = 0`` and ``z_N = z_{N+1} = (x_s, u_s)``. The small
 blocks through which the KKT chain applies that matrix and its transpose on
-stage windows are formed here too, so that the online phase is vector
+stage windows, and the stacked block that carries both primal solves'
+low-rank terms, are formed here too, so that the online phase is vector
 assembly only.
 """
 
@@ -254,17 +255,25 @@ class PrecomputedData:
     :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
     ``2(n_x+n_u)``. ``g`` is stored once, by its stage window ``g.window``
     (``2(n_x+n_u)`` by ``n_x``), the block through which the KKT chain
-    applies ``G``. ``gt_window`` (``2n_x`` by ``n_x+n_u``) and ``gt_sums``
-    (``2(n_x+n_u)`` by ``4n_x``) fold the ``G'`` product into the KKT
-    chain's second primal solve (see
-    :func:`~mpct_admm.semiband_solver.gt_fold_blocks`). None of the three
-    blocks grows with ``N``.
+    applies ``G``.
+
+    The KKT chain reads ``p / rho``, so its blocks on ``p``'s side carry
+    ``rho``: ``stage_inv`` is ``rho Gamma_st^-1`` (``n_x+n_u`` square) and
+    ``end_window`` (``2(n_x+n_u)`` by ``2n_x``) gives the last two row
+    blocks of ``-G Lambda p`` from ``(p_{N-1}, p_s)``. ``sums_block``
+    (``4(n_x+n_u)`` by ``4n_x+2(n_x+n_u)``) is the stacked block of
+    :func:`~mpct_admm.semiband_solver.gt_fold_blocks`: its upper half is
+    ``[M (G Y)', rho M]``, whose left part ``v``'s blocks are a view of,
+    and its lower half folds the ``G'`` product into the second primal
+    solve, with ``gt_sums`` (``2(n_x+n_u)`` by ``4n_x``) a view of its left
+    part; ``gt_window`` (``2n_x`` by ``n_x+n_u``) is that solve's stage
+    window. None of these blocks grows with ``N``.
 
     :func:`build_problem` writes each array in place in its final shape and
     memory order, and none is a view into a larger scratch buffer. The
-    banded factor is column-major, the order ``dpbtrs`` reads it in; ``w``
-    is the row-major transpose of ``dgetrs``'s column-major result, so its
-    ``.T`` goes to ``dgemv`` without a copy. The rest is row-major.
+    banded factor is column-major in LAPACK's upper layout, the order and
+    layout ``dpbtrs`` reads fastest; ``w`` is column-major, so it goes to
+    ``dgemv`` without a copy. The rest is row-major.
 
     No factor depends on ``params.eps_primal``, ``eps_dual`` or
     ``max_iter``, which only steer the ADMM loop, so built data may have
@@ -280,6 +289,9 @@ class PrecomputedData:
     v_hi: np.ndarray
     p_system: StageCoupledSystem
     w_system: SemiBandedSystem
+    stage_inv: np.ndarray
+    end_window: np.ndarray
+    sums_block: np.ndarray
     gt_window: np.ndarray
     gt_sums: np.ndarray
     # always None; read only by perfbench/checks.py:38 and sweep.py:98 (ROADMAP item 1)
@@ -401,18 +413,19 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
 
     # every stage couples to (x_s, u_s) through -diag(Q, R)
     coupling = _block_diag(params.Q, params.R)
-    rho_eye = params.rho * np.eye(w)
-    p_system, g_s, m = _split_primal(
+    rho = params.rho
+    rho_eye = rho * np.eye(w)
+    p_system = StageCoupledSystem(
+        horizon=n,
+        coupling=coupling,
         gamma_stage=coupling + rho_eye,
         gamma_ref=_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho_eye,
-        coupling=coupling,
-        horizon=n,
     )
-    # both core blocks are block diagonal in (x, u), and so are their inverses
-    g_st = p_system.gamma_stage_inv
+    g_st, g_s, m = _split_primal(p_system.gamma_stage, p_system.gamma_ref, coupling, n)
 
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
 
+    # both core blocks are block diagonal in (x, u), and so are their inverses
     gamma_tilde = _gamma_tilde_banded(
         model, params, g_st[:nx, :nx], g_st[nx:, nx:], g_s[:nx, :nx], g_s[nx:, nx:]
     )
@@ -426,13 +439,30 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # P^-1 = Lambda - Y M Y' makes the dual matrix Gamma~ - (G Y) M (G Y)',
     # so U~ = -G Y and V~ = M S with S = (G Y)'. Row block i of U~ is minus
     # column block i of S, transposed, one block repeated over the stage
-    # couplings; U~ is written column-major, the order dpbtrs reads it in
+    # couplings; U~ is written column-major, the order dpbtrs reads it in.
+    # V~'s blocks are a view into the stacked block's upper half [M S, rho M]
     s = g.stage_sum_block()
     u_tilde = np.empty((m_z, 2 * w), order="F")
     s_rows = s.T.reshape(4, nx, 2 * w)
     np.negative(np.repeat(s_rows, (1, n - 1, 1, 1), axis=0), out=u_tilde.reshape(n + 2, nx, 2 * w))
-    w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, StageSumMatrix(horizon=n, blocks=m @ s))
-    gt_window, gt_sums = gt_fold_blocks(p_system, w_system, s)
+    sums_block = np.empty((4 * w, 4 * nx + 2 * w))
+    v_blocks = sums_block[: 2 * w, : 4 * nx]
+    np.matmul(m, s, out=v_blocks)
+    np.multiply(m, rho, out=sums_block[: 2 * w, 4 * nx :])
+    w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, StageSumMatrix(horizon=n, blocks=v_blocks))
+    h = m.copy()
+    h[w:, w:] -= g_s
+    gt_window = gt_fold_blocks(s, g_st, h, rho, w_system, sums_block)
+
+    # the chain's p-side blocks carry rho, since it reads p / rho. Rows N and
+    # N+1 of -G Lambda p are [Gamma_st^-1 p_{N-1}, Gamma_s^-1 p_s] g.window
+    # and [Gamma_s^-1 p_s, Gamma_s^-1 p_s] g.window
+    stage_inv = rho * g_st
+    ends = np.zeros((2 * w, 2 * nx))
+    ends[:w, :nx] = g.window[:w]
+    ends[w:, :nx] = g.window[w:]
+    np.add(g.window[:w], g.window[w:], out=ends[w:, nx:])
+    end_window = _block_diag(stage_inv, rho * g_s) @ ends
 
     return PrecomputedData(
         model=model,
@@ -442,8 +472,11 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
         v_hi=v_hi,
         p_system=p_system,
         w_system=w_system,
+        stage_inv=stage_inv,
+        end_window=end_window,
+        sums_block=sums_block,
         gt_window=gt_window,
-        gt_sums=gt_sums,
+        gt_sums=sums_block[2 * w :, : 4 * nx],
     )
 
 

@@ -14,22 +14,24 @@ one structured solve and two thin products:
 The equality-constrained QP update chains three solves: two with the
 primal-space matrix, whose low-rank term couples every stage to the
 artificial reference through one repeated block (:class:`StageCoupledSystem`
-holds its factors), and one with the dual-space matrix around its banded
+holds its blocks), and one with the dual-space matrix around its banded
 core (:class:`SemiBandedSystem`). With ``Lambda = blkdiag(Gamma_st^-1, ...,
 Gamma_s^-1)`` and the stage-sum pattern ``Y = [[1_N (x) I_w, 0], [0,
 I_w]]``, the primal inverse is ``P^-1 = Lambda - Y M Y'`` for one 2w-by-2w
 ``M``, so the dual matrix is ``W~ = Gamma~ - (G Y) M (G Y)'`` with the
 banded core ``Gamma~ = G Lambda G'``. Its ``V = M (G Y)'`` repeats one
 column block across the stage couplings and is applied as a stage sum
-(:class:`StageSumMatrix`). :func:`solve_kkt_system` runs the chain in one
-stage-blocked pass, and the primal solves in it stage by stage. Every
+(:class:`StageSumMatrix`).
+
+:func:`solve_kkt_system` spreads only ``Lambda`` over the stages. The first
+primal solve's low-rank term rides on the dual solve's Woodbury step,
+because ``W~^-1 U~ = W`` with ``U~ = -G Y``, and the second primal solve's
+reads the four stage sums the dual solve already takes; one product with a
+stacked 4w-row block serves both (see :func:`_solve_kkt`). Every
 constraint row block ``i = 0 .. N+1`` of ``G`` reads ``E z_i - C z_{i-1}``,
-so each half of the chain is one product on overlapping stage windows: the
-``G`` product after the first primal solve reads the windows ``(xi_{i-1},
-xi_i)`` of the unconstrained step, and the second primal solve, with the
-``G'`` product before it, reads the windows ``(mu_i, mu_{i+1})`` of the
-multipliers plus one small product with the four stage sums the dual solve
-already takes.
+so the ``G`` product reads the windows ``(Gamma_st^-1 p_{i-1}, Gamma_st^-1
+p_i)`` of the first solve's block-diagonal part, and the ``G'`` product
+the windows ``(mu_i, mu_{i+1})`` of the multipliers.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.blas import dgemv
-from scipy.linalg.lapack import dgetrf, dgetrs, dpbtrs, dpotrf, dpotrs
+from scipy.linalg.blas import dgemv, dtrsm
+from scipy.linalg.lapack import dgetrf, dpbtrs, dpotrf, dpotrs
 
 from .banded_linalg import BandedCholeskyFactor
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
@@ -59,10 +61,14 @@ __all__ = [
 
 
 def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """``gamma_inv_u core^-1`` for the m-by-m Woodbury core ``I + V Gamma^-1 U``.
+    """``gamma_inv_u core^-1`` for the m-by-m Woodbury core ``I + V Gamma^-1 U``, column-major.
 
-    Raises :class:`SingularSmallSystem` when the core is singular, which by
-    the determinant identity means the full system matrix is singular.
+    With ``core = P L U`` from ``dgetrf``, two right-side ``dtrsm`` take
+    ``U^-1`` and ``L^-1`` off a column-major ``gamma_inv_u`` in place (the
+    output of a banded solve), and one gather of its columns applies
+    ``P' = P^-1``. Raises :class:`SingularSmallSystem` when the core is
+    singular, which by the determinant identity means the full system
+    matrix is singular. A column-major ``gamma_inv_u`` is overwritten.
     """
     m = core.shape[0]
     # an exactly zero pivot only sets info, which the pivot test below covers
@@ -70,8 +76,16 @@ def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
     u_diag = np.abs(np.diag(lu))
     if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
         raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
-    # (gamma_inv_u core^-1)^T = core^-T gamma_inv_u^T
-    return dgetrs(lu, piv, gamma_inv_u.T, trans=1)[0].T
+    x = dtrsm(1.0, lu, gamma_inv_u, side=1, lower=0, overwrite_b=1)
+    x = dtrsm(1.0, lu, x, side=1, lower=1, diag=1, overwrite_b=1)
+    # P = P_0 P_1 ... with P_i swapping i and piv[i], so P^-1 swaps the
+    # columns from the last pivot back
+    cols = np.arange(m)
+    for i in range(m - 1, -1, -1):
+        j = piv[i]
+        cols[i], cols[j] = cols[j], cols[i]
+    # a row gather on the row-major transpose keeps the result column-major
+    return x.T[cols].T
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
@@ -97,7 +111,8 @@ class StageSumMatrix:
         V z = V_0 z_0 + V_mid (z_1 + ... + z_{N-1}) + V_N z_N + V_eq z_{N+1}
 
     The stored arrays are the m-by-4n_x blocks and the four stage offsets at
-    which the sums start, whatever the horizon. Immutable and safe to share
+    which the sums start, whatever the horizon. ``blocks`` may be a view
+    into a larger block, and is kept as one. Immutable and safe to share
     across threads.
     """
 
@@ -106,7 +121,7 @@ class StageSumMatrix:
     offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = np.ascontiguousarray(self.blocks, dtype=float)
+        blocks = np.asarray(self.blocks, dtype=float)
         if blocks.ndim != 2 or blocks.shape[1] % 4 or self.horizon < 2:
             raise DimensionMismatch("blocks must be m-by-4n_x and the horizon at least 2")
         object.__setattr__(self, "blocks", blocks)
@@ -131,7 +146,8 @@ class SemiBandedSystem:
     """A factored ``Gamma + U V`` system ready for repeated solves.
 
     ``gamma`` is the banded Cholesky factor of the core and ``w`` the
-    precomputed Woodbury factor ``solve(Gamma, U) (I + V solve(Gamma, U))^-1``.
+    precomputed Woodbury factor ``solve(Gamma, U) (I + V solve(Gamma, U))^-1``,
+    column-major, so that ``W x`` is one ``dgemv`` on it without a copy.
     ``v`` is a dense m-by-n array or, for the dual-space matrix, a
     :class:`StageSumMatrix`; a solve only applies it with ``@``. ``U`` itself
     is not kept: a solve reads only ``gamma``, ``v`` and ``w``.
@@ -169,7 +185,7 @@ class SemiBandedSystem:
 
 @dataclass(frozen=True)
 class StageCoupledSystem:
-    """The primal-space matrix, stored by its distinct blocks and factors.
+    """The primal-space matrix, stored by its distinct blocks.
 
     With the decision stack ``(z_0, ..., z_{N-1}, z_s)`` in blocks of width
     ``w = n_x + n_u``, the matrix is ``blkdiag(I_N (x) Gamma_st, Gamma_s) +
@@ -178,31 +194,18 @@ class StageCoupledSystem:
 
         P[i, i] = Gamma_st,   P[i, s] = P[s, i] = -D,   P[s, s] = Gamma_s
 
-    The Woodbury factor ``W = Gamma^-1 U (I + V Gamma^-1 U)^-1`` has only two
-    distinct row blocks, one shared by all stages and one for the reference.
-    So ``P z = d`` is solved with ``Gamma_st^-1`` per stage plus one
-    2w-by-2w matrix ``f`` applied to ``(sum_i d_i, d_s)``, which gives the
-    stage correction ``y[:w]`` and ``z_s = y[w:]``:
-
-        z_i = Gamma_st^-1 d_i - y[:w]
-
-    Its column blocks come in that order because one ``np.add.reduceat`` on
-    the ``(N+1, w)`` blocks of ``d`` takes both sums at once. The KKT chain
-    (:func:`_solve_kkt`) runs this solve inline, and folds the second one
-    into the ``G'`` product (:func:`gt_fold_blocks`).
-
-    Only ``gamma_stage_inv`` and ``f`` are read by the chain; the three
-    blocks of the matrix itself are kept for :meth:`to_dense`. Every stored
-    array is w-by-w or 2w-by-2w, whatever the horizon. Immutable and safe to
-    share across threads.
+    Its inverse is ``P^-1 = Lambda - Y M Y'`` (see the module docstring),
+    whose factors :func:`_split_primal` computes; the KKT chain reads them
+    folded into the blocks of :class:`~mpct_admm.mpct_problem.PrecomputedData`,
+    so the three blocks kept here serve :meth:`to_dense` only. Every stored
+    array is w-by-w, whatever the horizon. Immutable and safe to share
+    across threads.
     """
 
     horizon: int
     coupling: np.ndarray
     gamma_stage: np.ndarray
     gamma_ref: np.ndarray
-    gamma_stage_inv: np.ndarray
-    f: np.ndarray
 
     def to_dense(self) -> np.ndarray:
         """The full n-by-n matrix (test helper)."""
@@ -215,16 +218,15 @@ class StageCoupledSystem:
 
 def _split_primal(
     gamma_stage: np.ndarray, gamma_ref: np.ndarray, coupling: np.ndarray, horizon: int
-) -> tuple[StageCoupledSystem, np.ndarray, np.ndarray]:
-    """Invert the two SPD core blocks and fold the 2w-by-2w Woodbury core.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of ``P^-1 = Lambda - Y M Y'`` for the blocks of a :class:`StageCoupledSystem`.
 
     ``coupling`` is ``D``, the block each stage shares with the reference
-    (with a minus sign); the three blocks are float arrays. Returns the
-    system, ``Gamma_s^-1`` and the 2w-by-2w ``M`` of ``P^-1 = Lambda - Y M
-    Y'`` (see the module docstring), which the dual-space build reads once.
-    Raises :class:`NotPositiveDefinite` when a core block is not SPD and
-    :class:`SingularSmallSystem` when the core ``I + V Gamma^-1 U = I +
-    [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]`` is singular.
+    (with a minus sign); the three blocks are float arrays. Returns
+    ``Gamma_st^-1``, ``Gamma_s^-1`` and the 2w-by-2w ``M`` (see the module
+    docstring). Raises :class:`NotPositiveDefinite` when a core block is not
+    SPD and :class:`SingularSmallSystem` when the core ``I + V Gamma^-1 U =
+    I + [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]`` is singular.
     """
     w = coupling.shape[0]
     g_st = _spd_inverse(gamma_stage, "stage core block")
@@ -242,21 +244,7 @@ def _split_primal(
     v_gamma_inv = np.zeros((2 * w, 2 * w))
     v_gamma_inv[:w, w:] = g_s
     v_gamma_inv[w:, :w] = -coupling @ g_st
-    m = w_rows @ v_gamma_inv
-    # f = [M_st ; (0, Gamma_s^-1) - M_s]; 0 - x rather than -x, which would
-    # turn a zero into -0.0
-    f = m.copy()
-    np.subtract(0.0, f[w:, :w], out=f[w:, :w])
-    np.subtract(g_s, f[w:, w:], out=f[w:, w:])
-    system = StageCoupledSystem(
-        horizon=horizon,
-        coupling=coupling,
-        gamma_stage=gamma_stage,
-        gamma_ref=gamma_ref,
-        gamma_stage_inv=g_st,
-        f=f,
-    )
-    return system, g_s, m
+    return g_st, g_s, w_rows @ v_gamma_inv
 
 
 def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
@@ -269,72 +257,95 @@ def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
 
 
 def gt_fold_blocks(
-    p_system: StageCoupledSystem, w_system: SemiBandedSystem, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The two blocks that fold ``G'`` into the KKT chain's second primal solve.
+    s: np.ndarray, g_st: np.ndarray, h: np.ndarray, rho: float, w_system: SemiBandedSystem, sums_block: np.ndarray
+) -> np.ndarray:
+    """Fold ``G'`` into the KKT chain's second primal solve: fill ``sums_block``'s
+    lower half, and return the ``G'`` window.
 
     ``s`` is the stage-sum block ``S = (G Y)'`` (see
-    :meth:`~mpct_admm.banded_linalg.PredictionSparseMatrix.stage_sum_block`).
+    :meth:`~mpct_admm.banded_linalg.PredictionSparseMatrix.stage_sum_block`),
+    ``g_st`` is ``Gamma_st^-1``, ``h = M - blkdiag(0, Gamma_s^-1)`` and
+    ``sums_block`` the 4w-by-(4n_x+2w) stacked block whose upper half
+    already holds ``[M S, rho M]``: applied to the stage sums ``(t, Y' p /
+    rho)``, with ``t`` the four stage sums of ``z1``, that half gives the
+    Woodbury step's ``V z1 + M Y' p`` (see :func:`_solve_kkt`).
+
     With ``E = [I 0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of
     ``G' mu`` is ``mu_i E - mu_{i+1} C`` for every ``i``. The returned
-    ``window`` (2n_x-by-w) is ``[-E ; C] Gamma_st^-1``, so ``-[mu_i,
-    mu_{i+1}] window`` is the stage block of ``Gamma_st^-1 G' mu``.
+    ``window`` (2n_x-by-w) is ``[-E ; C] Gamma_st^-1``, so ``[mu_i,
+    mu_{i+1}] window`` is the stage block of ``-Gamma_st^-1 G' mu``.
 
-    The primal solve ``P^-1 = Lambda - Y M Y'`` reads ``G' mu`` beyond
-    ``Lambda`` only through ``Y' G' mu = S (mu_0, mu_1 + .. + mu_{N-1},
-    mu_N, mu_{N+1})``, the four stage sums of ``mu``. These follow from the
-    stage sums ``t`` of ``z1`` in the dual solve ``mu = z1 - W (V z1)`` as
-    ``(I - T(W) V_blocks) t``, with ``T(W)`` the stage sums of ``W``'s rows.
-    The returned ``sums`` (2w-by-4n_x) is ``-f S`` times that map, so that
-    the second solve's ``y`` is ``sums @ t - y1``, with ``y1`` the first
-    solve's. Neither block depends on the horizon.
+    The second solve ``z = -P^-1 (G' mu + p)``, with ``P^-1 = Lambda - Y M
+    Y'``, is ``z_i = [mu_i, mu_{i+1}] window - Gamma_st^-1 p_i + c[:w]`` and
+    ``z_s = c[w:]`` with ``c = h Y' (G' mu + p)``. ``Y' G' mu = S (mu_0,
+    mu_1 + .. + mu_{N-1}, mu_N, mu_{N+1})`` reads the four stage sums of
+    ``mu = z1 - W r``, which are ``t - T(W) r``, with ``T(W)`` the stage
+    sums of ``W``'s rows and ``r`` the upper half's product. So ``c`` is
+    the lower half, ``h ([S, rho I] - S T(W) [M S, rho M])``, applied to
+    the same stage sums. Neither block depends on the horizon.
     """
     nx, w = s.shape[1] // 4, s.shape[0] // 2
     # the stage rows of S's pin and handoff column blocks are E' and -C'
     e_c = np.empty((2 * nx, w))
     np.negative(s[:w, :nx].T, out=e_c[:nx])
     np.negative(s[:w, 2 * nx : 3 * nx].T, out=e_c[nx:])
-    window = e_c @ p_system.gamma_stage_inv
     v = w_system.v
     w_sums = np.add.reduceat(w_system.w.reshape(v.horizon + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
-    mu_sums = np.eye(4 * nx) - w_sums @ v.blocks
-    return window, -(p_system.f @ s @ mu_sums)
+    right = -(s @ (w_sums @ sums_block[: 2 * w]))
+    right[:, : 4 * nx] += s
+    right[:, 4 * nx :] += rho * np.eye(2 * w)
+    np.dot(h, right, out=sums_block[2 * w :])
+    return e_c @ g_st
 
 
 @dataclass
 class KktWorkspace:
     """Buffers and stage views for the KKT chain of one problem.
 
-    The unconstrained step ``xi`` lives in a buffer of ``N + 3`` blocks of
-    width ``w``: a zero block, ``xi`` itself, and a second copy of its
-    reference block ``xi_s``. ``xi_stages`` and ``xi_ref`` are its stage
-    blocks and its last two blocks, so one assignment to ``xi_ref`` writes
-    both copies of ``xi_s``. Row ``i`` of ``xi_window`` is then
-    ``(xi_{i-1}, xi_i)`` for ``i = 0 .. N+1``, with ``xi_{-1} = 0`` and
-    ``xi_N = xi_{N+1} = xi_s``, and row ``i`` of ``mu_window`` is ``(mu_i,
-    mu_{i+1})`` for ``i = 0 .. N-1``; all are views, not copies. The two
-    windows are read-only ``as_strided`` views with strides of ``(w, 1)``
-    and ``(n_x, 1)`` items over their contiguous buffers, so consecutive
-    rows share a block. ``p_sums`` and ``mu_sums`` receive the stage sums
-    the chain takes, at the ``p_offsets`` and at the dual ``v.offsets``
-    where they start. ``z`` and ``mu`` receive the chain's results; the dual
-    right-hand side and the banded solve's output pass through ``mu`` on the
-    way. The next call with the same workspace overwrites them.
+    ``p`` receives the chain's linear term divided by the penalty ``rho``;
+    ``p_stages`` and ``p_tail`` are its N stage blocks and its contiguous
+    last two blocks ``(p_{N-1}, p_s)``. ``pad_stages`` are the N stage
+    blocks of a buffer that starts with one zero block, and row ``i`` of
+    ``pad_window`` is its window ``(pad_{i-1}, pad_i)`` for ``i = 0 ..
+    N-1``, with ``pad_{-1} = 0``; row ``i`` of ``mu_window`` is ``(mu_i,
+    mu_{i+1})`` for ``i = 0 .. N-1``. The two windows are read-only
+    ``as_strided`` views with strides of ``(w, 1)`` and ``(n_x, 1)`` items
+    over their contiguous buffers, so consecutive rows share a block.
+    ``mu_head`` and ``mu_tail`` are ``mu``'s first N blocks and its last
+    two. ``sums`` is one contiguous buffer: ``mu_sums`` receives the four
+    stage sums of the banded solve's output at the dual ``v.offsets``, and
+    ``p_sums`` the two sums ``(sum_i p_i, p_s)`` at the ``p_offsets``. ``k``
+    receives the stacked block's product, whose parts ``r``, ``c_stage`` and
+    ``c_ref`` the Woodbury step and the second primal solve read. ``z`` and
+    ``mu`` receive the chain's results; the dual right-hand side and the
+    banded solve's output pass through ``mu`` on the way. All of these are
+    views, not copies, and the next call with the same workspace overwrites
+    them.
 
     The chain reads its factors from ``data``, so a workspace serves only
     the ``data`` it was made for.
     """
 
     data: "PrecomputedData"
+    p: np.ndarray
+    p_blocks: np.ndarray
+    p_stages: np.ndarray
+    p_tail: np.ndarray
     p_offsets: np.ndarray
-    p_sums: np.ndarray
-    xi_stages: np.ndarray
-    xi_ref: np.ndarray
-    xi_window: np.ndarray
+    pad_stages: np.ndarray
+    pad_window: np.ndarray
     mu: np.ndarray
     mu_blocks: np.ndarray
-    mu_sums: np.ndarray
+    mu_head: np.ndarray
+    mu_tail: np.ndarray
     mu_window: np.ndarray
+    sums: np.ndarray
+    mu_sums: np.ndarray
+    p_sums: np.ndarray
+    k: np.ndarray
+    r: np.ndarray
+    c_stage: np.ndarray
+    c_ref: np.ndarray
     z: np.ndarray
     z_stages: np.ndarray
     z_ref: np.ndarray
@@ -342,20 +353,34 @@ class KktWorkspace:
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
         n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
-        xi_padded = np.zeros((n + 3) * w)
-        mu, z = np.empty(data.m_z), np.empty(data.n_z)
-        item = xi_padded.itemsize
+        p, mu, z = np.empty(data.n_z), np.empty(data.m_z), np.empty(data.n_z)
+        padded = np.zeros((n + 1) * w)
+        # sums and k share one allocation
+        sums_k = np.empty(4 * nx + 6 * w)
+        sums, k = sums_k[: 4 * nx + 2 * w], sums_k[4 * nx + 2 * w :]
+        p_blocks, mu_blocks = p.reshape(n + 1, w), mu.reshape(n + 2, nx)
+        item = padded.itemsize
         return cls(
             data=data,
+            p=p,
+            p_blocks=p_blocks,
+            p_stages=p_blocks[:n],
+            p_tail=p[(n - 1) * w :],
             p_offsets=np.array([0, n]),
-            p_sums=np.empty((2, w)),
-            xi_stages=xi_padded[w : (n + 1) * w].reshape(n, w),
-            xi_ref=xi_padded[(n + 1) * w :].reshape(2, w),
-            xi_window=as_strided(xi_padded, (n + 2, 2 * w), (w * item, item), writeable=False),
+            pad_stages=padded[w:].reshape(n, w),
+            pad_window=as_strided(padded, (n, 2 * w), (w * item, item), writeable=False),
             mu=mu,
-            mu_blocks=mu.reshape(n + 2, nx),
-            mu_sums=np.empty((4, nx)),
+            mu_blocks=mu_blocks,
+            mu_head=mu_blocks[:n],
+            mu_tail=mu[n * nx :],
             mu_window=as_strided(mu, (n, 2 * nx), (nx * item, item), writeable=False),
+            sums=sums,
+            mu_sums=sums[: 4 * nx].reshape(4, nx),
+            p_sums=sums[4 * nx :].reshape(2, w),
+            k=k,
+            r=k[: 2 * w],
+            c_stage=k[2 * w : 3 * w],
+            c_ref=k[3 * w :],
             z=z,
             z_stages=z[: n * w].reshape(n, w),
             z_ref=z[n * w :],
@@ -371,15 +396,15 @@ def solve_kkt_system(
     """Solve the equality-constrained QP optimality system for given (p, b).
 
     Returns ``(z, mu)`` with ``G z = b`` and ``P z + G^T mu + p = 0``: the
-    primal-space solve for the unconstrained step ``xi`` and the ``G``
-    product after it, the dual-space solve for the multipliers, and the
-    second primal-space solve fused with the ``G'`` product before it (see
-    :func:`gt_fold_blocks`). The multipliers are returned for residual
-    diagnostics even though the outer iteration discards them. With ``work``
-    given, ``z`` and ``mu`` are its buffers. ``G`` is ``data.g.to_dense()``,
-    whose dynamics rows read ``x_i - A x_{i-1} - B u_{i-1}``; ``b`` is only
-    read. The arguments are checked here, once; the ADMM loop runs the same
-    chain on its own checked buffers.
+    dual-space solve for the multipliers, with the first primal-space solve
+    carried on its low-rank step, and the second primal-space solve fused
+    with the ``G'`` product before it (see :func:`_solve_kkt`). The
+    multipliers are returned for residual diagnostics even though the outer
+    iteration discards them. With ``work`` given, ``z`` and ``mu`` are its
+    buffers. ``G`` is ``data.g.to_dense()``, whose dynamics rows read ``x_i -
+    A x_{i-1} - B u_{i-1}``; ``p`` and ``b`` are only read. The arguments
+    are checked here, once; the ADMM loop runs the same chain on its own
+    checked buffers.
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -391,51 +416,53 @@ def solve_kkt_system(
         work = KktWorkspace.for_problem(data)
     elif work.data is not data:
         raise DimensionMismatch("work was made for another problem")
-    return _solve_kkt(work, p.reshape(-1, data.n_x + data.n_u), b)
+    # the chain's p-side factors carry rho, so it reads p / rho
+    np.divide(p, data.params.rho, out=work.p)
+    return _solve_kkt(work, b)
 
 
-def _solve_kkt(work: KktWorkspace, p_blocks: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of :func:`solve_kkt_system`, without its checks, on the
-    ``(N+1, w)`` blocks of ``p``."""
+def _solve_kkt(work: KktWorkspace, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The chain of :func:`solve_kkt_system`, without its checks, on ``work.p = p / rho``.
+
+    With ``P^-1 = Lambda - Y M Y'``, the first primal solve's low-rank term
+    is ``G Y M Y' p = -U~ M Y' p``, and ``W~^-1 U~ = Gamma~^-1 U~ (I + V
+    Gamma~^-1 U~)^-1 = W`` is the Woodbury factor the dual solve already
+    applies. So the multipliers are
+
+        mu = z1 - W (V z1 + M Y' p),   z1 = Gamma~^-1 (-G Lambda p - b)
+
+    and only the block-diagonal ``Lambda`` is spread over the stages. One
+    product with the stacked block of ``gt_fold_blocks`` on the stage sums
+    of ``z1`` and ``p`` gives the Woodbury step's ``r`` and the second
+    solve's correction ``c``; see there for ``z``.
+    """
     data = work.data
-    xi_stages, xi_ref = work.xi_stages, work.xi_ref
-    w = xi_ref.shape[1]
-    # xi = P^-1 p stage by stage (see StageCoupledSystem), straight into the
-    # padded buffer, both copies of xi_s at once: y = f (sum_i p_i, p_s),
-    # xi_i = Gamma_st^-1 p_i - y[:w] and xi_s = y[w:]. dot rather than @
-    # here and below: on operands this small the call overhead is most of
-    # the cost, and dot's is smaller
-    p_sys = data.p_system
-    np.add.reduceat(p_blocks, work.p_offsets, axis=0, out=work.p_sums)
-    y = p_sys.f.dot(work.p_sums.reshape(-1))
-    # row i of p_i @ Gamma_st^-1 is Gamma_st^-1 p_i, the inverse being symmetric
-    np.dot(p_blocks[:-1], p_sys.gamma_stage_inv, out=xi_stages)
-    xi_stages -= y[:w]
-    xi_ref[...] = y[w:]
-
-    # mu = W~^-1 rhs with rhs = -(G xi + b), all in mu's buffer: row i of
-    # -G xi is [xi_{i-1}, xi_i] g.window. z1 overwrites rhs in the banded
-    # solve (info is nonzero only for an illegal argument, which the shapes
-    # fixed at build time rule out), the stage sums of z1 serve both V z1
-    # and the G' fold, and one dgemv takes W (V z1) off z1 in place
-    w_sys = data.w_system
-    mu, sums = work.mu, work.mu_sums
-    np.matmul(work.xi_window, data.g.window, out=work.mu_blocks)
+    # -G Lambda p in mu's buffer. Rows 0 .. N-1 of -G z are [z_{i-1}, z_i]
+    # g.window, on the zero-padded stages Gamma_st^-1 p_i (the inverse is
+    # symmetric, so row i of p_i @ Gamma_st^-1 is Gamma_st^-1 p_i); rows N
+    # and N+1 read only (p_{N-1}, p_s), through the end window. dot rather
+    # than @ here and below: on operands this small the call overhead is
+    # most of the cost, and dot's is smaller
+    np.dot(work.p_stages, data.stage_inv, out=work.pad_stages)
+    np.matmul(work.pad_window, data.g.window, out=work.mu_head)
+    np.dot(work.p_tail, data.end_window, out=work.mu_tail)
+    mu = work.mu
     mu -= b
-    dpbtrs(w_sys.gamma.bands, mu, lower=1, overwrite_b=1)
-    np.add.reduceat(work.mu_blocks, w_sys.v.offsets, axis=0, out=sums)
-    sums = sums.reshape(-1)
-    # w.T is a Fortran-ordered view, which dgemv reads without a copy
-    dgemv(-1.0, w_sys.w.T, w_sys.v.blocks.dot(sums), 1.0, mu, trans=1, overwrite_y=1)
-
-    # z = P^-1 (-(G' mu + p)) stage by stage. The second solve's correction
-    # is gs - y1 with gs = gt_sums @ sums, and Gamma_st^-1 p_i - y1[:w] =
-    # xi_i, so z_i = [mu_i, mu_{i+1}] gt_window - xi_i - gs[:w] and z_s =
-    # gs[w:] - xi_s
+    # z1 overwrites the right-hand side in the banded solve (info is nonzero
+    # only for an illegal argument, which the shapes fixed at build time rule
+    # out); the stage sums of z1 and p go into one buffer, one product gives
+    # r and c, and one dgemv takes W r off z1 in place
+    w_sys = data.w_system
+    dpbtrs(w_sys.gamma.bands, mu, lower=0, overwrite_b=1)
+    np.add.reduceat(work.mu_blocks, w_sys.v.offsets, axis=0, out=work.mu_sums)
+    np.add.reduceat(work.p_blocks, work.p_offsets, axis=0, out=work.p_sums)
+    np.dot(data.sums_block, work.sums, out=work.k)
+    dgemv(-1.0, w_sys.w, work.r, 1.0, mu, overwrite_y=1)
+    # z = -P^-1 (G' mu + p) stage by stage: z_i = [mu_i, mu_{i+1}] gt_window
+    # - Gamma_st^-1 p_i + c[:w] and z_s = c[w:]
     z_stages = work.z_stages
     np.matmul(work.mu_window, data.gt_window, out=z_stages)
-    gs = data.gt_sums.dot(sums)
-    z_stages -= xi_stages
-    z_stages -= gs[:w]
-    np.subtract(gs[w:], xi_ref[0], out=work.z_ref)
+    z_stages -= work.pad_stages
+    z_stages += work.c_stage
+    work.z_ref[...] = work.c_ref
     return work.z, mu

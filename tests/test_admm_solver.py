@@ -7,6 +7,7 @@ import pytest
 from mpct_admm import (
     AdmmState,
     DimensionMismatch,
+    KktWorkspace,
     LtiModel,
     MpctParams,
     NonFiniteInput,
@@ -21,6 +22,7 @@ from mpct_admm import (
     solve_kkt_system,
 )
 from mpct_admm.oracle import dense_instance, dense_qp_solve
+from mpct_admm.semiband_solver import _solve_kkt
 
 from conftest import random_controllable_model, random_params, with_params
 
@@ -81,26 +83,30 @@ class TestAdmmSolve:
     @pytest.mark.parametrize("reference", [0, 1])
     def test_loop_matches_public_pieces_bitwise(self, reference):
         # the loop runs the update in its own buffers, on the scaled dual
-        # u = lam / rho; it must reproduce, bit for bit, k steps of
-        # solve_kkt_system, the box projection and the scaled dual step from
-        # a cold start and then from the warm state it returned, which holds
-        # lam = rho u and is re-entered through u = lam / rho. The bundled
-        # scenario's box constraints are active within these steps.
+        # u = lam / rho; it must reproduce, bit for bit, k steps of the KKT
+        # chain on p / rho = (u - v) + q / rho, the box projection of t = z +
+        # u and the scaled dual step u = t - v+, from a cold start and then
+        # from the warm state it returned, which holds lam = rho u and is
+        # re-entered through u = lam / rho. The bundled scenario's box
+        # constraints are active within these steps.
         scenario = load_scenario(str(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json"))
         data = build_problem(scenario.model, scenario.params)
         ref = scenario.references[reference]
         x_t = sample_initial_states(scenario, reference)[0]
         rho = scenario.params.rho
         qp = assemble_online(data, x_t, ref.x_r, ref.u_r)
+        work = KktWorkspace.for_problem(data)
+        q = qp.q / rho
         cold = cold_start(data)
         z, v, u = cold.z, cold.v, cold.lam / rho
         warm = None
         for k in (120, 80):
             for _ in range(k):
-                p = rho * (u - v) + qp.q
-                z, _ = solve_kkt_system(data, p, qp.b)
-                v_next = np.clip(z + u, qp.v_lo, qp.v_hi)
-                u = u + (z - v_next)
+                work.p[...] = (u - v) + q
+                z, _ = _solve_kkt(work, qp.b)
+                t = z + u
+                v_next = np.clip(t, qp.v_lo, qp.v_hi)
+                u = t - v_next
                 v = v_next
             capped = with_params(data, eps_primal=1e-300, eps_dual=1e-300, max_iter=k)
             report, warm = admm_solve(capped, x_t, ref.x_r, ref.u_r, warm)

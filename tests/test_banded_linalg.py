@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag, cho_factor, cho_solve, cho_solve_banded, lu_factor, lu_solve
+from scipy.linalg import block_diag, cho_factor, cho_solve, cho_solve_banded, lu_factor
+from scipy.linalg.blas import dtrsm
 
 from mpct_admm import (
     DimensionMismatch,
@@ -144,7 +145,8 @@ class TestBandedSolve:
             factor.solve(np.ones(3))
 
     def test_factor_is_column_major(self):
-        # dpbtrs reads the bands column-major; a row-major factor is copied on every solve
+        # dpbtrs reads the bands column-major, in the upper layout; a row-major
+        # factor is copied on every solve
         rng = np.random.default_rng(6)
         m = random_spd_banded(rng, 40, 4)
         factor = banded_cholesky_factor(m)
@@ -152,7 +154,7 @@ class TestBandedSolve:
         row_major = np.ascontiguousarray(factor.bands)
         assert row_major.flags["C_CONTIGUOUS"] and not row_major.flags["F_CONTIGUOUS"]
         for d in (rng.standard_normal(40), rng.standard_normal((40, 3))):
-            expected = cho_solve_banded((row_major, True), d, check_finite=False)
+            expected = cho_solve_banded((row_major, False), d, check_finite=False)
             np.testing.assert_array_equal(factor.solve(d), expected)
 
     def test_matrix_rhs(self):
@@ -285,7 +287,7 @@ class TestLapackCallsMatchScipy:
         rng = np.random.default_rng(n + bw)
         factor = banded_cholesky_factor(random_spd_banded(rng, n, bw))
         for d in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            expected = cho_solve_banded((factor.bands, True), d, check_finite=False)
+            expected = cho_solve_banded((factor.bands, False), d, check_finite=False)
             np.testing.assert_array_equal(factor.solve(d), expected)
 
     @pytest.mark.parametrize("block", [1, 2, 10, "stage", "reference"])
@@ -303,11 +305,20 @@ class TestLapackCallsMatchScipy:
 
     @pytest.mark.parametrize("w, n", [(1, 4), (2, 9), (10, 33)])
     def test_fold_core_equals_lu_solve(self, w, n):
+        # X core^-1 = X U^-1 L^-1 P' for core = P L U: scipy's LU factor, two
+        # right-side triangular solves, then P' as the pivot swaps applied to
+        # the columns from the last pivot back
         rng = np.random.default_rng(w + n)
         core = rng.standard_normal((2 * w, 2 * w)) + 2 * w * np.eye(2 * w)
         u = rng.standard_normal((n, 2 * w))
-        expected = lu_solve(lu_factor(core), u.T, trans=1).T
-        np.testing.assert_array_equal(_fold_core(u, core), expected)
+        lu, piv = lu_factor(core)
+        expected = dtrsm(1.0, lu, u, side=1, lower=0)
+        expected = dtrsm(1.0, lu, expected, side=1, lower=1, diag=1)
+        for i in reversed(range(2 * w)):
+            expected[:, [i, piv[i]]] = expected[:, [piv[i], i]]
+        got = _fold_core(u, core)
+        assert got.flags["F_CONTIGUOUS"]
+        np.testing.assert_array_equal(got, expected)
 
 
 def dense_from_block_columns(columns, horizon):

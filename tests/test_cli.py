@@ -276,6 +276,16 @@ class TestBench:
         assert it1 == it2
         assert len(it1) == 10  # 5 trials x 2 references
 
+    @pytest.mark.parametrize("interval", [[float("nan"), 1.0], [-2.0, float("inf")]], ids=["nan", "inf"])
+    def test_non_finite_initial_interval_exits_three(self, small_scenario, tmp_path, capsys, interval):
+        # rejected when the scenario loads, not by numpy's sampler mid-run
+        obj = json.loads(Path(small_scenario).read_text(encoding="utf-8"))
+        obj["initial_state"]["intervals"][0] = interval
+        path = tmp_path / "interval.json"
+        path.write_text(json.dumps(obj))
+        assert main(["bench", str(path), "-o", str(tmp_path / "s.json")]) == EXIT_INVALID_INPUT
+        assert "initial_state.intervals" in capsys.readouterr().err
+
     def test_trials_override(self, small_scenario, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert main(["bench", small_scenario, "-o", str(out), "--trials", "2"]) == EXIT_OK

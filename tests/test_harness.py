@@ -70,6 +70,15 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             replace(sc, x0_intervals=bad)
 
+    @pytest.mark.parametrize("end", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_interval_rejected(self, integrator_scenario, end):
+        # NaN passes every ordering check; an infinite end would also leave
+        # this finite state box, but the error names the field either way
+        bad = np.array([[-0.5, 0.5], [-0.5, 0.5]])
+        bad[0, 0 if end < 0 else 1] = end
+        with pytest.raises(ValueError, match="initial_state.intervals"):
+            replace(integrator_scenario, x0_intervals=bad)
+
     def test_requires_reference(self, integrator_scenario):
         with pytest.raises(ValueError):
             replace(integrator_scenario, references=())

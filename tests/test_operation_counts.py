@@ -34,8 +34,8 @@ if sys.version_info[:2] != (3, 11):
 
 # budgets, in CPython 3.11 opcodes: a change that lowers a count lowers its
 # budget with it, and one that raises a count says why in CHANGES.md
-ITERATION_BUDGET = 32
-SOLVE_BUDGET = 57
+ITERATION_BUDGET = 23
+SOLVE_BUDGET = 56
 
 _PACKAGE = os.path.join(Path(mpct_admm.__file__).parent, "")
 _CALLS = {dis.opmap["CALL"], dis.opmap["CALL_FUNCTION_EX"]}

@@ -13,6 +13,7 @@ from mpct_admm import (
     NotPositiveDefinite,
     SemiBandedSystem,
     SingularSmallSystem,
+    StageCoupledSystem,
     StageSumMatrix,
     SymBandedMatrix,
     assemble_online,
@@ -103,11 +104,15 @@ class TestSolveSemibanded:
             solve_semibanded(sys, np.zeros(7))
 
     def test_dual_system_stores_only_what_a_solve_reads(self):
+        # V's blocks are a view into the KKT chain's stacked block, which the
+        # chain reads whole, so the block counts once, as that block
         rng = np.random.default_rng(13)
         model = random_controllable_model(rng, 4, 2)
-        w_sys = build_problem(model, random_params(rng, 4, 2, 12)).w_system
+        data = build_problem(model, random_params(rng, 4, 2, 12))
+        w_sys = data.w_system
+        assert w_sys.v.blocks.base is data.sums_block
         stored = sum(a.nbytes for a in reachable_arrays(w_sys))
-        v_bytes = w_sys.v.blocks.nbytes + w_sys.v.offsets.nbytes
+        v_bytes = data.sums_block.nbytes + w_sys.v.offsets.nbytes
         assert stored == w_sys.gamma.bands.nbytes + v_bytes + w_sys.w.nbytes
 
     @settings(max_examples=30, deadline=None)
@@ -206,6 +211,32 @@ class TestDualSystemStructure:
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
 
     @pytest.mark.parametrize(
+        "name, horizon",
+        [
+            ("double_integrator.json", 2),
+            ("mass_spring.json", 2),
+            *((name, None) for name in BUNDLED_MODELS),
+            *((name, 240) for name in BUNDLED_MODELS),
+        ],
+    )
+    def test_dual_inverse_maps_u_to_w(self, name, horizon):
+        # W~^-1 U~ = W, with W~ = G P^-1 G' and U~ = -G Y formed densely: the
+        # push-through identity that lets the KKT chain carry the first
+        # primal solve's low-rank term on the Woodbury step. Ball-plate
+        # cannot reach an equilibrium in 2 steps, so it builds at N >= 3 only
+        model, params = load_problem(resources.files("mpct_admm") / "models" / name)
+        if horizon is not None:
+            params = replace(params, N=horizon)
+        data = build_problem(model, params)
+        n, w = params.N, data.n_x + data.n_u
+        g = dense_dynamics(model, n)
+        p = dense_hessian(params) + params.rho * np.eye(data.n_z)
+        w_tilde = g @ np.linalg.solve(p, g.T)
+        expected = np.linalg.solve(w_tilde, -g @ stage_sum_pattern(n, w))
+        got = data.w_system.w
+        assert np.abs(got - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
+
+    @pytest.mark.parametrize(
         "horizon, blocks_shape", [(1, (3, 8)), (2, (3, 6)), (2, (8,))], ids=["horizon-1", "width-6", "1-d"]
     )
     def test_stage_sum_matrix_rejects_bad_shapes(self, horizon, blocks_shape):
@@ -218,8 +249,9 @@ class TestDualSystemStructure:
         sizes = []
         for horizon in (6, 24, 96):
             data = build_problem(model, random_params(rng, 4, 2, horizon))
+            # the blocks count as the stacked block they are a view into
             arrays = reachable_arrays(data.w_system.v)
-            assert sorted(a.shape for a in arrays) == [(4,), (2 * 6, 4 * 4)]
+            assert sorted(a.shape for a in arrays) == [(4,), (4 * 6, 4 * 4 + 2 * 6)]
             sizes.append(sum(a.nbytes for a in arrays))
         assert sizes[0] == sizes[1] == sizes[2]
 
@@ -236,35 +268,38 @@ class TestDualSystemStructure:
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (3, 1, 4), (4, 2, 9)])
     def test_gamma_band_within_block_tridiagonal_bound(self, n_x, n_u, horizon):
         gamma = random_data(n_x, n_u, horizon).w_system.gamma
-        assert np.any(gamma.bands[-1] != 0.0)
+        # the outermost band is the first row of the upper layout
+        assert np.any(gamma.bands[0] != 0.0)
         assert gamma.half_bandwidth <= 2 * n_x - 1
 
 
-def dense_inverse_from_factors(system):
-    """``P^-1`` rebuilt from the two factors the KKT chain's primal solve reads.
+def dense_inverse_from_factors(horizon, g_st, g_s, m):
+    """``P^-1 = Lambda - Y M Y'`` rebuilt from the factors :func:`_split_primal` returns.
 
-    With ``y = f (sum_i d_i, d_s)``, ``z_i = Gamma_st^-1 d_i - y[:w]`` and
-    ``z_s = y[w:]``, so ``P^-1 = [[I_N (x) Gamma_st^-1 - 1 1' (x) f_11,
-    -1 (x) f_12], [1' (x) f_21, f_22]]``.
+    ``Lambda = blkdiag(I_N (x) Gamma_st^-1, Gamma_s^-1)`` and ``Y`` is the
+    stage-sum pattern.
     """
-    n, w = system.horizon, system.gamma_stage_inv.shape[0]
-    f, ones = system.f, np.ones((n, 1))
-    return np.block([
-        [np.kron(np.eye(n), system.gamma_stage_inv) - np.kron(ones @ ones.T, f[:w, :w]), -np.kron(ones, f[:w, w:])],
-        [np.kron(ones.T, f[w:, :w]), f[w:, w:]],
-    ])
+    y = stage_sum_pattern(horizon, g_st.shape[0])
+    return block_diag(np.kron(np.eye(horizon), g_st), g_s) - y @ m @ y.T
 
 
 class TestStageCoupledSystem:
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (3, 1, 2), (2, 1, 5), (3, 2, 4), (4, 2, 9)])
     def test_solve_matches_dense_on_random_models(self, n_x, n_u, horizon):
+        # the split of the built matrix, and the KKT chain's p-side blocks,
+        # which are its stage inverse and M times rho
         rng = np.random.default_rng(100 * n_x + 10 * n_u + horizon)
         model = random_controllable_model(rng, n_x, n_u)
         params = random_params(rng, n_x, n_u, horizon)  # Q and R are not diagonal
         data = build_problem(model, params)
-        expected = np.linalg.inv(data.p_system.to_dense())
-        got = dense_inverse_from_factors(data.p_system)
+        system = data.p_system
+        g_st, g_s, m = _split_primal(system.gamma_stage, system.gamma_ref, system.coupling, horizon)
+        expected = np.linalg.inv(system.to_dense())
+        got = dense_inverse_from_factors(horizon, g_st, g_s, m)
         np.testing.assert_allclose(got, expected, atol=1e-12 * (1.0 + np.abs(expected).max()))
+        w = n_x + n_u
+        np.testing.assert_array_equal(data.stage_inv, params.rho * g_st)
+        np.testing.assert_array_equal(data.sums_block[: 2 * w, 4 * n_x :], params.rho * m)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -275,19 +310,23 @@ class TestStageCoupledSystem:
         coupling = rng.standard_normal((w, w))
         coupling = coupling + coupling.T
         # Gamma_st >= I keeps the Schur complement Gamma_s - N D Gamma_st^-1 D >= I
-        system, _, _ = _split_primal(
-            random_spd(rng, w, 1.0, 4.0),
-            random_spd(rng, w, 1.0, 4.0) + horizon * coupling @ coupling,
-            coupling,
-            horizon,
+        system = StageCoupledSystem(
+            horizon=horizon,
+            coupling=coupling,
+            gamma_stage=random_spd(rng, w, 1.0, 4.0),
+            gamma_ref=random_spd(rng, w, 1.0, 4.0) + horizon * coupling @ coupling,
         )
         expected = np.linalg.inv(system.to_dense())
-        got = dense_inverse_from_factors(system)
+        got = dense_inverse_from_factors(
+            horizon, *_split_primal(system.gamma_stage, system.gamma_ref, coupling, horizon)
+        )
         assert np.abs(got - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
 
     def test_to_dense_is_core_plus_coupling(self):
         # two stages of width 1: core blocks 2, 2, 5 and coupling -3
-        system, _, _ = _split_primal(np.array([[2.0]]), np.array([[5.0]]), np.array([[3.0]]), 2)
+        system = StageCoupledSystem(
+            horizon=2, coupling=np.array([[3.0]]), gamma_stage=np.array([[2.0]]), gamma_ref=np.array([[5.0]])
+        )
         expected = np.array([[2.0, 0.0, -3.0], [0.0, 2.0, -3.0], [-3.0, -3.0, 5.0]])
         np.testing.assert_array_equal(system.to_dense(), expected)
 
@@ -314,10 +353,14 @@ class TestStageCoupledSystem:
             arrays = reachable_arrays(data.p_system)
             assert arrays
             assert all(data.n_z not in a.shape and a.size <= (2 * 6) ** 2 for a in arrays)
-            # the window blocks of the G and G' products, and the stage-sum
-            # block that folds G' into the second primal solve
-            blocks = (data.g.window, data.gt_window, data.gt_sums)
-            assert [blk.shape for blk in blocks] == [(2 * 6, 4), (2 * 4, 6), (2 * 6, 4 * 4)]
+            # the blocks of the KKT chain: the window blocks of the G and G'
+            # products, the stage-sum block that folds G' into the second
+            # primal solve, the p-side stage inverse and end window, and the
+            # stacked block that holds the stage-sum block
+            blocks = (data.g.window, data.gt_window, data.gt_sums, data.stage_inv, data.end_window, data.sums_block)
+            assert [blk.shape for blk in blocks] == [
+                (2 * 6, 4), (2 * 4, 6), (2 * 6, 4 * 4), (6, 6), (2 * 6, 2 * 4), (4 * 6, 4 * 4 + 2 * 6)
+            ]
             sizes.append(sum(a.nbytes for a in arrays) + sum(blk.nbytes for blk in blocks))
         assert sizes[0] == sizes[1] == sizes[2]
 
