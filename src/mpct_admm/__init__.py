@@ -66,7 +66,6 @@ from .semiband_solver import (
     KktWorkspace,
     SemiBandedSystem,
     StageCoupledSystem,
-    StageSumMatrix,
     solve_kkt_system,
     solve_semibanded,
 )

@@ -216,7 +216,7 @@ class PredictionSparseMatrix:
         of ``G Y`` is ``(E, 0)`` for the pin, ``(E - C, 0)`` for each stage
         coupling, ``(-C, E)`` for the handoff and ``(0, E - C)`` for the
         equilibrium row. ``S`` holds these four transposed side by side, in
-        the order of :class:`~mpct_admm.semiband_solver.StageSumMatrix`.
+        the order of :func:`~mpct_admm.semiband_solver.stage_sums`.
         """
         nx, w = self.n_x, self.window.shape[0] // 2
         # window is [C' ; -E']

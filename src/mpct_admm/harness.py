@@ -84,6 +84,7 @@ class Scenario:
     whole numbers and are stored as ints; anything else raises a ValueError
     that names the field. Each reference's ``x_r`` and ``u_r`` must match the
     model's dimensions and be finite; the error names the reference's label.
+    Labels must be distinct; a repeated one raises a ValueError naming it.
     """
 
     model: LtiModel
@@ -111,7 +112,9 @@ class Scenario:
         object.__setattr__(self, "references", tuple(self.references))
         if not self.references:
             raise ValueError("scenario needs at least one reference")
-        for r in self.references:
+        for i, r in enumerate(self.references):
+            if any(r.label == q.label for q in self.references[:i]):
+                raise ValueError(f"reference label {r.label!r} appears more than once")
             _finite_vector(r.x_r, self.model.n_x, f"reference {r.label!r} x_r")
             _finite_vector(r.u_r, self.model.n_u, f"reference {r.label!r} u_r")
         object.__setattr__(self, "trials", _whole_number(self.trials, "trials", 1))

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpotrf
 
-from .banded_linalg import PredictionSparseMatrix, SymBandedMatrix, banded_cholesky_factor
+from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, SymBandedMatrix, banded_cholesky_factor
 from .errors import (
     DimensionMismatch,
     EmptyTightenedBox,
@@ -39,13 +39,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientG,
 )
-from .semiband_solver import (
-    SemiBandedSystem,
-    StageCoupledSystem,
-    StageSumMatrix,
-    _split_primal,
-    gt_fold_blocks,
-)
+from .semiband_solver import StageCoupledSystem, _fold_core, _split_primal, gt_fold_blocks, stage_sums
 
 __all__ = [
     "LtiModel",
@@ -244,16 +238,15 @@ def tightened_bounds(model: LtiModel, params: MpctParams) -> tuple[np.ndarray, n
 class PrecomputedData:
     """Everything the per-iteration solver needs, factored once offline.
 
-    ``p_system`` is the primal-space matrix by its ``(n_x+n_u)``-wide stage
-    and reference blocks, whatever the horizon; its inverse is ``P^-1 =
-    Lambda - Y M Y'`` with ``Lambda = blkdiag(Gamma_st^-1, ...,
-    Gamma_s^-1)`` and ``Y`` the stage-sum pattern. ``w_system`` is the
-    dual-space matrix ``W~ = Gamma~ - (G Y) M (G Y)'`` as the banded
-    Cholesky factor of its core ``Gamma~ = G Lambda G'``, trimmed to the
-    core's nonzero bands, plus the Woodbury factors: ``v = M (G Y)'`` as its
-    four distinct ``2(n_x+n_u)``-by-``n_x`` column blocks (a
-    :class:`StageSumMatrix`) and the dense ``w``, ``(N+2) n_x`` by
-    ``2(n_x+n_u)``. ``g`` is stored once, by its stage window ``g.window``
+    One flat record of the arrays the KKT chain reads. The primal-space
+    matrix has the inverse ``P^-1 = Lambda - Y M Y'``, with ``Lambda =
+    blkdiag(Gamma_st^-1, ..., Gamma_s^-1)`` and ``Y`` the stage-sum
+    pattern, so the dual-space matrix is ``W~ = Gamma~ - (G Y) M (G Y)'``.
+    ``dual_factor`` is the banded Cholesky factor of its core ``Gamma~ = G
+    Lambda G'``, trimmed to the core's nonzero bands, and ``dual_w`` the
+    dense Woodbury factor ``W = Gamma~^-1 U~ (I + V Gamma~^-1 U~)^-1``
+    (``(N+2) n_x`` by ``2(n_x+n_u)``), with ``U~ = -G Y`` and ``V = M (G
+    Y)'``. ``g`` is stored once, by its stage window ``g.window``
     (``2(n_x+n_u)`` by ``n_x``), the block through which the KKT chain
     applies ``G``.
 
@@ -263,17 +256,17 @@ class PrecomputedData:
     blocks of ``-G Lambda p`` from ``(p_{N-1}, p_s)``. ``sums_block``
     (``4(n_x+n_u)`` by ``4n_x+2(n_x+n_u)``) is the stacked block of
     :func:`~mpct_admm.semiband_solver.gt_fold_blocks`: its upper half is
-    ``[M (G Y)', rho M]``, whose left part ``v``'s blocks are a view of,
-    and its lower half folds the ``G'`` product into the second primal
-    solve, with ``gt_sums`` (``2(n_x+n_u)`` by ``4n_x``) a view of its left
-    part; ``gt_window`` (``2n_x`` by ``n_x+n_u``) is that solve's stage
-    window. None of these blocks grows with ``N``.
+    ``[V's four distinct column blocks, rho M]``, and its lower half folds
+    the ``G'`` product into the second primal solve; ``gt_window`` (``2n_x``
+    by ``n_x+n_u``) is that solve's stage window. None of these blocks
+    grows with ``N``. The primal-space matrix itself is not stored:
+    :attr:`p_system` forms its blocks from ``params`` on each access.
 
     :func:`build_problem` writes each array in place in its final shape and
     memory order, and none is a view into a larger scratch buffer. The
     banded factor is column-major in LAPACK's upper layout, the order and
-    layout ``dpbtrs`` reads fastest; ``w`` is column-major, so it goes to
-    ``dgemv`` without a copy. The rest is row-major.
+    layout ``dpbtrs`` reads fastest; ``dual_w`` is column-major, so it goes
+    to ``dgemv`` without a copy. The rest is row-major.
 
     No factor depends on ``params.eps_primal``, ``eps_dual`` or
     ``max_iter``, which only steer the ADMM loop, so built data may have
@@ -287,13 +280,12 @@ class PrecomputedData:
     g: PredictionSparseMatrix
     v_lo: np.ndarray
     v_hi: np.ndarray
-    p_system: StageCoupledSystem
-    w_system: SemiBandedSystem
+    dual_factor: BandedCholeskyFactor
+    dual_w: np.ndarray
     stage_inv: np.ndarray
     end_window: np.ndarray
     sums_block: np.ndarray
     gt_window: np.ndarray
-    gt_sums: np.ndarray
     # always None; read only by perfbench/checks.py:38 and sweep.py:98 (ROADMAP item 1)
     scaling: None = None
 
@@ -304,6 +296,11 @@ class PrecomputedData:
     @property
     def n_u(self) -> int:
         return self.model.n_u
+
+    @property
+    def p_system(self) -> StageCoupledSystem:
+        """The primal-space matrix by its blocks, formed from ``params`` (test helper)."""
+        return _primal_blocks(self.params)
 
     @property
     def n_z(self) -> int:
@@ -321,6 +318,18 @@ def _block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out[:k, :k] = a
     out[k:, k:] = b
     return out
+
+
+def _primal_blocks(params: MpctParams) -> StageCoupledSystem:
+    """The primal-space matrix's blocks: every stage couples to ``(x_s, u_s)`` through ``-diag(Q, R)``."""
+    coupling = _block_diag(params.Q, params.R)
+    rho_eye = params.rho * np.eye(coupling.shape[0])
+    return StageCoupledSystem(
+        horizon=params.N,
+        coupling=coupling,
+        gamma_stage=coupling + rho_eye,
+        gamma_ref=_block_diag(params.N * params.Q + params.T, params.N * params.R + params.S) + rho_eye,
+    )
 
 
 def _banded_from_block_columns(columns: np.ndarray, horizon: int) -> SymBandedMatrix:
@@ -411,17 +420,9 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
 
     v_lo, v_hi = tightened_bounds(model, params)
 
-    # every stage couples to (x_s, u_s) through -diag(Q, R)
-    coupling = _block_diag(params.Q, params.R)
     rho = params.rho
-    rho_eye = rho * np.eye(w)
-    p_system = StageCoupledSystem(
-        horizon=n,
-        coupling=coupling,
-        gamma_stage=coupling + rho_eye,
-        gamma_ref=_block_diag(n * params.Q + params.T, n * params.R + params.S) + rho_eye,
-    )
-    g_st, g_s, m = _split_primal(p_system.gamma_stage, p_system.gamma_ref, coupling, n)
+    p_system = _primal_blocks(params)
+    g_st, g_s, m = _split_primal(p_system.gamma_stage, p_system.gamma_ref, p_system.coupling, n)
 
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
 
@@ -440,7 +441,7 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # so U~ = -G Y and V~ = M S with S = (G Y)'. Row block i of U~ is minus
     # column block i of S, transposed, one block repeated over the stage
     # couplings; U~ is written column-major, the order dpbtrs reads it in.
-    # V~'s blocks are a view into the stacked block's upper half [M S, rho M]
+    # V~ is applied as M S, the left of the stacked block's upper half [M S, rho M]
     s = g.stage_sum_block()
     u_tilde = np.empty((m_z, 2 * w), order="F")
     s_rows = s.T.reshape(4, nx, 2 * w)
@@ -449,10 +450,11 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     v_blocks = sums_block[: 2 * w, : 4 * nx]
     np.matmul(m, s, out=v_blocks)
     np.multiply(m, rho, out=sums_block[: 2 * w, 4 * nx :])
-    w_system = SemiBandedSystem.build(gamma_tilde_factor, u_tilde, StageSumMatrix(horizon=n, blocks=v_blocks))
+    gamma_inv_u = gamma_tilde_factor.solve(u_tilde)
+    dual_w = _fold_core(gamma_inv_u, np.eye(2 * w) + v_blocks @ stage_sums(gamma_inv_u, n))
     h = m.copy()
     h[w:, w:] -= g_s
-    gt_window = gt_fold_blocks(s, g_st, h, rho, w_system, sums_block)
+    gt_window = gt_fold_blocks(s, g_st, h, rho, dual_w, n, sums_block)
 
     # the chain's p-side blocks carry rho, since it reads p / rho. Rows N and
     # N+1 of -G Lambda p are [Gamma_st^-1 p_{N-1}, Gamma_s^-1 p_s] g.window
@@ -470,13 +472,12 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
         g=g,
         v_lo=v_lo,
         v_hi=v_hi,
-        p_system=p_system,
-        w_system=w_system,
+        dual_factor=gamma_tilde_factor,
+        dual_w=dual_w,
         stage_inv=stage_inv,
         end_window=end_window,
         sums_block=sums_block,
         gt_window=gt_window,
-        gt_sums=sums_block[2 * w :, : 4 * nx],
     )
 
 

@@ -11,17 +11,17 @@ one structured solve and two thin products:
     z1 = solve(Gamma, d)
     z  = z1 - W (V z1)
 
-The equality-constrained QP update chains three solves: two with the
-primal-space matrix, whose low-rank term couples every stage to the
-artificial reference through one repeated block (:class:`StageCoupledSystem`
-holds its blocks), and one with the dual-space matrix around its banded
-core (:class:`SemiBandedSystem`). With ``Lambda = blkdiag(Gamma_st^-1, ...,
-Gamma_s^-1)`` and the stage-sum pattern ``Y = [[1_N (x) I_w, 0], [0,
-I_w]]``, the primal inverse is ``P^-1 = Lambda - Y M Y'`` for one 2w-by-2w
-``M``, so the dual matrix is ``W~ = Gamma~ - (G Y) M (G Y)'`` with the
-banded core ``Gamma~ = G Lambda G'``. Its ``V = M (G Y)'`` repeats one
-column block across the stage couplings and is applied as a stage sum
-(:class:`StageSumMatrix`).
+:class:`SemiBandedSystem` and :func:`solve_semibanded` are that solver for
+a dense ``V``. The equality-constrained QP update chains three such solves:
+two with the primal-space matrix, whose low-rank term couples every stage
+to the artificial reference through one repeated block
+(:class:`StageCoupledSystem`), and one with the dual-space matrix around its
+banded core. With ``Lambda = blkdiag(Gamma_st^-1, ..., Gamma_s^-1)`` and the
+stage-sum pattern ``Y = [[1_N (x) I_w, 0], [0, I_w]]``, the primal inverse
+is ``P^-1 = Lambda - Y M Y'`` for one 2w-by-2w ``M``, so the dual matrix is
+``W~ = Gamma~ - (G Y) M (G Y)'`` with the banded core ``Gamma~ = G Lambda
+G'``. Its ``V = M (G Y)'`` repeats one column block across the stage
+couplings, so a product with it reads four stage sums (:func:`stage_sums`).
 
 :func:`solve_kkt_system` spreads only ``Lambda`` over the stages. The first
 primal solve's low-rank term rides on the dual solve's Woodbury step,
@@ -36,7 +36,7 @@ the windows ``(mu_i, mu_{i+1})`` of the multipliers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,7 +53,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "SemiBandedSystem",
     "StageCoupledSystem",
-    "StageSumMatrix",
     "KktWorkspace",
     "solve_semibanded",
     "solve_kkt_system",
@@ -98,47 +97,16 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     return 0.5 * (inv + inv.T)
 
 
-@dataclass(frozen=True)
-class StageSumMatrix:
-    """An m-by-(N+2)n_x matrix whose column blocks repeat across the stages.
+def stage_sums(x: np.ndarray, horizon: int) -> np.ndarray:
+    """The four stage sums ``(x_0, x_1 + ... + x_{N-1}, x_N, x_{N+1})`` of ``(N+2) n_x`` rows.
 
-    Its ``n_x``-wide column blocks are, in order, the initial-state pin, one
-    block shared by the stage couplings ``1 .. N-1``, the handoff into the
-    artificial reference and the equilibrium row; ``blocks`` holds these
-    four side by side. A product sums the operand's row blocks over the
-    stages that share a column block and applies one m-by-4n_x product:
-
-        V z = V_0 z_0 + V_mid (z_1 + ... + z_{N-1}) + V_N z_N + V_eq z_{N+1}
-
-    The stored arrays are the m-by-4n_x blocks and the four stage offsets at
-    which the sums start, whatever the horizon. ``blocks`` may be a view
-    into a larger block, and is kept as one. Immutable and safe to share
-    across threads.
+    ``x`` is ``((N+2) n_x,)`` or ``((N+2) n_x, k)`` in row blocks of ``n_x``,
+    and the result ``(4 n_x,)`` or ``(4 n_x, k)``: ``V x`` is ``V``'s four
+    distinct column blocks (see :func:`gt_fold_blocks`) times the sums.
     """
-
-    horizon: int
-    blocks: np.ndarray
-    offsets: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=float)
-        if blocks.ndim != 2 or blocks.shape[1] % 4 or self.horizon < 2:
-            raise DimensionMismatch("blocks must be m-by-4n_x and the horizon at least 2")
-        object.__setattr__(self, "blocks", blocks)
-        # kept as an index array: reduceat converts a tuple on every call
-        n = self.horizon
-        object.__setattr__(self, "offsets", np.array([0, 1, n, n + 1], dtype=np.intp))
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        m, four_nx = self.blocks.shape
-        return m, (self.horizon + 2) * (four_nx // 4)
-
-    def __matmul__(self, z: np.ndarray) -> np.ndarray:
-        """``V z`` for ``z`` of shape ``(n,)`` or ``(n, k)``."""
-        tail = z.shape[1:]
-        sums = np.add.reduceat(z.reshape(self.horizon + 2, -1, *tail), self.offsets, axis=0)
-        return self.blocks @ sums.reshape(-1, *tail)
+    tail = x.shape[1:]
+    offsets = np.array([0, 1, horizon, horizon + 1])
+    return np.add.reduceat(x.reshape(horizon + 2, -1, *tail), offsets, axis=0).reshape(-1, *tail)
 
 
 @dataclass(frozen=True)
@@ -148,14 +116,13 @@ class SemiBandedSystem:
     ``gamma`` is the banded Cholesky factor of the core and ``w`` the
     precomputed Woodbury factor ``solve(Gamma, U) (I + V solve(Gamma, U))^-1``,
     column-major, so that ``W x`` is one ``dgemv`` on it without a copy.
-    ``v`` is a dense m-by-n array or, for the dual-space matrix, a
-    :class:`StageSumMatrix`; a solve only applies it with ``@``. ``U`` itself
-    is not kept: a solve reads only ``gamma``, ``v`` and ``w``.
+    ``v`` is the dense m-by-n ``V``; ``U`` itself is not kept. The KKT chain
+    reads the dual-space matrix's pieces from ``PrecomputedData`` instead.
     Immutable and safe to share across threads.
     """
 
     gamma: BandedCholeskyFactor
-    v: np.ndarray | StageSumMatrix
+    v: np.ndarray
     w: np.ndarray
 
     @property
@@ -163,17 +130,14 @@ class SemiBandedSystem:
         return self.w.shape[0]
 
     @classmethod
-    def build(
-        cls, gamma: BandedCholeskyFactor, u: np.ndarray, v: np.ndarray | StageSumMatrix
-    ) -> "SemiBandedSystem":
+    def build(cls, gamma: BandedCholeskyFactor, u: np.ndarray, v: np.ndarray) -> "SemiBandedSystem":
         """Factor the m-by-m core ``I + V solve(Gamma, U)`` and fold it into ``w``.
 
         Raises :class:`SingularSmallSystem` when the core is singular.
         """
         # u is only solved with, and dpbtrs reads it column-major
         u = np.asarray(u, dtype=float)
-        if not isinstance(v, StageSumMatrix):
-            v = np.ascontiguousarray(v, dtype=float)
+        v = np.ascontiguousarray(v, dtype=float)
         if u.ndim != 2 or v.shape != u.shape[::-1]:
             raise DimensionMismatch("U and V must be (n, m) and (m, n)")
         if u.shape[0] != gamma.n:
@@ -185,7 +149,7 @@ class SemiBandedSystem:
 
 @dataclass(frozen=True)
 class StageCoupledSystem:
-    """The primal-space matrix, stored by its distinct blocks.
+    """The primal-space matrix by its distinct blocks.
 
     With the decision stack ``(z_0, ..., z_{N-1}, z_s)`` in blocks of width
     ``w = n_x + n_u``, the matrix is ``blkdiag(I_N (x) Gamma_st, Gamma_s) +
@@ -197,9 +161,9 @@ class StageCoupledSystem:
     Its inverse is ``P^-1 = Lambda - Y M Y'`` (see the module docstring),
     whose factors :func:`_split_primal` computes; the KKT chain reads them
     folded into the blocks of :class:`~mpct_admm.mpct_problem.PrecomputedData`,
-    so the three blocks kept here serve :meth:`to_dense` only. Every stored
-    array is w-by-w, whatever the horizon. Immutable and safe to share
-    across threads.
+    which does not keep this matrix but forms it from its parameters on
+    request. Every array is w-by-w, whatever the horizon. Immutable and
+    safe to share across threads.
     """
 
     horizon: int
@@ -257,14 +221,15 @@ def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
 
 
 def gt_fold_blocks(
-    s: np.ndarray, g_st: np.ndarray, h: np.ndarray, rho: float, w_system: SemiBandedSystem, sums_block: np.ndarray
+    s: np.ndarray, g_st: np.ndarray, h: np.ndarray, rho: float, dual_w: np.ndarray, horizon: int, sums_block: np.ndarray
 ) -> np.ndarray:
     """Fold ``G'`` into the KKT chain's second primal solve: fill ``sums_block``'s
     lower half, and return the ``G'`` window.
 
     ``s`` is the stage-sum block ``S = (G Y)'`` (see
     :meth:`~mpct_admm.banded_linalg.PredictionSparseMatrix.stage_sum_block`),
-    ``g_st`` is ``Gamma_st^-1``, ``h = M - blkdiag(0, Gamma_s^-1)`` and
+    ``g_st`` is ``Gamma_st^-1``, ``h = M - blkdiag(0, Gamma_s^-1)``,
+    ``dual_w`` the dual Woodbury factor ``W`` at horizon ``horizon`` and
     ``sums_block`` the 4w-by-(4n_x+2w) stacked block whose upper half
     already holds ``[M S, rho M]``: applied to the stage sums ``(t, Y' p /
     rho)``, with ``t`` the four stage sums of ``z1``, that half gives the
@@ -289,9 +254,7 @@ def gt_fold_blocks(
     e_c = np.empty((2 * nx, w))
     np.negative(s[:w, :nx].T, out=e_c[:nx])
     np.negative(s[:w, 2 * nx : 3 * nx].T, out=e_c[nx:])
-    v = w_system.v
-    w_sums = np.add.reduceat(w_system.w.reshape(v.horizon + 2, nx, -1), v.offsets, axis=0).reshape(4 * nx, -1)
-    right = -(s @ (w_sums @ sums_block[: 2 * w]))
+    right = -(s @ (stage_sums(dual_w, horizon) @ sums_block[: 2 * w]))
     right[:, : 4 * nx] += s
     right[:, 4 * nx :] += rho * np.eye(2 * w)
     np.dot(h, right, out=sums_block[2 * w :])
@@ -313,14 +276,15 @@ class KktWorkspace:
     over their contiguous buffers, so consecutive rows share a block.
     ``mu_head`` and ``mu_tail`` are ``mu``'s first N blocks and its last
     two. ``sums`` is one contiguous buffer: ``mu_sums`` receives the four
-    stage sums of the banded solve's output at the dual ``v.offsets``, and
-    ``p_sums`` the two sums ``(sum_i p_i, p_s)`` at the ``p_offsets``. ``k``
-    receives the stacked block's product, whose parts ``r``, ``c_stage`` and
-    ``c_ref`` the Woodbury step and the second primal solve read. ``z`` and
-    ``mu`` receive the chain's results; the dual right-hand side and the
-    banded solve's output pass through ``mu`` on the way. All of these are
-    views, not copies, and the next call with the same workspace overwrites
-    them.
+    stage sums of the banded solve's output (see :func:`stage_sums`) at the
+    ``mu_offsets`` ``(0, 1, N, N+1)``, and ``p_sums`` the two sums ``(sum_i
+    p_i, p_s)`` at the ``p_offsets`` ``(0, N)``; the two offset lists are
+    slices of one index array. ``k`` receives the stacked block's product,
+    whose parts ``r``, ``c_stage`` and ``c_ref`` the Woodbury step and the
+    second primal solve read. ``z`` and ``mu`` receive the chain's results;
+    the dual right-hand side and the banded solve's output pass through
+    ``mu`` on the way. All of these are views, not copies, and the next
+    call with the same workspace overwrites them.
 
     The chain reads its factors from ``data``, so a workspace serves only
     the ``data`` it was made for.
@@ -332,6 +296,7 @@ class KktWorkspace:
     p_stages: np.ndarray
     p_tail: np.ndarray
     p_offsets: np.ndarray
+    mu_offsets: np.ndarray
     pad_stages: np.ndarray
     pad_window: np.ndarray
     mu: np.ndarray
@@ -359,6 +324,8 @@ class KktWorkspace:
         sums_k = np.empty(4 * nx + 6 * w)
         sums, k = sums_k[: 4 * nx + 2 * w], sums_k[4 * nx + 2 * w :]
         p_blocks, mu_blocks = p.reshape(n + 1, w), mu.reshape(n + 2, nx)
+        # one index array for both: reduceat converts a list on every call
+        offsets = np.array([0, n, 0, 1, n, n + 1])
         item = padded.itemsize
         return cls(
             data=data,
@@ -366,7 +333,8 @@ class KktWorkspace:
             p_blocks=p_blocks,
             p_stages=p_blocks[:n],
             p_tail=p[(n - 1) * w :],
-            p_offsets=np.array([0, n]),
+            p_offsets=offsets[:2],
+            mu_offsets=offsets[2:],
             pad_stages=padded[w:].reshape(n, w),
             pad_window=as_strided(padded, (n, 2 * w), (w * item, item), writeable=False),
             mu=mu,
@@ -452,12 +420,11 @@ def _solve_kkt(work: KktWorkspace, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # only for an illegal argument, which the shapes fixed at build time rule
     # out); the stage sums of z1 and p go into one buffer, one product gives
     # r and c, and one dgemv takes W r off z1 in place
-    w_sys = data.w_system
-    dpbtrs(w_sys.gamma.bands, mu, lower=0, overwrite_b=1)
-    np.add.reduceat(work.mu_blocks, w_sys.v.offsets, axis=0, out=work.mu_sums)
+    dpbtrs(data.dual_factor.bands, mu, lower=0, overwrite_b=1)
+    np.add.reduceat(work.mu_blocks, work.mu_offsets, axis=0, out=work.mu_sums)
     np.add.reduceat(work.p_blocks, work.p_offsets, axis=0, out=work.p_sums)
     np.dot(data.sums_block, work.sums, out=work.k)
-    dgemv(-1.0, w_sys.w, work.r, 1.0, mu, overwrite_y=1)
+    dgemv(-1.0, data.dual_w, work.r, 1.0, mu, overwrite_y=1)
     # z = -P^-1 (G' mu + p) stage by stage: z_i = [mu_i, mu_{i+1}] gt_window
     # - Gamma_st^-1 p_i + c[:w] and z_s = c[w:]
     z_stages = work.z_stages

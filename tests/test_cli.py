@@ -286,6 +286,18 @@ class TestBench:
         assert main(["bench", str(path), "-o", str(tmp_path / "s.json")]) == EXIT_INVALID_INPUT
         assert "initial_state.intervals" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, output", [("bench", "s.json"), ("simulate", "t.csv")])
+    def test_repeated_reference_label_exits_three(self, small_scenario, tmp_path, capsys, command, output):
+        # rejected when the scenario loads, not written as rows that cannot
+        # be told apart or run as whichever reference comes first
+        obj = json.loads(Path(small_scenario).read_text(encoding="utf-8"))
+        obj["references"][1]["label"] = "reachable"
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(obj))
+        assert main([command, str(path), "-o", str(tmp_path / output)]) == EXIT_INVALID_INPUT
+        assert "'reachable' appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / output).exists()
+
     def test_trials_override(self, small_scenario, tmp_path, capsys):
         out = tmp_path / "s.json"
         assert main(["bench", small_scenario, "-o", str(out), "--trials", "2"]) == EXIT_OK

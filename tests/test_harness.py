@@ -83,6 +83,15 @@ class TestScenarioLoading:
         with pytest.raises(ValueError):
             replace(integrator_scenario, references=())
 
+    def test_repeated_label_rejected(self):
+        # results and --reference select a reference by its label, so a
+        # second "reachable" could not be told apart or selected
+        path = Path(str(models_dir() / "scenario_double_integrator.json"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["references"][1]["label"] = "reachable"
+        with pytest.raises(ValueError, match="reference label 'reachable' appears more than once"):
+            scenario_from_dict(obj, base_dir=path.parent)
+
     @pytest.mark.parametrize(
         "x_r, u_r, message",
         [
@@ -279,7 +288,7 @@ class TestBenchmark:
         draws = [sample_initial_states(sc, i) for i in range(2)]
         assert not np.array_equal(draws[0], draws[1])
         # appending keeps every earlier draw
-        appended = replace(sc, references=(first, second, first))
+        appended = replace(sc, references=(first, second, Reference("third", first.x_r, first.u_r)))
         for i in range(2):
             np.testing.assert_array_equal(sample_initial_states(appended, i), draws[i])
         # removing the first moves the second into its draws

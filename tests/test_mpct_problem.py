@@ -22,6 +22,7 @@ from mpct_admm import (
     tightened_bounds,
 )
 from mpct_admm.oracle import dense_bounds, dense_dynamics, dense_hessian
+from mpct_admm.semiband_solver import stage_sums
 
 from conftest import random_instance
 
@@ -94,9 +95,12 @@ class TestBuildProblem:
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
             # U = -G Y, with Y the stage-sum pattern of P^-1 = Lambda - Y M Y'
-            u_dense = -g @ stage_sum_pattern(params.N, data.n_x + data.n_u)
-            w_sys = data.w_system
-            w_struct = w_sys.gamma.to_dense() @ w_sys.gamma.to_dense().T + u_dense @ (w_sys.v @ np.eye(data.m_z))
+            w = data.n_x + data.n_u
+            u_dense = -g @ stage_sum_pattern(params.N, w)
+            # V is the left part of the stacked block's upper half, on the stage sums
+            v_dense = data.sums_block[: 2 * w, : 4 * data.n_x] @ stage_sums(np.eye(data.m_z), params.N)
+            l_dense = data.dual_factor.to_dense()
+            w_struct = l_dense @ l_dense.T + u_dense @ v_dense
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())
 
     def test_rank_deficient_dynamics(self):
@@ -106,18 +110,37 @@ class TestBuildProblem:
         with pytest.raises(RankDeficientG):
             build_problem(model, params)
 
-    @pytest.mark.parametrize("horizon, limit", [(30, 91232), (240, 514592)])
+    @pytest.mark.parametrize("horizon, limit", [(30, 88800), (240, 512160)])
     def test_stored_bytes_do_not_grow(self, horizon, limit):
         # the distinct buffers the built data keeps alive, views counted as
-        # their base: 89.09 and 502.53 KiB when this bound was set, the
-        # former 83.47 and 496.91 KiB plus the KKT chain's stacked block and
-        # end window, less the primal f they replaced (720 doubles at any
-        # N). A stored view into a padded scratch buffer would count the
-        # whole buffer
+        # their base: 86.72 and 500.16 KiB when this bound was set, the
+        # arrays the KKT chain reads plus the model, the costs and the
+        # bounds, and nothing else. A stored view into a padded scratch
+        # buffer would count the whole buffer
         sc = load_scenario(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json")
         data = build_problem(sc.model, dataclasses.replace(sc.params, N=horizon))
         buffers = {id(a): a.nbytes for a in reachable_arrays(data)}
         assert sum(buffers.values()) <= limit
+
+    def test_data_keeps_only_what_the_chain_reads(self):
+        # the twelve fields, and no buffer beyond theirs: no second copy of
+        # the primal blocks, no view kept beside the block it views and no
+        # view into a larger buffer
+        sc = load_scenario(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json")
+        data = build_problem(sc.model, sc.params)
+        assert [f.name for f in dataclasses.fields(data)] == [
+            "model", "params", "g", "v_lo", "v_hi", "dual_factor", "dual_w",
+            "stage_inv", "end_window", "sums_block", "gt_window", "scaling",
+        ]
+        model, params = data.model, data.params
+        expected = [
+            model.A, model.B, model.x_lo, model.x_hi, model.u_lo, model.u_hi,
+            params.Q, params.R, params.T, params.S, data.g.window, data.v_lo, data.v_hi,
+            data.dual_factor.bands, data.dual_w, data.stage_inv, data.end_window, data.sums_block, data.gt_window,
+        ]
+        buffers = reachable_arrays(data)
+        assert sorted(map(id, buffers)) == sorted(map(id, reachable_arrays(expected)))
+        assert sum(a.nbytes for a in buffers) == sum(a.nbytes for a in expected)
 
     def test_dimension_mismatch_between_model_and_params(self, integrator_model):
         params = MpctParams(Q=np.eye(2), R=[[1.0]], T=np.eye(2), S=[[1.0]], N=2)

@@ -14,7 +14,6 @@ from mpct_admm import (
     SemiBandedSystem,
     SingularSmallSystem,
     StageCoupledSystem,
-    StageSumMatrix,
     SymBandedMatrix,
     assemble_online,
     banded_cholesky_factor,
@@ -24,7 +23,7 @@ from mpct_admm import (
     solve_semibanded,
 )
 from mpct_admm.oracle import dense_dynamics, dense_hessian, dense_instance, dense_kkt_solve
-from mpct_admm.semiband_solver import _split_primal
+from mpct_admm.semiband_solver import _split_primal, stage_sums
 
 from conftest import random_controllable_model, random_instance, random_params, random_spd
 
@@ -104,16 +103,15 @@ class TestSolveSemibanded:
             solve_semibanded(sys, np.zeros(7))
 
     def test_dual_system_stores_only_what_a_solve_reads(self):
-        # V's blocks are a view into the KKT chain's stacked block, which the
-        # chain reads whole, so the block counts once, as that block
+        # the dual-space matrix is kept as the banded factor's bands and the
+        # column-major W, each a buffer of its own size; V is read from the
+        # KKT chain's stacked block, which the chain reads whole
         rng = np.random.default_rng(13)
         model = random_controllable_model(rng, 4, 2)
         data = build_problem(model, random_params(rng, 4, 2, 12))
-        w_sys = data.w_system
-        assert w_sys.v.blocks.base is data.sums_block
-        stored = sum(a.nbytes for a in reachable_arrays(w_sys))
-        v_bytes = data.sums_block.nbytes + w_sys.v.offsets.nbytes
-        assert stored == w_sys.gamma.bands.nbytes + v_bytes + w_sys.w.nbytes
+        stored = reachable_arrays(data.dual_factor) + reachable_arrays(data.dual_w)
+        assert [a.nbytes for a in stored] == [data.dual_factor.bands.nbytes, data.dual_w.nbytes]
+        assert data.dual_w.shape == (data.m_z, 2 * 6) and data.dual_w.flags["F_CONTIGUOUS"]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -194,19 +192,35 @@ def dense_dual_v(data):
     return m @ (g @ stage_sum_pattern(n, w)).T
 
 
+def dense_stage_sums(horizon, n_x):
+    """The 0/1 matrix that :func:`stage_sums` applies: ``Y'``-style sums of the N+2 row blocks."""
+    blocks = np.zeros((4, horizon + 2))
+    blocks[0, 0] = blocks[2, horizon] = blocks[3, horizon + 1] = 1.0
+    blocks[1, 1:horizon] = 1.0
+    return np.kron(blocks, np.eye(n_x))
+
+
 class TestDualSystemStructure:
     @pytest.mark.parametrize(
         "source", [(3, 2, 2), (4, 1, 6), *BUNDLED_MODELS], ids=["horizon-2", "one-input", *BUNDLED_MODELS]
     )
     def test_v_products_match_dense(self, source):
+        # V is applied as its four distinct column blocks, the left part of
+        # the stacked block's upper half, on the four stage sums
         data = bundled_data(source) if isinstance(source, str) else random_data(*source)
-        v = data.w_system.v
+        n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
+        v_blocks = data.sums_block[: 2 * w, : 4 * nx]
         v_dense = dense_dual_v(data)
-        assert v.shape == v_dense.shape == (2 * (data.n_x + data.n_u), data.m_z)
+        assert v_dense.shape == (2 * w, data.m_z)
+        sums_dense = dense_stage_sums(n, nx)
         rng = np.random.default_rng(data.m_z)
         for operand in (rng.standard_normal(data.m_z), rng.standard_normal((data.m_z, 3))):
+            sums = stage_sums(operand, n)
+            expected_sums = sums_dense @ operand
+            assert sums.shape == expected_sums.shape
+            np.testing.assert_allclose(sums, expected_sums, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected_sums).max()))
             expected = v_dense @ operand
-            got = v @ operand
+            got = v_blocks @ sums
             assert got.shape == expected.shape
             np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
 
@@ -233,32 +247,27 @@ class TestDualSystemStructure:
         p = dense_hessian(params) + params.rho * np.eye(data.n_z)
         w_tilde = g @ np.linalg.solve(p, g.T)
         expected = np.linalg.solve(w_tilde, -g @ stage_sum_pattern(n, w))
-        got = data.w_system.w
+        got = data.dual_w
         assert np.abs(got - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
 
-    @pytest.mark.parametrize(
-        "horizon, blocks_shape", [(1, (3, 8)), (2, (3, 6)), (2, (8,))], ids=["horizon-1", "width-6", "1-d"]
-    )
-    def test_stage_sum_matrix_rejects_bad_shapes(self, horizon, blocks_shape):
-        with pytest.raises(DimensionMismatch):
-            StageSumMatrix(horizon=horizon, blocks=np.ones(blocks_shape))
-
     def test_v_footprint_independent_of_horizon(self):
+        # V lives in the stacked block; apart from the banded factor, W and
+        # the bounds, no stored array depends on the horizon
         rng = np.random.default_rng(14)
         model = random_controllable_model(rng, 4, 2)
-        sizes = []
+        footprints = []
         for horizon in (6, 24, 96):
             data = build_problem(model, random_params(rng, 4, 2, horizon))
-            # the blocks count as the stacked block they are a view into
-            arrays = reachable_arrays(data.w_system.v)
-            assert sorted(a.shape for a in arrays) == [(4,), (4 * 6, 4 * 4 + 2 * 6)]
-            sizes.append(sum(a.nbytes for a in arrays))
-        assert sizes[0] == sizes[1] == sizes[2]
+            assert data.sums_block.shape == (4 * 6, 4 * 4 + 2 * 6)
+            growing = reachable_arrays((data.dual_factor, data.dual_w, data.v_lo, data.v_hi))
+            fixed = [a for a in reachable_arrays(data) if not any(a is g for g in growing)]
+            footprints.append(sorted((a.shape, a.nbytes) for a in fixed))
+        assert footprints[0] == footprints[1] == footprints[2]
 
     @pytest.mark.parametrize("name, expected", zip(BUNDLED_MODELS, [8, 2, 3]))
     def test_gamma_keeps_only_its_nonzero_bands(self, name, expected):
         data = bundled_data(name)
-        gamma = data.w_system.gamma
+        gamma = data.dual_factor
         assert gamma.bands.flags["F_CONTIGUOUS"]
         core = gamma.to_dense() @ gamma.to_dense().T
         last = max(k for k in range(data.m_z) if np.any(np.diag(core, -k) != 0.0))
@@ -267,7 +276,7 @@ class TestDualSystemStructure:
 
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (3, 1, 4), (4, 2, 9)])
     def test_gamma_band_within_block_tridiagonal_bound(self, n_x, n_u, horizon):
-        gamma = random_data(n_x, n_u, horizon).w_system.gamma
+        gamma = random_data(n_x, n_u, horizon).dual_factor
         # the outermost band is the first row of the upper layout
         assert np.any(gamma.bands[0] != 0.0)
         assert gamma.half_bandwidth <= 2 * n_x - 1
@@ -354,12 +363,11 @@ class TestStageCoupledSystem:
             assert arrays
             assert all(data.n_z not in a.shape and a.size <= (2 * 6) ** 2 for a in arrays)
             # the blocks of the KKT chain: the window blocks of the G and G'
-            # products, the stage-sum block that folds G' into the second
-            # primal solve, the p-side stage inverse and end window, and the
-            # stacked block that holds the stage-sum block
-            blocks = (data.g.window, data.gt_window, data.gt_sums, data.stage_inv, data.end_window, data.sums_block)
+            # products, the p-side stage inverse and end window, and the
+            # stacked block that folds G' into the second primal solve
+            blocks = (data.g.window, data.gt_window, data.stage_inv, data.end_window, data.sums_block)
             assert [blk.shape for blk in blocks] == [
-                (2 * 6, 4), (2 * 4, 6), (2 * 6, 4 * 4), (6, 6), (2 * 6, 2 * 4), (4 * 6, 4 * 4 + 2 * 6)
+                (2 * 6, 4), (2 * 4, 6), (6, 6), (2 * 6, 2 * 4), (4 * 6, 4 * 4 + 2 * 6)
             ]
             sizes.append(sum(a.nbytes for a in arrays) + sum(blk.nbytes for blk in blocks))
         assert sizes[0] == sizes[1] == sizes[2]
@@ -424,7 +432,7 @@ class TestSolveKkt:
         data = bundled_data("double_integrator.json")
         work = KktWorkspace.for_problem(data)
         arrays = list(arrays_in(data))
-        assert any(a is data.w_system.gamma.bands for a in arrays)
+        assert any(a is data.dual_factor.bands for a in arrays)
         for f in fields(work):
             value = getattr(work, f.name)
             if f.name == "data":
