@@ -39,7 +39,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientG,
 )
-from .semiband_solver import StageCoupledSystem, _fold_core, _split_primal, gt_fold_blocks, stage_sums
+from .semiband_solver import StageCoupledSystem, _fold_core, _split_primal, stage_sums
 
 __all__ = [
     "LtiModel",
@@ -254,12 +254,13 @@ class PrecomputedData:
     ``rho``: ``stage_inv`` is ``rho Gamma_st^-1`` (``n_x+n_u`` square) and
     ``end_window`` (``2(n_x+n_u)`` by ``2n_x``) gives the last two row
     blocks of ``-G Lambda p`` from ``(p_{N-1}, p_s)``. ``sums_block``
-    (``4(n_x+n_u)`` by ``4n_x+2(n_x+n_u)``) is the stacked block of
-    :func:`~mpct_admm.semiband_solver.gt_fold_blocks`: its upper half is
-    ``[V's four distinct column blocks, rho M]``, and its lower half folds
-    the ``G'`` product into the second primal solve; ``gt_window`` (``2n_x``
-    by ``n_x+n_u``) is that solve's stage window. None of these blocks
-    grows with ``N``. The primal-space matrix itself is not stored:
+    (``4(n_x+n_u)`` by ``4n_x+2(n_x+n_u)``) is the stacked block the chain
+    applies to the stage sums of the banded solve's output and of ``p``:
+    its upper half is ``[V's four distinct column blocks, rho M]``, and its
+    lower half folds the ``G'`` product into the second primal solve;
+    ``gt_window`` (``2n_x`` by ``n_x+n_u``) is that solve's stage window
+    (:func:`build_problem` derives both). None of these blocks grows with
+    ``N``. The primal-space matrix itself is not stored:
     :attr:`p_system` forms its blocks from ``params`` on each access.
 
     :func:`build_problem` writes each array in place in its final shape and
@@ -271,12 +272,15 @@ class PrecomputedData:
     No factor depends on ``params.eps_primal``, ``eps_dual`` or
     ``max_iter``, which only steer the ADMM loop, so built data may have
     them replaced: ``replace(data, params=replace(data.params, ...))``.
-    ``rho``, ``N``, the costs and ``epsilon`` are built into the factors and
-    bounds, and must not be replaced that way.
+    ``N``, ``rho``, ``epsilon`` and the costs are built into the factors and
+    bounds: ``built_with`` keeps the params they were built with (at build
+    time the same object as ``params``), and replacing any of them with
+    another value raises a ValueError naming it.
     """
 
     model: LtiModel
     params: MpctParams
+    built_with: MpctParams
     g: PredictionSparseMatrix
     v_lo: np.ndarray
     v_hi: np.ndarray
@@ -288,6 +292,12 @@ class PrecomputedData:
     gt_window: np.ndarray
     # always None; read only by perfbench/checks.py:38 and sweep.py:98 (ROADMAP item 1)
     scaling: None = None
+
+    def __post_init__(self):
+        if self.params is not self.built_with:
+            for name in ("N", "rho", "epsilon", "Q", "R", "T", "S"):
+                if not np.array_equal(getattr(self.params, name), getattr(self.built_with, name)):
+                    raise ValueError(f"params.{name} differs from the value the data was built with")
 
     @property
     def n_x(self) -> int:
@@ -366,40 +376,31 @@ def _banded_from_block_columns(columns: np.ndarray, horizon: int) -> SymBandedMa
     return SymBandedMatrix(n=m_z, half_bandwidth=bw, bands=bands)
 
 
-def _gamma_tilde_banded(
-    model: LtiModel,
-    params: MpctParams,
-    d_x: np.ndarray,
-    d_u: np.ndarray,
-    d_xs: np.ndarray,
-    d_us: np.ndarray,
-) -> SymBandedMatrix:
-    """Banded core of the dual-space matrix, from its four distinct block columns.
+def _gamma_tilde_banded(g: PredictionSparseMatrix, g_st: np.ndarray, g_s: np.ndarray) -> SymBandedMatrix:
+    """Banded core ``G Lambda G'`` of the dual-space matrix, from its four distinct block columns.
 
-    The product of the dynamics pattern with the inverted block-diagonal
-    core is block tridiagonal; the blocks follow directly from which
-    decision blocks each pair of constraint rows shares. Rows ``i`` and
-    ``i+1`` share ``z_i``, read as ``E z_i`` and ``-C z_i``, for every
-    ``i < N``, so all but the last sub-diagonal block are ``-A D_x``, and
-    block columns ``1 .. N-1`` are one shared column. With ``n_x``-wide
-    blocks the half-bandwidth is at most ``2 n_x - 1``; see
+    ``g_st`` and ``g_s`` are the symmetric ``Gamma_st^-1`` and
+    ``Gamma_s^-1``. Row block ``i`` of ``-G z`` is ``[z_{i-1}, z_i]
+    g.window``, so with ``top, bot`` the halves of ``g.window``, row block
+    ``i`` of the core has the diagonal block ``top' Lambda_{i-1} top + bot'
+    Lambda_i bot`` and the sub-diagonal one ``top' Lambda_i bot``, with no
+    ``z_{-1}`` for the pin and ``z_s`` through ``top + bot`` for the
+    equilibrium row; block columns ``1 .. N-1`` are one shared column. See
     :func:`_banded_from_block_columns` for the placement and the trim.
     """
-    nx = model.n_x
-    a, b = model.A, model.B
-
-    ada = a @ d_x @ a.T
-    bdb = b @ d_u @ b.T
-    # the equilibrium row reads (I - A) x_s - B u_s
-    eye_a = np.eye(nx) - a
+    w, nx = g.window.shape[0] // 2, g.n_x
+    top, bot = g.window[:w], g.window[w:]
+    both = top + bot
+    st_bot, s_bot = g_st @ bot, g_s @ bot
+    top_st_top, bot_st_bot = top.T @ g_st @ top, bot.T @ st_bot
     columns = np.zeros((4, 2 * nx, nx))
-    columns[0, :nx] = d_x
-    columns[1, :nx] = ada + bdb + d_x
-    columns[2, :nx] = ada + bdb + d_xs
-    columns[3, :nx] = eye_a @ d_xs @ eye_a.T + b @ d_us @ b.T
-    columns[:2, nx:] = -(a @ d_x)
-    columns[2, nx:] = eye_a @ d_xs
-    return _banded_from_block_columns(columns, params.N)
+    columns[0, :nx] = bot_st_bot
+    columns[1, :nx] = top_st_top + bot_st_bot
+    columns[2, :nx] = top_st_top + bot.T @ s_bot
+    columns[3, :nx] = both.T @ g_s @ both
+    columns[:2, nx:] = top.T @ st_bot
+    columns[2, nx:] = both.T @ s_bot
+    return _banded_from_block_columns(columns, g.horizon)
 
 
 def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> PrecomputedData:
@@ -425,13 +426,8 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     g_st, g_s, m = _split_primal(p_system.gamma_stage, p_system.gamma_ref, p_system.coupling, n)
 
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
-
-    # both core blocks are block diagonal in (x, u), and so are their inverses
-    gamma_tilde = _gamma_tilde_banded(
-        model, params, g_st[:nx, :nx], g_st[nx:, nx:], g_s[:nx, :nx], g_s[nx:, nx:]
-    )
     try:
-        gamma_tilde_factor = banded_cholesky_factor(gamma_tilde)
+        gamma_tilde_factor = banded_cholesky_factor(_gamma_tilde_banded(g, g_st, g_s))
     except NotPositiveDefinite as exc:
         raise RankDeficientG(
             f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
@@ -447,28 +443,42 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     s_rows = s.T.reshape(4, nx, 2 * w)
     np.negative(np.repeat(s_rows, (1, n - 1, 1, 1), axis=0), out=u_tilde.reshape(n + 2, nx, 2 * w))
     sums_block = np.empty((4 * w, 4 * nx + 2 * w))
-    v_blocks = sums_block[: 2 * w, : 4 * nx]
-    np.matmul(m, s, out=v_blocks)
-    np.multiply(m, rho, out=sums_block[: 2 * w, 4 * nx :])
+    upper = sums_block[: 2 * w]
+    np.matmul(m, s, out=upper[:, : 4 * nx])
+    np.multiply(m, rho, out=upper[:, 4 * nx :])
     gamma_inv_u = gamma_tilde_factor.solve(u_tilde)
-    dual_w = _fold_core(gamma_inv_u, np.eye(2 * w) + v_blocks @ stage_sums(gamma_inv_u, n))
+    dual_w = _fold_core(gamma_inv_u, np.eye(2 * w) + upper[:, : 4 * nx] @ stage_sums(gamma_inv_u, n))
+
+    # The upper half, on the stage sums (t, Y' p / rho) with t those of z1,
+    # gives the Woodbury step's r = V z1 + M Y' p (see _solve_kkt). The
+    # second primal solve z = -P^-1 (G' mu + p) is z_i = [mu_i, mu_{i+1}]
+    # gt_window - Gamma_st^-1 p_i + c[:w] and z_s = c[w:], with c = h Y' (G'
+    # mu + p) and h = M - blkdiag(0, Gamma_s^-1): stage i of G' mu is mu_i E
+    # - mu_{i+1} C, so gt_window = [-E ; C] Gamma_st^-1. Y' G' mu = S (mu_0,
+    # mu_1 + .. + mu_{N-1}, mu_N, mu_{N+1}) reads the stage sums of mu = z1 -
+    # W r, t - T(W) r with T(W) those of W's rows, so c is the lower half h
+    # ([S, rho I] - S T(W) [M S, rho M]) on the same stage sums
     h = m.copy()
     h[w:, w:] -= g_s
-    gt_window = gt_fold_blocks(s, g_st, h, rho, dual_w, n, sums_block)
+    right = -(s @ (stage_sums(dual_w, n) @ upper))
+    right[:, : 4 * nx] += s
+    right[:, 4 * nx :] += rho * np.eye(2 * w)
+    np.dot(h, right, out=sums_block[2 * w :])
+    gt_window = np.vstack([g.window[w:].T, g.window[:w].T]) @ g_st
 
     # the chain's p-side blocks carry rho, since it reads p / rho. Rows N and
     # N+1 of -G Lambda p are [Gamma_st^-1 p_{N-1}, Gamma_s^-1 p_s] g.window
     # and [Gamma_s^-1 p_s, Gamma_s^-1 p_s] g.window
     stage_inv = rho * g_st
     ends = np.zeros((2 * w, 2 * nx))
-    ends[:w, :nx] = g.window[:w]
-    ends[w:, :nx] = g.window[w:]
+    ends[:, :nx] = g.window
     np.add(g.window[:w], g.window[w:], out=ends[w:, nx:])
     end_window = _block_diag(stage_inv, rho * g_s) @ ends
 
     return PrecomputedData(
         model=model,
         params=params,
+        built_with=params,
         g=g,
         v_lo=v_lo,
         v_hi=v_hi,

@@ -18,10 +18,11 @@ to the artificial reference through one repeated block
 (:class:`StageCoupledSystem`), and one with the dual-space matrix around its
 banded core. With ``Lambda = blkdiag(Gamma_st^-1, ..., Gamma_s^-1)`` and the
 stage-sum pattern ``Y = [[1_N (x) I_w, 0], [0, I_w]]``, the primal inverse
-is ``P^-1 = Lambda - Y M Y'`` for one 2w-by-2w ``M``, so the dual matrix is
-``W~ = Gamma~ - (G Y) M (G Y)'`` with the banded core ``Gamma~ = G Lambda
-G'``. Its ``V = M (G Y)'`` repeats one column block across the stage
-couplings, so a product with it reads four stage sums (:func:`stage_sums`).
+is ``P^-1 = Lambda - Y M Y'`` for one 2w-by-2w ``M`` in closed form (see
+:func:`_split_primal`), so the dual matrix is ``W~ = Gamma~ - (G Y) M (G
+Y)'`` with the banded core ``Gamma~ = G Lambda G'``. Its ``V = M (G Y)'``
+repeats one column block across the stage couplings, so a product with it
+reads four stage sums (:func:`stage_sums`).
 
 :func:`solve_kkt_system` spreads only ``Lambda`` over the stages. The first
 primal solve's low-rank term rides on the dual solve's Woodbury step,
@@ -102,7 +103,8 @@ def stage_sums(x: np.ndarray, horizon: int) -> np.ndarray:
 
     ``x`` is ``((N+2) n_x,)`` or ``((N+2) n_x, k)`` in row blocks of ``n_x``,
     and the result ``(4 n_x,)`` or ``(4 n_x, k)``: ``V x`` is ``V``'s four
-    distinct column blocks (see :func:`gt_fold_blocks`) times the sums.
+    distinct column blocks ``M S`` times the sums, with ``S`` the stage-sum
+    block of :meth:`~mpct_admm.banded_linalg.PredictionSparseMatrix.stage_sum_block`.
     """
     tail = x.shape[1:]
     offsets = np.array([0, 1, horizon, horizon + 1])
@@ -159,11 +161,13 @@ class StageCoupledSystem:
         P[i, i] = Gamma_st,   P[i, s] = P[s, i] = -D,   P[s, s] = Gamma_s
 
     Its inverse is ``P^-1 = Lambda - Y M Y'`` (see the module docstring),
-    whose factors :func:`_split_primal` computes; the KKT chain reads them
-    folded into the blocks of :class:`~mpct_admm.mpct_problem.PrecomputedData`,
-    which does not keep this matrix but forms it from its parameters on
-    request. Every array is w-by-w, whatever the horizon. Immutable and
-    safe to share across threads.
+    whose factors :func:`_split_primal` computes from the Schur complement
+    ``Gamma_s - N D Gamma_st^-1 D`` on the reference block. The KKT chain
+    reads them folded into the blocks of
+    :class:`~mpct_admm.mpct_problem.PrecomputedData`, which does not keep
+    this matrix but forms it from its parameters on request. Every array is
+    w-by-w, whatever the horizon. Immutable and safe to share across
+    threads.
     """
 
     horizon: int
@@ -186,29 +190,27 @@ def _split_primal(
     """The factors of ``P^-1 = Lambda - Y M Y'`` for the blocks of a :class:`StageCoupledSystem`.
 
     ``coupling`` is ``D``, the block each stage shares with the reference
-    (with a minus sign); the three blocks are float arrays. Returns
-    ``Gamma_st^-1``, ``Gamma_s^-1`` and the 2w-by-2w ``M`` (see the module
-    docstring). Raises :class:`NotPositiveDefinite` when a core block is not
-    SPD and :class:`SingularSmallSystem` when the core ``I + V Gamma^-1 U =
-    I + [[0, Gamma_s^-1], [N D Gamma_st^-1 D, 0]]`` is singular.
+    (with a minus sign); the three blocks are float arrays. ``P`` is SPD, so
+    is the Schur complement on its reference block, ``Sc = Gamma_s - N D
+    Gamma_st^-1 D``, and block elimination gives, with ``K = Gamma_st^-1 D``
+    and ``K^ = [K ; I]``,
+
+        P^-1 = blkdiag(I_N (x) Gamma_st^-1, 0) - Y h Y',   h = -K^ Sc^-1 K^'
+
+    so ``M = h + blkdiag(0, Gamma_s^-1)`` (see the module docstring).
+    Returns ``Gamma_st^-1``, ``Gamma_s^-1`` and the 2w-by-2w ``M``. Raises
+    :class:`NotPositiveDefinite` naming the block that is not SPD: a core
+    block, or the Schur complement when ``P`` itself is not.
     """
     w = coupling.shape[0]
     g_st = _spd_inverse(gamma_stage, "stage core block")
     g_s = _spd_inverse(gamma_ref, "reference core block")
-    # distinct row blocks of Gamma^-1 U: stages (-Gamma_st^-1 D, 0), reference (0, Gamma_s^-1)
-    gamma_inv_u = np.zeros((2 * w, 2 * w))
-    gamma_inv_u[:w, :w] = -g_st @ coupling
-    gamma_inv_u[w:, w:] = g_s
-    core = np.eye(2 * w)
-    core[:w, w:] += g_s
-    core[w:, :w] += horizon * coupling @ g_st @ coupling
-    w_rows = _fold_core(gamma_inv_u, core)
-    # V Gamma^-1 d = (Gamma_s^-1 d_s, -D Gamma_st^-1 sum_i d_i), read off
-    # (sum_i d_i, d_s), so W V Gamma^-1 = Y M Y'
-    v_gamma_inv = np.zeros((2 * w, 2 * w))
-    v_gamma_inv[:w, w:] = g_s
-    v_gamma_inv[w:, :w] = -coupling @ g_st
-    return g_st, g_s, w_rows @ v_gamma_inv
+    k = g_st @ coupling
+    sc_inv = _spd_inverse(gamma_ref - horizon * (coupling @ k), "reference Schur complement")
+    k_hat = np.vstack([k, np.eye(w)])
+    m = -(k_hat @ sc_inv @ k_hat.T)
+    m[w:, w:] += g_s
+    return g_st, g_s, m
 
 
 def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
@@ -218,47 +220,6 @@ def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"expected right-hand side of length {sys.n}")
     z1 = sys.gamma.solve(d)
     return z1 - sys.w @ (sys.v @ z1)
-
-
-def gt_fold_blocks(
-    s: np.ndarray, g_st: np.ndarray, h: np.ndarray, rho: float, dual_w: np.ndarray, horizon: int, sums_block: np.ndarray
-) -> np.ndarray:
-    """Fold ``G'`` into the KKT chain's second primal solve: fill ``sums_block``'s
-    lower half, and return the ``G'`` window.
-
-    ``s`` is the stage-sum block ``S = (G Y)'`` (see
-    :meth:`~mpct_admm.banded_linalg.PredictionSparseMatrix.stage_sum_block`),
-    ``g_st`` is ``Gamma_st^-1``, ``h = M - blkdiag(0, Gamma_s^-1)``,
-    ``dual_w`` the dual Woodbury factor ``W`` at horizon ``horizon`` and
-    ``sums_block`` the 4w-by-(4n_x+2w) stacked block whose upper half
-    already holds ``[M S, rho M]``: applied to the stage sums ``(t, Y' p /
-    rho)``, with ``t`` the four stage sums of ``z1``, that half gives the
-    Woodbury step's ``V z1 + M Y' p`` (see :func:`_solve_kkt`).
-
-    With ``E = [I 0]`` and ``C = [A B]`` (``n_x``-by-``w``), stage ``i`` of
-    ``G' mu`` is ``mu_i E - mu_{i+1} C`` for every ``i``. The returned
-    ``window`` (2n_x-by-w) is ``[-E ; C] Gamma_st^-1``, so ``[mu_i,
-    mu_{i+1}] window`` is the stage block of ``-Gamma_st^-1 G' mu``.
-
-    The second solve ``z = -P^-1 (G' mu + p)``, with ``P^-1 = Lambda - Y M
-    Y'``, is ``z_i = [mu_i, mu_{i+1}] window - Gamma_st^-1 p_i + c[:w]`` and
-    ``z_s = c[w:]`` with ``c = h Y' (G' mu + p)``. ``Y' G' mu = S (mu_0,
-    mu_1 + .. + mu_{N-1}, mu_N, mu_{N+1})`` reads the four stage sums of
-    ``mu = z1 - W r``, which are ``t - T(W) r``, with ``T(W)`` the stage
-    sums of ``W``'s rows and ``r`` the upper half's product. So ``c`` is
-    the lower half, ``h ([S, rho I] - S T(W) [M S, rho M])``, applied to
-    the same stage sums. Neither block depends on the horizon.
-    """
-    nx, w = s.shape[1] // 4, s.shape[0] // 2
-    # the stage rows of S's pin and handoff column blocks are E' and -C'
-    e_c = np.empty((2 * nx, w))
-    np.negative(s[:w, :nx].T, out=e_c[:nx])
-    np.negative(s[:w, 2 * nx : 3 * nx].T, out=e_c[nx:])
-    right = -(s @ (stage_sums(dual_w, horizon) @ sums_block[: 2 * w]))
-    right[:, : 4 * nx] += s
-    right[:, 4 * nx :] += rho * np.eye(2 * w)
-    np.dot(h, right, out=sums_block[2 * w :])
-    return e_c @ g_st
 
 
 @dataclass
@@ -400,9 +361,9 @@ def _solve_kkt(work: KktWorkspace, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
         mu = z1 - W (V z1 + M Y' p),   z1 = Gamma~^-1 (-G Lambda p - b)
 
     and only the block-diagonal ``Lambda`` is spread over the stages. One
-    product with the stacked block of ``gt_fold_blocks`` on the stage sums
-    of ``z1`` and ``p`` gives the Woodbury step's ``r`` and the second
-    solve's correction ``c``; see there for ``z``.
+    product with the stacked ``sums_block`` on the stage sums of ``z1`` and
+    ``p`` gives the Woodbury step's ``r`` and the second solve's correction
+    ``c``; :func:`~mpct_admm.mpct_problem.build_problem` derives ``z``.
     """
     data = work.data
     # -G Lambda p in mu's buffer. Rows 0 .. N-1 of -G z are [z_{i-1}, z_i]

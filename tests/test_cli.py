@@ -351,6 +351,15 @@ class TestCheck:
         assert code == EXIT_OK
         assert "converged" in out and "FAIL" not in out
 
+    def test_check_passes_at_a_large_penalty(self, tmp_path, capsys):
+        # the dual exit gap |v+ - v| carries no rho: at rho = 30 a dual
+        # tolerance of 1e-6 stopped the run 3e-4 from the dense solution
+        problem = problem_copy(tmp_path, lambda obj: obj["params"].update(rho=30.0))
+        code = main(["check", problem, "--samples", "3"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "eps_primal 1.0e-06, eps_dual 3.3e-08" in out and "FAIL" not in out
+
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_samples_below_one_exit_three(self, integrator_problem, samples, capsys):
         assert main(["check", integrator_problem, "--samples", samples]) == EXIT_INVALID_INPUT

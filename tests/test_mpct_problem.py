@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from mpct_admm import (
     DimensionMismatch,
@@ -13,18 +14,21 @@ from mpct_admm import (
     MpctParams,
     NonFiniteInput,
     NotPositiveDefinite,
+    PredictionSparseMatrix,
     RankDeficientG,
     assemble_online,
     build_problem,
+    load_problem,
     load_scenario,
     problem_from_dict,
     problem_to_dict,
     tightened_bounds,
 )
+from mpct_admm.mpct_problem import _gamma_tilde_banded
 from mpct_admm.oracle import dense_bounds, dense_dynamics, dense_hessian
 from mpct_admm.semiband_solver import stage_sums
 
-from conftest import random_instance
+from conftest import random_controllable_model, random_instance, random_spd
 
 from test_banded_linalg import stage_sum_pattern
 from test_semiband_solver import reachable_arrays
@@ -103,6 +107,40 @@ class TestBuildProblem:
             w_struct = l_dense @ l_dense.T + u_dense @ v_dense
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())
 
+    @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (2, 1, 3), (3, 2, 5)])
+    def test_dual_core_from_full_inverses(self, n_x, n_u, horizon):
+        # Gamma_st^-1 and Gamma_s^-1 need not be block diagonal in (x, u)
+        rng = np.random.default_rng(10 * n_x + n_u)
+        model = random_controllable_model(rng, n_x, n_u)
+        g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=horizon)
+        g_st, g_s = random_spd(rng, n_x + n_u), random_spd(rng, n_x + n_u)
+        g_dense = g.to_dense()
+        expected = g_dense @ block_diag(*[g_st] * horizon, g_s) @ g_dense.T
+        got = _gamma_tilde_banded(g, g_st, g_s).to_dense()
+        assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("N", 40), ("rho", 3.0), ("epsilon", 1e-3), ("Q", 2.0), ("R", 2.0), ("T", 2.0), ("S", 2.0)],
+    )
+    def test_replacing_a_built_parameter_is_rejected(self, name, value):
+        # the factors hold these: a replaced rho solved to a wrong answer
+        # that still read converged, and a replaced N failed inside numpy
+        data = build_problem(*load_problem(resources.files("mpct_admm") / "models" / "ball_plate_like.json"))
+        old = getattr(data.params, name)
+        new = value * old if name in ("rho", "Q", "R", "T", "S") else value
+        with pytest.raises(ValueError, match=f"params.{name} "):
+            dataclasses.replace(data, params=dataclasses.replace(data.params, **{name: new}))
+
+    def test_replacing_loop_settings_keeps_the_factors(self):
+        data = build_problem(*load_problem(resources.files("mpct_admm") / "models" / "ball_plate_like.json"))
+        for params in (
+            dataclasses.replace(data.params, eps_primal=1e-6, eps_dual=1e-7, max_iter=17),
+            dataclasses.replace(data.params),
+        ):
+            replaced = dataclasses.replace(data, params=params)
+            assert replaced.params is params and replaced.built_with is data.params
+
     def test_rank_deficient_dynamics(self):
         # A = I with B = 0 kills the equilibrium rows of the dynamics matrix
         model = LtiModel(A=[[1.0]], B=[[0.0]], x_lo=[-1.0], x_hi=[1.0], u_lo=[-1.0], u_hi=[1.0])
@@ -123,15 +161,16 @@ class TestBuildProblem:
         assert sum(buffers.values()) <= limit
 
     def test_data_keeps_only_what_the_chain_reads(self):
-        # the twelve fields, and no buffer beyond theirs: no second copy of
+        # the thirteen fields, and no buffer beyond theirs: no second copy of
         # the primal blocks, no view kept beside the block it views and no
-        # view into a larger buffer
+        # view into a larger buffer. built_with is params itself
         sc = load_scenario(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json")
         data = build_problem(sc.model, sc.params)
         assert [f.name for f in dataclasses.fields(data)] == [
-            "model", "params", "g", "v_lo", "v_hi", "dual_factor", "dual_w",
+            "model", "params", "built_with", "g", "v_lo", "v_hi", "dual_factor", "dual_w",
             "stage_inv", "end_window", "sums_block", "gt_window", "scaling",
         ]
+        assert data.built_with is data.params
         model, params = data.model, data.params
         expected = [
             model.A, model.B, model.x_lo, model.x_hi, model.u_lo, model.u_hi,

@@ -340,13 +340,17 @@ class TestStageCoupledSystem:
         np.testing.assert_array_equal(system.to_dense(), expected)
 
     def test_singular_core(self):
-        # Gamma_s = N D Gamma_st^-1 D makes I + V Gamma^-1 U singular
-        with pytest.raises(SingularSmallSystem):
+        # Gamma_s = N D Gamma_st^-1 D leaves a zero Schur complement
+        with pytest.raises(NotPositiveDefinite, match="reference Schur complement") as exc:
             _split_primal(np.array([[1.0]]), np.array([[2.0]]), np.array([[1.0]]), 2)
+        assert exc.value.index == 0
+        # Gamma_s = N D Gamma_st^-1 D + v v' leaves v v', singular from its
+        # second row; every entry is exact in floating point
         d = np.array([[1.0, 0.5], [0.5, 2.0]])
-        g_st = np.array([[3.0, 1.0], [1.0, 2.0]])
-        with pytest.raises(SingularSmallSystem):
-            _split_primal(g_st, 4 * d @ np.linalg.solve(g_st, d), d, 4)
+        v = np.array([[1.0], [2.0]])
+        with pytest.raises(NotPositiveDefinite, match="reference Schur complement") as exc:
+            _split_primal(4.0 * np.eye(2), d @ d + v @ v.T, d, 4)
+        assert exc.value.index == 1
 
     def test_non_spd_block(self):
         with pytest.raises(NotPositiveDefinite) as exc:
