@@ -34,6 +34,7 @@ from .mpct_problem import (
     _matrix,
     _parse,
     _positive_finite,
+    _real,
     _section,
     _whole_number,
     build_problem,
@@ -144,7 +145,8 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
 
     A missing or wrongly-typed field, or an unknown key at the top level, in
     ``initial_state`` or in a reference, raises a ValueError naming it, such
-    as ``missing references[0].u_r``.
+    as ``missing references[0].u_r``. Numeric fields take JSON numbers only,
+    not booleans or strings such as ``"5"``.
     """
     if not isinstance(obj, dict) or obj.get("format") != SCENARIO_FORMAT:
         raise ValueError(f'scenario file must declare "format": "{SCENARIO_FORMAT}"')
@@ -161,16 +163,9 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
     initial_state = _section(obj, "initial_state")
     _known_keys(initial_state, "initial_state.", ("intervals",))
     intervals = _parse("initial_state.intervals", _matrix, initial_state, "intervals")
-    return Scenario(
-        model=model,
-        params=params,
-        references=references,
-        x0_intervals=intervals,
-        trials=obj.get("trials", 1),
-        steps=obj.get("steps", 0),
-        seed=obj.get("seed", 0),
-        sample_time=obj.get("sample_time", 1.0),
-    )
+    defaults = {"trials": 1, "steps": 0, "seed": 0, "sample_time": 1.0}
+    settings = {key: _parse(key, _real, obj, key) if key in obj else value for key, value in defaults.items()}
+    return Scenario(model=model, params=params, references=references, x0_intervals=intervals, **settings)
 
 
 def load_scenario(path) -> Scenario:

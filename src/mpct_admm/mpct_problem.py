@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpbtrs, dpotrf, dtbtrs
 
 from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, SymBandedMatrix, banded_cholesky_factor
 from .errors import (
@@ -436,18 +436,30 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # P^-1 = Lambda - Y M Y' makes the dual matrix Gamma~ - (G Y) M (G Y)',
     # so U~ = -G Y and V~ = M S with S = (G Y)'. Row block i of U~ is minus
     # column block i of S, transposed, one block repeated over the stage
-    # couplings; U~ is written column-major, the order dpbtrs reads it in.
+    # couplings; U~ is written column-major, the order LAPACK reads it in,
+    # through the row-major view of its transpose, one row per column.
     # V~ is applied as M S, the left of the stacked block's upper half [M S, rho M]
     s = g.stage_sum_block()
     u_tilde = np.empty((m_z, 2 * w), order="F")
-    s_rows = s.T.reshape(4, nx, 2 * w)
-    np.negative(np.repeat(s_rows, (1, n - 1, 1, 1), axis=0), out=u_tilde.reshape(n + 2, nx, 2 * w))
+    u_cols, s_cols = u_tilde.T.reshape(2 * w, n + 2, nx), -s.reshape(2 * w, 4, nx)
+    u_cols[:, 0] = s_cols[:, 0]
+    u_cols[:, 1:n] = s_cols[:, 1:2]
+    u_cols[:, n:] = s_cols[:, 2:]
     sums_block = np.empty((4 * w, 4 * nx + 2 * w))
     upper = sums_block[: 2 * w]
     np.matmul(m, s, out=upper[:, : 4 * nx])
     np.multiply(m, rho, out=upper[:, 4 * nx :])
-    gamma_inv_u = gamma_tilde_factor.solve(u_tilde)
-    dual_w = _fold_core(gamma_inv_u, np.eye(2 * w) + upper[:, : 4 * nx] @ stage_sums(gamma_inv_u, n))
+    # Gamma~^-1 U~ in place of U~ (info is nonzero only for an illegal
+    # argument, which the shapes rule out). The reference columns, the last
+    # w, are zero above the last two row blocks, so the forward sweep L y =
+    # U~ leaves those rows zero and runs on the trailing 2 n_x rows alone,
+    # through the factor's trailing columns; the backward sweep L' x = y
+    # then runs over every row
+    bands, tail = gamma_tilde_factor.bands, m_z - 2 * nx
+    dpbtrs(bands, u_tilde[:, :w], lower=0, overwrite_b=1)
+    u_tilde[tail:, w:] = dtbtrs(bands[:, tail:], u_tilde[tail:, w:], trans="T")[0]
+    dtbtrs(bands, u_tilde[:, w:], overwrite_b=1)
+    dual_w = _fold_core(u_tilde, np.eye(2 * w) + upper[:, : 4 * nx] @ stage_sums(u_tilde, n))
 
     # The upper half, on the stage sums (t, Y' p / rho) with t those of z1,
     # gives the Woodbury step's r = V z1 + M Y' p (see _solve_kkt). The
@@ -521,13 +533,20 @@ _INF_TOKENS = {"inf": np.inf, "+inf": np.inf, "-inf": -np.inf}
 _SETTINGS = ("epsilon", "rho", "eps_primal", "eps_dual", "max_iter")
 
 
+def _real(value) -> float:
+    """A JSON number as a float: a boolean or a string is not one, whatever it spells."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__} {value!r}")
+    return float(value)
+
+
 def _bound_entry(value) -> float:
     if isinstance(value, str):
         token = value.strip().lower()
         if token in _INF_TOKENS:
             return _INF_TOKENS[token]
         raise ValueError(f"unrecognized bound token {value!r}")
-    return float(value)
+    return _real(value)
 
 
 def _encode_bound(value: float):
@@ -544,7 +563,7 @@ def _parse(where: str, convert, obj, key: str):
         raise ValueError(f"missing {where}")
     try:
         return convert(obj[key])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{where}: {exc}") from None
 
 
@@ -564,8 +583,13 @@ def _section(obj, key: str) -> dict:
     return value
 
 
+def _reals(value):
+    """``value``, a number or nested lists of them, with every number checked by :func:`_real`."""
+    return [_reals(v) for v in value] if isinstance(value, list) else _real(value)
+
+
 def _matrix(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    return np.asarray(_reals(value), dtype=float)
 
 
 def _bounds(values) -> list[float]:
@@ -577,7 +601,10 @@ def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams]:
 
     A missing field, one of the wrong type or an unknown key, at the top
     level or in ``model`` or ``params``, raises a ValueError that names it,
-    such as ``missing model.A`` or ``unknown key params.max_iters``.
+    such as ``missing model.A`` or ``unknown key params.max_iters``. Numeric
+    fields take JSON numbers only, not booleans or strings such as ``"12"``;
+    a bound entry may also be one of the tokens ``"inf"``, ``"+inf"`` and
+    ``"-inf"``.
     """
     if not isinstance(obj, dict) or obj.get("format") != PROBLEM_FORMAT:
         raise ValueError(f'problem file must declare "format": "{PROBLEM_FORMAT}"')
@@ -595,7 +622,7 @@ def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams]:
         u_hi=_parse("model.u_hi", _bounds, mdl, "u_hi"),
     )
     scalars = {
-        key: _parse(f"params.{key}", float, prm, key)
+        key: _parse(f"params.{key}", _real, prm, key)
         for key in _SETTINGS
         if key in prm
     }
@@ -604,7 +631,7 @@ def problem_from_dict(obj: dict) -> tuple[LtiModel, MpctParams]:
         R=_parse("params.R", _matrix, prm, "R"),
         T=_parse("params.T", _matrix, prm, "T"),
         S=_parse("params.S", _matrix, prm, "S"),
-        N=_parse("params.N", float, prm, "N"),
+        N=_parse("params.N", _real, prm, "N"),
         **scalars,
     )
     return model, params

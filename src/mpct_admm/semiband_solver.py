@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.blas import dgemv, dtrsm
-from scipy.linalg.lapack import dgetrf, dpbtrs, dpotrf, dpotrs
+from scipy.linalg.blas import dgemm, dgemv
+from scipy.linalg.lapack import dgetrf, dgetri, dpbtrs, dpotrf, dpotrs
 
 from .banded_linalg import BandedCholeskyFactor
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
@@ -63,12 +63,10 @@ __all__ = [
 def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
     """``gamma_inv_u core^-1`` for the m-by-m Woodbury core ``I + V Gamma^-1 U``, column-major.
 
-    With ``core = P L U`` from ``dgetrf``, two right-side ``dtrsm`` take
-    ``U^-1`` and ``L^-1`` off a column-major ``gamma_inv_u`` in place (the
-    output of a banded solve), and one gather of its columns applies
-    ``P' = P^-1``. Raises :class:`SingularSmallSystem` when the core is
-    singular, which by the determinant identity means the full system
-    matrix is singular. A column-major ``gamma_inv_u`` is overwritten.
+    ``core`` is inverted from its LU factors (``dgetrf``, then ``dgetri``)
+    and applied by one ``dgemm``, which writes a new column-major array.
+    Raises :class:`SingularSmallSystem` when the core is singular, which by
+    the determinant identity means the full system matrix is singular.
     """
     m = core.shape[0]
     # an exactly zero pivot only sets info, which the pivot test below covers
@@ -76,16 +74,8 @@ def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
     u_diag = np.abs(np.diag(lu))
     if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
         raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
-    x = dtrsm(1.0, lu, gamma_inv_u, side=1, lower=0, overwrite_b=1)
-    x = dtrsm(1.0, lu, x, side=1, lower=1, diag=1, overwrite_b=1)
-    # P = P_0 P_1 ... with P_i swapping i and piv[i], so P^-1 swaps the
-    # columns from the last pivot back
-    cols = np.arange(m)
-    for i in range(m - 1, -1, -1):
-        j = piv[i]
-        cols[i], cols[j] = cols[j], cols[i]
-    # a row gather on the row-major transpose keeps the result column-major
-    return x.T[cols].T
+    core_inv = dgetri(lu, piv, overwrite_lu=1)[0]
+    return dgemm(1.0, gamma_inv_u, core_inv)
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag, cho_factor, cho_solve, cho_solve_banded, lu_factor
-from scipy.linalg.blas import dtrsm
+from scipy.linalg import block_diag, cho_factor, cho_solve, cho_solve_banded
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dgetrf, dgetri
 
 from mpct_admm import (
     DimensionMismatch,
@@ -305,17 +306,13 @@ class TestLapackCallsMatchScipy:
 
     @pytest.mark.parametrize("w, n", [(1, 4), (2, 9), (10, 33)])
     def test_fold_core_equals_lu_solve(self, w, n):
-        # X core^-1 = X U^-1 L^-1 P' for core = P L U: scipy's LU factor, two
-        # right-side triangular solves, then P' as the pivot swaps applied to
-        # the columns from the last pivot back
+        # X core^-1 for core = P L U: scipy's LU factor, the inverse from it,
+        # then one product, on the same column-major X
         rng = np.random.default_rng(w + n)
         core = rng.standard_normal((2 * w, 2 * w)) + 2 * w * np.eye(2 * w)
-        u = rng.standard_normal((n, 2 * w))
-        lu, piv = lu_factor(core)
-        expected = dtrsm(1.0, lu, u, side=1, lower=0)
-        expected = dtrsm(1.0, lu, expected, side=1, lower=1, diag=1)
-        for i in reversed(range(2 * w)):
-            expected[:, [i, piv[i]]] = expected[:, [piv[i], i]]
+        u = np.asfortranarray(rng.standard_normal((n, 2 * w)))
+        lu, piv, _ = dgetrf(core)
+        expected = dgemm(1.0, u, dgetri(lu, piv)[0])
         got = _fold_core(u, core)
         assert got.flags["F_CONTIGUOUS"]
         np.testing.assert_array_equal(got, expected)

@@ -168,6 +168,12 @@ class TestSolve:
         assert main(["solve", str(path), "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
         assert key in capsys.readouterr().err
 
+    def test_boolean_penalty_exits_three(self, tmp_path, capsys):
+        # "rho": true would otherwise solve at rho = 1
+        path = problem_copy(tmp_path, lambda obj: obj["params"].update({"rho": True}))
+        assert main(["solve", path, "--x0", "0.5,0", "--xr", "2,0"]) == EXIT_INVALID_INPUT
+        assert "params.rho" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["rho", "eps_primal", "eps_dual"])
     def test_infinite_setting_in_problem_file_exits_three(self, tmp_path, capsys, key):
         # accepted, an infinite tolerance would report "converged" after one iteration

@@ -167,6 +167,23 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match=r"unknown key references\[0\]\.u_ref"):
             scenario_from_dict(obj, base_dir=path.parent)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("trials", "5"), ("seed", True), ("sample_time", "0.5"), ("steps", False), ("initial_state", [[True, 1]])],
+    )
+    def test_booleans_and_numeric_strings_rejected(self, key, value):
+        # a JSON boolean or a string that spells a number is not a number,
+        # although Python's float() would take either
+        path = Path(str(models_dir() / "scenario_double_integrator.json"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        if key == "initial_state":
+            obj[key]["intervals"][0] = value[0]
+            key = "initial_state.intervals"
+        else:
+            obj[key] = value
+        with pytest.raises(ValueError, match=rf"^{key}: expected a number, got"):
+            scenario_from_dict(obj, base_dir=path.parent)
+
     @pytest.mark.parametrize("key", ["label", "x_r", "u_r"])
     def test_missing_reference_field_named(self, key):
         path = Path(str(models_dir() / "scenario_double_integrator.json"))

@@ -361,6 +361,32 @@ class TestJsonFormat:
         back, _ = problem_from_dict(obj)
         assert back.x_hi[0] == np.inf
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("params", "rho", True),
+            ("params", "N", "12"),
+            ("params", "max_iter", "4000"),
+            ("params", "Q", [["1"]]),
+            ("model", "x_lo", [True]),
+            ("model", "A", [[True]]),
+        ],
+    )
+    def test_booleans_and_numeric_strings_rejected(self, integrator_model, integrator_params, section, key, value):
+        # float() takes True and "12"; the file format does not
+        obj = problem_to_dict(integrator_model, integrator_params)
+        obj[section][key] = value
+        with pytest.raises(ValueError, match=rf"^{section}\.{key}: expected a number, got"):
+            problem_from_dict(obj)
+
+    def test_bound_tokens_still_accepted(self, integrator_model, integrator_params):
+        obj = problem_to_dict(integrator_model, integrator_params)
+        obj["model"]["x_lo"] = [" -INF "]
+        obj["model"]["x_hi"] = ["+inf"]
+        obj["model"]["u_hi"] = [5]
+        model, _ = problem_from_dict(obj)
+        assert (model.x_lo[0], model.x_hi[0], model.u_hi[0]) == (-np.inf, np.inf, 5.0)
+
     def test_missing_format_key_rejected(self):
         with pytest.raises(ValueError):
             problem_from_dict({"model": {}, "params": {}})

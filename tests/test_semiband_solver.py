@@ -231,17 +231,30 @@ class TestDualSystemStructure:
             ("mass_spring.json", 2),
             *((name, None) for name in BUNDLED_MODELS),
             *((name, 240) for name in BUNDLED_MODELS),
+            *((n_x, horizon) for n_x in (1, 4) for horizon in (2, 30)),
         ],
     )
     def test_dual_inverse_maps_u_to_w(self, name, horizon):
         # W~^-1 U~ = W, with W~ = G P^-1 G' and U~ = -G Y formed densely: the
         # push-through identity that lets the KKT chain carry the first
         # primal solve's low-rank term on the Woodbury step. Ball-plate
-        # cannot reach an equilibrium in 2 steps, so it builds at N >= 3 only
-        model, params = load_problem(resources.files("mpct_admm") / "models" / name)
-        if horizon is not None:
-            params = replace(params, N=horizon)
+        # cannot reach an equilibrium in 2 steps, so it builds at N >= 3 only.
+        # An integer name is the state dimension of a random model with a
+        # dense A and two inputs (with one, four states cannot settle in 2
+        # steps), whose dual core has the widest band, 2 n_x - 1: the build
+        # sweeps the reference columns forward over the last 2 n_x rows
+        # only, and at this width they begin inside the band
+        if isinstance(name, int):
+            rng = np.random.default_rng(name)
+            model = random_controllable_model(rng, name, 2)
+            params = random_params(rng, model.n_x, model.n_u, horizon)
+        else:
+            model, params = load_problem(resources.files("mpct_admm") / "models" / name)
+            if horizon is not None:
+                params = replace(params, N=horizon)
         data = build_problem(model, params)
+        if isinstance(name, int):
+            assert data.dual_factor.half_bandwidth == 2 * name - 1
         n, w = params.N, data.n_x + data.n_u
         g = dense_dynamics(model, n)
         p = dense_hessian(params) + params.rho * np.eye(data.n_z)
