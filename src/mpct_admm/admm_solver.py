@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .mpct_problem import PrecomputedData, _finite_vector, assemble_online
-from .semiband_solver import KktWorkspace, _solve_kkt
+from .semiband_solver import KktWorkspace
 
 __all__ = [
     "SolveStatus",
@@ -108,7 +108,7 @@ def admm_solve(
         lam = _finite_vector(warm.lam, data.n_z, "warm state lam")
 
     work = KktWorkspace.for_problem(data)
-    b, v_lo, v_hi = qp.b, qp.v_lo, qp.v_hi
+    solve, b, v_lo, v_hi = work.solve, qp.b, qp.v_lo, qp.v_hi
     # per-solve buffers. The chain reads p / rho from work.p, which is u - v
     # + q / rho. The state (u, v) and the next one are stacked (2, n_z)
     # rows and swap roles every iteration, so one subtract writes both gaps,
@@ -128,14 +128,14 @@ def admm_solve(
         state[2][...] = v
         start = time.perf_counter()
         for k in range(1, params.max_iter + 1):
-            # the operation order of p = (u - v) + q / rho, _solve_kkt,
+            # the operation order of p = (u - v) + q / rho, work.solve,
             # v+ = clip(z + u, v_lo, v_hi) and u+ = (z + u) - v+, so
             # iterates match them bit for bit; the operands were checked above
             s, u, v = state
             s_next, u_next, v_next = nxt
             np.subtract(u, v, out=p)
             p += q
-            z, _ = _solve_kkt(work, b)
+            z, _ = solve(b)
             np.add(z, u, out=u_next)
             np.minimum(u_next, v_hi, out=v_next)
             np.maximum(v_next, v_lo, out=v_next)

@@ -27,7 +27,7 @@ from .harness import (
     simulate_closed_loop,
     write_trials_csv,
 )
-from .mpct_problem import _finite_vector, build_problem, load_problem
+from .mpct_problem import _finite_vector, _known_keys, _matrix, _parse, build_problem, load_problem
 from .oracle import certify_kkt, dense_instance, dense_kkt_solve, dense_qp_solve
 from .semiband_solver import solve_kkt_system
 
@@ -42,10 +42,7 @@ def _float_list(text: str) -> np.ndarray:
 
 
 def _warm_vector(obj: dict, key: str, path: str, n: int) -> np.ndarray:
-    try:
-        value = np.asarray(obj[key], dtype=float)
-    except (KeyError, TypeError, ValueError):
-        raise ValueError(f"{path}: warm state needs a numeric {key!r} array") from None
+    value = _parse(f"{path}: warm state {key!r}", _matrix, obj, key)
     return _finite_vector(value, n, f"{path}: warm state {key}")
 
 
@@ -60,6 +57,7 @@ def cmd_solve(args) -> int:
             obj = json.load(fh)
         if not isinstance(obj, dict) or obj.get("format") != STATE_FORMAT:
             raise ValueError(f"{args.warm}: not an {STATE_FORMAT} warm state with v and lam")
+        _known_keys(obj, f"in {args.warm}: ", ("format", "z", "v", "lam"))
         v, lam = (_warm_vector(obj, key, args.warm, data.n_z) for key in ("v", "lam"))
         # a warm start reads v and lam only, so a saved z is ignored
         warm = AdmmState(z=v, v=v, lam=lam)

@@ -125,6 +125,13 @@ class Scenario:
         object.__setattr__(self, "x0_intervals", iv)
 
 
+def _label(value) -> str:
+    """A JSON string as a label: ``null``, a number or a list is not one."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {type(value).__name__} {value!r}")
+    return value
+
+
 def _references(entries) -> tuple[Reference, ...]:
     refs = []
     for i, entry in enumerate(entries):
@@ -133,7 +140,7 @@ def _references(entries) -> tuple[Reference, ...]:
             raise ValueError(f"{where} must be a JSON object, got {type(entry).__name__}")
         _known_keys(entry, f"{where}.", ("label", "x_r", "u_r"))
         refs.append(Reference(
-            label=_parse(f"{where}.label", str, entry, "label"),
+            label=_parse(f"{where}.label", _label, entry, "label"),
             x_r=_parse(f"{where}.x_r", _matrix, entry, "x_r"),
             u_r=_parse(f"{where}.u_r", _matrix, entry, "u_r"),
         ))
@@ -146,7 +153,7 @@ def scenario_from_dict(obj: dict, base_dir: Path | None = None) -> Scenario:
     A missing or wrongly-typed field, or an unknown key at the top level, in
     ``initial_state`` or in a reference, raises a ValueError naming it, such
     as ``missing references[0].u_r``. Numeric fields take JSON numbers only,
-    not booleans or strings such as ``"5"``.
+    not booleans or strings such as ``"5"``, and a label a JSON string only.
     """
     if not isinstance(obj, dict) or obj.get("format") != SCENARIO_FORMAT:
         raise ValueError(f'scenario file must declare "format": "{SCENARIO_FORMAT}"')

@@ -462,7 +462,7 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     dual_w = _fold_core(u_tilde, np.eye(2 * w) + upper[:, : 4 * nx] @ stage_sums(u_tilde, n))
 
     # The upper half, on the stage sums (t, Y' p / rho) with t those of z1,
-    # gives the Woodbury step's r = V z1 + M Y' p (see _solve_kkt). The
+    # gives the Woodbury step's r = V z1 + M Y' p (see KktWorkspace). The
     # second primal solve z = -P^-1 (G' mu + p) is z_i = [mu_i, mu_{i+1}]
     # gt_window - Gamma_st^-1 p_i + c[:w] and z_s = c[w:], with c = h Y' (G'
     # mu + p) and h = M - blkdiag(0, Gamma_s^-1): stage i of G' mu is mu_i E

@@ -28,7 +28,7 @@ reads four stage sums (:func:`stage_sums`).
 primal solve's low-rank term rides on the dual solve's Woodbury step,
 because ``W~^-1 U~ = W`` with ``U~ = -G Y``, and the second primal solve's
 reads the four stage sums the dual solve already takes; one product with a
-stacked 4w-row block serves both (see :func:`_solve_kkt`). Every
+stacked 4w-row block serves both (see :class:`KktWorkspace`). Every
 constraint row block ``i = 0 .. N+1`` of ``G`` reads ``E z_i - C z_{i-1}``,
 so the ``G`` product reads the windows ``(Gamma_st^-1 p_{i-1}, Gamma_st^-1
 p_i)`` of the first solve's block-diagonal part, and the ``G'`` product
@@ -37,6 +37,7 @@ the windows ``(mu_i, mu_{i+1})`` of the multipliers.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -214,134 +215,15 @@ def solve_semibanded(sys: SemiBandedSystem, d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class KktWorkspace:
-    """Buffers and stage views for the KKT chain of one problem.
+    """The KKT chain of one problem, bound to its buffers.
 
-    ``p`` receives the chain's linear term divided by the penalty ``rho``;
-    ``p_stages`` and ``p_tail`` are its N stage blocks and its contiguous
-    last two blocks ``(p_{N-1}, p_s)``. ``pad_stages`` are the N stage
-    blocks of a buffer that starts with one zero block, and row ``i`` of
-    ``pad_window`` is its window ``(pad_{i-1}, pad_i)`` for ``i = 0 ..
-    N-1``, with ``pad_{-1} = 0``; row ``i`` of ``mu_window`` is ``(mu_i,
-    mu_{i+1})`` for ``i = 0 .. N-1``. The two windows are read-only
-    ``as_strided`` views with strides of ``(w, 1)`` and ``(n_x, 1)`` items
-    over their contiguous buffers, so consecutive rows share a block.
-    ``mu_head`` and ``mu_tail`` are ``mu``'s first N blocks and its last
-    two. ``sums`` is one contiguous buffer: ``mu_sums`` receives the four
-    stage sums of the banded solve's output (see :func:`stage_sums`) at the
-    ``mu_offsets`` ``(0, 1, N, N+1)``, and ``p_sums`` the two sums ``(sum_i
-    p_i, p_s)`` at the ``p_offsets`` ``(0, N)``; the two offset lists are
-    slices of one index array. ``k`` receives the stacked block's product,
-    whose parts ``r``, ``c_stage`` and ``c_ref`` the Woodbury step and the
-    second primal solve read. ``z`` and ``mu`` receive the chain's results;
-    the dual right-hand side and the banded solve's output pass through
-    ``mu`` on the way. All of these are views, not copies, and the next
-    call with the same workspace overwrites them.
-
-    The chain reads its factors from ``data``, so a workspace serves only
-    the ``data`` it was made for.
-    """
-
-    data: "PrecomputedData"
-    p: np.ndarray
-    p_blocks: np.ndarray
-    p_stages: np.ndarray
-    p_tail: np.ndarray
-    p_offsets: np.ndarray
-    mu_offsets: np.ndarray
-    pad_stages: np.ndarray
-    pad_window: np.ndarray
-    mu: np.ndarray
-    mu_blocks: np.ndarray
-    mu_head: np.ndarray
-    mu_tail: np.ndarray
-    mu_window: np.ndarray
-    sums: np.ndarray
-    mu_sums: np.ndarray
-    p_sums: np.ndarray
-    k: np.ndarray
-    r: np.ndarray
-    c_stage: np.ndarray
-    c_ref: np.ndarray
-    z: np.ndarray
-    z_stages: np.ndarray
-    z_ref: np.ndarray
-
-    @classmethod
-    def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
-        n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
-        p, mu, z = np.empty(data.n_z), np.empty(data.m_z), np.empty(data.n_z)
-        padded = np.zeros((n + 1) * w)
-        # sums and k share one allocation
-        sums_k = np.empty(4 * nx + 6 * w)
-        sums, k = sums_k[: 4 * nx + 2 * w], sums_k[4 * nx + 2 * w :]
-        p_blocks, mu_blocks = p.reshape(n + 1, w), mu.reshape(n + 2, nx)
-        # one index array for both: reduceat converts a list on every call
-        offsets = np.array([0, n, 0, 1, n, n + 1])
-        item = padded.itemsize
-        return cls(
-            data=data,
-            p=p,
-            p_blocks=p_blocks,
-            p_stages=p_blocks[:n],
-            p_tail=p[(n - 1) * w :],
-            p_offsets=offsets[:2],
-            mu_offsets=offsets[2:],
-            pad_stages=padded[w:].reshape(n, w),
-            pad_window=as_strided(padded, (n, 2 * w), (w * item, item), writeable=False),
-            mu=mu,
-            mu_blocks=mu_blocks,
-            mu_head=mu_blocks[:n],
-            mu_tail=mu[n * nx :],
-            mu_window=as_strided(mu, (n, 2 * nx), (nx * item, item), writeable=False),
-            sums=sums,
-            mu_sums=sums[: 4 * nx].reshape(4, nx),
-            p_sums=sums[4 * nx :].reshape(2, w),
-            k=k,
-            r=k[: 2 * w],
-            c_stage=k[2 * w : 3 * w],
-            c_ref=k[3 * w :],
-            z=z,
-            z_stages=z[: n * w].reshape(n, w),
-            z_ref=z[n * w :],
-        )
-
-
-def solve_kkt_system(
-    data: "PrecomputedData",
-    p: np.ndarray,
-    b: np.ndarray,
-    work: KktWorkspace | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the equality-constrained QP optimality system for given (p, b).
-
-    Returns ``(z, mu)`` with ``G z = b`` and ``P z + G^T mu + p = 0``: the
-    dual-space solve for the multipliers, with the first primal-space solve
-    carried on its low-rank step, and the second primal-space solve fused
-    with the ``G'`` product before it (see :func:`_solve_kkt`). The
-    multipliers are returned for residual diagnostics even though the outer
-    iteration discards them. With ``work`` given, ``z`` and ``mu`` are its
-    buffers. ``G`` is ``data.g.to_dense()``, whose dynamics rows read ``x_i -
-    A x_{i-1} - B u_{i-1}``; ``p`` and ``b`` are only read. The arguments
-    are checked here, once; the ADMM loop runs the same chain on its own
-    checked buffers.
-    """
-    p = np.asarray(p, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if p.shape != (data.n_z,):
-        raise DimensionMismatch(f"p must have length {data.n_z}")
-    if b.shape != (data.m_z,):
-        raise DimensionMismatch(f"b must have length {data.m_z}")
-    if work is None:
-        work = KktWorkspace.for_problem(data)
-    elif work.data is not data:
-        raise DimensionMismatch("work was made for another problem")
-    # the chain's p-side factors carry rho, so it reads p / rho
-    np.divide(p, data.params.rho, out=work.p)
-    return _solve_kkt(work, b)
-
-
-def _solve_kkt(work: KktWorkspace, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The chain of :func:`solve_kkt_system`, without its checks, on ``work.p = p / rho``.
+    :meth:`for_problem` binds ``data``'s factor arrays once and returns the
+    unchecked chain as ``solve(b)``, which reads ``p / rho`` from the buffer
+    ``p`` and returns ``(z, mu)`` in the buffers ``z`` and ``mu``, through
+    which the dual right-hand side and the banded solve's output pass on the
+    way; the next call overwrites them, and ``b`` is only read. The chain
+    copies no factor, so a workspace serves only the ``data`` it was made
+    for.
 
     With ``P^-1 = Lambda - Y M Y'``, the first primal solve's low-rank term
     is ``G Y M Y' p = -U~ M Y' p``, and ``W~^-1 U~ = Gamma~^-1 U~ (I + V
@@ -355,32 +237,108 @@ def _solve_kkt(work: KktWorkspace, b: np.ndarray) -> tuple[np.ndarray, np.ndarra
     ``p`` gives the Woodbury step's ``r`` and the second solve's correction
     ``c``; :func:`~mpct_admm.mpct_problem.build_problem` derives ``z``.
     """
-    data = work.data
-    # -G Lambda p in mu's buffer. Rows 0 .. N-1 of -G z are [z_{i-1}, z_i]
-    # g.window, on the zero-padded stages Gamma_st^-1 p_i (the inverse is
-    # symmetric, so row i of p_i @ Gamma_st^-1 is Gamma_st^-1 p_i); rows N
-    # and N+1 read only (p_{N-1}, p_s), through the end window. dot rather
-    # than @ here and below: on operands this small the call overhead is
-    # most of the cost, and dot's is smaller
-    np.dot(work.p_stages, data.stage_inv, out=work.pad_stages)
-    np.matmul(work.pad_window, data.g.window, out=work.mu_head)
-    np.dot(work.p_tail, data.end_window, out=work.mu_tail)
-    mu = work.mu
-    mu -= b
-    # z1 overwrites the right-hand side in the banded solve (info is nonzero
-    # only for an illegal argument, which the shapes fixed at build time rule
-    # out); the stage sums of z1 and p go into one buffer, one product gives
-    # r and c, and one dgemv takes W r off z1 in place
-    dpbtrs(data.dual_factor.bands, mu, lower=0, overwrite_b=1)
-    np.add.reduceat(work.mu_blocks, work.mu_offsets, axis=0, out=work.mu_sums)
-    np.add.reduceat(work.p_blocks, work.p_offsets, axis=0, out=work.p_sums)
-    np.dot(data.sums_block, work.sums, out=work.k)
-    dgemv(-1.0, data.dual_w, work.r, 1.0, mu, overwrite_y=1)
-    # z = -P^-1 (G' mu + p) stage by stage: z_i = [mu_i, mu_{i+1}] gt_window
-    # - Gamma_st^-1 p_i + c[:w] and z_s = c[w:]
-    z_stages = work.z_stages
-    np.matmul(work.mu_window, data.gt_window, out=z_stages)
-    z_stages -= work.pad_stages
-    z_stages += work.c_stage
-    work.z_ref[...] = work.c_ref
-    return work.z, mu
+
+    data: "PrecomputedData"
+    p: np.ndarray
+    z: np.ndarray
+    mu: np.ndarray
+    solve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    @classmethod
+    def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
+        # Buffers and views of them, no copies. pad_stages are the N stage
+        # blocks of a buffer that starts with one zero block; row i of
+        # pad_window is (pad_{i-1}, pad_i) and row i of mu_window is (mu_i,
+        # mu_{i+1}), read-only as_strided views whose consecutive rows share
+        # a block. sums receives the four stage sums of the banded solve's
+        # output (see stage_sums) and the two sums (sum_i p_i, p_s); k, in
+        # the same allocation, the stacked block's product, whose parts r,
+        # c_stage and c_ref the Woodbury step and the second primal solve
+        # read.
+        n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
+        p, mu, z = np.empty(data.n_z), np.empty(data.m_z), np.empty(data.n_z)
+        padded = np.zeros((n + 1) * w)
+        sums_k = np.empty(4 * nx + 6 * w)
+        sums, k = sums_k[: 4 * nx + 2 * w], sums_k[4 * nx + 2 * w :]
+        p_blocks, mu_blocks = p.reshape(n + 1, w), mu.reshape(n + 2, nx)
+        # one index array for both: reduceat converts a list on every call
+        offsets = np.array([0, n, 0, 1, n, n + 1])
+        p_offsets, mu_offsets = offsets[:2], offsets[2:]
+        item = padded.itemsize
+        p_stages, p_tail = p_blocks[:n], p[(n - 1) * w :]
+        pad_stages = padded[w:].reshape(n, w)
+        pad_window = as_strided(padded, (n, 2 * w), (w * item, item), writeable=False)
+        mu_head, mu_tail = mu_blocks[:n], mu[n * nx :]
+        mu_window = as_strided(mu, (n, 2 * nx), (nx * item, item), writeable=False)
+        mu_sums, p_sums = sums[: 4 * nx].reshape(4, nx), sums[4 * nx :].reshape(2, w)
+        r, c_stage, c_ref = k[: 2 * w], k[2 * w : 3 * w], k[3 * w :]
+        z_stages, z_ref = z[: n * w].reshape(n, w), z[n * w :]
+        stage_inv, g_window, end_window = data.stage_inv, data.g.window, data.end_window
+        bands, sums_block, dual_w, gt_window = data.dual_factor.bands, data.sums_block, data.dual_w, data.gt_window
+
+        def solve(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # -G Lambda p in mu's buffer. Rows 0 .. N-1 of -G z are [z_{i-1},
+            # z_i] g_window, on the zero-padded stages Gamma_st^-1 p_i (the
+            # inverse is symmetric, so row i of p_i @ Gamma_st^-1 is
+            # Gamma_st^-1 p_i); rows N and N+1 read only (p_{N-1}, p_s),
+            # through the end window. dot rather than @ here and below: on
+            # operands this small the call overhead is most of the cost, and
+            # dot's is smaller. The in-place updates are ufunc calls with
+            # out=, since an augmented assignment would rebind the name
+            np.dot(p_stages, stage_inv, out=pad_stages)
+            np.matmul(pad_window, g_window, out=mu_head)
+            np.dot(p_tail, end_window, out=mu_tail)
+            np.subtract(mu, b, out=mu)
+            # z1 overwrites the right-hand side in the banded solve (info is
+            # nonzero only for an illegal argument, which the shapes fixed at
+            # build time rule out); the stage sums of z1 and p go into one
+            # buffer, one product gives r and c, and one dgemv takes W r off
+            # z1 in place
+            dpbtrs(bands, mu, lower=0, overwrite_b=1)
+            np.add.reduceat(mu_blocks, mu_offsets, axis=0, out=mu_sums)
+            np.add.reduceat(p_blocks, p_offsets, axis=0, out=p_sums)
+            np.dot(sums_block, sums, out=k)
+            dgemv(-1.0, dual_w, r, 1.0, mu, overwrite_y=1)
+            # z = -P^-1 (G' mu + p) stage by stage: z_i = [mu_i, mu_{i+1}]
+            # gt_window - Gamma_st^-1 p_i + c[:w] and z_s = c[w:]
+            np.matmul(mu_window, gt_window, out=z_stages)
+            np.subtract(z_stages, pad_stages, out=z_stages)
+            np.add(z_stages, c_stage, out=z_stages)
+            z_ref[...] = c_ref
+            return z, mu
+
+        return cls(data=data, p=p, z=z, mu=mu, solve=solve)
+
+
+def solve_kkt_system(
+    data: "PrecomputedData",
+    p: np.ndarray,
+    b: np.ndarray,
+    work: KktWorkspace | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the equality-constrained QP optimality system for given (p, b).
+
+    Returns ``(z, mu)`` with ``G z = b`` and ``P z + G^T mu + p = 0``: the
+    dual-space solve for the multipliers, with the first primal-space solve
+    carried on its low-rank step, and the second primal-space solve fused
+    with the ``G'`` product before it (see :class:`KktWorkspace`). The
+    multipliers are returned for residual diagnostics even though the outer
+    iteration discards them. With ``work`` given, ``z`` and ``mu`` are its
+    buffers. ``G`` is ``data.g.to_dense()``, whose dynamics rows read ``x_i -
+    A x_{i-1} - B u_{i-1}``; ``p`` and ``b`` are only read. The arguments
+    are checked here, once, and ``work.solve`` runs the chain; the ADMM loop
+    calls ``work.solve`` directly on its own checked buffers.
+    """
+    p = np.asarray(p, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if p.shape != (data.n_z,):
+        raise DimensionMismatch(f"p must have length {data.n_z}")
+    if b.shape != (data.m_z,):
+        raise DimensionMismatch(f"b must have length {data.m_z}")
+    if work is None:
+        work = KktWorkspace.for_problem(data)
+    elif work.data is not data:
+        raise DimensionMismatch("work was made for another problem")
+    # the chain's p-side factors carry rho, so it reads p / rho
+    np.divide(p, data.params.rho, out=work.p)
+    return work.solve(b)

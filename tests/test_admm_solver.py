@@ -22,7 +22,6 @@ from mpct_admm import (
     solve_kkt_system,
 )
 from mpct_admm.oracle import dense_instance, dense_qp_solve
-from mpct_admm.semiband_solver import _solve_kkt
 
 from conftest import random_controllable_model, random_params, with_params
 
@@ -103,7 +102,7 @@ class TestAdmmSolve:
         for k in (120, 80):
             for _ in range(k):
                 work.p[...] = (u - v) + q
-                z, _ = _solve_kkt(work, qp.b)
+                z, _ = work.solve(qp.b)
                 t = z + u
                 v_next = np.clip(t, qp.v_lo, qp.v_hi)
                 u = t - v_next

@@ -112,6 +112,32 @@ class TestSolve:
         err = capsys.readouterr().err
         assert str(warm) in err and repr(key) in err
 
+    @pytest.mark.parametrize("key, entry", [("v", "0.34"), ("lam", True)], ids=["string-v", "boolean-lam"])
+    def test_warm_state_non_number_entry_exits_three(self, integrator_problem, tmp_path, capsys, key, entry):
+        # a string that spells a number and a JSON boolean are not numbers,
+        # as in the problem and scenario files
+        warm = tmp_path / "warm.json"
+        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"]
+        assert main(solve + ["--save-state", str(warm)]) == EXIT_OK
+        state = json.loads(warm.read_text())
+        state[key][0] = entry
+        warm.write_text(json.dumps(state))
+        capsys.readouterr()
+        assert main(solve + ["--warm", str(warm)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert str(warm) in err and repr(key) in err and "expected a number" in err
+
+    def test_warm_state_unknown_key_exits_three(self, integrator_problem, tmp_path, capsys):
+        warm = tmp_path / "warm.json"
+        solve = ["solve", integrator_problem, "--x0", "0.5,0", "--xr", "2,0"]
+        assert main(solve + ["--save-state", str(warm)]) == EXIT_OK
+        state = json.loads(warm.read_text())
+        warm.write_text(json.dumps({**state, "lambda": state["lam"]}))
+        capsys.readouterr()
+        assert main(solve + ["--warm", str(warm)]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert str(warm) in err and "unknown key" in err and "lambda" in err
+
     @pytest.mark.parametrize("key", ["v", "lam"])
     def test_warm_state_wrong_length_exits_three(self, integrator_problem, tmp_path, capsys, key):
         # double_integrator.json has n_z = 33
@@ -259,6 +285,14 @@ class TestSimulate:
         path.write_text(json.dumps(obj))
         assert main(["simulate", str(path), "-o", str(tmp_path / "t.csv")]) == EXIT_INVALID_INPUT
         assert message in capsys.readouterr().err
+
+    def test_null_reference_label_exits_three(self, small_scenario, tmp_path, capsys):
+        obj = json.loads(Path(small_scenario).read_text(encoding="utf-8"))
+        obj["references"][0]["label"] = None
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps(obj))
+        assert main(["simulate", str(path), "-o", str(tmp_path / "t.csv")]) == EXIT_INVALID_INPUT
+        assert "references[0].label" in capsys.readouterr().err
 
     def test_unknown_reference_label(self, small_scenario, tmp_path):
         out = tmp_path / "traj.csv"

@@ -167,6 +167,15 @@ class TestScenarioLoading:
         with pytest.raises(ValueError, match=r"unknown key references\[0\]\.u_ref"):
             scenario_from_dict(obj, base_dir=path.parent)
 
+    @pytest.mark.parametrize("label", [None, [1], 3])
+    def test_non_string_label_rejected(self, label):
+        # str() would turn null into the label 'None' and [1] into '[1]'
+        path = Path(str(models_dir() / "scenario_double_integrator.json"))
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj["references"][0]["label"] = label
+        with pytest.raises(ValueError, match=r"^references\[0\]\.label: expected a string, got"):
+            scenario_from_dict(obj, base_dir=path.parent)
+
     @pytest.mark.parametrize(
         "key, value",
         [("trials", "5"), ("seed", True), ("sample_time", "0.5"), ("steps", False), ("initial_state", [[True, 1]])],

@@ -443,20 +443,32 @@ class TestSolveKkt:
             solve_kkt_system(data, np.zeros(data.n_z), np.zeros(data.m_z), work=KktWorkspace.for_problem(other))
 
     def test_workspace_holds_no_factor(self):
-        # the chain reads the factors from data: apart from data itself, the
-        # workspace holds only its own buffers and views, none of which
-        # shares memory with an array of data
+        # the chain binds data's factor arrays and its own buffers: every
+        # array of the workspace, and every array its solve closes over,
+        # either is one of data's arrays or shares no memory with any of
+        # them, so no factor is copied and no buffer aliases a factor
         data = bundled_data("double_integrator.json")
-        work = KktWorkspace.for_problem(data)
         arrays = list(arrays_in(data))
         assert any(a is data.dual_factor.bands for a in arrays)
-        for f in fields(work):
-            value = getattr(work, f.name)
-            if f.name == "data":
-                assert value is data
-                continue
-            assert isinstance(value, np.ndarray), f.name
-            assert not any(np.shares_memory(value, a) for a in arrays), f.name
+
+        def split(work):
+            assert [f.name for f in fields(work)] == ["data", "p", "z", "mu", "solve"]
+            assert work.data is data
+            bound = (c.cell_contents for c in work.solve.__closure__)
+            own = [work.p, work.z, work.mu, *(a for a in bound if isinstance(a, np.ndarray))]
+            factors = [a for a in own if any(a is d for d in arrays)]
+            buffers = [a for a in own if not any(a is d for d in arrays)]
+            for a in buffers:
+                assert not any(np.shares_memory(a, d) for d in arrays)
+            return factors, buffers
+
+        factors, buffers = split(KktWorkspace.for_problem(data))
+        wanted = [data.stage_inv, data.g.window, data.end_window, data.dual_factor.bands,
+                  data.sums_block, data.dual_w, data.gt_window]
+        assert all(any(a is f for f in factors) for a in wanted)
+        # two workspaces of one data share no buffer
+        _, other = split(KktWorkspace.for_problem(data))
+        assert not any(np.shares_memory(a, o) for a in buffers for o in other)
 
     def test_results_land_in_the_workspace(self):
         data = bundled_data("double_integrator.json")
