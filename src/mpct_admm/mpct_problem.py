@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpbtrs, dpotrf, dtbtrs
 
 from .banded_linalg import BandedCholeskyFactor, PredictionSparseMatrix, SymBandedMatrix, banded_cholesky_factor
@@ -39,7 +40,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientG,
 )
-from .semiband_solver import StageCoupledSystem, _fold_core, _split_primal, stage_sums
+from .semiband_solver import StageCoupledSystem, _core_inverse, _split_primal, stage_sums
 
 __all__ = [
     "LtiModel",
@@ -255,13 +256,14 @@ class PrecomputedData:
     ``end_window`` (``2(n_x+n_u)`` by ``2n_x``) gives the last two row
     blocks of ``-G Lambda p`` from ``(p_{N-1}, p_s)``. ``sums_block``
     (``4(n_x+n_u)`` by ``4n_x+2(n_x+n_u)``) is the stacked block the chain
-    applies to the stage sums of the banded solve's output and of ``p``:
-    its upper half is ``[V's four distinct column blocks, rho M]``, and its
-    lower half folds the ``G'`` product into the second primal solve;
+    applies to the stage sums of the banded solve's output and of ``p``,
+    one product ``[M ; h - h A core^-1 M] [S, rho I]`` of two small blocks
+    with ``S = (G Y)'``: its upper half gives the Woodbury step's ``r``, and
+    its lower half folds the ``G'`` product into the second primal solve;
     ``gt_window`` (``2n_x`` by ``n_x+n_u``) is that solve's stage window
-    (:func:`build_problem` derives both). None of these blocks grows with
-    ``N``. The primal-space matrix itself is not stored:
-    :attr:`p_system` forms its blocks from ``params`` on each access.
+    (:func:`build_problem` derives both and names ``h``, ``A`` and the
+    core). None of these blocks grows with ``N``. The primal-space matrix
+    itself is not stored: :attr:`p_system` forms it from ``params``.
 
     :func:`build_problem` writes each array in place in its final shape and
     memory order, and none is a view into a larger scratch buffer. The
@@ -437,19 +439,14 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # so U~ = -G Y and V~ = M S with S = (G Y)'. Row block i of U~ is minus
     # column block i of S, transposed, one block repeated over the stage
     # couplings; U~ is written column-major, the order LAPACK reads it in,
-    # through the row-major view of its transpose, one row per column.
-    # V~ is applied as M S, the left of the stacked block's upper half [M S, rho M]
+    # through the row-major view of its transpose, one row per column
     s = g.stage_sum_block()
     u_tilde = np.empty((m_z, 2 * w), order="F")
     u_cols, s_cols = u_tilde.T.reshape(2 * w, n + 2, nx), -s.reshape(2 * w, 4, nx)
     u_cols[:, 0] = s_cols[:, 0]
     u_cols[:, 1:n] = s_cols[:, 1:2]
     u_cols[:, n:] = s_cols[:, 2:]
-    sums_block = np.empty((4 * w, 4 * nx + 2 * w))
-    upper = sums_block[: 2 * w]
-    np.matmul(m, s, out=upper[:, : 4 * nx])
-    np.multiply(m, rho, out=upper[:, 4 * nx :])
-    # Gamma~^-1 U~ in place of U~ (info is nonzero only for an illegal
+    # X = Gamma~^-1 U~ in place of U~ (info is nonzero only for an illegal
     # argument, which the shapes rule out). The reference columns, the last
     # w, are zero above the last two row blocks, so the forward sweep L y =
     # U~ leaves those rows zero and runs on the trailing 2 n_x rows alone,
@@ -459,23 +456,26 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     dpbtrs(bands, u_tilde[:, :w], lower=0, overwrite_b=1)
     u_tilde[tail:, w:] = dtbtrs(bands[:, tail:], u_tilde[tail:, w:], trans="T")[0]
     dtbtrs(bands, u_tilde[:, w:], overwrite_b=1)
-    dual_w = _fold_core(u_tilde, np.eye(2 * w) + upper[:, : 4 * nx] @ stage_sums(u_tilde, n))
+    # V~ X = M A with A = S T(X), T(X) the stage sums of X's rows, so the
+    # Woodbury core is I + M A and W = X core^-1, one dgemm that writes W
+    # column-major
+    a = s @ stage_sums(u_tilde, n)
+    core_inv = _core_inverse(np.eye(2 * w) + m @ a)
+    dual_w = dgemm(1.0, u_tilde, core_inv)
 
-    # The upper half, on the stage sums (t, Y' p / rho) with t those of z1,
-    # gives the Woodbury step's r = V z1 + M Y' p (see KktWorkspace). The
-    # second primal solve z = -P^-1 (G' mu + p) is z_i = [mu_i, mu_{i+1}]
-    # gt_window - Gamma_st^-1 p_i + c[:w] and z_s = c[w:], with c = h Y' (G'
-    # mu + p) and h = M - blkdiag(0, Gamma_s^-1): stage i of G' mu is mu_i E
-    # - mu_{i+1} C, so gt_window = [-E ; C] Gamma_st^-1. Y' G' mu = S (mu_0,
-    # mu_1 + .. + mu_{N-1}, mu_N, mu_{N+1}) reads the stage sums of mu = z1 -
-    # W r, t - T(W) r with T(W) those of W's rows, so c is the lower half h
-    # ([S, rho I] - S T(W) [M S, rho M]) on the same stage sums
+    # The stacked block acts on the stage sums (t, Y' p / rho), t those of
+    # z1. Its upper half M [S, rho I] gives the Woodbury step's r = V z1 + M
+    # Y' p (see KktWorkspace). The second primal solve z = -P^-1 (G' mu + p)
+    # is z_i = [mu_i, mu_{i+1}] gt_window - Gamma_st^-1 p_i + c[:w] and z_s =
+    # c[w:], with c = h Y' (G' mu + p) and h = M - blkdiag(0, Gamma_s^-1):
+    # stage i of G' mu is mu_i E - mu_{i+1} C, so gt_window = [-E ; C]
+    # Gamma_st^-1. Y' G' mu = S (mu_0, mu_1 + .. + mu_{N-1}, mu_N, mu_{N+1})
+    # reads the stage sums of mu = z1 - W r, t - T(X) core^-1 r, so c is h (I
+    # - A core^-1 M) [S, rho I] on the same stage sums, with I - A core^-1 M
+    # = (I + A M)^-1 by the push-through identity
     h = m.copy()
     h[w:, w:] -= g_s
-    right = -(s @ (stage_sums(dual_w, n) @ upper))
-    right[:, : 4 * nx] += s
-    right[:, 4 * nx :] += rho * np.eye(2 * w)
-    np.dot(h, right, out=sums_block[2 * w :])
+    sums_block = np.vstack([m, h - h @ a @ core_inv @ m]) @ np.hstack([s, rho * np.eye(2 * w)])
     gt_window = np.vstack([g.window[w:].T, g.window[:w].T]) @ g_st
 
     # the chain's p-side blocks carry rho, since it reads p / rho. Rows N and

@@ -61,13 +61,12 @@ __all__ = [
 ]
 
 
-def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
-    """``gamma_inv_u core^-1`` for the m-by-m Woodbury core ``I + V Gamma^-1 U``, column-major.
+def _core_inverse(core: np.ndarray) -> np.ndarray:
+    """The inverse of the m-by-m Woodbury core ``I + V Gamma^-1 U``, from its LU factors.
 
-    ``core`` is inverted from its LU factors (``dgetrf``, then ``dgetri``)
-    and applied by one ``dgemm``, which writes a new column-major array.
-    Raises :class:`SingularSmallSystem` when the core is singular, which by
-    the determinant identity means the full system matrix is singular.
+    ``dgetrf``, then ``dgetri``. Raises :class:`SingularSmallSystem` when
+    the core is singular, which by the determinant identity means the full
+    system matrix is singular.
     """
     m = core.shape[0]
     # an exactly zero pivot only sets info, which the pivot test below covers
@@ -75,8 +74,7 @@ def _fold_core(gamma_inv_u: np.ndarray, core: np.ndarray) -> np.ndarray:
     u_diag = np.abs(np.diag(lu))
     if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
         raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
-    core_inv = dgetri(lu, piv, overwrite_lu=1)[0]
-    return dgemm(1.0, gamma_inv_u, core_inv)
+    return dgetri(lu, piv, overwrite_lu=1)[0]
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
@@ -136,7 +134,7 @@ class SemiBandedSystem:
         if u.shape[0] != gamma.n:
             raise DimensionMismatch("low-rank factors do not match the core dimension")
         gamma_inv_u = gamma.solve(u)
-        w = _fold_core(gamma_inv_u, np.eye(u.shape[1]) + v @ gamma_inv_u)
+        w = dgemm(1.0, gamma_inv_u, _core_inverse(np.eye(u.shape[1]) + v @ gamma_inv_u))
         return cls(gamma=gamma, v=v, w=w)
 
 

@@ -20,6 +20,7 @@ from mpct_admm import (
     load_scenario,
     sample_initial_states,
     solve_kkt_system,
+    tightened_bounds,
 )
 from mpct_admm.oracle import dense_instance, dense_qp_solve
 
@@ -78,6 +79,28 @@ class TestAdmmSolve:
         assert np.all(state.v >= data.v_lo - 1e-15)
         assert np.all(state.v <= data.v_hi + 1e-15)
         assert np.all(np.abs(report.control_action) <= 1.0 + 1e-15)
+
+    def test_capped_report_reads_the_projected_reference(self):
+        # stopped before convergence, z and v differ: the unreachable x_r
+        # pulls z's x_s past the box. The reported (x_s, u_s) is the last
+        # block of the projected v, inside the tightened box
+        model, params = small_tracking_instance()
+        data = build_problem(model, replace(params, max_iter=10))
+        report, state = admm_solve(data, [0.5], [5.0], [0.0])
+        assert report.status is SolveStatus.MAX_ITERATIONS
+        w = data.n_x + data.n_u
+        assert not np.array_equal(state.z[-w:], state.v[-w:])
+        x_s, u_s = report.artificial_reference
+        np.testing.assert_array_equal(np.concatenate([x_s, u_s]), state.v[-w:])
+        v_lo, v_hi = tightened_bounds(model, params)
+        assert np.all(v_lo[-w:] <= state.v[-w:]) and np.all(state.v[-w:] <= v_hi[-w:])
+
+    def test_cold_start_lies_in_a_box_without_zero(self):
+        # the state box excludes 0, so the zero iterate must be clipped into it
+        model = LtiModel(A=[[1.0]], B=[[1.0]], x_lo=[0.5], x_hi=[2.0], u_lo=[-1.0], u_hi=[1.0])
+        data = build_problem(model, small_tracking_instance()[1])
+        v = cold_start(data).v
+        assert np.all(data.v_lo <= v) and np.all(v <= data.v_hi)
 
     @pytest.mark.parametrize("reference", [0, 1])
     def test_loop_matches_public_pieces_bitwise(self, reference):

@@ -385,8 +385,10 @@ class TestPlotData:
             sample_time=0.1,
             states=np.arange((steps + 1) * nx, dtype=float).reshape(steps + 1, nx),
             inputs=np.arange(steps * nu, dtype=float).reshape(steps, nu),
-            artificial_x=np.zeros((steps, nx)),
-            artificial_u=np.zeros((steps, nu)),
+            # distinct, non-zero values, so that a column written under
+            # another column's header shows
+            artificial_x=100.0 + np.arange(steps * nx, dtype=float).reshape(steps, nx),
+            artificial_u=200.0 + np.arange(steps * nu, dtype=float).reshape(steps, nu),
             iterations=np.arange(steps),
             statuses=[SolveStatus.CONVERGED] * steps,
             solve_times=np.zeros(steps),
@@ -411,8 +413,13 @@ class TestPlotData:
         buf = io.StringIO()
         emit_plot_data(traj, buf)
         rows = list(csv.DictReader(io.StringIO(buf.getvalue())))
+        assert len(rows) == traj.steps
+        # every value column by its header
+        columns = {"x": traj.states, "u": traj.inputs, "xs": traj.artificial_x, "us": traj.artificial_u}
         for t, row in enumerate(rows):
+            assert int(row["step"]) == t
             assert float(row["time"]) == pytest.approx(t * traj.sample_time)
-            assert float(row["x0"]) == pytest.approx(traj.states[t, 0])
-            assert float(row["u0"]) == pytest.approx(traj.inputs[t, 0])
+            for prefix, values in columns.items():
+                for i, value in enumerate(values[t]):
+                    assert float(row[f"{prefix}{i}"]) == value
             assert int(row["iterations"]) == traj.iterations[t]

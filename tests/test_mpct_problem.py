@@ -26,7 +26,7 @@ from mpct_admm import (
 )
 from mpct_admm.mpct_problem import _gamma_tilde_banded
 from mpct_admm.oracle import dense_bounds, dense_dynamics, dense_hessian
-from mpct_admm.semiband_solver import stage_sums
+from mpct_admm.semiband_solver import _split_primal, stage_sums
 
 from conftest import random_controllable_model, random_instance, random_spd
 
@@ -106,6 +106,34 @@ class TestBuildProblem:
             l_dense = data.dual_factor.to_dense()
             w_struct = l_dense @ l_dense.T + u_dense @ v_dense
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())
+
+    @pytest.mark.parametrize(
+        "name, horizon",
+        [(f, n) for f in ("ball_plate_like.json", "double_integrator.json", "mass_spring.json") for n in (None, 240)]
+        + [(seed, None) for seed in range(6)],
+    )
+    def test_stacked_block_matches_long_form(self, name, horizon):
+        # the build forms the stacked block as [M ; h - h A core^-1 M] [S,
+        # rho I]; its lower half must equal the long form h ([S, rho I] - S
+        # T(W) [M S, rho M]), which takes the stage sums T(W) of W's rows. An
+        # integer name seeds a random model
+        if isinstance(name, int):
+            model, params = random_instance(np.random.default_rng(name))
+        else:
+            model, params = load_problem(resources.files("mpct_admm") / "models" / name)
+            if horizon is not None:
+                params = dataclasses.replace(params, N=horizon)
+        data = build_problem(model, params)
+        p_system, w, rho = data.p_system, data.n_x + data.n_u, params.rho
+        _, g_s, m = _split_primal(p_system.gamma_stage, p_system.gamma_ref, p_system.coupling, params.N)
+        h = m.copy()
+        h[w:, w:] -= g_s
+        s = data.g.stage_sum_block()
+        right = np.hstack([s, rho * np.eye(2 * w)])
+        upper = m @ right
+        lower = h @ (right - s @ stage_sums(data.dual_w, params.N) @ upper)
+        for got, expected in ((data.sums_block[: 2 * w], upper), (data.sums_block[2 * w :], lower)):
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (2, 1, 3), (3, 2, 5)])
     def test_dual_core_from_full_inverses(self, n_x, n_u, horizon):
