@@ -73,18 +73,50 @@ MUTANTS = (
     Mutant(
         name="stacked-block-no-woodbury-term",
         path="src/mpct_admm/mpct_problem.py",
-        old="np.vstack([m, h - h @ a @ core_inv @ m])",
-        new="np.vstack([m, h])",
+        old="    c = h_m - h_m @ (a @ core_inv @ m)\n",
+        new="    c = h_m\n",
         breaks="the second primal solve ignores the multipliers' Woodbury step",
         tests=("tests/test_mpct_problem.py", "tests/test_semiband_solver.py"),
     ),
     Mutant(
         name="stacked-block-m-for-h",
         path="src/mpct_admm/mpct_problem.py",
-        old="np.vstack([m, h - h @ a @ core_inv @ m])",
-        new="np.vstack([m, m - m @ a @ core_inv @ m])",
+        old="    h_m = m.copy()\n    h_m[w:, w:] -= g_s\n",
+        new="    h_m = m.copy()\n",
         breaks="the second primal solve's correction keeps Gamma_s^-1 on the reference block",
         tests=("tests/test_mpct_problem.py", "tests/test_semiband_solver.py"),
+    ),
+    Mutant(
+        name="schur-heads-no-left-term",
+        path="src/mpct_admm/mpct_problem.py",
+        old="        schur[1, :nx] = d1 - from_left - from_right\n",
+        new="        schur[1, :nx] = d1 - from_right\n",
+        breaks="the heads' diagonal block of S drops Ls D1^-1 Ls' from the left odd neighbour",
+        tests=("tests/test_semiband_solver.py",),
+    ),
+    Mutant(
+        name="pair-block-neighbours-swapped",
+        path="src/mpct_admm/mpct_problem.py",
+        old="    pair_block = via_odd[: 3 * nx + 2 * w].copy()\n",
+        new="    pair_block = via_odd[np.r_[nx : 2 * nx, :nx, 2 * nx : 3 * nx + 2 * w]]\n",
+        breaks="z's stage pairs read the odd multiplier's two kept neighbours through each other's terms",
+        tests=("tests/test_semiband_solver.py",),
+    ),
+    Mutant(
+        name="odd-tail-shifted",
+        path="src/mpct_admm/mpct_problem.py",
+        old="        sums_block[:w, 2 * nx : 4 * nx] += gt.T\n",
+        new="        sums_block[:w, 3 * nx : 5 * nx] += gt.T\n",
+        breaks="at odd N, z_{N-1} reads the tail's kept blocks one block further on",
+        tests=("tests/test_semiband_solver.py",),
+    ),
+    Mutant(
+        name="b-per-pair-term-dropped",
+        path="src/mpct_admm/semiband_solver.py",
+        old="            np.dot(odd, pair_b, out=b_pairs)\n",
+        new="            b_pairs[...] = 0.0\n",
+        breaks="z's stage pairs ignore b's odd blocks, which the ADMM loop's b never has",
+        tests=("tests/test_semiband_solver.py",),
     ),
 )
 

@@ -108,7 +108,8 @@ def admm_solve(
         lam = _finite_vector(warm.lam, data.n_z, "warm state lam")
 
     work = KktWorkspace.for_problem(data)
-    solve, b, v_lo, v_hi = work.solve, qp.b, qp.v_lo, qp.v_hi
+    work.bind(qp.b)
+    solve, v_lo, v_hi = work.solve, qp.v_lo, qp.v_hi
     # per-solve buffers. The chain reads p / rho from work.p, which is u - v
     # + q / rho. The state (u, v) and the next one are stacked (2, n_z)
     # rows and swap roles every iteration, so one subtract writes both gaps,
@@ -135,7 +136,7 @@ def admm_solve(
             s_next, u_next, v_next = nxt
             np.subtract(u, v, out=p)
             p += q
-            z, _ = solve(b)
+            z = solve()
             np.add(z, u, out=u_next)
             np.minimum(u_next, v_hi, out=v_next)
             np.maximum(v_next, v_lo, out=v_next)

@@ -148,16 +148,25 @@ def banded_cholesky_factor(m: SymBandedMatrix) -> BandedCholeskyFactor:
     bandwidth equals the input bandwidth.
     """
     bw, n = m.half_bandwidth, m.n
-    lower, info = dpbtrf(m.bands, lower=1)
+    # L is factored in place behind bw zero columns, so that every read of
+    # the layout move below stays inside one buffer
+    padded = np.zeros((bw + 1, bw + n), order="F")
+    lower = padded[:, bw:]
+    lower[...] = m.bands
+    info = dpbtrf(lower, lower=1, overwrite_ab=1)[1]
     # rows before LAPACK's failure row (all rows when it succeeded) are final
     done = info - 1 if info > 0 else n
     low = np.flatnonzero(lower[0, :done] ** 2 < _PIVOT_FLOOR * m.bands[0].max())
     if low.size or info > 0:
         raise NotPositiveDefinite("banded matrix", index=int(low[0]) if low.size else done)
-    # U[j, j + k] = L[j + k, j]
-    upper = np.zeros((bw + 1, n), order="F")
-    for k in range(bw + 1):
-        upper[bw - k, k:] = lower[k, : n - k]
+    # U[j, j + k] = L[j + k, j]: column-major, entry (bw - k, j) of the upper
+    # layout reads entry (k, j - k) of the lower one, bw + (bw - k) bw + j
+    # (bw + 1) items into the padded buffer. So the move is one strided
+    # copy, and the slots with j < k, unused in the upper layout, read the
+    # zero padding
+    item = padded.itemsize
+    upper = np.empty((bw + 1, n), order="F")
+    upper[...] = np.ndarray((bw + 1, n), buffer=padded, offset=bw * item, strides=(bw * item, (bw + 1) * item))
     return BandedCholeskyFactor(n=n, half_bandwidth=bw, bands=upper)
 
 
@@ -215,8 +224,9 @@ class PredictionSparseMatrix:
         decision vector and passes its reference block, so row block ``i``
         of ``G Y`` is ``(E, 0)`` for the pin, ``(E - C, 0)`` for each stage
         coupling, ``(-C, E)`` for the handoff and ``(0, E - C)`` for the
-        equilibrium row. ``S`` holds these four transposed side by side, in
-        the order of :func:`~mpct_admm.semiband_solver.stage_sums`.
+        equilibrium row. ``S`` holds these four transposed side by side, so
+        that ``S`` reads the four stage sums ``(x_0, x_1 + .. + x_{N-1}, x_N,
+        x_{N+1})`` of a dual-space vector ``x``.
         """
         nx, w = self.n_x, self.window.shape[0] // 2
         # window is [C' ; -E']

@@ -10,14 +10,18 @@ Gamma_s^-1)``, a ``2(n_x+n_u)``-square ``M`` and the stage-sum pattern ``Y
 = [[1_N (x) I_w, 0], [0, I_w]]``. So the dual-space matrix is ``W~ = Gamma~
 - (G Y) M (G Y)'``: a banded core ``Gamma~ = G Lambda G'`` plus a completion
 of the same rank, whose factors ``-G Y`` and ``M (G Y)'`` repeat one block
-across the stage couplings. Both are factored here, with their small
-Woodbury cores folded in. Every constraint row block ``i = 0 .. N+1`` of
+across the stage couplings. Every constraint row block ``i = 0 .. N+1`` of
 the dynamics matrix reads ``E z_i - C z_{i-1}`` with ``C = [A B]``, ``E =
-[I 0]``, ``z_{-1} = 0`` and ``z_N = z_{N+1} = (x_s, u_s)``. The small
-blocks through which the KKT chain applies that matrix and its transpose on
-stage windows, and the stacked block that carries both primal solves'
-low-rank terms, are formed here too, so that the online phase is vector
-assembly only.
+[I 0]``, ``z_{-1} = 0`` and ``z_N = z_{N+1} = (x_s, u_s)``, so the core is
+block tridiagonal, and every odd block row ``o = 1, 3, ..`` below ``N`` is
+the same. One level of block odd-even reduction eliminates those odd blocks
+in closed form: the core is factored as its Schur complement on the kept
+blocks, and the completion's Woodbury factor is kept on those rows only,
+with the small Woodbury core folded in. The small blocks through which the
+KKT chain forms the reduced right-hand side from ``p``, the stacked block
+that carries both primal solves' low-rank terms, and the blocks that form
+the decision vector's stage pairs with the odd multipliers substituted,
+are formed here too, so that the online phase is vector assembly only.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dpbtrs, dpotrf, dtbtrs
 
@@ -40,7 +43,7 @@ from .errors import (
     NotPositiveDefinite,
     RankDeficientG,
 )
-from .semiband_solver import StageCoupledSystem, _core_inverse, _split_primal, stage_sums
+from .semiband_solver import StageCoupledSystem, _core_inverse, _split_primal, _spd_inverse
 
 __all__ = [
     "LtiModel",
@@ -243,27 +246,36 @@ class PrecomputedData:
     matrix has the inverse ``P^-1 = Lambda - Y M Y'``, with ``Lambda =
     blkdiag(Gamma_st^-1, ..., Gamma_s^-1)`` and ``Y`` the stage-sum
     pattern, so the dual-space matrix is ``W~ = Gamma~ - (G Y) M (G Y)'``.
-    ``dual_factor`` is the banded Cholesky factor of its core ``Gamma~ = G
-    Lambda G'``, trimmed to the core's nonzero bands, and ``dual_w`` the
-    dense Woodbury factor ``W = Gamma~^-1 U~ (I + V Gamma~^-1 U~)^-1``
-    (``(N+2) n_x`` by ``2(n_x+n_u)``), with ``U~ = -G Y`` and ``V = M (G
-    Y)'``. ``g`` is stored once, by its stage window ``g.window``
-    (``2(n_x+n_u)`` by ``n_x``), the block through which the KKT chain
-    applies ``G``.
+    Its core ``Gamma~ = G Lambda G'`` is block tridiagonal, and one level of
+    odd-even reduction eliminates its ``h = N // 2`` odd blocks ``1, 3, ..,
+    2h-1``; the kept blocks are the ``h`` heads ``0, 2, .., 2h-2`` and the
+    ``t = N+2-2h`` tail blocks ``2h .. N+1``, ``(h + t) n_x`` rows in all.
+    ``dual_factor`` is the banded Cholesky factor of the Schur complement
+    ``S`` of the odd blocks, trimmed to its nonzero bands, and ``dual_w`` the
+    kept rows of the dense Woodbury factor ``W = Gamma~^-1 U~ (I + V
+    Gamma~^-1 U~)^-1`` (``(h + t) n_x`` by ``2(n_x+n_u)``), with ``U~ = -G
+    Y`` and ``V = M (G Y)'``. ``g`` is stored once, by its stage window
+    ``g.window`` (``2(n_x+n_u)`` by ``n_x``).
 
     The KKT chain reads ``p / rho``, so its blocks on ``p``'s side carry
-    ``rho``: ``stage_inv`` is ``rho Gamma_st^-1`` (``n_x+n_u`` square) and
-    ``end_window`` (``2(n_x+n_u)`` by ``2n_x``) gives the last two row
-    blocks of ``-G Lambda p`` from ``(p_{N-1}, p_s)``. ``sums_block``
-    (``4(n_x+n_u)`` by ``4n_x+2(n_x+n_u)``) is the stacked block the chain
-    applies to the stage sums of the banded solve's output and of ``p``,
-    one product ``[M ; h - h A core^-1 M] [S, rho I]`` of two small blocks
-    with ``S = (G Y)'``: its upper half gives the Woodbury step's ``r``, and
-    its lower half folds the ``G'`` product into the second primal solve;
-    ``gt_window`` (``2n_x`` by ``n_x+n_u``) is that solve's stage window
-    (:func:`build_problem` derives both and names ``h``, ``A`` and the
-    core). None of these blocks grows with ``N``. The primal-space matrix
-    itself is not stored: :attr:`p_system` forms it from ``params``.
+    ``rho``. ``head_window`` (``4(n_x+n_u)`` by ``n_x``) and
+    ``tail_window`` (``(t+1)(n_x+n_u)`` by ``t n_x``) give the reduced
+    right-hand side ``-(G Lambda p)_K + Gamma~_KO D1^-1 (G Lambda p)_O`` of
+    a head from the window ``(p_{2j-2}, .., p_{2j+1})`` and of the tail from
+    the last ``t+1`` stages. ``sums_block`` (``(t+3)(n_x+n_u)`` by ``(3+t)
+    n_x + (t+1)(n_x+n_u)``) is the stacked block the chain applies to the
+    kept blocks' sums of the banded solve's output, ``b``'s odd sum and
+    ``p``'s pair sums: it gives ``z``'s tail, the Woodbury step's ``r`` and
+    a constant for every stage pair of ``z``. ``pair_block`` (``3 n_x +
+    2(n_x+n_u)`` by ``2(n_x+n_u)``) forms the stage pairs ``(z_{2j},
+    z_{2j+1})`` from the kept multipliers ``(mu_{2j}, mu_{2j+2})``, from
+    ``(p_{2j}, p_{2j+1})`` and from ``b_{2j+1}``, with the odd multiplier
+    ``mu_{2j+1}`` substituted, and ``odd_block`` (``3 n_x + 4(n_x+n_u)`` by
+    ``n_x``) gives that odd multiplier from ``(mu_{2j}, mu_{2j+2}, p_{2j},
+    p_{2j+1}, b_{2j+1}, r)``, to rebuild it off the loop
+    (:func:`build_problem` derives them all). None of these blocks grows
+    with ``N``. The primal-space matrix itself is not stored:
+    :attr:`p_system` forms it from ``params``.
 
     :func:`build_problem` writes each array in place in its final shape and
     memory order, and none is a view into a larger scratch buffer. The
@@ -288,10 +300,11 @@ class PrecomputedData:
     v_hi: np.ndarray
     dual_factor: BandedCholeskyFactor
     dual_w: np.ndarray
-    stage_inv: np.ndarray
-    end_window: np.ndarray
+    head_window: np.ndarray
+    tail_window: np.ndarray
     sums_block: np.ndarray
-    gt_window: np.ndarray
+    pair_block: np.ndarray
+    odd_block: np.ndarray
     # always None; read only by perfbench/checks.py:38 and sweep.py:98 (ROADMAP item 1)
     scaling: None = None
 
@@ -344,42 +357,48 @@ def _primal_blocks(params: MpctParams) -> StageCoupledSystem:
     )
 
 
-def _banded_from_block_columns(columns: np.ndarray, horizon: int) -> SymBandedMatrix:
+def _banded_from_block_columns(columns: np.ndarray, heads: int) -> SymBandedMatrix:
     """The symmetric block-tridiagonal matrix with these block columns, in band storage.
 
-    ``columns`` is ``(4, 2 n_x, n_x)``: the distinct block columns, each
-    its diagonal block stacked over its sub-diagonal one, for the pin
-    (block column 0), the stage couplings (``1 .. N-1``, one shared block),
-    the handoff (``N``) and the equilibrium row (``N+1``, whose
-    sub-diagonal half lies outside the matrix and must be zero). Only
-    entries on or below each diagonal block's diagonal are read.
+    ``columns`` is ``(2 + t, 2 n_x, n_x)``: the distinct block columns, each
+    its diagonal block stacked over its sub-diagonal one. The first is block
+    column 0, the second is repeated over block columns ``1 .. heads-1``
+    (none when ``heads`` is 1), and the ``t`` tail columns follow one each,
+    so the matrix has ``heads + t`` block rows. The last tail column's
+    sub-diagonal half lies outside the matrix and must be zero. Only entries
+    on or below each diagonal block's diagonal are read.
 
     Column ``j = i n_x + c`` of the lower-band storage holds entries ``(c +
     k, c)`` of block column ``i``, for ``k = 0 .. bw``: a diagonal read of
-    the zero-padded block column, taken for all four at once by one strided
-    view. The bands are written column-major, the order ``dpbtrf`` reads,
-    and those past the last one that is not all zero are dropped; a banded
-    Cholesky factor has no fill outside its input band, so the trim is
-    exact.
+    the zero-padded block column, taken for all of them at once by one
+    strided view. The bands are written column-major, the order ``dpbtrf``
+    reads, and those past the last one that is not all zero are dropped; a
+    banded Cholesky factor has no fill outside its input band, so the trim
+    is exact.
     """
-    _, two_nx, nx = columns.shape
-    m_z = (horizon + 2) * nx
+    kinds, two_nx, nx = columns.shape
+    blocks = heads + kinds - 2
     # rows past 2 n_x are zero, so the diagonal reads below run off no block
-    padded = np.zeros((4, two_nx + nx, nx))
+    padded = np.zeros((kinds, two_nx + nx, nx))
     padded[:, :two_nx] = columns
     s_col, s_row, s_item = padded.strides
-    skew = as_strided(padded, (4, nx, two_nx), (s_col, s_row + s_item, s_row), writeable=False)
-    bw = int(np.flatnonzero(skew.any(axis=(0, 1)))[-1])
-    bands = np.empty((bw + 1, m_z), order="F")
+    skew = np.ndarray((kinds, nx, two_nx), buffer=padded, strides=(s_col, s_row + s_item, s_row))
+    nonzero = skew.any(axis=1)
+    # with one head, the repeated column is placed nowhere
+    nonzero[1] &= heads > 1
+    bw = int(np.flatnonzero(nonzero.any(axis=0))[-1])
+    bands = np.empty((bw + 1, blocks * nx), order="F")
     # row j of bands.T is matrix column j; split it into (block column, c)
-    stages = bands.T.reshape(horizon + 2, nx, bw + 1)
-    for dst, src in zip((0, slice(1, horizon), horizon, horizon + 1), skew[:, :, : bw + 1]):
-        stages[dst] = src
-    return SymBandedMatrix(n=m_z, half_bandwidth=bw, bands=bands)
+    stages = bands.T.reshape(blocks, nx, bw + 1)
+    skew = skew[:, :, : bw + 1]
+    stages[0] = skew[0]
+    stages[1:heads] = skew[1]
+    stages[heads:] = skew[2:]
+    return SymBandedMatrix(n=blocks * nx, half_bandwidth=bw, bands=bands)
 
 
-def _gamma_tilde_banded(g: PredictionSparseMatrix, g_st: np.ndarray, g_s: np.ndarray) -> SymBandedMatrix:
-    """Banded core ``G Lambda G'`` of the dual-space matrix, from its four distinct block columns.
+def _gamma_tilde_columns(g: PredictionSparseMatrix, g_st: np.ndarray, g_s: np.ndarray) -> np.ndarray:
+    """The four distinct block columns of the dual core ``G Lambda G'``, ``(4, 2 n_x, n_x)``.
 
     ``g_st`` and ``g_s`` are the symmetric ``Gamma_st^-1`` and
     ``Gamma_s^-1``. Row block ``i`` of ``-G z`` is ``[z_{i-1}, z_i]
@@ -387,8 +406,10 @@ def _gamma_tilde_banded(g: PredictionSparseMatrix, g_st: np.ndarray, g_s: np.nda
     ``i`` of the core has the diagonal block ``top' Lambda_{i-1} top + bot'
     Lambda_i bot`` and the sub-diagonal one ``top' Lambda_i bot``, with no
     ``z_{-1}`` for the pin and ``z_s`` through ``top + bot`` for the
-    equilibrium row; block columns ``1 .. N-1`` are one shared column. See
-    :func:`_banded_from_block_columns` for the placement and the trim.
+    equilibrium row. The columns are the pin's, the one shared by block
+    columns ``1 .. N-1``, the handoff's and the equilibrium row's, laid out
+    as :func:`_banded_from_block_columns` reads them: the core is
+    ``_banded_from_block_columns(columns, N)``.
     """
     w, nx = g.window.shape[0] // 2, g.n_x
     top, bot = g.window[:w], g.window[w:]
@@ -402,15 +423,16 @@ def _gamma_tilde_banded(g: PredictionSparseMatrix, g_st: np.ndarray, g_s: np.nda
     columns[3, :nx] = both.T @ g_s @ both
     columns[:2, nx:] = top.T @ st_bot
     columns[2, nx:] = both.T @ s_bot
-    return _banded_from_block_columns(columns, g.horizon)
+    return columns
 
 
 def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> PrecomputedData:
     """Offline phase: transcribe and factor everything the iterations reuse.
 
     Raises :class:`NotPositiveDefinite` naming the failing cost matrix or
-    core block, and :class:`RankDeficientG` when the banded dual core cannot
-    be factored because the dynamics matrix lost full row rank.
+    core block, and :class:`RankDeficientG` when the dual core's odd blocks
+    or its Schur complement on the kept blocks cannot be factored because
+    the dynamics matrix lost full row rank.
     """
     if model.n_x != params.n_x or model.n_u != params.n_u:
         raise DimensionMismatch("model and params dimensions do not agree")
@@ -419,73 +441,186 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
         raise TypeError("build_problem takes no scaling")
 
     nx, nu, n = model.n_x, model.n_u, params.N
-    w, m_z = nx + nu, (n + 2) * nx
+    w, h = nx + nu, n // 2
+    t = n + 2 - 2 * h
+    kept = h + t
 
     v_lo, v_hi = tightened_bounds(model, params)
 
     rho = params.rho
     p_system = _primal_blocks(params)
     g_st, g_s, m = _split_primal(p_system.gamma_stage, p_system.gamma_ref, p_system.coupling, n)
-
     g = PredictionSparseMatrix(a=model.A, b=model.B, horizon=n)
+
+    # One level of block odd-even reduction of Gamma~ = G Lambda G'. Every
+    # odd block o = 1, 3, .., 2h-1 (h = N // 2) has the diagonal block D1
+    # and couples to block o-1 through Gamma~[o, o-1] = Ls and to block o+1
+    # through Gamma~[o, o+1] = Ls'. Eliminating them leaves the Schur
+    # complement S on the kept blocks, the h heads 0, 2, .., 2h-2 and the t
+    # = N+2-2h tail blocks 2h .. N+1. S is block tridiagonal: a kept block
+    # loses Ls D1^-1 Ls' to its left odd neighbour and Ls' D1^-1 Ls to its
+    # right one, and consecutive kept blocks couple through -Ls D1^-1 Ls.
+    # The tail keeps Gamma~'s own columns from block 2h on. Row block i of
+    # U~ = -G Y (see below) is U0 for the pin, U1 for every stage coupling,
+    # then the handoff's and the equilibrium row's, so every odd row block is
+    # U1, and the reduced U~_K - Gamma~_KO D1^-1 U~_O has S's first /
+    # repeated / tail pattern: u_red, by kind
+    columns = _gamma_tilde_columns(g, g_st, g_s)
+    d1, ls = columns[1, :nx], columns[0, nx:]
+    s = g.stage_sum_block()
+    u_rows = -s.T.reshape(4, nx, 2 * w)
+    u1 = u_rows[1]
     try:
-        gamma_tilde_factor = banded_cholesky_factor(_gamma_tilde_banded(g, g_st, g_s))
+        d1_inv = _spd_inverse(d1, "dual core odd block")
+        # D1^-1 (Ls', Ls, U1), then Ls and Ls' times them
+        d1_ls = d1_inv @ np.concatenate([ls.T, ls, u1], axis=1)
+        via_left, via_right = ls @ d1_ls, ls.T @ d1_ls[:, nx:]
+        from_left, from_right = via_left[:, :nx], via_right[:, :nx]
+        schur = np.empty((2 + t, 2 * nx, nx))
+        schur[0, :nx] = columns[0, :nx] - from_right
+        schur[1, :nx] = d1 - from_left - from_right
+        np.negative(via_left[:, nx : 2 * nx], out=schur[0, nx:])
+        schur[1, nx:] = schur[0, nx:]
+        schur[2:] = columns[4 - t :]
+        schur[2, :nx] -= from_left
+        dual_factor = banded_cholesky_factor(_banded_from_block_columns(schur, h))
     except NotPositiveDefinite as exc:
         raise RankDeficientG(
-            f"dynamics matrix lost full row rank (dual core pivot failed at row {exc.index})"
+            f"dynamics matrix lost full row rank ({exc.what} pivot failed at row {exc.index})"
         ) from None
+    left_u, right_u = via_left[:, 2 * nx :], via_right[:, nx:]
+    u_red = np.empty((2 + t, nx, 2 * w))
+    np.subtract(u_rows[0], right_u, out=u_red[0])
+    u_red[1] = u1 - left_u - right_u if h > 1 else 0.0
+    u_red[2:] = u_rows[4 - t :]
+    u_red[2] -= left_u
 
     # P^-1 = Lambda - Y M Y' makes the dual matrix Gamma~ - (G Y) M (G Y)',
-    # so U~ = -G Y and V~ = M S with S = (G Y)'. Row block i of U~ is minus
-    # column block i of S, transposed, one block repeated over the stage
-    # couplings; U~ is written column-major, the order LAPACK reads it in,
-    # through the row-major view of its transpose, one row per column
-    s = g.stage_sum_block()
-    u_tilde = np.empty((m_z, 2 * w), order="F")
-    u_cols, s_cols = u_tilde.T.reshape(2 * w, n + 2, nx), -s.reshape(2 * w, 4, nx)
-    u_cols[:, 0] = s_cols[:, 0]
-    u_cols[:, 1:n] = s_cols[:, 1:2]
-    u_cols[:, n:] = s_cols[:, 2:]
-    # X = Gamma~^-1 U~ in place of U~ (info is nonzero only for an illegal
-    # argument, which the shapes rule out). The reference columns, the last
-    # w, are zero above the last two row blocks, so the forward sweep L y =
-    # U~ leaves those rows zero and runs on the trailing 2 n_x rows alone,
-    # through the factor's trailing columns; the backward sweep L' x = y
-    # then runs over every row
-    bands, tail = gamma_tilde_factor.bands, m_z - 2 * nx
-    dpbtrs(bands, u_tilde[:, :w], lower=0, overwrite_b=1)
-    u_tilde[tail:, w:] = dtbtrs(bands[:, tail:], u_tilde[tail:, w:], trans="T")[0]
-    dtbtrs(bands, u_tilde[:, w:], overwrite_b=1)
-    # V~ X = M A with A = S T(X), T(X) the stage sums of X's rows, so the
-    # Woodbury core is I + M A and W = X core^-1, one dgemm that writes W
-    # column-major
-    a = s @ stage_sums(u_tilde, n)
-    core_inv = _core_inverse(np.eye(2 * w) + m @ a)
-    dual_w = dgemm(1.0, u_tilde, core_inv)
+    # so U~ = -G Y and V~ = M (G Y)'. X_K = S^-1 U~_red is solved in place, column-major, the order LAPACK reads it in, written through
+    # the row-major view of its transpose (info is nonzero only for an
+    # illegal argument, which the shapes rule out). The reference columns,
+    # the last w, are zero above the last two kept blocks, so the forward
+    # sweep L y = U~ leaves those rows zero and runs on the trailing 2 n_x
+    # rows alone, through the factor's trailing columns; the backward sweep
+    # L' x = y then runs over every row
+    x = np.empty((kept * nx, 2 * w), order="F")
+    x_cols = x.T.reshape(2 * w, kept, nx)
+    x_cols[:, 0] = u_red[0].T
+    x_cols[:, 1:h] = u_red[1].T[:, None]
+    x_cols[:, h:] = u_red[2:].transpose(2, 0, 1)
+    bands, tail = dual_factor.bands, (kept - 2) * nx
+    dpbtrs(bands, x[:, :w], lower=0, overwrite_b=1)
+    x[tail:, w:] = dtbtrs(bands[:, tail:], x[tail:, w:], trans="T")[0]
+    dtbtrs(bands, x[:, w:], overwrite_b=1)
 
-    # The stacked block acts on the stage sums (t, Y' p / rho), t those of
-    # z1. Its upper half M [S, rho I] gives the Woodbury step's r = V z1 + M
-    # Y' p (see KktWorkspace). The second primal solve z = -P^-1 (G' mu + p)
-    # is z_i = [mu_i, mu_{i+1}] gt_window - Gamma_st^-1 p_i + c[:w] and z_s =
-    # c[w:], with c = h Y' (G' mu + p) and h = M - blkdiag(0, Gamma_s^-1):
-    # stage i of G' mu is mu_i E - mu_{i+1} C, so gt_window = [-E ; C]
-    # Gamma_st^-1. Y' G' mu = S (mu_0, mu_1 + .. + mu_{N-1}, mu_N, mu_{N+1})
-    # reads the stage sums of mu = z1 - W r, t - T(X) core^-1 r, so c is h (I
-    # - A core^-1 M) [S, rho I] on the same stage sums, with I - A core^-1 M
-    # = (I + A M)^-1 by the push-through identity
-    h = m.copy()
-    h[w:, w:] -= g_s
-    sums_block = np.vstack([m, h - h @ a @ core_inv @ m]) @ np.hstack([s, rho * np.eye(2 * w)])
-    gt_window = np.vstack([g.window[w:].T, g.window[:w].T]) @ g_st
+    # (G Y)' reads the four stage sums of a dual-space vector x = Gamma~^-1
+    # y and is -U~', and by the Schur complement -U~' x = -u_red' x_K - U1'
+    # D1^-1 sum_o y_o: it reads the kept blocks' sums (block 0, heads 1 .. h-1,
+    # each tail block; with one head the heads' slot reads a tail block,
+    # which u_red's zero repeated kind drops) and the odd blocks' summed
+    # right-hand side, and the odd rows of x are never formed. So V~ X = M
+    # A with A = (G Y)' X = -u_red' X_K - h U1' D1^-1 U1, the Woodbury core
+    # is I + M A,
+    # and W_K = X_K core^-1 is one dgemm that writes it column-major
+    offsets = np.array([0, 1, *range(h, kept)])
+    kept_cols = (2 + t) * nx
+    sum_kept = -u_red.reshape(kept_cols, 2 * w).T
+    x_sums = np.add.reduceat(x_cols, offsets, axis=1).reshape(2 * w, kept_cols)
+    a = sum_kept @ x_sums.T - h * (d1_ls[:, 2 * nx :].T @ u1)
+    core_inv = _core_inverse(np.identity(2 * w) + m @ a)
+    dual_w = dgemm(1.0, x, core_inv)
 
-    # the chain's p-side blocks carry rho, since it reads p / rho. Rows N and
-    # N+1 of -G Lambda p are [Gamma_st^-1 p_{N-1}, Gamma_s^-1 p_s] g.window
-    # and [Gamma_s^-1 p_s, Gamma_s^-1 p_s] g.window
-    stage_inv = rho * g_st
-    ends = np.zeros((2 * w, 2 * nx))
-    ends[:, :nx] = g.window
-    np.add(g.window[:w], g.window[w:], out=ends[w:, nx:])
-    end_window = _block_diag(stage_inv, rho * g_s) @ ends
+    # The chain reads p / rho, so its blocks on p's side carry rho. Row block
+    # i of -G Lambda p is (p_{i-1}, p_i) v2 between stages (rows as the
+    # chain writes them), and the second primal solve's stage i reads the
+    # multipliers' window, z_i = (mu_i, mu_{i+1}) gt - rho Gamma_st^-1 p_i +
+    # c_st (see below): stage i of G' mu is mu_i E - mu_{i+1} C, so gt = [-E
+    # ; C] Gamma_st^-1
+    st_rho = rho * g_st
+    halves = g.window.reshape(2, w, nx)
+    v2 = (st_rho @ halves).reshape(2 * w, nx)
+    gt = (halves[::-1].transpose(0, 2, 1) @ g_st).reshape(2 * nx, w)
+
+    # The odd multipliers. mu = z1 - W r with z1 = Gamma~^-1 rhs, and X_O =
+    # D1^-1 (U1 - Gamma~_OK X_K), so mu_o = (rhs_o - delta - mu_{o-1} Ls' -
+    # mu_{o+1} Ls) D1^-1 with delta = U1 core^-1 r, the same for every o.
+    # rhs_o = (p_{o-1}, p_o) v2 - b_o, so odd_block maps (mu_{o-1}, mu_{o+1},
+    # p_{o-1}, p_o, b_o, r) to mu_o. mu_o enters z's stage pair (z_{o-1},
+    # z_o) through [gt_bot, gt_top], so the pair reads (mu_{o-1}, mu_{o+1}),
+    # (p_{o-1}, p_o) and b_o through the three parts of pair_block, b_o's
+    # part bound once per b, and r through the stacked block's per-pair
+    # constant
+    odd_block = np.concatenate([ls.T, ls, -v2, np.identity(nx), (u1 @ core_inv).T]) @ -d1_inv
+    via_odd = odd_block @ np.concatenate([gt[nx:], gt[:nx]], axis=1)
+    pair_block = via_odd[: 3 * nx + 2 * w].copy()
+    pair_block[:nx, :w] += gt[:nx]
+    pair_block[nx : 2 * nx, w:] += gt[nx:]
+    pair_block[2 * nx : 2 * nx + w, :w] -= st_rho
+    pair_block[2 * nx + w : 2 * nx + 2 * w, w:] -= st_rho
+
+    # The reduced right-hand side on the kept blocks, rhs_K - Gamma~_KO D1^-1
+    # rhs_O: head j reads rhs_{2j} - rhs_{2j-1} D1^-1 Ls' - rhs_{2j+1} D1^-1
+    # Ls, one product with the window (p_{2j-2}, .., p_{2j+1}) of p behind
+    # two zero blocks. The tail reads q = (p_{2h-2}, .., p_{N-1}, p_s), the
+    # last t+1 stages: tail block c is rhs_{2h+c}, (q_{c+1}, q_{c+2}) v2
+    # between stages, with rho Gamma_s^-1 in place of rho Gamma_st^-1 for
+    # p_s, and q_t rho Gamma_s^-1 (top + bot) for the equilibrium row; the
+    # first tail block loses its left odd neighbour's term
+    v2_d1_ls = v2 @ d1_ls[:, : 2 * nx]
+    head_window = np.zeros((4 * w, nx))
+    head_window[w : 3 * w] = v2
+    head_window[: 2 * w] -= v2_d1_ls[:, :nx]
+    head_window[2 * w :] -= v2_d1_ls[:, nx:]
+    s_rho = rho * (g_s @ halves)
+    tail_window = np.zeros(((t + 1) * w, t * nx))
+    by_stage = tail_window.reshape(t + 1, w, t, nx)
+    for c in range(t - 1):
+        by_stage[c + 1, :, c] = v2[:w]
+        by_stage[c + 2, :, c] = v2[w:]
+    by_stage[t, :, t - 2] = s_rho[1]
+    np.add(s_rho[0], s_rho[1], out=by_stage[t, :, t - 1])
+    tail_window[: 2 * w, :nx] -= v2_d1_ls[:, :nx]
+
+    # The stacked block acts on sigma = (kept sums of z1, sum_o b_o, sum_j
+    # (p_{2j}, p_{2j+1}), the live part of the last pair) with p read as p /
+    # rho: the last pair is (p_s, 0) for even N and (p_{N-1}, p_s) for odd
+    # N. It gives z's tail, r and the per-pair constant c_pair at once. The
+    # right factor (G Y)' z1 + rho Y' p reads sigma through right: (G Y)' z1
+    # is sum_kept on the kept sums and -U1' D1^-1 on sum_o rhs_o = (sum_j
+    # (p_{2j}, p_{2j+1})) v2 - sum_o b_o, and the stage sum of p is every
+    # stage block of sigma's p part but p_s. r = M right is the Woodbury
+    # step's, and c = h (I - A core^-1 M) right, with h = M - blkdiag(0,
+    # Gamma_s^-1) and I - A core^-1 M = (I + A M)^-1 by the push-through
+    # identity, is the second primal solve's c = h Y' (G' mu + p): z_i =
+    # (mu_i, mu_{i+1}) gt - rho Gamma_st^-1 p_i + c_st and z_s = c_ref.
+    # c_pair is (c_st, c_st) plus what delta adds to both blocks of a pair
+    # through the odd multiplier
+    live = (t - 1) * w
+    p_col = kept_cols + nx
+    right = np.zeros((2 * w, p_col + 2 * w + live))
+    right[:, :kept_cols] = sum_kept
+    right[:, kept_cols:p_col] = d1_ls[:, 2 * nx :].T
+    right[:, p_col : p_col + 2 * w] = -(right[:, kept_cols:p_col] @ v2.T)
+    rho_eye = rho * np.identity(w)
+    right[:w, p_col : p_col + t * w].reshape(w, t, w)[...] += rho_eye[:, None]
+    right[w:, p_col + t * w :] = rho_eye
+    # one product with right: the rows of M for r, of C = h (I - A core^-1
+    # M) for c, and of (C_st, C_st) plus delta's per-pair term for c_pair
+    h_m = m.copy()
+    h_m[w:, w:] -= g_s
+    c = h_m - h_m @ (a @ core_inv @ m)
+    c_pair = (via_odd[3 * nx + 2 * w :].T @ m).reshape(2, w, 2 * w) + c[:w]
+    if t == 2:
+        left = np.concatenate([c[w:], m, c_pair.reshape(2 * w, 2 * w)])
+    else:
+        # z_{N-1} = (mu_{N-1}, mu_N) gt - rho Gamma_st^-1 p_{N-1} + c_st, on
+        # the kept multipliers (z1 - W r) of the first two tail blocks
+        z_last = c[:w] - gt.T @ dual_w[h * nx : (h + 2) * nx] @ m
+        left = np.concatenate([z_last, c[w:], m, c_pair.reshape(2 * w, 2 * w)])
+    sums_block = left @ right
+    if t == 3:
+        sums_block[:w, 2 * nx : 4 * nx] += gt.T
+        sums_block[:w, p_col + 2 * w : p_col + 3 * w] -= st_rho
 
     return PrecomputedData(
         model=model,
@@ -494,12 +629,13 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
         g=g,
         v_lo=v_lo,
         v_hi=v_hi,
-        dual_factor=gamma_tilde_factor,
+        dual_factor=dual_factor,
         dual_w=dual_w,
-        stage_inv=stage_inv,
-        end_window=end_window,
+        head_window=head_window,
+        tail_window=tail_window,
         sums_block=sums_block,
-        gt_window=gt_window,
+        pair_block=pair_block,
+        odd_block=odd_block,
     )
 
 

@@ -22,17 +22,20 @@ is ``P^-1 = Lambda - Y M Y'`` for one 2w-by-2w ``M`` in closed form (see
 :func:`_split_primal`), so the dual matrix is ``W~ = Gamma~ - (G Y) M (G
 Y)'`` with the banded core ``Gamma~ = G Lambda G'``. Its ``V = M (G Y)'``
 repeats one column block across the stage couplings, so a product with it
-reads four stage sums (:func:`stage_sums`).
+reads four stage sums.
 
 :func:`solve_kkt_system` spreads only ``Lambda`` over the stages. The first
 primal solve's low-rank term rides on the dual solve's Woodbury step,
 because ``W~^-1 U~ = W`` with ``U~ = -G Y``, and the second primal solve's
-reads the four stage sums the dual solve already takes; one product with a
-stacked 4w-row block serves both (see :class:`KktWorkspace`). Every
+reads the same stage sums; one product with a stacked block serves both
+(see :class:`KktWorkspace`). The banded solve runs on half the rows: one
+level of block odd-even reduction eliminates the odd stage blocks of
+``Gamma~`` in closed form, so the chain solves with their Schur complement
+``S`` on the kept blocks and applies only the kept rows of ``W``. Every
 constraint row block ``i = 0 .. N+1`` of ``G`` reads ``E z_i - C z_{i-1}``,
-so the ``G`` product reads the windows ``(Gamma_st^-1 p_{i-1}, Gamma_st^-1
-p_i)`` of the first solve's block-diagonal part, and the ``G'`` product
-the windows ``(mu_i, mu_{i+1})`` of the multipliers.
+so the reduced right-hand side reads windows of four stages of ``p``, and
+the ``G'`` product forms ``z``'s stages in pairs from pairs of kept
+multipliers, with the odd multiplier between them substituted into both.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ def _core_inverse(core: np.ndarray) -> np.ndarray:
     m = core.shape[0]
     # an exactly zero pivot only sets info, which the pivot test below covers
     lu, piv, _ = dgetrf(core)
-    u_diag = np.abs(np.diag(lu))
-    if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
+    u_diag = np.abs(lu.diagonal())
+    if u_diag.min() <= m * np.finfo(float).eps * max(1.0, u_diag.max()):
         raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
     return dgetri(lu, piv, overwrite_lu=1)[0]
 
@@ -85,19 +88,6 @@ def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
         raise NotPositiveDefinite(what, index=info - 1)
     inv = dpotrs(c, np.eye(m.shape[0]), lower=1)[0]
     return 0.5 * (inv + inv.T)
-
-
-def stage_sums(x: np.ndarray, horizon: int) -> np.ndarray:
-    """The four stage sums ``(x_0, x_1 + ... + x_{N-1}, x_N, x_{N+1})`` of ``(N+2) n_x`` rows.
-
-    ``x`` is ``((N+2) n_x,)`` or ``((N+2) n_x, k)`` in row blocks of ``n_x``,
-    and the result ``(4 n_x,)`` or ``(4 n_x, k)``: ``V x`` is ``V``'s four
-    distinct column blocks ``M S`` times the sums, with ``S`` the stage-sum
-    block of :meth:`~mpct_admm.banded_linalg.PredictionSparseMatrix.stage_sum_block`.
-    """
-    tail = x.shape[1:]
-    offsets = np.array([0, 1, horizon, horizon + 1])
-    return np.add.reduceat(x.reshape(horizon + 2, -1, *tail), offsets, axis=0).reshape(-1, *tail)
 
 
 @dataclass(frozen=True)
@@ -216,12 +206,15 @@ class KktWorkspace:
     """The KKT chain of one problem, bound to its buffers.
 
     :meth:`for_problem` binds ``data``'s factor arrays once and returns the
-    unchecked chain as ``solve(b)``, which reads ``p / rho`` from the buffer
-    ``p`` and returns ``(z, mu)`` in the buffers ``z`` and ``mu``, through
-    which the dual right-hand side and the banded solve's output pass on the
-    way; the next call overwrites them, and ``b`` is only read. The chain
-    copies no factor, so a workspace serves only the ``data`` it was made
-    for.
+    unchecked chain as two closures. ``bind(b)`` forms what the chain reads
+    of the dual right-hand side ``b``: its reduced form on the kept blocks,
+    its odd blocks' sum and its term in each of ``z``'s stage pairs; they
+    hold until the next ``bind``, and ``b`` is only read. ``solve()`` reads
+    ``p / rho`` from the buffer ``p`` and returns ``z`` in the buffer ``z``.
+    The kept blocks' multipliers ``mu_K`` are left in ``mu`` and the
+    Woodbury step's ``r`` in ``r``, from which :func:`solve_kkt_system`
+    rebuilds the odd ones; the next call overwrites them. The chain copies
+    no factor, so a workspace serves only the ``data`` it was made for.
 
     With ``P^-1 = Lambda - Y M Y'``, the first primal solve's low-rank term
     is ``G Y M Y' p = -U~ M Y' p``, and ``W~^-1 U~ = Gamma~^-1 U~ (I + V
@@ -231,81 +224,131 @@ class KktWorkspace:
         mu = z1 - W (V z1 + M Y' p),   z1 = Gamma~^-1 (-G Lambda p - b)
 
     and only the block-diagonal ``Lambda`` is spread over the stages. One
-    product with the stacked ``sums_block`` on the stage sums of ``z1`` and
-    ``p`` gives the Woodbury step's ``r`` and the second solve's correction
-    ``c``; :func:`~mpct_admm.mpct_problem.build_problem` derives ``z``.
+    level of odd-even reduction halves the banded solve: ``z1`` is solved
+    on the kept blocks only, through the Schur complement ``S`` of the odd
+    blocks of ``Gamma~``, and only the kept rows ``W_K`` of ``W`` are
+    applied. The stage sums the Woodbury step reads come from the kept
+    blocks' sums and ``p``'s stage-pair sums in closed form, and one product
+    with the stacked ``sums_block`` gives ``r``, the per-pair constant and
+    ``z``'s tail. ``z``'s stage pairs ``(z_{2j}, z_{2j+1})`` read the kept
+    multipliers ``(mu_{2j}, mu_{2j+2})`` and ``(p_{2j}, p_{2j+1})``, with
+    the odd multiplier ``mu_{2j+1}`` substituted into both blocks, so the
+    chain never forms it. :func:`~mpct_admm.mpct_problem.build_problem`
+    derives the blocks.
     """
 
     data: "PrecomputedData"
     p: np.ndarray
     z: np.ndarray
     mu: np.ndarray
-    solve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    r: np.ndarray
+    bind: Callable[[np.ndarray], None]
+    solve: Callable[[], np.ndarray]
 
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
-        # Buffers and views of them, no copies. pad_stages are the N stage
-        # blocks of a buffer that starts with one zero block; row i of
-        # pad_window is (pad_{i-1}, pad_i) and row i of mu_window is (mu_i,
-        # mu_{i+1}), read-only as_strided views whose consecutive rows share
-        # a block. sums receives the four stage sums of the banded solve's
-        # output (see stage_sums) and the two sums (sum_i p_i, p_s); k, in
-        # the same allocation, the stacked block's product, whose parts r,
-        # c_stage and c_ref the Woodbury step and the second primal solve
-        # read.
-        n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
-        p, mu, z = np.empty(data.n_z), np.empty(data.m_z), np.empty(data.n_z)
-        padded = np.zeros((n + 1) * w)
-        sums_k = np.empty(4 * nx + 6 * w)
-        sums, k = sums_k[: 4 * nx + 2 * w], sums_k[4 * nx + 2 * w :]
-        p_blocks, mu_blocks = p.reshape(n + 1, w), mu.reshape(n + 2, nx)
+        # Buffers and views of them, no copies. There are h = N // 2 heads
+        # and t tail blocks, kept = h + t blocks of n_x in mu. p sits behind
+        # two zero blocks and is padded to whole pairs: row j of p_window is
+        # (p_{2j-2}, .., p_{2j+1}) and row j of mu_window (mu_j, mu_{j+1}) of
+        # the kept blocks, read-only as_strided views whose consecutive rows
+        # overlap. sums receives the kept blocks' sums (block 0, heads 1 ..
+        # h-1, each tail block), b's odd sum, set by bind, and the sums of
+        # p's pairs before the last and its last pair, whose padding, past
+        # the end of sums for even N, the stacked block does not read. k, in
+        # the same allocation as z, receives the stacked block's product:
+        # z's tail, then r and the per-pair constant c_pair.
+        n, nx, w, n_z = data.params.N, data.n_x, data.n_x + data.n_u, data.n_z
+        h = n // 2
+        t = n + 2 - 2 * h
+        kept, live = h + t, (t - 1) * w
+        p_buf = np.zeros((2 * h + 4) * w)
+        p, item = p_buf[2 * w : 2 * w + n_z], p_buf.itemsize
+        p_window = as_strided(p_buf, (h, 4 * w), (2 * w * item, item), writeable=False)
+        p_tail, p_pairs = p[n_z - (t + 1) * w :], p_buf[2 * w :].reshape(h + 1, 2 * w)
+        mu_blocks, b_red = np.empty((2, kept, nx))
+        mu = mu_blocks.reshape(-1)
+        mu_heads, mu_tail = mu_blocks[:h], mu[h * nx :]
+        mu_window = as_strided(mu, (h, 2 * nx), (nx * item, item), writeable=False)
+        sums_buf = np.empty((3 + t) * nx + 4 * w)
+        sums, kept_sums = sums_buf[: (3 + t) * nx + 2 * w + live], sums_buf[: (2 + t) * nx].reshape(2 + t, nx)
+        odd_b_sum, p_sums = sums_buf[(2 + t) * nx : (3 + t) * nx], sums_buf[(3 + t) * nx :].reshape(2, 2 * w)
+        zk = np.empty(n_z + 4 * w)
+        z, k = zk[:n_z], zk[n_z - live :]
+        r, c_pair = k[live : live + 2 * w], k[live + 2 * w :]
+        z_pairs, b_pairs = z[: 2 * h * w].reshape(h, 2 * w), np.empty((h, 2 * w))
         # one index array for both: reduceat converts a list on every call
-        offsets = np.array([0, n, 0, 1, n, n + 1])
-        p_offsets, mu_offsets = offsets[:2], offsets[2:]
-        item = padded.itemsize
-        p_stages, p_tail = p_blocks[:n], p[(n - 1) * w :]
-        pad_stages = padded[w:].reshape(n, w)
-        pad_window = as_strided(padded, (n, 2 * w), (w * item, item), writeable=False)
-        mu_head, mu_tail = mu_blocks[:n], mu[n * nx :]
-        mu_window = as_strided(mu, (n, 2 * nx), (nx * item, item), writeable=False)
-        mu_sums, p_sums = sums[: 4 * nx].reshape(4, nx), sums[4 * nx :].reshape(2, w)
-        r, c_stage, c_ref = k[: 2 * w], k[2 * w : 3 * w], k[3 * w :]
-        z_stages, z_ref = z[: n * w].reshape(n, w), z[n * w :]
-        stage_inv, g_window, end_window = data.stage_inv, data.g.window, data.end_window
-        bands, sums_block, dual_w, gt_window = data.dual_factor.bands, data.sums_block, data.dual_w, data.gt_window
+        offsets = np.array([0, 1, *range(h, kept), 0, h])
+        kept_offsets, pair_offsets = offsets[: 2 + t], offsets[2 + t :]
+        head_window, tail_window, sums_block = data.head_window, data.tail_window, data.sums_block
+        bands, dual_w, pair_block, odd_block = data.dual_factor.bands, data.dual_w, data.pair_block, data.odd_block
+        pair_mu, pair_b = pair_block[: 2 * nx], pair_block[2 * nx + 2 * w :]
+        # the column-major views dgemm takes without a copy: z_pairs' += p_pairs pair_p
+        pair_p_t, p_pairs_t, z_pairs_t = pair_block[2 * nx : 2 * nx + 2 * w].T, p_pairs[:h].T, z_pairs.T
+        # the reduction of b is the transpose of the odd elimination: kept
+        # block j takes -b_o D1^-1 Ls from its right odd neighbour o = 2j+1,
+        # and kept block j+1 -b_o D1^-1 Ls' from its left one
+        from_right, from_left = odd_block[:nx].T, odd_block[nx : 2 * nx].T
 
-        def solve(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # -G Lambda p in mu's buffer. Rows 0 .. N-1 of -G z are [z_{i-1},
-            # z_i] g_window, on the zero-padded stages Gamma_st^-1 p_i (the
-            # inverse is symmetric, so row i of p_i @ Gamma_st^-1 is
-            # Gamma_st^-1 p_i); rows N and N+1 read only (p_{N-1}, p_s),
-            # through the end window. dot rather than @ here and below: on
-            # operands this small the call overhead is most of the cost, and
-            # dot's is smaller. The in-place updates are ufunc calls with
-            # out=, since an augmented assignment would rebind the name
-            np.dot(p_stages, stage_inv, out=pad_stages)
-            np.matmul(pad_window, g_window, out=mu_head)
-            np.dot(p_tail, end_window, out=mu_tail)
-            np.subtract(mu, b, out=mu)
-            # z1 overwrites the right-hand side in the banded solve (info is
-            # nonzero only for an illegal argument, which the shapes fixed at
-            # build time rule out); the stage sums of z1 and p go into one
-            # buffer, one product gives r and c, and one dgemv takes W r off
-            # z1 in place
+        def bind(b: np.ndarray) -> None:
+            b_blocks = b.reshape(n + 2, nx)
+            odd = b_blocks[1 : 2 * h : 2]
+            b_red[:h] = b_blocks[0 : 2 * h : 2]
+            b_red[h:] = b_blocks[2 * h :]
+            b_red[:h] += odd @ from_right
+            b_red[1 : h + 1] += odd @ from_left
+            np.sum(odd, axis=0, out=odd_b_sum)
+            np.dot(odd, pair_b, out=b_pairs)
+
+        def solve() -> np.ndarray:
+            # The reduced right-hand side -(G Lambda p)_red - b_red in mu's
+            # buffer: one product for the heads, one for the tail. dot rather
+            # than @ here and below: on operands this small the call overhead
+            # is most of the cost, and dot's is smaller. The in-place updates
+            # are ufunc calls with out=, since an augmented assignment would
+            # rebind the name
+            np.matmul(p_window, head_window, out=mu_heads)
+            np.dot(p_tail, tail_window, out=mu_tail)
+            np.subtract(mu_blocks, b_red, out=mu_blocks)
+            # z1_K overwrites the right-hand side in the banded solve on S
+            # (info is nonzero only for an illegal argument, which the shapes
+            # fixed at build time rule out); the kept sums of z1 and the pair
+            # sums of p go into one buffer, one product gives z's tail, r and
+            # c_pair, and one dgemv takes W_K r off z1_K in place
             dpbtrs(bands, mu, lower=0, overwrite_b=1)
-            np.add.reduceat(mu_blocks, mu_offsets, axis=0, out=mu_sums)
-            np.add.reduceat(p_blocks, p_offsets, axis=0, out=p_sums)
+            np.add.reduceat(mu_blocks, kept_offsets, axis=0, out=kept_sums)
+            np.add.reduceat(p_pairs, pair_offsets, axis=0, out=p_sums)
             np.dot(sums_block, sums, out=k)
             dgemv(-1.0, dual_w, r, 1.0, mu, overwrite_y=1)
-            # z = -P^-1 (G' mu + p) stage by stage: z_i = [mu_i, mu_{i+1}]
-            # gt_window - Gamma_st^-1 p_i + c[:w] and z_s = c[w:]
-            np.matmul(mu_window, gt_window, out=z_stages)
-            np.subtract(z_stages, pad_stages, out=z_stages)
-            np.add(z_stages, c_stage, out=z_stages)
-            z_ref[...] = c_ref
-            return z, mu
+            # z's stage pairs: (mu_j, mu_{j+1}) pair_mu + (p_{2j}, p_{2j+1})
+            # pair_p + c_pair + b's per-pair term
+            np.matmul(mu_window, pair_mu, out=z_pairs)
+            dgemm(1.0, pair_p_t, p_pairs_t, 1.0, z_pairs_t, overwrite_c=1)
+            np.add(z_pairs, c_pair, out=z_pairs)
+            np.add(z_pairs, b_pairs, out=z_pairs)
+            return z
 
-        return cls(data=data, p=p, z=z, mu=mu, solve=solve)
+        return cls(data=data, p=p, z=z, mu=mu, r=r, bind=bind, solve=solve)
+
+
+def _multipliers(data: "PrecomputedData", work: KktWorkspace, b: np.ndarray) -> np.ndarray:
+    """All of ``mu`` after ``work.solve()``: the kept blocks' and the odd ones rebuilt.
+
+    ``mu_o = (rhs_o - b_o - delta - mu_{o-1} Ls' - mu_{o+1} Ls) D1^-1``, by
+    the product with ``data.odd_block`` of ``(mu_{o-1}, mu_{o+1}, p_{o-1},
+    p_o, b_o, r)`` (see :func:`~mpct_admm.mpct_problem.build_problem`).
+    """
+    n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
+    h = n // 2
+    ob, kept = data.odd_block, work.mu.reshape(-1, nx)
+    mu = np.empty(data.m_z)
+    blocks = mu.reshape(n + 2, nx)
+    blocks[0 : 2 * h : 2] = kept[:h]
+    blocks[2 * h :] = kept[h:]
+    pairs, b_odd = work.p[: 2 * h * w].reshape(h, 2 * w), b.reshape(n + 2, nx)[1 : 2 * h : 2]
+    inputs = np.concatenate([kept[:h], kept[1 : h + 1], pairs, b_odd], axis=1)
+    np.add(inputs @ ob[: 3 * nx + 2 * w], work.r @ ob[3 * nx + 2 * w :], out=blocks[1 : 2 * h : 2])
+    return mu
 
 
 def solve_kkt_system(
@@ -321,11 +364,13 @@ def solve_kkt_system(
     carried on its low-rank step, and the second primal-space solve fused
     with the ``G'`` product before it (see :class:`KktWorkspace`). The
     multipliers are returned for residual diagnostics even though the outer
-    iteration discards them. With ``work`` given, ``z`` and ``mu`` are its
-    buffers. ``G`` is ``data.g.to_dense()``, whose dynamics rows read ``x_i -
+    iteration discards them: the chain forms those of the kept blocks only,
+    and the odd ones are rebuilt here. With ``work`` given, ``z`` is its
+    buffer. ``G`` is ``data.g.to_dense()``, whose dynamics rows read ``x_i -
     A x_{i-1} - B u_{i-1}``; ``p`` and ``b`` are only read. The arguments
-    are checked here, once, and ``work.solve`` runs the chain; the ADMM loop
-    calls ``work.solve`` directly on its own checked buffers.
+    are checked here, once, and ``work`` runs the chain; the ADMM loop binds
+    its ``b`` once and calls ``work.solve`` directly on its own checked
+    buffers.
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -339,4 +384,5 @@ def solve_kkt_system(
         raise DimensionMismatch("work was made for another problem")
     # the chain's p-side factors carry rho, so it reads p / rho
     np.divide(p, data.params.rho, out=work.p)
-    return work.solve(b)
+    work.bind(b)
+    return work.solve(), _multipliers(data, work, b)

@@ -118,6 +118,7 @@ class TestAdmmSolve:
         rho = scenario.params.rho
         qp = assemble_online(data, x_t, ref.x_r, ref.u_r)
         work = KktWorkspace.for_problem(data)
+        work.bind(qp.b)
         q = qp.q / rho
         cold = cold_start(data)
         z, v, u = cold.z, cold.v, cold.lam / rho
@@ -125,7 +126,7 @@ class TestAdmmSolve:
         for k in (120, 80):
             for _ in range(k):
                 work.p[...] = (u - v) + q
-                z, _ = work.solve(qp.b)
+                z = work.solve()
                 t = z + u
                 v_next = np.clip(t, qp.v_lo, qp.v_hi)
                 u = t - v_next

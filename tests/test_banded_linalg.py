@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag, cho_factor, cho_solve, cho_solve_banded
-from scipy.linalg.lapack import dgetrf, dgetri
+from scipy.linalg.lapack import dgetrf, dgetri, dpbtrf
 
 from mpct_admm import (
     DimensionMismatch,
@@ -311,19 +311,20 @@ class TestLapackCallsMatchScipy:
         np.testing.assert_array_equal(_core_inverse(core), dgetri(lu, piv)[0])
 
 
-def dense_from_block_columns(columns, horizon):
+def dense_from_block_columns(columns, heads):
     """The symmetric block-tridiagonal matrix, assembled entry by entry.
 
     Block column ``i`` is ``columns[0]`` for ``i = 0``, ``columns[1]`` for
-    ``i = 1 .. horizon - 1``, ``columns[2]`` for ``horizon`` and
-    ``columns[3]`` for ``horizon + 1``; only entries on or below each
-    diagonal block's diagonal are read.
+    ``i = 1 .. heads - 1`` and ``columns[2 + j]`` for ``heads + j``, so the
+    matrix has ``heads + len(columns) - 2`` block rows; only entries on or
+    below each diagonal block's diagonal are read.
     """
-    _, two_nx, nx = columns.shape
-    m = (horizon + 2) * nx
+    kinds, two_nx, nx = columns.shape
+    blocks = heads + kinds - 2
+    m = blocks * nx
     dense = np.zeros((m, m))
-    for i in range(horizon + 2):
-        column = columns[0 if i == 0 else 1 if i < horizon else i - horizon + 2]
+    for i in range(blocks):
+        column = columns[0 if i == 0 else 1 if i < heads else i - heads + 2]
         for r in range(two_nx):
             for c in range(min(r + 1, nx)):
                 row, col = i * nx + r, i * nx + c
@@ -332,10 +333,10 @@ def dense_from_block_columns(columns, horizon):
     return dense
 
 
-def assert_placed_exactly(columns, horizon, placed):
+def assert_placed_exactly(columns, heads, placed):
     """``placed`` holds the dense assembly's bands up to its last nonzero one, bit for bit."""
     nx = columns.shape[2]
-    expected = SymBandedMatrix.from_dense(dense_from_block_columns(columns, horizon), 2 * nx - 1)
+    expected = SymBandedMatrix.from_dense(dense_from_block_columns(columns, heads), 2 * nx - 1)
     last = max(k for k in range(2 * nx) if expected.bands[k].any())
     assert placed.half_bandwidth == last
     assert placed.bands.flags["F_CONTIGUOUS"]
@@ -357,7 +358,7 @@ class TestLayoutsMatchReference:
         assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name", ["double_integrator.json", "mass_spring.json", "ball_plate_like.json"])
-    @pytest.mark.parametrize("horizon", [2, 30])
+    @pytest.mark.parametrize("horizon", [2, 3, 30, 31])
     def test_band_placement_on_bundled_models(self, name, horizon, monkeypatch):
         # the placement the build makes, on the block columns the build forms
         place = mpct_problem._banded_from_block_columns
@@ -373,20 +374,37 @@ class TestLayoutsMatchReference:
         # stops at the factorization, after the placement
         with suppress(RankDeficientG):
             build_problem(model, replace(params, N=horizon))
+        # the Schur complement of the odd blocks: N // 2 heads, then the
+        # two or three tail blocks
         [(columns, h, placed)] = seen
-        assert h == horizon
-        assert_placed_exactly(columns, horizon, placed)
+        assert h == horizon // 2 and len(columns) == 2 + horizon + 2 - 2 * h
+        assert_placed_exactly(columns, h, placed)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_band_placement_on_random_columns(self, seed):
+        # two or three tail columns, and one head or more
         rng = np.random.default_rng(seed)
-        nx, horizon = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-        columns = rng.standard_normal((4, 2 * nx, nx)) * (rng.random((4, 2 * nx, nx)) < 0.6)
-        # the equilibrium column's sub-diagonal half lies outside the matrix
-        columns[3, nx:] = 0.0
+        nx, heads, kinds = int(rng.integers(1, 5)), int(rng.integers(1, 6)), 4 + seed % 2
+        columns = rng.standard_normal((kinds, 2 * nx, nx)) * (rng.random((kinds, 2 * nx, nx)) < 0.6)
+        # the last column's sub-diagonal half lies outside the matrix
+        columns[-1, nx:] = 0.0
         # and a diagonal without zeros, so that no row of the matrix is empty
-        columns[:, np.arange(nx), np.arange(nx)] = 1.0 + rng.random((4, nx))
+        columns[:, np.arange(nx), np.arange(nx)] = 1.0 + rng.random((kinds, nx))
         if seed % 3 == 0:
             # bands that vanish past the diagonal blocks, to exercise the trim
             columns[:, nx:] = 0.0
-        assert_placed_exactly(columns, horizon, mpct_problem._banded_from_block_columns(columns, horizon))
+        assert_placed_exactly(columns, heads, mpct_problem._banded_from_block_columns(columns, heads))
+
+    @pytest.mark.parametrize("n, bw", [(1, 0), (7, 0), (6, 2), (40, 5), (12, 11), (136, 11), (200, 15)])
+    def test_factor_layout_move_is_exact(self, n, bw):
+        # the strided copy that moves L's bands into U = L' in the upper
+        # layout equals, bit for bit, one row copy per band
+        rng = np.random.default_rng(100 * n + bw)
+        m = random_spd_banded(rng, n, bw)
+        lower = dpbtrf(m.bands, lower=1)[0]
+        expected = np.zeros((bw + 1, n), order="F")
+        for k in range(bw + 1):
+            expected[bw - k, k:] = lower[k, : n - k]
+        got = banded_cholesky_factor(m).bands
+        assert got.flags["F_CONTIGUOUS"]
+        assert got.tobytes(order="F") == expected.tobytes(order="F")

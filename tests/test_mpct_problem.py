@@ -24,9 +24,9 @@ from mpct_admm import (
     problem_to_dict,
     tightened_bounds,
 )
-from mpct_admm.mpct_problem import _gamma_tilde_banded
+from mpct_admm.mpct_problem import _gamma_tilde_columns, _banded_from_block_columns
 from mpct_admm.oracle import dense_bounds, dense_dynamics, dense_hessian
-from mpct_admm.semiband_solver import _split_primal, stage_sums
+from mpct_admm.semiband_solver import KktWorkspace, _split_primal
 
 from conftest import random_controllable_model, random_instance, random_spd
 
@@ -98,13 +98,16 @@ class TestBuildProblem:
             g = dense_dynamics(model, params.N)
             p_dense = dense_hessian(params) + params.rho * np.eye(data.n_z)
             w_dense = g @ np.linalg.solve(p_dense, g.T)
-            # U = -G Y, with Y the stage-sum pattern of P^-1 = Lambda - Y M Y'
+            # U = -G Y, with Y the stage-sum pattern of P^-1 = Lambda - Y M Y',
+            # and V = M (G Y)', around the banded core the build reduces
             w = data.n_x + data.n_u
-            u_dense = -g @ stage_sum_pattern(params.N, w)
-            # V is the left part of the stacked block's upper half, on the stage sums
-            v_dense = data.sums_block[: 2 * w, : 4 * data.n_x] @ stage_sums(np.eye(data.m_z), params.N)
-            l_dense = data.dual_factor.to_dense()
-            w_struct = l_dense @ l_dense.T + u_dense @ v_dense
+            y = stage_sum_pattern(params.N, w)
+            u_dense = -g @ y
+            system = data.p_system
+            g_st, g_s, m = _split_primal(system.gamma_stage, system.gamma_ref, system.coupling, params.N)
+            v_dense = m @ (g @ y).T
+            core = _banded_from_block_columns(_gamma_tilde_columns(data.g, g_st, g_s), params.N).to_dense()
+            w_struct = core + u_dense @ v_dense
             assert np.abs(w_struct - w_dense).max() <= 1e-9 * (1.0 + np.abs(w_dense).max())
 
     @pytest.mark.parametrize(
@@ -113,10 +116,13 @@ class TestBuildProblem:
         + [(seed, None) for seed in range(6)],
     )
     def test_stacked_block_matches_long_form(self, name, horizon):
-        # the build forms the stacked block as [M ; h - h A core^-1 M] [S,
-        # rho I]; its lower half must equal the long form h ([S, rho I] - S
-        # T(W) [M S, rho M]), which takes the stage sums T(W) of W's rows. An
-        # integer name seeds a random model
+        # one product with the stacked block gives z's tail, r and c_pair
+        # from the kept sums of z1, b's odd sum and p's pair sums; each must
+        # equal its long form from dense solves: r = M (S T(z1) + Y' p),
+        # with T the four stage sums, c = h Y' (G' mu + p) with h = M -
+        # blkdiag(0, Gamma_s^-1), c_pair = (c_st, c_st) - delta D1^-1 [gt_bot,
+        # gt_top] with delta = U1 core^-1 r, and z's tail the saddle point's.
+        # An integer name seeds a random model
         if isinstance(name, int):
             model, params = random_instance(np.random.default_rng(name))
         else:
@@ -124,16 +130,38 @@ class TestBuildProblem:
             if horizon is not None:
                 params = dataclasses.replace(params, N=horizon)
         data = build_problem(model, params)
-        p_system, w, rho = data.p_system, data.n_x + data.n_u, params.rho
-        _, g_s, m = _split_primal(p_system.gamma_stage, p_system.gamma_ref, p_system.coupling, params.N)
-        h = m.copy()
-        h[w:, w:] -= g_s
-        s = data.g.stage_sum_block()
-        right = np.hstack([s, rho * np.eye(2 * w)])
-        upper = m @ right
-        lower = h @ (right - s @ stage_sums(data.dual_w, params.N) @ upper)
-        for got, expected in ((data.sums_block[: 2 * w], upper), (data.sums_block[2 * w :], lower)):
-            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        n, nx, w, rho = params.N, data.n_x, data.n_x + data.n_u, params.rho
+        system = data.p_system
+        g_st, g_s, m = _split_primal(system.gamma_stage, system.gamma_ref, system.coupling, n)
+        g, y = dense_dynamics(model, n), stage_sum_pattern(n, w)
+        lam = block_diag(np.kron(np.eye(n), g_st), g_s)
+        gamma = g @ lam @ g.T
+        s = (g @ y).T
+        rng = np.random.default_rng(data.m_z)
+        p, b = rng.standard_normal(data.n_z), rng.standard_normal(data.m_z)
+        z1 = np.linalg.solve(gamma, -g @ lam @ p - b)
+        r = m @ (s @ z1 + y.T @ p)
+        u = -g @ y
+        x = np.linalg.solve(gamma, u)
+        core_inv = np.linalg.inv(np.eye(2 * w) + m @ s @ x)
+        mu = z1 - x @ core_inv @ r
+        h = m - block_diag(np.zeros((w, w)), g_s)
+        c = h @ y.T @ (g.T @ mu + p)
+        gt = np.vstack([-np.eye(nx, w), np.hstack([model.A, model.B])]) @ g_st
+        d1 = gamma[nx : 2 * nx, nx : 2 * nx]
+        delta = u[nx : 2 * nx] @ core_inv @ r
+        c_pair = np.tile(c[:w], 2) - delta @ np.linalg.solve(d1, np.hstack([gt[nx:], gt[:nx]]))
+        z_ref = -np.linalg.solve(dense_hessian(params) + rho * np.eye(data.n_z), g.T @ mu + p)
+        live = (n + 1 - 2 * (n // 2)) * w
+
+        work = KktWorkspace.for_problem(data)
+        np.divide(p, rho, out=work.p)
+        work.bind(b)
+        work.solve()
+        cells = dict(zip(work.solve.__code__.co_freevars, (c.cell_contents for c in work.solve.__closure__)))
+        k = data.sums_block @ cells["sums"]
+        for got, expected in ((k[:live], z_ref[data.n_z - live :]), (k[live : live + 2 * w], r), (k[live + 2 * w :], c_pair)):
+            assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (2, 1, 3), (3, 2, 5)])
     def test_dual_core_from_full_inverses(self, n_x, n_u, horizon):
@@ -144,7 +172,7 @@ class TestBuildProblem:
         g_st, g_s = random_spd(rng, n_x + n_u), random_spd(rng, n_x + n_u)
         g_dense = g.to_dense()
         expected = g_dense @ block_diag(*[g_st] * horizon, g_s) @ g_dense.T
-        got = _gamma_tilde_banded(g, g_st, g_s).to_dense()
+        got = _banded_from_block_columns(_gamma_tilde_columns(g, g_st, g_s), horizon).to_dense()
         assert np.abs(got - expected).max() <= 1e-12 * (1.0 + np.abs(expected).max())
 
     @pytest.mark.parametrize(
@@ -189,21 +217,22 @@ class TestBuildProblem:
         assert sum(buffers.values()) <= limit
 
     def test_data_keeps_only_what_the_chain_reads(self):
-        # the thirteen fields, and no buffer beyond theirs: no second copy of
+        # the fourteen fields, and no buffer beyond theirs: no second copy of
         # the primal blocks, no view kept beside the block it views and no
         # view into a larger buffer. built_with is params itself
         sc = load_scenario(resources.files("mpct_admm") / "models" / "scenario_ball_plate.json")
         data = build_problem(sc.model, sc.params)
         assert [f.name for f in dataclasses.fields(data)] == [
             "model", "params", "built_with", "g", "v_lo", "v_hi", "dual_factor", "dual_w",
-            "stage_inv", "end_window", "sums_block", "gt_window", "scaling",
+            "head_window", "tail_window", "sums_block", "pair_block", "odd_block", "scaling",
         ]
         assert data.built_with is data.params
         model, params = data.model, data.params
         expected = [
             model.A, model.B, model.x_lo, model.x_hi, model.u_lo, model.u_hi,
             params.Q, params.R, params.T, params.S, data.g.window, data.v_lo, data.v_hi,
-            data.dual_factor.bands, data.dual_w, data.stage_inv, data.end_window, data.sums_block, data.gt_window,
+            data.dual_factor.bands, data.dual_w, data.head_window, data.tail_window, data.sums_block,
+            data.pair_block, data.odd_block,
         ]
         buffers = reachable_arrays(data)
         assert sorted(map(id, buffers)) == sorted(map(id, reachable_arrays(expected)))

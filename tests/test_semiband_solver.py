@@ -23,7 +23,8 @@ from mpct_admm import (
     solve_semibanded,
 )
 from mpct_admm.oracle import dense_dynamics, dense_hessian, dense_instance, dense_kkt_solve
-from mpct_admm.semiband_solver import _split_primal, stage_sums
+from mpct_admm.mpct_problem import _banded_from_block_columns, _gamma_tilde_columns
+from mpct_admm.semiband_solver import _split_primal
 
 from conftest import random_controllable_model, random_instance, random_params, random_spd
 
@@ -104,14 +105,16 @@ class TestSolveSemibanded:
 
     def test_dual_system_stores_only_what_a_solve_reads(self):
         # the dual-space matrix is kept as the banded factor's bands and the
-        # column-major W, each a buffer of its own size; V is read from the
-        # KKT chain's stacked block, which the chain reads whole
+        # column-major W, each a buffer of its own size, both on the kept
+        # blocks only: N // 2 heads and two tail blocks at even N; V is read
+        # from the KKT chain's stacked block, which the chain reads whole
         rng = np.random.default_rng(13)
         model = random_controllable_model(rng, 4, 2)
         data = build_problem(model, random_params(rng, 4, 2, 12))
         stored = reachable_arrays(data.dual_factor) + reachable_arrays(data.dual_w)
         assert [a.nbytes for a in stored] == [data.dual_factor.bands.nbytes, data.dual_w.nbytes]
-        assert data.dual_w.shape == (data.m_z, 2 * 6) and data.dual_w.flags["F_CONTIGUOUS"]
+        assert data.dual_factor.n == (6 + 2) * 4
+        assert data.dual_w.shape == (data.dual_factor.n, 2 * 6) and data.dual_w.flags["F_CONTIGUOUS"]
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -193,11 +196,44 @@ def dense_dual_v(data):
 
 
 def dense_stage_sums(horizon, n_x):
-    """The 0/1 matrix that :func:`stage_sums` applies: ``Y'``-style sums of the N+2 row blocks."""
+    """The 0/1 matrix of the four stage sums ``(x_0, x_1 + .. + x_{N-1}, x_N, x_{N+1})`` of the N+2 row blocks."""
     blocks = np.zeros((4, horizon + 2))
     blocks[0, 0] = blocks[2, horizon] = blocks[3, horizon + 1] = 1.0
     blocks[1, 1:horizon] = 1.0
     return np.kron(blocks, np.eye(n_x))
+
+
+def kept_rows(horizon, n_x):
+    """The rows of the kept blocks of a dual-space vector: the heads 0, 2, .., 2h-2 and the tail 2h .. N+1."""
+    h = horizon // 2
+    blocks = [*range(0, 2 * h, 2), *range(2 * h, horizon + 2)]
+    return (np.array(blocks)[:, None] * n_x + np.arange(n_x)).ravel()
+
+
+def dense_gamma_tilde(data):
+    """The banded core ``G Lambda G'`` of the dual-space matrix, dense, from the primal split."""
+    n, w = data.params.N, data.n_x + data.n_u
+    system = data.p_system
+    g_st, g_s, _ = _split_primal(system.gamma_stage, system.gamma_ref, system.coupling, n)
+    g = dense_dynamics(data.model, n)
+    return g @ block_diag(np.kron(np.eye(n), g_st), g_s) @ g.T
+
+
+def model_data(source, horizon):
+    """A bundled model by name, or a random model with a dense A and two inputs by state dimension."""
+    if isinstance(source, str):
+        model, params = load_problem(resources.files("mpct_admm") / "models" / source)
+        return build_problem(model, replace(params, N=horizon))
+    rng = np.random.default_rng(source)
+    return build_problem(random_controllable_model(rng, source, 2), random_params(rng, source, 2, horizon))
+
+
+# ball-plate cannot reach an equilibrium in 2 steps, so it builds at N >= 3 only
+REDUCTION_CASES = [
+    *((name, horizon) for name in BUNDLED_MODELS for horizon in (2, 3, 4, 5, 30, 31)
+      if (name, horizon) != ("ball_plate_like.json", 2)),
+    *((n_x, horizon) for n_x in (1, 3, 4) for horizon in (2, 3, 4, 5, 30, 31)),
+]
 
 
 class TestDualSystemStructure:
@@ -205,24 +241,32 @@ class TestDualSystemStructure:
         "source", [(3, 2, 2), (4, 1, 6), *BUNDLED_MODELS], ids=["horizon-2", "one-input", *BUNDLED_MODELS]
     )
     def test_v_products_match_dense(self, source):
-        # V is applied as its four distinct column blocks, the left part of
-        # the stacked block's upper half, on the four stage sums
+        # V z1 is read through the reduction: with p = 0 the Woodbury step's
+        # r = V z1 + M Y' p is V z1, for z1 = Gamma~^-1 (-b), and the chain
+        # takes it from the kept blocks' sums of z1 and b's odd sum through
+        # the stacked block, never from z1's odd blocks
         data = bundled_data(source) if isinstance(source, str) else random_data(*source)
-        n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
-        v_blocks = data.sums_block[: 2 * w, : 4 * nx]
+        w = data.n_x + data.n_u
         v_dense = dense_dual_v(data)
         assert v_dense.shape == (2 * w, data.m_z)
-        sums_dense = dense_stage_sums(n, nx)
+        # V = M S repeats one column block over the stage couplings, so it
+        # reads the four stage sums
+        system = data.p_system
+        m = _split_primal(system.gamma_stage, system.gamma_ref, system.coupling, data.params.N)[2]
+        v_blocks = m @ data.g.stage_sum_block() @ dense_stage_sums(data.params.N, data.n_x)
+        np.testing.assert_allclose(v_blocks, v_dense, rtol=0.0, atol=1e-12 * (1.0 + np.abs(v_dense).max()))
+        gamma = dense_gamma_tilde(data)
+        work = KktWorkspace.for_problem(data)
+        work.p[...] = 0.0
         rng = np.random.default_rng(data.m_z)
-        for operand in (rng.standard_normal(data.m_z), rng.standard_normal((data.m_z, 3))):
-            sums = stage_sums(operand, n)
-            expected_sums = sums_dense @ operand
-            assert sums.shape == expected_sums.shape
-            np.testing.assert_allclose(sums, expected_sums, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected_sums).max()))
-            expected = v_dense @ operand
-            got = v_blocks @ sums
-            assert got.shape == expected.shape
-            np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12 * (1.0 + np.abs(expected).max()))
+        for _ in range(2):
+            b = rng.standard_normal(data.m_z)
+            work.bind(b)
+            work.solve()
+            z1 = np.linalg.solve(gamma, -b)
+            expected = v_dense @ z1
+            assert work.r.shape == expected.shape
+            np.testing.assert_allclose(work.r, expected, rtol=0.0, atol=1e-10 * (1.0 + np.abs(expected).max()))
 
     @pytest.mark.parametrize(
         "name, horizon",
@@ -231,7 +275,9 @@ class TestDualSystemStructure:
             ("mass_spring.json", 2),
             *((name, None) for name in BUNDLED_MODELS),
             *((name, 240) for name in BUNDLED_MODELS),
+            ("double_integrator.json", 31),
             *((n_x, horizon) for n_x in (1, 4) for horizon in (2, 30)),
+            *((n_x, horizon) for n_x in (1, 4) for horizon in (3, 31)),
         ],
     )
     def test_dual_inverse_maps_u_to_w(self, name, horizon):
@@ -243,7 +289,9 @@ class TestDualSystemStructure:
         # dense A and two inputs (with one, four states cannot settle in 2
         # steps), whose dual core has the widest band, 2 n_x - 1: the build
         # sweeps the reference columns forward over the last 2 n_x rows
-        # only, and at this width they begin inside the band
+        # only, and at this width they begin inside the band. W is stored
+        # on the kept blocks only, the heads and the tail of the odd-even
+        # reduction
         if isinstance(name, int):
             rng = np.random.default_rng(name)
             model = random_controllable_model(rng, name, 2)
@@ -259,8 +307,9 @@ class TestDualSystemStructure:
         g = dense_dynamics(model, n)
         p = dense_hessian(params) + params.rho * np.eye(data.n_z)
         w_tilde = g @ np.linalg.solve(p, g.T)
-        expected = np.linalg.solve(w_tilde, -g @ stage_sum_pattern(n, w))
+        expected = np.linalg.solve(w_tilde, -g @ stage_sum_pattern(n, w))[kept_rows(n, data.n_x)]
         got = data.dual_w
+        assert got.shape == expected.shape
         assert np.abs(got - expected).max() <= 1e-9 * (1.0 + np.abs(expected).max())
 
     def test_v_footprint_independent_of_horizon(self):
@@ -271,14 +320,17 @@ class TestDualSystemStructure:
         footprints = []
         for horizon in (6, 24, 96):
             data = build_problem(model, random_params(rng, 4, 2, horizon))
-            assert data.sums_block.shape == (4 * 6, 4 * 4 + 2 * 6)
+            # z_s, r and c_pair, on the kept sums, b's odd sum and p's pair sums
+            assert data.sums_block.shape == (5 * 6, 5 * 4 + 3 * 6)
             growing = reachable_arrays((data.dual_factor, data.dual_w, data.v_lo, data.v_hi))
             fixed = [a for a in reachable_arrays(data) if not any(a is g for g in growing)]
             footprints.append(sorted((a.shape, a.nbytes) for a in fixed))
         assert footprints[0] == footprints[1] == footprints[2]
 
-    @pytest.mark.parametrize("name, expected", zip(BUNDLED_MODELS, [8, 2, 3]))
+    @pytest.mark.parametrize("name, expected", zip(BUNDLED_MODELS, [11, 3, 3]))
     def test_gamma_keeps_only_its_nonzero_bands(self, name, expected):
+        # the factor is the Schur complement S's, whose kept blocks couple
+        # through -Ls D1^-1 Ls, wider than the core's own coupling Ls
         data = bundled_data(name)
         gamma = data.dual_factor
         assert gamma.bands.flags["F_CONTIGUOUS"]
@@ -293,6 +345,30 @@ class TestDualSystemStructure:
         # the outermost band is the first row of the upper layout
         assert np.any(gamma.bands[0] != 0.0)
         assert gamma.half_bandwidth <= 2 * n_x - 1
+
+    @pytest.mark.parametrize("source, horizon", REDUCTION_CASES)
+    def test_schur_complement_matches_dense(self, source, horizon):
+        # the factor is that of S = Gamma~_KK - Gamma~_KO Gamma~_OO^-1
+        # Gamma~_OK, the odd blocks of the dense core eliminated, within the
+        # block-tridiagonal band
+        data = model_data(source, horizon)
+        gamma = dense_gamma_tilde(data)
+        kept = kept_rows(horizon, data.n_x)
+        odd = np.setdiff1d(np.arange(data.m_z), kept)
+        expected = gamma[np.ix_(kept, kept)] - gamma[np.ix_(kept, odd)] @ np.linalg.solve(
+            gamma[np.ix_(odd, odd)], gamma[np.ix_(odd, kept)]
+        )
+        factor = data.dual_factor
+        assert factor.n == len(kept) == (horizon // 2 + horizon + 2 - 2 * (horizon // 2)) * data.n_x
+        assert factor.half_bandwidth <= 2 * data.n_x - 1
+        lower = factor.to_dense()
+        assert np.abs(lower @ lower.T - expected).max() <= 1e-12 * np.abs(expected).max()
+        # the core the reduction starts from is the dense one
+        columns = _gamma_tilde_columns(data.g, *_split_primal(
+            data.p_system.gamma_stage, data.p_system.gamma_ref, data.p_system.coupling, horizon
+        )[:2])
+        core = _banded_from_block_columns(columns, horizon).to_dense()
+        assert np.abs(core - gamma).max() <= 1e-12 * np.abs(gamma).max()
 
 
 def dense_inverse_from_factors(horizon, g_st, g_s, m):
@@ -309,7 +385,10 @@ class TestStageCoupledSystem:
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (3, 1, 2), (2, 1, 5), (3, 2, 4), (4, 2, 9)])
     def test_solve_matches_dense_on_random_models(self, n_x, n_u, horizon):
         # the split of the built matrix, and the KKT chain's p-side blocks,
-        # which are its stage inverse and M times rho
+        # which carry rho: the odd multiplier reads (p_{o-1}, p_o) through
+        # rho blkdiag(Gamma_st^-1, Gamma_st^-1) window D1^-1, and the
+        # equilibrium row of the reduced right-hand side reads p_s through
+        # rho Gamma_s^-1 (top + bot)
         rng = np.random.default_rng(100 * n_x + 10 * n_u + horizon)
         model = random_controllable_model(rng, n_x, n_u)
         params = random_params(rng, n_x, n_u, horizon)  # Q and R are not diagonal
@@ -319,9 +398,15 @@ class TestStageCoupledSystem:
         expected = np.linalg.inv(system.to_dense())
         got = dense_inverse_from_factors(horizon, g_st, g_s, m)
         np.testing.assert_allclose(got, expected, atol=1e-12 * (1.0 + np.abs(expected).max()))
-        w = n_x + n_u
-        np.testing.assert_array_equal(data.stage_inv, params.rho * g_st)
-        np.testing.assert_array_equal(data.sums_block[: 2 * w, 4 * n_x :], params.rho * m)
+        w, window = n_x + n_u, data.g.window
+        d1 = dense_gamma_tilde(data)[n_x : 2 * n_x, n_x : 2 * n_x]
+        v2 = params.rho * block_diag(g_st, g_st) @ window
+        got = data.odd_block[2 * n_x : 2 * n_x + 2 * w] @ d1
+        np.testing.assert_allclose(got, v2, rtol=0.0, atol=1e-12 * np.abs(v2).max())
+        equilibrium = params.rho * g_s @ (window[:w] + window[w:])
+        t = horizon + 2 - 2 * (horizon // 2)
+        got = data.tail_window[t * w :, (t - 1) * n_x :]
+        np.testing.assert_allclose(got, equilibrium, rtol=0.0, atol=1e-14 * np.abs(equilibrium).max())
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
@@ -379,12 +464,15 @@ class TestStageCoupledSystem:
             arrays = reachable_arrays(data.p_system)
             assert arrays
             assert all(data.n_z not in a.shape and a.size <= (2 * 6) ** 2 for a in arrays)
-            # the blocks of the KKT chain: the window blocks of the G and G'
-            # products, the p-side stage inverse and end window, and the
-            # stacked block that folds G' into the second primal solve
-            blocks = (data.g.window, data.gt_window, data.stage_inv, data.end_window, data.sums_block)
+            # the blocks of the KKT chain: G's window, the heads' and the
+            # tail's windows of the reduced right-hand side, the stacked
+            # block, z's pair block and the odd multipliers' block
+            blocks = (
+                data.g.window, data.head_window, data.tail_window, data.sums_block, data.pair_block, data.odd_block
+            )
             assert [blk.shape for blk in blocks] == [
-                (2 * 6, 4), (2 * 4, 6), (6, 6), (2 * 6, 2 * 4), (4 * 6, 4 * 4 + 2 * 6)
+                (2 * 6, 4), (4 * 6, 4), (3 * 6, 2 * 4), (5 * 6, 5 * 4 + 3 * 6), (3 * 4 + 2 * 6, 2 * 6),
+                (3 * 4 + 4 * 6, 4),
             ]
             sizes.append(sum(a.nbytes for a in arrays) + sum(blk.nbytes for blk in blocks))
         assert sizes[0] == sizes[1] == sizes[2]
@@ -452,20 +540,21 @@ class TestSolveKkt:
         assert any(a is data.dual_factor.bands for a in arrays)
 
         def split(work):
-            assert [f.name for f in fields(work)] == ["data", "p", "z", "mu", "solve"]
+            assert [f.name for f in fields(work)] == ["data", "p", "z", "mu", "r", "bind", "solve"]
             assert work.data is data
-            bound = (c.cell_contents for c in work.solve.__closure__)
-            own = [work.p, work.z, work.mu, *(a for a in bound if isinstance(a, np.ndarray))]
-            factors = [a for a in own if any(a is d for d in arrays)]
-            buffers = [a for a in own if not any(a is d for d in arrays)]
+            bound = (c.cell_contents for f in (work.bind, work.solve) for c in f.__closure__)
+            own = [work.p, work.z, work.mu, work.r, *(a for a in bound if isinstance(a, np.ndarray))]
+            # a factor is bound as itself or as a view of it
+            factors = [a for a in own if any(a is d or a.base is d for d in arrays)]
+            buffers = [a for a in own if not any(a is d or a.base is d for d in arrays)]
             for a in buffers:
                 assert not any(np.shares_memory(a, d) for d in arrays)
             return factors, buffers
 
         factors, buffers = split(KktWorkspace.for_problem(data))
-        wanted = [data.stage_inv, data.g.window, data.end_window, data.dual_factor.bands,
-                  data.sums_block, data.dual_w, data.gt_window]
-        assert all(any(a is f for f in factors) for a in wanted)
+        wanted = [data.head_window, data.tail_window, data.dual_factor.bands, data.sums_block,
+                  data.dual_w, data.pair_block, data.odd_block]
+        assert all(any(a is f or a.base is f for a in factors) for f in wanted)
         # two workspaces of one data share no buffer
         _, other = split(KktWorkspace.for_problem(data))
         assert not any(np.shares_memory(a, o) for a in buffers for o in other)
@@ -478,7 +567,9 @@ class TestSolveKkt:
         z_fresh, mu_fresh = solve_kkt_system(data, p, b)
         work = KktWorkspace.for_problem(data)
         z, mu = solve_kkt_system(data, p, b, work=work)
-        assert z is work.z and mu is work.mu
+        # mu is rebuilt from the kept blocks' multipliers, which stay in work.mu
+        assert z is work.z and not np.shares_memory(mu, work.mu)
+        np.testing.assert_array_equal(mu[kept_rows(data.params.N, data.n_x)], work.mu)
         np.testing.assert_array_equal(z, z_fresh)
         np.testing.assert_array_equal(mu, mu_fresh)
         # b is only read
@@ -513,6 +604,26 @@ class TestSolveKkt:
             z_ref, mu_ref = dense_kkt_solve(inst, p, b)
             assert np.abs(z - z_ref).max() <= 1e-9 * (1.0 + np.abs(z_ref).max())
             assert np.abs(mu - mu_ref).max() <= 1e-9 * (1.0 + np.abs(mu_ref).max())
+
+    @pytest.mark.parametrize("source, horizon", REDUCTION_CASES)
+    def test_reduced_chain_against_dense_oracle(self, source, horizon):
+        # even and odd horizons, one head or more, on a right-hand side b
+        # that is non-zero in every block, the odd ones included: z from
+        # work.solve and mu with its odd blocks rebuilt both match the dense
+        # saddle-point solve
+        data = model_data(source, horizon)
+        model, params = data.model, data.params
+        nx, nu = model.n_x, model.n_u
+        inst = dense_instance(model, params, np.zeros(nx), np.zeros(nx), np.zeros(nu))
+        rng = np.random.default_rng(data.m_z)
+        work = KktWorkspace.for_problem(data)
+        for _ in range(2):
+            p = rng.standard_normal(data.n_z)
+            b = rng.standard_normal(data.m_z) + np.sign(rng.standard_normal(data.m_z))
+            z, mu = solve_kkt_system(data, p, b, work=work)
+            z_ref, mu_ref = dense_kkt_solve(inst, p, b)
+            assert np.abs(z - z_ref).max() <= 1e-10 * np.abs(z_ref).max()
+            assert np.abs(mu - mu_ref).max() <= 1e-10 * np.abs(mu_ref).max()
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
