@@ -73,7 +73,7 @@ MUTANTS = (
     Mutant(
         name="stacked-block-no-woodbury-term",
         path="src/mpct_admm/mpct_problem.py",
-        old="    c = h_m - h_m @ (a @ core_inv @ m)\n",
+        old="    c = h_m - h_m @ a @ (core_inv @ m)\n",
         new="    c = h_m\n",
         breaks="the second primal solve ignores the multipliers' Woodbury step",
         tests=("tests/test_mpct_problem.py", "tests/test_semiband_solver.py"),
@@ -89,24 +89,24 @@ MUTANTS = (
     Mutant(
         name="schur-heads-no-left-term",
         path="src/mpct_admm/mpct_problem.py",
-        old="        schur[1, :nx] = d1 - from_left - from_right\n",
-        new="        schur[1, :nx] = d1 - from_right\n",
+        old="        schur[1:3, :nx] -= via[:nx, :nx]\n",
+        new="        schur[2, :nx] -= via[:nx, :nx]\n",
         breaks="the heads' diagonal block of S drops Ls D1^-1 Ls' from the left odd neighbour",
         tests=("tests/test_semiband_solver.py",),
     ),
     Mutant(
         name="pair-block-neighbours-swapped",
         path="src/mpct_admm/mpct_problem.py",
-        old="    pair_block = via_odd[: 3 * nx + 2 * w].copy()\n",
-        new="    pair_block = via_odd[np.r_[nx : 2 * nx, :nx, 2 * nx : 3 * nx + 2 * w]]\n",
+        old="    pair_block = via_odd[:pair_rows, : 2 * w].copy()\n",
+        new="    pair_block = via_odd[np.r_[nx : 2 * nx, :nx, 2 * nx : pair_rows], : 2 * w]\n",
         breaks="z's stage pairs read the odd multiplier's two kept neighbours through each other's terms",
         tests=("tests/test_semiband_solver.py",),
     ),
     Mutant(
         name="odd-tail-shifted",
         path="src/mpct_admm/mpct_problem.py",
-        old="        sums_block[:w, 2 * nx : 4 * nx] += gt.T\n",
-        new="        sums_block[:w, 3 * nx : 5 * nx] += gt.T\n",
+        old="        sums_block[:w, 2 * nx : 4 * nx] += gt_t\n",
+        new="        sums_block[:w, 3 * nx : 5 * nx] += gt_t\n",
         breaks="at odd N, z_{N-1} reads the tail's kept blocks one block further on",
         tests=("tests/test_semiband_solver.py",),
     ),

@@ -15,6 +15,7 @@ exist for tests and small-scale verification only.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -35,6 +36,14 @@ def _band_mask(half_bandwidth: int, n: int) -> np.ndarray:
     rows = np.arange(half_bandwidth + 1)[:, None]
     cols = np.arange(n)[None, :]
     return rows + cols < n
+
+
+@functools.lru_cache(maxsize=64)
+def _unused_tail_slots(half_bandwidth: int) -> np.ndarray:
+    """The unused slots of the last ``bw`` columns of packed band storage, read-only."""
+    unused = ~_band_mask(half_bandwidth, half_bandwidth)
+    unused.flags.writeable = False
+    return unused
 
 
 @dataclass(frozen=True)
@@ -62,7 +71,7 @@ class SymBandedMatrix:
             )
         # the unused slots all lie in the last bw columns
         bw = self.half_bandwidth
-        bands[:, self.n - bw :][~_band_mask(bw, bw)] = 0.0
+        bands[:, self.n - bw :][_unused_tail_slots(bw)] = 0.0
         if not np.isfinite(bands).all():
             raise ValueError("banded entries must be finite")
         object.__setattr__(self, "bands", bands)

@@ -461,53 +461,57 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # loses Ls D1^-1 Ls' to its left odd neighbour and Ls' D1^-1 Ls to its
     # right one, and consecutive kept blocks couple through -Ls D1^-1 Ls.
     # The tail keeps Gamma~'s own columns from block 2h on. Row block i of
-    # U~ = -G Y (see below) is U0 for the pin, U1 for every stage coupling,
-    # then the handoff's and the equilibrium row's, so every odd row block is
-    # U1, and the reduced U~_K - Gamma~_KO D1^-1 U~_O has S's first /
-    # repeated / tail pattern: u_red, by kind
+    # U~ = -G Y (see below) is U0 = -(E, 0) for the pin, U1 = (C - E, 0) for
+    # every stage coupling, then the handoff's (C, -E) and the equilibrium
+    # row's (0, C - E), with g.window = [C' ; -E'] = [top ; bot]. So every
+    # odd row block is U1, and the reduced U~_K - Gamma~_KO D1^-1 U~_O has
+    # S's first / repeated / tail pattern: u_red, by kind, with -D1^-1 U1
+    # stacked after it for the right factor below
     columns = _gamma_tilde_columns(g, g_st, g_s)
-    d1, ls = columns[1, :nx], columns[0, nx:]
-    s = g.stage_sum_block()
-    u_rows = -s.T.reshape(4, nx, 2 * w)
+    ls = columns[0, nx:]
+    u_rows = np.zeros((4, nx, 2 * w))
+    u_rows[0, :, :w] = g.window[w:].T
+    np.add(g.window[:w].T, g.window[w:].T, out=u_rows[1, :, :w])
+    u_rows[2] = g.window.T
+    u_rows[3, :, w:] = u_rows[1, :, :w]
     u1 = u_rows[1]
     try:
-        d1_inv = _spd_inverse(d1, "dual core odd block")
-        # D1^-1 (Ls', Ls, U1), then Ls and Ls' times them
+        d1_inv = _spd_inverse(columns[1, :nx], "dual core odd block")
+        # D1^-1 (Ls', Ls, U1), then (Ls ; Ls') times it: rows Ls give Ls
+        # D1^-1 Ls' (from the left), Ls D1^-1 Ls (the coupling) and Ls
+        # D1^-1 U1, rows Ls' give Ls' D1^-1 Ls (from the right) and Ls' D1^-1 U1
         d1_ls = d1_inv @ np.concatenate([ls.T, ls, u1], axis=1)
-        via_left, via_right = ls @ d1_ls, ls.T @ d1_ls[:, nx:]
-        from_left, from_right = via_left[:, :nx], via_right[:, :nx]
-        schur = np.empty((2 + t, 2 * nx, nx))
-        schur[0, :nx] = columns[0, :nx] - from_right
-        schur[1, :nx] = d1 - from_left - from_right
-        np.negative(via_left[:, nx : 2 * nx], out=schur[0, nx:])
-        schur[1, nx:] = schur[0, nx:]
-        schur[2:] = columns[4 - t :]
-        schur[2, :nx] -= from_left
+        via = np.concatenate([ls, ls.T]) @ d1_ls
+        schur = np.concatenate([columns[:2], columns[4 - t :]])
+        schur[:2, :nx] -= via[nx:, nx : 2 * nx]
+        schur[1:3, :nx] -= via[:nx, :nx]
+        schur[:2, nx:] = -via[:nx, nx : 2 * nx]
         dual_factor = banded_cholesky_factor(_banded_from_block_columns(schur, h))
     except NotPositiveDefinite as exc:
         raise RankDeficientG(
             f"dynamics matrix lost full row rank ({exc.what} pivot failed at row {exc.index})"
         ) from None
-    left_u, right_u = via_left[:, 2 * nx :], via_right[:, nx:]
-    u_red = np.empty((2 + t, nx, 2 * w))
-    np.subtract(u_rows[0], right_u, out=u_red[0])
-    u_red[1] = u1 - left_u - right_u if h > 1 else 0.0
-    u_red[2:] = u_rows[4 - t :]
-    u_red[2] -= left_u
+    u_red = np.concatenate([u_rows[:2], u_rows[4 - t :], -d1_ls[None, :, 2 * nx :]])
+    u_red[:2] -= via[nx:, 2 * nx :]
+    u_red[1:3] -= via[:nx, 2 * nx :]
+    if h == 1:
+        u_red[1] = 0.0
 
     # P^-1 = Lambda - Y M Y' makes the dual matrix Gamma~ - (G Y) M (G Y)',
-    # so U~ = -G Y and V~ = M (G Y)'. X_K = S^-1 U~_red is solved in place, column-major, the order LAPACK reads it in, written through
-    # the row-major view of its transpose (info is nonzero only for an
-    # illegal argument, which the shapes rule out). The reference columns,
-    # the last w, are zero above the last two kept blocks, so the forward
-    # sweep L y = U~ leaves those rows zero and runs on the trailing 2 n_x
-    # rows alone, through the factor's trailing columns; the backward sweep
-    # L' x = y then runs over every row
-    x = np.empty((kept * nx, 2 * w), order="F")
-    x_cols = x.T.reshape(2 * w, kept, nx)
-    x_cols[:, 0] = u_red[0].T
-    x_cols[:, 1:h] = u_red[1].T[:, None]
-    x_cols[:, h:] = u_red[2:].transpose(2, 0, 1)
+    # so U~ = -G Y and V~ = M (G Y)'. X_K = S^-1 U~_red is solved in place,
+    # column-major, the order LAPACK reads it in, written through the
+    # row-major view of its transpose (info is nonzero only for an illegal
+    # argument, which the shapes rule out). The reference columns, the last
+    # w, are zero above the last two kept blocks, so the forward sweep L y =
+    # U~ leaves those rows zero and runs on the trailing 2 n_x rows alone,
+    # through the factor's trailing columns; the backward sweep L' x = y
+    # then runs over every row
+    u_kept = np.empty((kept * nx, 2 * w), order="F")
+    u_cols = u_kept.T.reshape(2 * w, kept, nx)
+    u_cols[:, 0] = u_red[0].T
+    u_cols[:, 1:h] = u_red[1].T[:, None]
+    u_cols[:, h:] = u_red[2 : 2 + t].transpose(2, 0, 1)
+    x = u_kept.copy(order="F")
     bands, tail = dual_factor.bands, (kept - 2) * nx
     dpbtrs(bands, x[:, :w], lower=0, overwrite_b=1)
     x[tail:, w:] = dtbtrs(bands[:, tail:], x[tail:, w:], trans="T")[0]
@@ -515,19 +519,18 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
 
     # (G Y)' reads the four stage sums of a dual-space vector x = Gamma~^-1
     # y and is -U~', and by the Schur complement -U~' x = -u_red' x_K - U1'
-    # D1^-1 sum_o y_o: it reads the kept blocks' sums (block 0, heads 1 .. h-1,
-    # each tail block; with one head the heads' slot reads a tail block,
-    # which u_red's zero repeated kind drops) and the odd blocks' summed
-    # right-hand side, and the odd rows of x are never formed. So V~ X = M
-    # A with A = (G Y)' X = -u_red' X_K - h U1' D1^-1 U1, the Woodbury core
-    # is I + M A,
-    # and W_K = X_K core^-1 is one dgemm that writes it column-major
-    offsets = np.array([0, 1, *range(h, kept)])
-    kept_cols = (2 + t) * nx
-    sum_kept = -u_red.reshape(kept_cols, 2 * w).T
-    x_sums = np.add.reduceat(x_cols, offsets, axis=1).reshape(2 * w, kept_cols)
-    a = sum_kept @ x_sums.T - h * (d1_ls[:, 2 * nx :].T @ u1)
-    core_inv = _core_inverse(np.identity(2 * w) + m @ a)
+    # D1^-1 sum_o y_o: it reads the kept blocks' sums (block 0, heads 1 ..
+    # h-1, each tail block; with one head the heads' slot reads a tail
+    # block, which u_red's zero repeated kind drops) and the odd blocks'
+    # summed right-hand side, and the odd rows of x are never formed: right_k
+    # = -u_red' reads both. So V~ X = M A with A = (G Y)' X = -U~_red' X_K -
+    # h U1' D1^-1 U1, U~_red the kept rows u_kept of the solve's right-hand
+    # side, the Woodbury core is I + M A, and W_K = X_K core^-1 is one dgemm
+    # that writes it column-major
+    kept_cols, p_col = (2 + t) * nx, (3 + t) * nx
+    right_k = -u_red.reshape(p_col, 2 * w).T
+    a = -(u_kept.T @ x) - h * (right_k[:, kept_cols:] @ u1)
+    core_inv = _core_inverse(np.eye(2 * w) + m @ a)
     dual_w = dgemm(1.0, x, core_inv)
 
     # The chain reads p / rho, so its blocks on p's side carry rho. Row block
@@ -535,91 +538,102 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # chain writes them), and the second primal solve's stage i reads the
     # multipliers' window, z_i = (mu_i, mu_{i+1}) gt - rho Gamma_st^-1 p_i +
     # c_st (see below): stage i of G' mu is mu_i E - mu_{i+1} C, so gt = [-E
-    # ; C] Gamma_st^-1
-    st_rho = rho * g_st
+    # ; C] Gamma_st^-1, whose halves are (Gamma_st^-1 bot)' and (Gamma_st^-1
+    # top)' for g.window = [top ; bot]
     halves = g.window.reshape(2, w, nx)
+    st_rho = rho * g_st
     v2 = (st_rho @ halves).reshape(2 * w, nx)
-    gt = (halves[::-1].transpose(0, 2, 1) @ g_st).reshape(2 * nx, w)
+    st_halves = g_st @ halves
+    gt = st_halves[::-1].transpose(0, 2, 1)
 
     # The odd multipliers. mu = z1 - W r with z1 = Gamma~^-1 rhs, and X_O =
     # D1^-1 (U1 - Gamma~_OK X_K), so mu_o = (rhs_o - delta - mu_{o-1} Ls' -
     # mu_{o+1} Ls) D1^-1 with delta = U1 core^-1 r, the same for every o.
     # rhs_o = (p_{o-1}, p_o) v2 - b_o, so odd_block maps (mu_{o-1}, mu_{o+1},
-    # p_{o-1}, p_o, b_o, r) to mu_o. mu_o enters z's stage pair (z_{o-1},
-    # z_o) through [gt_bot, gt_top], so the pair reads (mu_{o-1}, mu_{o+1}),
-    # (p_{o-1}, p_o) and b_o through the three parts of pair_block, b_o's
-    # part bound once per b, and r through the stacked block's per-pair
-    # constant
-    odd_block = np.concatenate([ls.T, ls, -v2, np.identity(nx), (u1 @ core_inv).T]) @ -d1_inv
-    via_odd = odd_block @ np.concatenate([gt[nx:], gt[:nx]], axis=1)
-    pair_block = via_odd[: 3 * nx + 2 * w].copy()
-    pair_block[:nx, :w] += gt[:nx]
-    pair_block[nx : 2 * nx, w:] += gt[nx:]
-    pair_block[2 * nx : 2 * nx + w, :w] -= st_rho
-    pair_block[2 * nx + w : 2 * nx + 2 * w, w:] -= st_rho
+    # p_{o-1}, p_o, b_o, r) to mu_o; with D1^-1 symmetric, its rows are
+    # those of -D1^-1 (Ls, Ls', -v2', I, U1 core^-1) transposed. mu_o enters
+    # z's stage pair (z_{o-1}, z_o) through gt's halves swapped, so one
+    # product gives the pair's terms in (mu_{o-1}, mu_{o+1}), (p_{o-1}, p_o),
+    # b_o and r, and, on the p rows, v2 D1^-1 Ls' and v2 D1^-1 Ls, which the
+    # reduced right-hand side below reads. pair_block adds the pair's own
+    # terms: (mu_{2j}, mu_{2j+2}) through gt's halves and (p_{2j}, p_{2j+1})
+    # through -rho Gamma_st^-1, on the diagonal blocks of its first 2 n_x
+    # and next 2w rows, written through strided views. b_o's part is bound
+    # once per b, and r's goes into the stacked block's per-pair constant
+    odd_block = np.concatenate(
+        [d1_ls[:, nx : 2 * nx].T, d1_ls[:, :nx].T, -(v2 @ d1_inv), d1_inv, (d1_ls[:, 2 * nx :] @ core_inv).T]
+    )
+    np.negative(odd_block, out=odd_block)
+    via_odd = odd_block @ np.concatenate([st_halves[0].T, st_halves[1].T, ls.T, ls], axis=1)
+    pair_rows = 3 * nx + 2 * w
+    pair_block = via_odd[:pair_rows, : 2 * w].copy()
+    item = pair_block.itemsize
+    mu_diag = np.ndarray((2, nx, w), buffer=pair_block, strides=((2 * nx + 1) * w * item, 2 * w * item, item))
+    p_diag = np.ndarray(
+        (2, w, w), buffer=pair_block, offset=4 * nx * w * item, strides=((2 * w + 1) * w * item, 2 * w * item, item)
+    )
+    mu_diag += gt
+    p_diag -= st_rho
 
     # The reduced right-hand side on the kept blocks, rhs_K - Gamma~_KO D1^-1
     # rhs_O: head j reads rhs_{2j} - rhs_{2j-1} D1^-1 Ls' - rhs_{2j+1} D1^-1
     # Ls, one product with the window (p_{2j-2}, .., p_{2j+1}) of p behind
     # two zero blocks. The tail reads q = (p_{2h-2}, .., p_{N-1}, p_s), the
-    # last t+1 stages: tail block c is rhs_{2h+c}, (q_{c+1}, q_{c+2}) v2
-    # between stages, with rho Gamma_s^-1 in place of rho Gamma_st^-1 for
-    # p_s, and q_t rho Gamma_s^-1 (top + bot) for the equilibrium row; the
-    # first tail block loses its left odd neighbour's term
-    v2_d1_ls = v2 @ d1_ls[:, : 2 * nx]
-    head_window = np.zeros((4 * w, nx))
-    head_window[w : 3 * w] = v2
-    head_window[: 2 * w] -= v2_d1_ls[:, :nx]
-    head_window[2 * w :] -= v2_d1_ls[:, nx:]
+    # last t+1 stages: its first block reads q_0 .. q_2 as a head would,
+    # with rho Gamma_s^-1 in place of rho Gamma_st^-1 for p_s; tail block c
+    # is rhs_{2h+c}, (q_{c+1}, q_{c+2}) v2 between stages, and q_t rho
+    # Gamma_s^-1 (top + bot) for the equilibrium row
+    v2_d1_ls = via_odd[2 * nx : 2 * nx + 2 * w, 2 * w :]
+    head_window = np.empty((4 * w, nx))
+    np.negative(v2_d1_ls.reshape(2 * w, 2, nx).transpose(1, 0, 2), out=head_window.reshape(2, 2 * w, nx))
+    head_window[w : 3 * w] += v2
     s_rho = rho * (g_s @ halves)
     tail_window = np.zeros(((t + 1) * w, t * nx))
+    tail_window[: 2 * w, :nx] = head_window[: 2 * w]
     by_stage = tail_window.reshape(t + 1, w, t, nx)
-    for c in range(t - 1):
-        by_stage[c + 1, :, c] = v2[:w]
-        by_stage[c + 2, :, c] = v2[w:]
+    if t == 3:
+        by_stage[2, :, 0] = v2[w:]
+        by_stage[2, :, 1] = v2[:w]
     by_stage[t, :, t - 2] = s_rho[1]
     np.add(s_rho[0], s_rho[1], out=by_stage[t, :, t - 1])
-    tail_window[: 2 * w, :nx] -= v2_d1_ls[:, :nx]
 
     # The stacked block acts on sigma = (kept sums of z1, sum_o b_o, sum_j
     # (p_{2j}, p_{2j+1}), the live part of the last pair) with p read as p /
     # rho: the last pair is (p_s, 0) for even N and (p_{N-1}, p_s) for odd
-    # N. It gives z's tail, r and the per-pair constant c_pair at once. The
-    # right factor (G Y)' z1 + rho Y' p reads sigma through right: (G Y)' z1
-    # is sum_kept on the kept sums and -U1' D1^-1 on sum_o rhs_o = (sum_j
-    # (p_{2j}, p_{2j+1})) v2 - sum_o b_o, and the stage sum of p is every
-    # stage block of sigma's p part but p_s. r = M right is the Woodbury
-    # step's, and c = h (I - A core^-1 M) right, with h = M - blkdiag(0,
+    # N. It gives z's tail, r and the per-pair constant c_pair at once, as
+    # left @ right. The right factor (G Y)' z1 + rho Y' p reads sigma
+    # through right = [right_k, right_p]: (G Y)' z1 is right_k on the kept
+    # sums and on sum_o rhs_o = (sum_j (p_{2j}, p_{2j+1})) v2 - sum_o b_o,
+    # so right_p is -right_k's last n_x columns times v2' on the pair sums,
+    # plus rho I on every stage block of sigma's p part but p_s in the
+    # stage half and on p_s in the reference half. The left factor's rows
+    # are those of M for r, of C = h (I - A core^-1 M) for c, and of
+    # (C_st, C_st) plus delta's per-pair term for c_pair: r = M right is
+    # the Woodbury step's, and c = C right, with h = M - blkdiag(0,
     # Gamma_s^-1) and I - A core^-1 M = (I + A M)^-1 by the push-through
     # identity, is the second primal solve's c = h Y' (G' mu + p): z_i =
     # (mu_i, mu_{i+1}) gt - rho Gamma_st^-1 p_i + c_st and z_s = c_ref.
-    # c_pair is (c_st, c_st) plus what delta adds to both blocks of a pair
-    # through the odd multiplier
-    live = (t - 1) * w
-    p_col = kept_cols + nx
-    right = np.zeros((2 * w, p_col + 2 * w + live))
-    right[:, :kept_cols] = sum_kept
-    right[:, kept_cols:p_col] = d1_ls[:, 2 * nx :].T
-    right[:, p_col : p_col + 2 * w] = -(right[:, kept_cols:p_col] @ v2.T)
-    rho_eye = rho * np.identity(w)
-    right[:w, p_col : p_col + t * w].reshape(w, t, w)[...] += rho_eye[:, None]
-    right[w:, p_col + t * w :] = rho_eye
-    # one product with right: the rows of M for r, of C = h (I - A core^-1
-    # M) for c, and of (C_st, C_st) plus delta's per-pair term for c_pair
+    # So left @ right_p is rho times left's stage half, once per stage
+    # block, and its reference half, less (left @ right_k) v2' on the pair
+    # sums
     h_m = m.copy()
     h_m[w:, w:] -= g_s
-    c = h_m - h_m @ (a @ core_inv @ m)
-    c_pair = (via_odd[3 * nx + 2 * w :].T @ m).reshape(2, w, 2 * w) + c[:w]
-    if t == 2:
-        left = np.concatenate([c[w:], m, c_pair.reshape(2 * w, 2 * w)])
-    else:
+    c = h_m - h_m @ a @ (core_inv @ m)
+    c_pair = (via_odd[pair_rows:, : 2 * w].T @ m).reshape(2, w, 2 * w) + c[:w]
+    rows = [c[w:], m, c_pair.reshape(2 * w, 2 * w)]
+    if t == 3:
         # z_{N-1} = (mu_{N-1}, mu_N) gt - rho Gamma_st^-1 p_{N-1} + c_st, on
         # the kept multipliers (z1 - W r) of the first two tail blocks
-        z_last = c[:w] - gt.T @ dual_w[h * nx : (h + 2) * nx] @ m
-        left = np.concatenate([z_last, c[w:], m, c_pair.reshape(2 * w, 2 * w)])
-    sums_block = left @ right
+        gt_t = gt.transpose(2, 0, 1).reshape(w, 2 * nx)
+        rows.insert(0, c[:w] - gt_t @ dual_w[h * nx : (h + 2) * nx] @ m)
+    left = np.concatenate(rows)
+    on_k = left @ right_k
+    rho_left = rho * left
+    on_p = np.concatenate([rho_left[:, :w]] * t + [rho_left[:, w:]], axis=1)
+    on_p[:, : 2 * w] -= on_k[:, kept_cols:] @ v2.T
+    sums_block = np.concatenate([on_k, on_p], axis=1)
     if t == 3:
-        sums_block[:w, 2 * nx : 4 * nx] += gt.T
+        sums_block[:w, 2 * nx : 4 * nx] += gt_t
         sums_block[:w, p_col + 2 * w : p_col + 3 * w] -= st_rho
 
     return PrecomputedData(

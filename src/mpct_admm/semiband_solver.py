@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dgemm, dgemv
-from scipy.linalg.lapack import dgetrf, dgetri, dpbtrs, dpotrf, dpotrs
+from scipy.linalg.lapack import dgetrf, dgetri, dpbtrs, dposv
 
 from .banded_linalg import BandedCholeskyFactor
 from .errors import DimensionMismatch, NotPositiveDefinite, SingularSmallSystem
@@ -74,19 +74,19 @@ def _core_inverse(core: np.ndarray) -> np.ndarray:
     m = core.shape[0]
     # an exactly zero pivot only sets info, which the pivot test below covers
     lu, piv, _ = dgetrf(core)
-    u_diag = np.abs(lu.diagonal())
-    if u_diag.min() <= m * np.finfo(float).eps * max(1.0, u_diag.max()):
+    u_diag = np.abs(np.diag(lu))
+    if np.any(u_diag <= m * np.finfo(float).eps * max(1.0, float(u_diag.max(initial=0.0)))):
         raise SingularSmallSystem(f"{m}x{m} core matrix is singular")
     return dgetri(lu, piv, overwrite_lu=1)[0]
 
 
 def _spd_inverse(m: np.ndarray, what: str) -> np.ndarray:
     """Symmetric inverse of an SPD block, or :class:`NotPositiveDefinite`."""
-    # info is the order of the first leading minor that is not SPD, 0 if none
-    c, info = dpotrf(m, lower=1)
+    # dposv is dpotrf, then dpotrs on the identity; info is the order of the
+    # first leading minor that is not SPD, 0 if none
+    inv, info = dposv(m, np.eye(m.shape[0]), lower=1)[1:]
     if info:
         raise NotPositiveDefinite(what, index=info - 1)
-    inv = dpotrs(c, np.eye(m.shape[0]), lower=1)[0]
     return 0.5 * (inv + inv.T)
 
 
@@ -186,7 +186,7 @@ def _split_primal(
     g_s = _spd_inverse(gamma_ref, "reference core block")
     k = g_st @ coupling
     sc_inv = _spd_inverse(gamma_ref - horizon * (coupling @ k), "reference Schur complement")
-    k_hat = np.vstack([k, np.eye(w)])
+    k_hat = np.concatenate([k, np.eye(w)])
     m = -(k_hat @ sc_inv @ k_hat.T)
     m[w:, w:] += g_s
     return g_st, g_s, m
@@ -206,15 +206,18 @@ class KktWorkspace:
     """The KKT chain of one problem, bound to its buffers.
 
     :meth:`for_problem` binds ``data``'s factor arrays once and returns the
-    unchecked chain as two closures. ``bind(b)`` forms what the chain reads
-    of the dual right-hand side ``b``: its reduced form on the kept blocks,
-    its odd blocks' sum and its term in each of ``z``'s stage pairs; they
-    hold until the next ``bind``, and ``b`` is only read. ``solve()`` reads
-    ``p / rho`` from the buffer ``p`` and returns ``z`` in the buffer ``z``.
-    The kept blocks' multipliers ``mu_K`` are left in ``mu`` and the
-    Woodbury step's ``r`` in ``r``, from which :func:`solve_kkt_system`
-    rebuilds the odd ones; the next call overwrites them. The chain copies
-    no factor, so a workspace serves only the ``data`` it was made for.
+    unchecked chain as closures. ``bind(b)`` forms what the chain reads of
+    the dual right-hand side ``b``: its reduced form on the kept blocks, its
+    odd blocks' sum and its term in each of ``z``'s stage pairs; they hold
+    until the next ``bind``, and ``b`` is only read. ``solve()`` reads ``p /
+    rho`` from the buffer ``p`` and returns ``z`` in the buffer ``z``. The
+    kept blocks' multipliers ``mu_K`` are left in ``mu`` and the Woodbury
+    step's ``r`` in ``r``; the next call overwrites them. After a
+    ``solve()``, ``multipliers(b)``, with the ``b`` last bound, returns all
+    of ``mu`` as a new array: the kept blocks' and the odd ones, rebuilt by
+    one product with ``data.odd_block``. The ADMM loop never calls it. The
+    chain copies no factor, so a workspace serves only the ``data`` it was
+    made for.
 
     With ``P^-1 = Lambda - Y M Y'``, the first primal solve's low-rank term
     is ``G Y M Y' p = -U~ M Y' p``, and ``W~^-1 U~ = Gamma~^-1 U~ (I + V
@@ -244,6 +247,7 @@ class KktWorkspace:
     r: np.ndarray
     bind: Callable[[np.ndarray], None]
     solve: Callable[[], np.ndarray]
+    multipliers: Callable[[np.ndarray], np.ndarray]
 
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
@@ -328,27 +332,22 @@ class KktWorkspace:
             np.add(z_pairs, b_pairs, out=z_pairs)
             return z
 
-        return cls(data=data, p=p, z=z, mu=mu, r=r, bind=bind, solve=solve)
+        def multipliers(b: np.ndarray) -> np.ndarray:
+            # the kept blocks' mu in place, and the odd ones by one product
+            # with odd_block: row j of odd_in is what it maps to mu_{2j+1},
+            # (mu_{2j}, mu_{2j+2}, p_{2j}, p_{2j+1}, b_{2j+1}, r). The ADMM
+            # loop never calls this, so its buffers are made here
+            odd_in, mu_all = np.empty((h, 3 * nx + 4 * w)), np.empty((n + 2, nx))
+            odd_in[:, : 2 * nx] = mu_window
+            odd_in[:, 2 * nx : 2 * nx + 2 * w] = p_pairs[:h]
+            odd_in[:, 2 * nx + 2 * w : 3 * nx + 2 * w] = b[nx : (2 * h + 1) * nx].reshape(h, 2 * nx)[:, :nx]
+            odd_in[:, 3 * nx + 2 * w :] = r
+            mu_all[0 : 2 * h : 2] = mu_heads
+            mu_all[2 * h :] = mu_blocks[h:]
+            np.matmul(odd_in, odd_block, out=mu_all[1 : 2 * h : 2])
+            return mu_all.reshape(-1)
 
-
-def _multipliers(data: "PrecomputedData", work: KktWorkspace, b: np.ndarray) -> np.ndarray:
-    """All of ``mu`` after ``work.solve()``: the kept blocks' and the odd ones rebuilt.
-
-    ``mu_o = (rhs_o - b_o - delta - mu_{o-1} Ls' - mu_{o+1} Ls) D1^-1``, by
-    the product with ``data.odd_block`` of ``(mu_{o-1}, mu_{o+1}, p_{o-1},
-    p_o, b_o, r)`` (see :func:`~mpct_admm.mpct_problem.build_problem`).
-    """
-    n, nx, w = data.params.N, data.n_x, data.n_x + data.n_u
-    h = n // 2
-    ob, kept = data.odd_block, work.mu.reshape(-1, nx)
-    mu = np.empty(data.m_z)
-    blocks = mu.reshape(n + 2, nx)
-    blocks[0 : 2 * h : 2] = kept[:h]
-    blocks[2 * h :] = kept[h:]
-    pairs, b_odd = work.p[: 2 * h * w].reshape(h, 2 * w), b.reshape(n + 2, nx)[1 : 2 * h : 2]
-    inputs = np.concatenate([kept[:h], kept[1 : h + 1], pairs, b_odd], axis=1)
-    np.add(inputs @ ob[: 3 * nx + 2 * w], work.r @ ob[3 * nx + 2 * w :], out=blocks[1 : 2 * h : 2])
-    return mu
+        return cls(data=data, p=p, z=z, mu=mu, r=r, bind=bind, solve=solve, multipliers=multipliers)
 
 
 def solve_kkt_system(
@@ -365,12 +364,12 @@ def solve_kkt_system(
     with the ``G'`` product before it (see :class:`KktWorkspace`). The
     multipliers are returned for residual diagnostics even though the outer
     iteration discards them: the chain forms those of the kept blocks only,
-    and the odd ones are rebuilt here. With ``work`` given, ``z`` is its
-    buffer. ``G`` is ``data.g.to_dense()``, whose dynamics rows read ``x_i -
-    A x_{i-1} - B u_{i-1}``; ``p`` and ``b`` are only read. The arguments
-    are checked here, once, and ``work`` runs the chain; the ADMM loop binds
-    its ``b`` once and calls ``work.solve`` directly on its own checked
-    buffers.
+    and ``work.multipliers`` rebuilds the odd ones. With ``work`` given,
+    ``z`` is its buffer. ``G`` is ``data.g.to_dense()``, whose dynamics rows
+    read ``x_i - A x_{i-1} - B u_{i-1}``; ``p`` and ``b`` are only read. The
+    arguments are checked here, once, and ``work`` runs the chain; the ADMM
+    loop binds its ``b`` once and calls ``work.solve`` directly on its own
+    checked buffers.
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -385,4 +384,4 @@ def solve_kkt_system(
     # the chain's p-side factors carry rho, so it reads p / rho
     np.divide(p, data.params.rho, out=work.p)
     work.bind(b)
-    return work.solve(), _multipliers(data, work, b)
+    return work.solve(), work.multipliers(b)

@@ -45,6 +45,55 @@ def split_primal_dense(data):
     core = np.where(block[:, None] == block[None, :], p, 0.0)
     return core, p - core
 
+def stacked_block_long_form(data):
+    """The stacked block ``sums_block``, entry by entry, by its long form (see the test using it)."""
+    params, model = data.params, data.model
+    n, nx, w, rho = params.N, data.n_x, data.n_x + data.n_u, params.rho
+    h = n // 2
+    t = n + 2 - 2 * h
+    system = data.p_system
+    g_st, g_s, m = _split_primal(system.gamma_stage, system.gamma_ref, system.coupling, n)
+    columns = _gamma_tilde_columns(data.g, g_st, g_s)
+    d1, ls = columns[1, :nx], columns[0, nx:]
+    q = np.linalg.inv(d1)
+    u = [-blk.T for blk in np.split(data.g.stage_sum_block(), 4, axis=1)]
+    u1 = u[1]
+    # the reduced kinds: block 0, the heads, then the tail blocks 2h .. N+1
+    kinds = [u[0] - (ls.T @ q) @ u1, u1 - (ls @ q) @ u1 - (ls.T @ q) @ u1] + [blk.copy() for blk in u[4 - t :]]
+    kinds[2] -= (ls @ q) @ u1
+    if h == 1:
+        kinds[1][...] = 0.0
+    # gt = [-E ; C] Gamma_st^-1: its halves, for mu_i and mu_{i+1}, swapped
+    gt = np.vstack([-np.eye(nx, w), np.hstack([model.A, model.B])]) @ g_st
+    gt_swapped = np.hstack([gt[nx:], gt[:nx]])
+    kept_cols, p_col = (2 + t) * nx, (3 + t) * nx
+    cols = p_col + (t + 1) * w
+    right = np.zeros((2 * w, cols))
+    for i, kind in enumerate(kinds):
+        right[:, i * nx : (i + 1) * nx] = -kind.T
+    right[:, kept_cols:p_col] = u1.T @ q
+    right[:, p_col : p_col + 2 * w] = -rho * (u1.T @ q @ gt_swapped)
+    for c in range(t):
+        right[:w, p_col + c * w : p_col + (c + 1) * w] += rho * np.eye(w)
+    right[w:, p_col + t * w :] = rho * np.eye(w)
+    # A core^-1 from the kept rows of W = X core^-1
+    u_kept = np.vstack([kinds[0]] + [kinds[1]] * (h - 1) + kinds[2:])
+    odd = h * (u1.T @ q @ u1)
+    a_core = np.linalg.solve(np.eye(2 * w) - odd @ m, -u_kept.T @ data.dual_w - odd)
+    core_inv_m = (np.eye(2 * w) - m @ a_core) @ m
+    h_m = m - block_diag(np.zeros((w, w)), g_s)
+    c = h_m @ (np.eye(2 * w) - a_core @ m)
+    delta = gt_swapped.T @ q @ u1 @ core_inv_m
+    rows = [c[w:] @ right, m @ right, (c[:w] - delta[:w]) @ right, (c[:w] - delta[w:]) @ right]
+    if t == 3:
+        # z_{N-1} = (mu_{N-1}, mu_N) gt - rho Gamma_st^-1 p_{N-1} + c_st,
+        # with mu_K = z1_K - W_K r
+        z_last = (c[:w] - gt.T @ data.dual_w[h * nx : (h + 2) * nx] @ m) @ right
+        z_last[:, 2 * nx : 4 * nx] += gt.T
+        z_last[:, p_col + 2 * w : p_col + 3 * w] -= rho * g_st
+        rows.insert(0, z_last)
+    return np.vstack(rows)
+
 
 class TestBuildProblem:
     def test_integrator_gamma_hat_diagonal(self, integrator_model, integrator_params):
@@ -113,9 +162,37 @@ class TestBuildProblem:
     @pytest.mark.parametrize(
         "name, horizon",
         [(f, n) for f in ("ball_plate_like.json", "double_integrator.json", "mass_spring.json") for n in (None, 240)]
-        + [(seed, None) for seed in range(6)],
+        + [(seed, None) for seed in range(6)]
+        + [("ball_plate_like.json", n) for n in (3, 31)]
+        + [("mass_spring.json", n) for n in (2, 3, 31)],
     )
     def test_stacked_block_matches_long_form(self, name, horizon):
+        # The build forms the stacked block as left @ right with the
+        # push-through identity. Its long form, entry by entry: the right
+        # factor placed block by block from the Schur-reduced U~ kinds, with
+        # D1^-1 from a dense inverse; A core^-1 = (G Y)' W from the stored
+        # W_K, solved from -U~_red' W_K - h U1' D1^-1 U1 core^-1 with core^-1
+        # = I - M A core^-1; then the rows M right (r), h (I - A core^-1 M)
+        # right (c), c_st right less gt's swapped halves through D1^-1 U1
+        # core^-1 M right (c_pair), and z's tail. An integer name seeds a
+        # random model
+        if isinstance(name, int):
+            model, params = random_instance(np.random.default_rng(name))
+        else:
+            model, params = load_problem(resources.files("mpct_admm") / "models" / name)
+            if horizon is not None:
+                params = dataclasses.replace(params, N=horizon)
+        data = build_problem(model, params)
+        expected = stacked_block_long_form(data)
+        assert data.sums_block.shape == expected.shape
+        assert np.abs(data.sums_block - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize(
+        "name, horizon",
+        [(f, n) for f in ("ball_plate_like.json", "double_integrator.json", "mass_spring.json") for n in (None, 240)]
+        + [(seed, None) for seed in range(6)],
+    )
+    def test_stacked_block_product_matches_dense(self, name, horizon):
         # one product with the stacked block gives z's tail, r and c_pair
         # from the kept sums of z1, b's odd sum and p's pair sums; each must
         # equal its long form from dense solves: r = M (S T(z1) + Y' p),
@@ -160,7 +237,8 @@ class TestBuildProblem:
         work.solve()
         cells = dict(zip(work.solve.__code__.co_freevars, (c.cell_contents for c in work.solve.__closure__)))
         k = data.sums_block @ cells["sums"]
-        for got, expected in ((k[:live], z_ref[data.n_z - live :]), (k[live : live + 2 * w], r), (k[live + 2 * w :], c_pair)):
+        parts = ((k[:live], z_ref[data.n_z - live :]), (k[live : live + 2 * w], r), (k[live + 2 * w :], c_pair))
+        for got, expected in parts:
             assert np.abs(got - expected).max() <= 1e-9 * np.abs(expected).max()
 
     @pytest.mark.parametrize("n_x, n_u, horizon", [(1, 1, 2), (2, 1, 3), (3, 2, 5)])

@@ -532,7 +532,7 @@ class TestSolveKkt:
 
     def test_workspace_holds_no_factor(self):
         # the chain binds data's factor arrays and its own buffers: every
-        # array of the workspace, and every array its solve closes over,
+        # array of the workspace, and every array its closures close over,
         # either is one of data's arrays or shares no memory with any of
         # them, so no factor is copied and no buffer aliases a factor
         data = bundled_data("double_integrator.json")
@@ -540,9 +540,9 @@ class TestSolveKkt:
         assert any(a is data.dual_factor.bands for a in arrays)
 
         def split(work):
-            assert [f.name for f in fields(work)] == ["data", "p", "z", "mu", "r", "bind", "solve"]
+            assert [f.name for f in fields(work)] == ["data", "p", "z", "mu", "r", "bind", "solve", "multipliers"]
             assert work.data is data
-            bound = (c.cell_contents for f in (work.bind, work.solve) for c in f.__closure__)
+            bound = (c.cell_contents for f in (work.bind, work.solve, work.multipliers) for c in f.__closure__)
             own = [work.p, work.z, work.mu, work.r, *(a for a in bound if isinstance(a, np.ndarray))]
             # a factor is bound as itself or as a view of it
             factors = [a for a in own if any(a is d or a.base is d for d in arrays)]
