@@ -111,11 +111,19 @@ MUTANTS = (
         tests=("tests/test_semiband_solver.py",),
     ),
     Mutant(
-        name="b-per-pair-term-dropped",
+        name="b-shift-no-a-term",
         path="src/mpct_admm/semiband_solver.py",
-        old="            np.dot(odd, pair_b, out=b_pairs)\n",
-        new="            b_pairs[...] = 0.0\n",
-        breaks="z's stage pairs ignore b's odd blocks, which the ADMM loop's b never has",
+        old="    b_shifted[2 : 2 * h + 1 : 2] += b_odd @ data.model.A.T\n",
+        new="",
+        breaks="b's odd blocks move into z, but the kept row after each keeps b without its A b_o",
+        tests=("tests/test_semiband_solver.py",),
+    ),
+    Mutant(
+        name="p-shift-no-reference-term",
+        path="src/mpct_admm/semiband_solver.py",
+        old="    p_shifted[n, :nx] -= q @ b_odd.sum(axis=0)\n",
+        new="",
+        breaks="b's odd blocks move into z, but p + P d lacks P d's -Q sum_o b_o on x_s",
         tests=("tests/test_semiband_solver.py",),
     ),
 )

@@ -226,28 +226,6 @@ class PredictionSparseMatrix:
     def n_u(self) -> int:
         return self.window.shape[0] // 2 - self.n_x
 
-    def stage_sum_block(self) -> np.ndarray:
-        """``S = (G Y)'`` by its four distinct ``n_x``-wide column blocks, ``2w`` by ``4 n_x``.
-
-        ``Y = [[1_N (x) I_w, 0], [0, I_w]]`` sums the N stage blocks of a
-        decision vector and passes its reference block, so row block ``i``
-        of ``G Y`` is ``(E, 0)`` for the pin, ``(E - C, 0)`` for each stage
-        coupling, ``(-C, E)`` for the handoff and ``(0, E - C)`` for the
-        equilibrium row. ``S`` holds these four transposed side by side, so
-        that ``S`` reads the four stage sums ``(x_0, x_1 + .. + x_{N-1}, x_N,
-        x_{N+1})`` of a dual-space vector ``x``.
-        """
-        nx, w = self.n_x, self.window.shape[0] // 2
-        # window is [C' ; -E']
-        c_t, e_t = self.window[:w], -self.window[w:]
-        s = np.zeros((2 * w, 4 * nx))
-        s[:w, :nx] = e_t
-        np.subtract(e_t, c_t, out=s[:w, nx : 2 * nx])
-        np.negative(c_t, out=s[:w, 2 * nx : 3 * nx])
-        s[w:, 2 * nx : 3 * nx] = e_t
-        s[w:, 3 * nx :] = s[:w, nx : 2 * nx]
-        return s
-
     def to_dense(self) -> np.ndarray:
         """Dense reconstruction from ``window`` (test helper).
 

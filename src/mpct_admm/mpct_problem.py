@@ -262,20 +262,21 @@ class PrecomputedData:
     ``tail_window`` (``(t+1)(n_x+n_u)`` by ``t n_x``) give the reduced
     right-hand side ``-(G Lambda p)_K + Gamma~_KO D1^-1 (G Lambda p)_O`` of
     a head from the window ``(p_{2j-2}, .., p_{2j+1})`` and of the tail from
-    the last ``t+1`` stages. ``sums_block`` (``(t+3)(n_x+n_u)`` by ``(3+t)
-    n_x + (t+1)(n_x+n_u)``) is the stacked block the chain applies to the
-    kept blocks' sums of the banded solve's output, ``b``'s odd sum and
-    ``p``'s pair sums: it gives ``z``'s tail, the Woodbury step's ``r`` and
-    a constant for every stage pair of ``z``. ``pair_block`` (``3 n_x +
-    2(n_x+n_u)`` by ``2(n_x+n_u)``) forms the stage pairs ``(z_{2j},
-    z_{2j+1})`` from the kept multipliers ``(mu_{2j}, mu_{2j+2})``, from
-    ``(p_{2j}, p_{2j+1})`` and from ``b_{2j+1}``, with the odd multiplier
-    ``mu_{2j+1}`` substituted, and ``odd_block`` (``3 n_x + 4(n_x+n_u)`` by
-    ``n_x``) gives that odd multiplier from ``(mu_{2j}, mu_{2j+2}, p_{2j},
-    p_{2j+1}, b_{2j+1}, r)``, to rebuild it off the loop
-    (:func:`build_problem` derives them all). None of these blocks grows
-    with ``N``. The primal-space matrix itself is not stored:
-    :attr:`p_system` forms it from ``params``.
+    the last ``t+1`` stages. The chain's ``b`` is zero on the odd blocks
+    (:func:`~mpct_admm.semiband_solver.solve_kkt_system` moves them into
+    ``z``), so no block reads them. ``sums_block`` (``(t+3)(n_x+n_u)`` by
+    ``(2+t) n_x + (t+1)(n_x+n_u)``) is the stacked block the chain applies
+    to the kept blocks' sums of the banded solve's output and ``p``'s pair
+    sums: it gives ``z``'s tail, the Woodbury step's ``r`` and a constant
+    for every stage pair of ``z``. ``pair_block`` (``2 n_x + 2(n_x+n_u)``
+    by ``2(n_x+n_u)``) forms the stage pairs ``(z_{2j}, z_{2j+1})`` from the
+    kept multipliers ``(mu_{2j}, mu_{2j+2})`` and from ``(p_{2j},
+    p_{2j+1})``, with the odd multiplier ``mu_{2j+1}`` substituted, and
+    ``odd_block`` (``2 n_x + 4(n_x+n_u)`` by ``n_x``) gives that odd
+    multiplier from ``(mu_{2j}, mu_{2j+2}, p_{2j}, p_{2j+1}, r)``, to
+    rebuild it off the loop (:func:`build_problem` derives them all). None
+    of these blocks grows with ``N``. The primal-space matrix itself is not
+    stored: :attr:`p_system` forms it from ``params``.
 
     :func:`build_problem` writes each array in place in its final shape and
     memory order, and none is a view into a larger scratch buffer. The
@@ -527,8 +528,8 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # h U1' D1^-1 U1, U~_red the kept rows u_kept of the solve's right-hand
     # side, the Woodbury core is I + M A, and W_K = X_K core^-1 is one dgemm
     # that writes it column-major
-    kept_cols, p_col = (2 + t) * nx, (3 + t) * nx
-    right_k = -u_red.reshape(p_col, 2 * w).T
+    kept_cols = (2 + t) * nx
+    right_k = -u_red.reshape(-1, 2 * w).T
     a = -(u_kept.T @ x) - h * (right_k[:, kept_cols:] @ u1)
     core_inv = _core_inverse(np.eye(2 * w) + m @ a)
     dual_w = dgemm(1.0, x, core_inv)
@@ -549,23 +550,24 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # The odd multipliers. mu = z1 - W r with z1 = Gamma~^-1 rhs, and X_O =
     # D1^-1 (U1 - Gamma~_OK X_K), so mu_o = (rhs_o - delta - mu_{o-1} Ls' -
     # mu_{o+1} Ls) D1^-1 with delta = U1 core^-1 r, the same for every o.
-    # rhs_o = (p_{o-1}, p_o) v2 - b_o, so odd_block maps (mu_{o-1}, mu_{o+1},
-    # p_{o-1}, p_o, b_o, r) to mu_o; with D1^-1 symmetric, its rows are
-    # those of -D1^-1 (Ls, Ls', -v2', I, U1 core^-1) transposed. mu_o enters
+    # The chain's b is zero on the odd blocks (solve_kkt_system moves them
+    # into z), so rhs_o = (p_{o-1}, p_o) v2 and odd_block maps (mu_{o-1},
+    # mu_{o+1}, p_{o-1}, p_o, r) to mu_o; with D1^-1 symmetric, its rows are
+    # those of -D1^-1 (Ls, Ls', -v2', U1 core^-1) transposed. mu_o enters
     # z's stage pair (z_{o-1}, z_o) through gt's halves swapped, so one
-    # product gives the pair's terms in (mu_{o-1}, mu_{o+1}), (p_{o-1}, p_o),
-    # b_o and r, and, on the p rows, v2 D1^-1 Ls' and v2 D1^-1 Ls, which the
+    # product gives the pair's terms in (mu_{o-1}, mu_{o+1}), (p_{o-1}, p_o)
+    # and r, and, on the p rows, v2 D1^-1 Ls' and v2 D1^-1 Ls, which the
     # reduced right-hand side below reads. pair_block adds the pair's own
     # terms: (mu_{2j}, mu_{2j+2}) through gt's halves and (p_{2j}, p_{2j+1})
     # through -rho Gamma_st^-1, on the diagonal blocks of its first 2 n_x
-    # and next 2w rows, written through strided views. b_o's part is bound
-    # once per b, and r's goes into the stacked block's per-pair constant
+    # and last 2w rows, written through strided views. r's part goes into
+    # the stacked block's per-pair constant
     odd_block = np.concatenate(
-        [d1_ls[:, nx : 2 * nx].T, d1_ls[:, :nx].T, -(v2 @ d1_inv), d1_inv, (d1_ls[:, 2 * nx :] @ core_inv).T]
+        [d1_ls[:, nx : 2 * nx].T, d1_ls[:, :nx].T, -(v2 @ d1_inv), (d1_ls[:, 2 * nx :] @ core_inv).T]
     )
     np.negative(odd_block, out=odd_block)
     via_odd = odd_block @ np.concatenate([st_halves[0].T, st_halves[1].T, ls.T, ls], axis=1)
-    pair_rows = 3 * nx + 2 * w
+    pair_rows = 2 * nx + 2 * w
     pair_block = via_odd[:pair_rows, : 2 * w].copy()
     item = pair_block.itemsize
     mu_diag = np.ndarray((2, nx, w), buffer=pair_block, strides=((2 * nx + 1) * w * item, 2 * w * item, item))
@@ -597,16 +599,16 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     by_stage[t, :, t - 2] = s_rho[1]
     np.add(s_rho[0], s_rho[1], out=by_stage[t, :, t - 1])
 
-    # The stacked block acts on sigma = (kept sums of z1, sum_o b_o, sum_j
-    # (p_{2j}, p_{2j+1}), the live part of the last pair) with p read as p /
-    # rho: the last pair is (p_s, 0) for even N and (p_{N-1}, p_s) for odd
-    # N. It gives z's tail, r and the per-pair constant c_pair at once, as
-    # left @ right. The right factor (G Y)' z1 + rho Y' p reads sigma
-    # through right = [right_k, right_p]: (G Y)' z1 is right_k on the kept
-    # sums and on sum_o rhs_o = (sum_j (p_{2j}, p_{2j+1})) v2 - sum_o b_o,
-    # so right_p is -right_k's last n_x columns times v2' on the pair sums,
-    # plus rho I on every stage block of sigma's p part but p_s in the
-    # stage half and on p_s in the reference half. The left factor's rows
+    # The stacked block acts on sigma = (kept sums of z1, sum_j (p_{2j},
+    # p_{2j+1}), the live part of the last pair) with p read as p / rho: the
+    # last pair is (p_s, 0) for even N and (p_{N-1}, p_s) for odd N. It
+    # gives z's tail, r and the per-pair constant c_pair at once, as left @
+    # right. The right factor (G Y)' z1 + rho Y' p reads sigma through right
+    # = [right_k, right_p]: (G Y)' z1 is right_k on the kept sums and on
+    # sum_o rhs_o = (sum_j (p_{2j}, p_{2j+1})) v2, b being zero on the odd
+    # blocks, so right_p is -right_k's last n_x columns times v2' on the
+    # pair sums, plus rho I on every stage block of sigma's p part but p_s
+    # in the stage half and on p_s in the reference half. The left factor's rows
     # are those of M for r, of C = h (I - A core^-1 M) for c, and of
     # (C_st, C_st) plus delta's per-pair term for c_pair: r = M right is
     # the Woodbury step's, and c = C right, with h = M - blkdiag(0,
@@ -631,10 +633,10 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     rho_left = rho * left
     on_p = np.concatenate([rho_left[:, :w]] * t + [rho_left[:, w:]], axis=1)
     on_p[:, : 2 * w] -= on_k[:, kept_cols:] @ v2.T
-    sums_block = np.concatenate([on_k, on_p], axis=1)
+    sums_block = np.concatenate([on_k[:, :kept_cols], on_p], axis=1)
     if t == 3:
         sums_block[:w, 2 * nx : 4 * nx] += gt_t
-        sums_block[:w, p_col + 2 * w : p_col + 3 * w] -= st_rho
+        sums_block[:w, kept_cols + 2 * w : kept_cols + 3 * w] -= st_rho
 
     return PrecomputedData(
         model=model,

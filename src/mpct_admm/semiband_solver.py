@@ -206,18 +206,17 @@ class KktWorkspace:
     """The KKT chain of one problem, bound to its buffers.
 
     :meth:`for_problem` binds ``data``'s factor arrays once and returns the
-    unchecked chain as closures. ``bind(b)`` forms what the chain reads of
-    the dual right-hand side ``b``: its reduced form on the kept blocks, its
-    odd blocks' sum and its term in each of ``z``'s stage pairs; they hold
-    until the next ``bind``, and ``b`` is only read. ``solve()`` reads ``p /
-    rho`` from the buffer ``p`` and returns ``z`` in the buffer ``z``. The
+    unchecked chain as closures. ``bind(b)`` copies the kept blocks of the
+    dual right-hand side ``b``, which the chain reads until the next
+    ``bind``; it takes ``b``'s odd blocks for zero and never reads them
+    (:func:`solve_kkt_system` moves them into ``z``). ``solve()`` reads ``p
+    / rho`` from the buffer ``p`` and returns ``z`` in the buffer ``z``. The
     kept blocks' multipliers ``mu_K`` are left in ``mu`` and the Woodbury
     step's ``r`` in ``r``; the next call overwrites them. After a
-    ``solve()``, ``multipliers(b)``, with the ``b`` last bound, returns all
-    of ``mu`` as a new array: the kept blocks' and the odd ones, rebuilt by
-    one product with ``data.odd_block``. The ADMM loop never calls it. The
-    chain copies no factor, so a workspace serves only the ``data`` it was
-    made for.
+    ``solve()``, ``multipliers()`` returns all of ``mu`` as a new array: the
+    kept blocks' and the odd ones, rebuilt by one product with
+    ``data.odd_block``. The ADMM loop never calls it. The chain copies no
+    factor, so a workspace serves only the ``data`` it was made for.
 
     With ``P^-1 = Lambda - Y M Y'``, the first primal solve's low-rank term
     is ``G Y M Y' p = -U~ M Y' p``, and ``W~^-1 U~ = Gamma~^-1 U~ (I + V
@@ -247,7 +246,7 @@ class KktWorkspace:
     r: np.ndarray
     bind: Callable[[np.ndarray], None]
     solve: Callable[[], np.ndarray]
-    multipliers: Callable[[np.ndarray], np.ndarray]
+    multipliers: Callable[[], np.ndarray]
 
     @classmethod
     def for_problem(cls, data: "PrecomputedData") -> "KktWorkspace":
@@ -257,11 +256,11 @@ class KktWorkspace:
         # (p_{2j-2}, .., p_{2j+1}) and row j of mu_window (mu_j, mu_{j+1}) of
         # the kept blocks, read-only as_strided views whose consecutive rows
         # overlap. sums receives the kept blocks' sums (block 0, heads 1 ..
-        # h-1, each tail block), b's odd sum, set by bind, and the sums of
-        # p's pairs before the last and its last pair, whose padding, past
-        # the end of sums for even N, the stacked block does not read. k, in
-        # the same allocation as z, receives the stacked block's product:
-        # z's tail, then r and the per-pair constant c_pair.
+        # h-1, each tail block) and the sums of p's pairs before the last and
+        # its last pair, whose padding, past the end of sums for even N, the
+        # stacked block does not read. k, in the same allocation as z,
+        # receives the stacked block's product: z's tail, then r and the
+        # per-pair constant c_pair.
         n, nx, w, n_z = data.params.N, data.n_x, data.n_x + data.n_u, data.n_z
         h = n // 2
         t = n + 2 - 2 * h
@@ -274,35 +273,26 @@ class KktWorkspace:
         mu = mu_blocks.reshape(-1)
         mu_heads, mu_tail = mu_blocks[:h], mu[h * nx :]
         mu_window = as_strided(mu, (h, 2 * nx), (nx * item, item), writeable=False)
-        sums_buf = np.empty((3 + t) * nx + 4 * w)
-        sums, kept_sums = sums_buf[: (3 + t) * nx + 2 * w + live], sums_buf[: (2 + t) * nx].reshape(2 + t, nx)
-        odd_b_sum, p_sums = sums_buf[(2 + t) * nx : (3 + t) * nx], sums_buf[(3 + t) * nx :].reshape(2, 2 * w)
+        sums_buf = np.empty((2 + t) * nx + 4 * w)
+        sums, kept_sums = sums_buf[: (2 + t) * nx + 2 * w + live], sums_buf[: (2 + t) * nx].reshape(2 + t, nx)
+        p_sums = sums_buf[(2 + t) * nx :].reshape(2, 2 * w)
         zk = np.empty(n_z + 4 * w)
         z, k = zk[:n_z], zk[n_z - live :]
         r, c_pair = k[live : live + 2 * w], k[live + 2 * w :]
-        z_pairs, b_pairs = z[: 2 * h * w].reshape(h, 2 * w), np.empty((h, 2 * w))
+        z_pairs = z[: 2 * h * w].reshape(h, 2 * w)
         # one index array for both: reduceat converts a list on every call
         offsets = np.array([0, 1, *range(h, kept), 0, h])
         kept_offsets, pair_offsets = offsets[: 2 + t], offsets[2 + t :]
         head_window, tail_window, sums_block = data.head_window, data.tail_window, data.sums_block
         bands, dual_w, pair_block, odd_block = data.dual_factor.bands, data.dual_w, data.pair_block, data.odd_block
-        pair_mu, pair_b = pair_block[: 2 * nx], pair_block[2 * nx + 2 * w :]
+        pair_mu = pair_block[: 2 * nx]
         # the column-major views dgemm takes without a copy: z_pairs' += p_pairs pair_p
-        pair_p_t, p_pairs_t, z_pairs_t = pair_block[2 * nx : 2 * nx + 2 * w].T, p_pairs[:h].T, z_pairs.T
-        # the reduction of b is the transpose of the odd elimination: kept
-        # block j takes -b_o D1^-1 Ls from its right odd neighbour o = 2j+1,
-        # and kept block j+1 -b_o D1^-1 Ls' from its left one
-        from_right, from_left = odd_block[:nx].T, odd_block[nx : 2 * nx].T
+        pair_p_t, p_pairs_t, z_pairs_t = pair_block[2 * nx :].T, p_pairs[:h].T, z_pairs.T
 
         def bind(b: np.ndarray) -> None:
             b_blocks = b.reshape(n + 2, nx)
-            odd = b_blocks[1 : 2 * h : 2]
             b_red[:h] = b_blocks[0 : 2 * h : 2]
             b_red[h:] = b_blocks[2 * h :]
-            b_red[:h] += odd @ from_right
-            b_red[1 : h + 1] += odd @ from_left
-            np.sum(odd, axis=0, out=odd_b_sum)
-            np.dot(odd, pair_b, out=b_pairs)
 
         def solve() -> np.ndarray:
             # The reduced right-hand side -(G Lambda p)_red - b_red in mu's
@@ -325,23 +315,21 @@ class KktWorkspace:
             np.dot(sums_block, sums, out=k)
             dgemv(-1.0, dual_w, r, 1.0, mu, overwrite_y=1)
             # z's stage pairs: (mu_j, mu_{j+1}) pair_mu + (p_{2j}, p_{2j+1})
-            # pair_p + c_pair + b's per-pair term
+            # pair_p + c_pair
             np.matmul(mu_window, pair_mu, out=z_pairs)
             dgemm(1.0, pair_p_t, p_pairs_t, 1.0, z_pairs_t, overwrite_c=1)
             np.add(z_pairs, c_pair, out=z_pairs)
-            np.add(z_pairs, b_pairs, out=z_pairs)
             return z
 
-        def multipliers(b: np.ndarray) -> np.ndarray:
+        def multipliers() -> np.ndarray:
             # the kept blocks' mu in place, and the odd ones by one product
             # with odd_block: row j of odd_in is what it maps to mu_{2j+1},
-            # (mu_{2j}, mu_{2j+2}, p_{2j}, p_{2j+1}, b_{2j+1}, r). The ADMM
-            # loop never calls this, so its buffers are made here
-            odd_in, mu_all = np.empty((h, 3 * nx + 4 * w)), np.empty((n + 2, nx))
+            # (mu_{2j}, mu_{2j+2}, p_{2j}, p_{2j+1}, r). The ADMM loop never
+            # calls this, so its buffers are made here
+            odd_in, mu_all = np.empty((h, 2 * nx + 4 * w)), np.empty((n + 2, nx))
             odd_in[:, : 2 * nx] = mu_window
             odd_in[:, 2 * nx : 2 * nx + 2 * w] = p_pairs[:h]
-            odd_in[:, 2 * nx + 2 * w : 3 * nx + 2 * w] = b[nx : (2 * h + 1) * nx].reshape(h, 2 * nx)[:, :nx]
-            odd_in[:, 3 * nx + 2 * w :] = r
+            odd_in[:, 2 * nx + 2 * w :] = r
             mu_all[0 : 2 * h : 2] = mu_heads
             mu_all[2 * h :] = mu_blocks[h:]
             np.matmul(odd_in, odd_block, out=mu_all[1 : 2 * h : 2])
@@ -370,6 +358,16 @@ def solve_kkt_system(
     arguments are checked here, once, and ``work`` runs the chain; the ADMM
     loop binds its ``b`` once and calls ``work.solve`` directly on its own
     checked buffers.
+
+    The chain reads ``b`` on its kept blocks only, and this is the one
+    entry that takes a ``b`` with odd blocks ``o = 1, 3, .., 2h-1`` (``h =
+    N // 2``); the loop's ``b`` pins ``x_0`` alone. They move into ``z`` by
+    a change of variables: ``z = d + z'``, with ``d`` zero but for ``x_o =
+    b_o`` in each odd stage. ``G d`` is ``b_o`` on row ``o`` and ``-A b_o``
+    on the kept row ``o+1``, and ``P d`` is ``(Q + rho I) b_o`` on ``x_o``
+    and ``-Q sum_o b_o`` on ``x_s``, so ``z'`` solves the system for ``p +
+    P d`` and ``b - G d``, which is zero on the odd blocks, with the same
+    ``mu``.
     """
     p = np.asarray(p, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -381,7 +379,17 @@ def solve_kkt_system(
         work = KktWorkspace.for_problem(data)
     elif work.data is not data:
         raise DimensionMismatch("work was made for another problem")
+    n, nx, w, rho, q = data.params.N, data.n_x, data.n_x + data.n_u, data.params.rho, data.params.Q
+    h = n // 2
+    # p and z by stage, the reference block last, and b by row block
+    b_odd = b.reshape(n + 2, nx)[1 : 2 * h : 2]
+    p_shifted, b_shifted = p.reshape(n + 1, w).copy(), b.reshape(n + 2, nx).copy()
+    p_shifted[1 : 2 * h : 2, :nx] += b_odd @ (q + rho * np.eye(nx))
+    p_shifted[n, :nx] -= q @ b_odd.sum(axis=0)
+    b_shifted[2 : 2 * h + 1 : 2] += b_odd @ data.model.A.T
     # the chain's p-side factors carry rho, so it reads p / rho
-    np.divide(p, data.params.rho, out=work.p)
-    work.bind(b)
-    return work.solve(), work.multipliers(b)
+    np.divide(p_shifted.reshape(-1), rho, out=work.p)
+    work.bind(b_shifted.reshape(-1))
+    z = work.solve()
+    z.reshape(n + 1, w)[1 : 2 * h : 2, :nx] += b_odd
+    return z, work.multipliers()

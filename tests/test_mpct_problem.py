@@ -30,7 +30,7 @@ from mpct_admm.semiband_solver import KktWorkspace, _split_primal
 
 from conftest import random_controllable_model, random_instance, random_spd
 
-from test_banded_linalg import stage_sum_pattern
+from test_banded_linalg import stage_sum_columns, stage_sum_pattern
 from test_semiband_solver import reachable_arrays
 
 
@@ -56,7 +56,7 @@ def stacked_block_long_form(data):
     columns = _gamma_tilde_columns(data.g, g_st, g_s)
     d1, ls = columns[1, :nx], columns[0, nx:]
     q = np.linalg.inv(d1)
-    u = [-blk.T for blk in np.split(data.g.stage_sum_block(), 4, axis=1)]
+    u = [-blk.T for blk in stage_sum_columns(model, n)]
     u1 = u[1]
     # the reduced kinds: block 0, the heads, then the tail blocks 2h .. N+1
     kinds = [u[0] - (ls.T @ q) @ u1, u1 - (ls @ q) @ u1 - (ls.T @ q) @ u1] + [blk.copy() for blk in u[4 - t :]]
@@ -66,16 +66,15 @@ def stacked_block_long_form(data):
     # gt = [-E ; C] Gamma_st^-1: its halves, for mu_i and mu_{i+1}, swapped
     gt = np.vstack([-np.eye(nx, w), np.hstack([model.A, model.B])]) @ g_st
     gt_swapped = np.hstack([gt[nx:], gt[:nx]])
-    kept_cols, p_col = (2 + t) * nx, (3 + t) * nx
-    cols = p_col + (t + 1) * w
-    right = np.zeros((2 * w, cols))
+    # the chain's b is zero on the odd blocks, so no column reads their sum
+    kept_cols = (2 + t) * nx
+    right = np.zeros((2 * w, kept_cols + (t + 1) * w))
     for i, kind in enumerate(kinds):
         right[:, i * nx : (i + 1) * nx] = -kind.T
-    right[:, kept_cols:p_col] = u1.T @ q
-    right[:, p_col : p_col + 2 * w] = -rho * (u1.T @ q @ gt_swapped)
+    right[:, kept_cols : kept_cols + 2 * w] = -rho * (u1.T @ q @ gt_swapped)
     for c in range(t):
-        right[:w, p_col + c * w : p_col + (c + 1) * w] += rho * np.eye(w)
-    right[w:, p_col + t * w :] = rho * np.eye(w)
+        right[:w, kept_cols + c * w : kept_cols + (c + 1) * w] += rho * np.eye(w)
+    right[w:, kept_cols + t * w :] = rho * np.eye(w)
     # A core^-1 from the kept rows of W = X core^-1
     u_kept = np.vstack([kinds[0]] + [kinds[1]] * (h - 1) + kinds[2:])
     odd = h * (u1.T @ q @ u1)
@@ -90,7 +89,7 @@ def stacked_block_long_form(data):
         # with mu_K = z1_K - W_K r
         z_last = (c[:w] - gt.T @ data.dual_w[h * nx : (h + 2) * nx] @ m) @ right
         z_last[:, 2 * nx : 4 * nx] += gt.T
-        z_last[:, p_col + 2 * w : p_col + 3 * w] -= rho * g_st
+        z_last[:, kept_cols + 2 * w : kept_cols + 3 * w] -= rho * g_st
         rows.insert(0, z_last)
     return np.vstack(rows)
 
@@ -194,8 +193,8 @@ class TestBuildProblem:
     )
     def test_stacked_block_product_matches_dense(self, name, horizon):
         # one product with the stacked block gives z's tail, r and c_pair
-        # from the kept sums of z1, b's odd sum and p's pair sums; each must
-        # equal its long form from dense solves: r = M (S T(z1) + Y' p),
+        # from the kept sums of z1 and p's pair sums; each must equal its
+        # long form from dense solves: r = M (S T(z1) + Y' p),
         # with T the four stage sums, c = h Y' (G' mu + p) with h = M -
         # blkdiag(0, Gamma_s^-1), c_pair = (c_st, c_st) - delta D1^-1 [gt_bot,
         # gt_top] with delta = U1 core^-1 r, and z's tail the saddle point's.
@@ -216,6 +215,8 @@ class TestBuildProblem:
         s = (g @ y).T
         rng = np.random.default_rng(data.m_z)
         p, b = rng.standard_normal(data.n_z), rng.standard_normal(data.m_z)
+        # the chain takes a b that is zero on the odd blocks
+        b.reshape(n + 2, nx)[1 : 2 * (n // 2) : 2] = 0.0
         z1 = np.linalg.solve(gamma, -g @ lam @ p - b)
         r = m @ (s @ z1 + y.T @ p)
         u = -g @ y

@@ -28,7 +28,7 @@ from mpct_admm.semiband_solver import _split_primal
 
 from conftest import random_controllable_model, random_instance, random_params, random_spd
 
-from test_banded_linalg import random_spd_banded, stage_sum_pattern
+from test_banded_linalg import random_spd_banded, stage_sum_columns, stage_sum_pattern
 
 
 def random_semibanded(rng, n, m, kind="banded", scale=0.4):
@@ -243,8 +243,9 @@ class TestDualSystemStructure:
     def test_v_products_match_dense(self, source):
         # V z1 is read through the reduction: with p = 0 the Woodbury step's
         # r = V z1 + M Y' p is V z1, for z1 = Gamma~^-1 (-b), and the chain
-        # takes it from the kept blocks' sums of z1 and b's odd sum through
-        # the stacked block, never from z1's odd blocks
+        # takes it from the kept blocks' sums of z1 through the stacked
+        # block, never from z1's odd blocks. The chain takes a b that is
+        # zero on the odd blocks
         data = bundled_data(source) if isinstance(source, str) else random_data(*source)
         w = data.n_x + data.n_u
         v_dense = dense_dual_v(data)
@@ -253,7 +254,8 @@ class TestDualSystemStructure:
         # reads the four stage sums
         system = data.p_system
         m = _split_primal(system.gamma_stage, system.gamma_ref, system.coupling, data.params.N)[2]
-        v_blocks = m @ data.g.stage_sum_block() @ dense_stage_sums(data.params.N, data.n_x)
+        distinct = np.hstack(stage_sum_columns(data.model, data.params.N))
+        v_blocks = m @ distinct @ dense_stage_sums(data.params.N, data.n_x)
         np.testing.assert_allclose(v_blocks, v_dense, rtol=0.0, atol=1e-12 * (1.0 + np.abs(v_dense).max()))
         gamma = dense_gamma_tilde(data)
         work = KktWorkspace.for_problem(data)
@@ -261,6 +263,7 @@ class TestDualSystemStructure:
         rng = np.random.default_rng(data.m_z)
         for _ in range(2):
             b = rng.standard_normal(data.m_z)
+            b.reshape(-1, data.n_x)[1 : 2 * (data.params.N // 2) : 2] = 0.0
             work.bind(b)
             work.solve()
             z1 = np.linalg.solve(gamma, -b)
@@ -320,8 +323,8 @@ class TestDualSystemStructure:
         footprints = []
         for horizon in (6, 24, 96):
             data = build_problem(model, random_params(rng, 4, 2, horizon))
-            # z_s, r and c_pair, on the kept sums, b's odd sum and p's pair sums
-            assert data.sums_block.shape == (5 * 6, 5 * 4 + 3 * 6)
+            # z_s, r and c_pair, on the kept sums and p's pair sums
+            assert data.sums_block.shape == (5 * 6, 4 * 4 + 3 * 6)
             growing = reachable_arrays((data.dual_factor, data.dual_w, data.v_lo, data.v_hi))
             fixed = [a for a in reachable_arrays(data) if not any(a is g for g in growing)]
             footprints.append(sorted((a.shape, a.nbytes) for a in fixed))
@@ -471,8 +474,8 @@ class TestStageCoupledSystem:
                 data.g.window, data.head_window, data.tail_window, data.sums_block, data.pair_block, data.odd_block
             )
             assert [blk.shape for blk in blocks] == [
-                (2 * 6, 4), (4 * 6, 4), (3 * 6, 2 * 4), (5 * 6, 5 * 4 + 3 * 6), (3 * 4 + 2 * 6, 2 * 6),
-                (3 * 4 + 4 * 6, 4),
+                (2 * 6, 4), (4 * 6, 4), (3 * 6, 2 * 4), (5 * 6, 4 * 4 + 3 * 6), (2 * 4 + 2 * 6, 2 * 6),
+                (2 * 4 + 4 * 6, 4),
             ]
             sizes.append(sum(a.nbytes for a in arrays) + sum(blk.nbytes for blk in blocks))
         assert sizes[0] == sizes[1] == sizes[2]
@@ -620,6 +623,27 @@ class TestSolveKkt:
         for _ in range(2):
             p = rng.standard_normal(data.n_z)
             b = rng.standard_normal(data.m_z) + np.sign(rng.standard_normal(data.m_z))
+            z, mu = solve_kkt_system(data, p, b, work=work)
+            z_ref, mu_ref = dense_kkt_solve(inst, p, b)
+            assert np.abs(z - z_ref).max() <= 1e-10 * np.abs(z_ref).max()
+            assert np.abs(mu - mu_ref).max() <= 1e-10 * np.abs(mu_ref).max()
+
+    @pytest.mark.parametrize("source, horizon", REDUCTION_CASES)
+    def test_odd_blocks_of_b_alone_against_dense_oracle(self, source, horizon):
+        # the chain reads b on its kept blocks only, and solve_kkt_system
+        # moves b's odd blocks into z by a change of variables: with p = 0
+        # and b zero outside the odd blocks, all the chain is given comes
+        # from that shift
+        data = model_data(source, horizon)
+        model, params = data.model, data.params
+        nx, nu = model.n_x, model.n_u
+        inst = dense_instance(model, params, np.zeros(nx), np.zeros(nx), np.zeros(nu))
+        rng = np.random.default_rng(data.m_z)
+        work = KktWorkspace.for_problem(data)
+        for _ in range(2):
+            b = np.zeros((horizon + 2, nx))
+            b[1 : 2 * (horizon // 2) : 2] = rng.standard_normal((horizon // 2, nx)) + 1.0
+            p, b = np.zeros(data.n_z), b.reshape(-1)
             z, mu = solve_kkt_system(data, p, b, work=work)
             z_ref, mu_ref = dense_kkt_solve(inst, p, b)
             assert np.abs(z - z_ref).max() <= 1e-10 * np.abs(z_ref).max()
