@@ -608,8 +608,8 @@ def build_problem(model: LtiModel, params: MpctParams, scaling: None = None) -> 
     # sum_o rhs_o = (sum_j (p_{2j}, p_{2j+1})) v2, b being zero on the odd
     # blocks, so right_p is -right_k's last n_x columns times v2' on the
     # pair sums, plus rho I on every stage block of sigma's p part but p_s
-    # in the stage half and on p_s in the reference half. The left factor's rows
-    # are those of M for r, of C = h (I - A core^-1 M) for c, and of
+    # in the stage half and on p_s in the reference half. The left factor's
+    # rows are those of M for r, of C = h (I - A core^-1 M) for c, and of
     # (C_st, C_st) plus delta's per-pair term for c_pair: r = M right is
     # the Woodbury step's, and c = C right, with h = M - blkdiag(0,
     # Gamma_s^-1) and I - A core^-1 M = (I + A M)^-1 by the push-through
